@@ -14,6 +14,7 @@ from .denoiser import (
     TwoMarginalDataset,
     ancestral_sample,
     cfg_predict,
+    eps,
     predict,
     sample_two_marginal_dataset,
     train,
@@ -35,6 +36,7 @@ from .latentops import (
     StochasticLatentSequence,
     forward_sample,
     generate_with_latents,
+    generate_with_latents_batch,
     invert,
     posterior_mean_pred,
     sdedit,
@@ -62,6 +64,7 @@ __all__ = [
     "TwoMarginalDataset",
     "ancestral_sample",
     "cfg_predict",
+    "eps",
     "predict",
     "sample_two_marginal_dataset",
     "train",
@@ -79,6 +82,7 @@ __all__ = [
     "StochasticLatentSequence",
     "forward_sample",
     "generate_with_latents",
+    "generate_with_latents_batch",
     "invert",
     "posterior_mean_pred",
     "sdedit",

@@ -9,6 +9,7 @@ with the offending name. CLI flags override file values.
 from __future__ import annotations
 
 import configparser
+import math
 import typing
 from dataclasses import dataclass, field, replace
 
@@ -119,20 +120,27 @@ _SECTIONS = {
 }
 
 
+def _finite_float(raw: str) -> float:
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError("not a finite number")
+    return value
+
+
 def _parse_value(raw: str, kind, key: str):
     raw = raw.strip()
     try:
         if kind is int:
             return int(raw)
         if kind is float:
-            return float(raw)
+            return _finite_float(raw)
         if kind is str:
             return raw
         # tuple-valued keys: comma-separated entries
         origin = kind.__args__[0] if hasattr(kind, "__args__") else float
         parts = [p.strip() for p in raw.split(",") if p.strip()]
         if origin is float:
-            return tuple(float(p) for p in parts)
+            return tuple(_finite_float(p) for p in parts)
         if origin is int:
             return tuple(int(p) for p in parts)
         return tuple(parts)
@@ -168,7 +176,11 @@ def load_config(
     cfg = ExperimentConfig()
     if path is not None:
         parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
-        read = parser.read(path)
+        try:
+            read = parser.read(path)
+        except (configparser.Error, UnicodeDecodeError) as exc:
+            message = " ".join(str(exc).split())
+            raise ConfigError(f"cannot parse config file {path}: {message}") from None
         if not read:
             raise ConfigError(f"config file not found: {path}")
         for section in parser.sections():

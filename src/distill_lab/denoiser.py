@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DivergenceError, MismatchError
-from .flatfile import read_flat_file, write_flat_file
+from .flatfile import header_field, read_flat_file, write_flat_file
 from .optim import AdamState, adam_step
 from .schedule import NoiseSchedule, posterior_coeffs
 
@@ -28,6 +28,7 @@ __all__ = [
     "Denoiser",
     "default_class_params",
     "sample_two_marginal_dataset",
+    "eps",
     "predict",
     "cfg_predict",
     "cfg_predict_batch",
@@ -134,8 +135,10 @@ class Denoiser:
 
     ``arch`` lists every layer width including input and output, e.g.
     (13, 64, 64, 2). ``opt_state`` is training-only bookkeeping and is not
-    part of checkpoints. Reads are safe to share; ``train_step`` mutates
-    and must be externally serialized.
+    part of checkpoints. Reads are safe to share: the layer views and the
+    time-embedding table are caches filled on first use and only ever
+    replaced whole. ``train_step`` mutates ``params`` in place (the views
+    follow) and must be externally serialized.
     """
 
     params: np.ndarray
@@ -143,6 +146,8 @@ class Denoiser:
     num_classes: int
     t_embed_dim: int
     opt_state: AdamState | None = field(default=None, repr=False)
+    _views: tuple = field(default=(None, None), init=False, repr=False, compare=False)
+    _t_table: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     @classmethod
     def create(
@@ -172,6 +177,24 @@ class Denoiser:
             if not is_last or random_head:
                 w[:] = rng.standard_normal(w.shape) / math.sqrt(w.shape[0])
         return cls(params=params, arch=arch, num_classes=num_classes, t_embed_dim=t_embed_dim)
+
+    def layers(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """(W, b) views into ``params``, rebuilt only when ``params`` is replaced."""
+        owner, views = self._views
+        if owner is not self.params:
+            views = _layer_views(self.params, self.arch)
+            self._views = (self.params, views)
+        return views
+
+    def time_rows(self, t: np.ndarray) -> np.ndarray:
+        """Embedding rows of integer timesteps >= 0, read from a table over
+        0..max(t) that is rebuilt when a larger timestep arrives."""
+        try:
+            return self._t_table[t]
+        except (IndexError, TypeError):
+            table = time_embedding(np.arange(int(np.max(t)) + 1), self.t_embed_dim)
+            self._t_table = table
+            return table[t]
 
 
 def param_count(arch: tuple[int, ...]) -> int:
@@ -212,17 +235,24 @@ def _check_label(d: Denoiser, y: int) -> int:
 
 
 def _features(d: Denoiser, x: np.ndarray, y: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Input rows [x, time embedding, one-hot label]."""
     n = x.shape[0]
-    onehot = np.zeros((n, d.num_classes + 1))
-    onehot[np.arange(n), y] = 1.0
-    return np.concatenate([x, time_embedding(t, d.t_embed_dim), onehot], axis=1)
+    feats = np.zeros((n, d.arch[0]))
+    feats[:, :POINT_DIM] = x
+    feats[:, POINT_DIM : POINT_DIM + d.t_embed_dim] = d.time_rows(t)
+    feats[np.arange(n), POINT_DIM + d.t_embed_dim + y] = 1.0
+    return feats
 
 
 def _forward(d: Denoiser, x: np.ndarray, y: np.ndarray, t: np.ndarray):
-    """Batched forward pass; returns (output, activation cache)."""
+    """Batched gemm forward pass; returns (output, activation cache).
+
+    Fastest for large batches, but a row's bits may depend on the batch it
+    sits in; :func:`eps` is the batch-invariant evaluation.
+    """
     h = _features(d, x, y, t)
     cache = [h]
-    layers = _layer_views(d.params, d.arch)
+    layers = d.layers()
     for w, b in layers[:-1]:
         h = np.tanh(h @ w + b)
         cache.append(h)
@@ -230,10 +260,21 @@ def _forward(d: Denoiser, x: np.ndarray, y: np.ndarray, t: np.ndarray):
     return h @ w + b, cache
 
 
+def _forward_rows(d: Denoiser, x: np.ndarray, y: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Forward pass one row at a time: each layer is a stack of (1, k) @ (k, m)
+    products, so every output row is bitwise equal to its batch-1 value."""
+    h = _features(d, x, y, t)
+    layers = d.layers()
+    for w, b in layers[:-1]:
+        h = np.tanh((h[:, None, :] @ w)[:, 0, :] + b)
+    w, b = layers[-1]
+    return (h[:, None, :] @ w)[:, 0, :] + b
+
+
 def _backward(d: Denoiser, cache: list[np.ndarray], cotangent: np.ndarray) -> np.ndarray:
     """Vector-Jacobian product of the forward pass w.r.t. the flat params."""
     grad = np.zeros_like(d.params)
-    layers = _layer_views(d.params, d.arch)
+    layers = d.layers()
     gviews = _layer_views(grad, d.arch)
     g = cotangent
     for k in range(len(layers) - 1, -1, -1):
@@ -246,34 +287,53 @@ def _backward(d: Denoiser, cache: list[np.ndarray], cotangent: np.ndarray) -> np
     return grad
 
 
+def _per_row(v, n: int, what: str) -> np.ndarray:
+    v = np.asarray(v, dtype=np.int64)
+    if v.ndim == 0:
+        return np.full(n, v)
+    if v.shape != (n,):
+        raise ValueError(f"{what} have shape {v.shape}, expected ({n},)")
+    return v
+
+
+def eps(d: Denoiser, x: np.ndarray, y, t, omega: float) -> np.ndarray:
+    """Guided noise predictions e_null + omega * (e_y - e_null) for n rows.
+
+    ``x`` is (n, 2); ``y`` and ``t`` are length-n label and timestep arrays
+    (scalars broadcast). Every output row is bitwise equal to the same row
+    evaluated alone, whatever the batch holds. The null and conditional rows
+    share one forward of 2n rows; omega = 1 returns the conditional
+    prediction and omega = 0 the unconditional one from n rows, with no
+    arithmetic on the endpoints.
+    """
+    x = np.asarray(x, dtype=float).reshape(-1, POINT_DIM)
+    n = x.shape[0]
+    y = _per_row(y, n, "labels")
+    t = _per_row(t, n, "timesteps")
+    if n == 0:
+        return np.empty((0, POINT_DIM))
+    if y.min() < 0 or y.max() > d.num_classes:
+        raise ValueError(f"labels must lie in 0 (null) .. {d.num_classes}")
+    if t.min() < 1:
+        raise ValueError(f"timesteps must be >= 1, got {int(t.min())}")
+    if omega == 1.0:
+        return _forward_rows(d, x, y, t)
+    null = np.full(n, NULL_LABEL)
+    if omega == 0.0:
+        return _forward_rows(d, x, null, t)
+    out = _forward_rows(d, np.concatenate([x, x]), np.concatenate([null, y]), np.concatenate([t, t]))
+    e_null, e_cond = out[:n], out[n:]
+    return e_null + omega * (e_cond - e_null)
+
+
 def predict(d: Denoiser, x_t: np.ndarray, y: int, t: int) -> np.ndarray:
-    """Noise prediction for a single point; pure in all arguments."""
-    y = _check_label(d, y)
-    t = int(t)
-    if t < 1:
-        raise ValueError(f"timestep {t} must be >= 1")
-    out, _ = _forward(
-        d,
-        np.asarray(x_t, dtype=float).reshape(1, POINT_DIM),
-        np.array([y]),
-        np.array([t]),
-    )
-    return out[0]
+    """Conditional noise prediction for a single point; pure in all arguments."""
+    return cfg_predict(d, x_t, y, t, 1.0)
 
 
 def cfg_predict(d: Denoiser, x_t: np.ndarray, y: int, t: int, omega: float) -> np.ndarray:
-    """Guided prediction e_null + omega * (e_y - e_null).
-
-    omega = 1 returns the conditional prediction exactly and omega = 0 the
-    unconditional one, with no arithmetic on the endpoints.
-    """
-    if omega == 1.0:
-        return predict(d, x_t, y, t)
-    if omega == 0.0:
-        return predict(d, x_t, NULL_LABEL, t)
-    e_null = predict(d, x_t, NULL_LABEL, t)
-    e_cond = predict(d, x_t, y, t)
-    return e_null + omega * (e_cond - e_null)
+    """Guided prediction for a single point; see :func:`eps`."""
+    return eps(d, x_t, y, t, omega)[0]
 
 
 def cfg_predict_batch(
@@ -281,8 +341,11 @@ def cfg_predict_batch(
 ) -> np.ndarray:
     """Guided prediction for a batch of points sharing one label and timestep."""
     y = _check_label(d, y)
+    t = int(t)
+    if t < 1:
+        raise ValueError(f"timestep {t} must be >= 1")
     n = x_t.shape[0]
-    ts = np.full(n, int(t))
+    ts = np.full(n, t)
     if omega == 1.0:
         return _forward(d, x_t, np.full(n, y), ts)[0]
     if omega == 0.0:
@@ -414,7 +477,16 @@ def load_checkpoint(path) -> tuple[Denoiser, int]:
     kind, header, payload = read_flat_file(path)
     if kind != "checkpoint":
         raise MismatchError(f"{path}: expected a checkpoint file, found kind {kind!r}")
-    arch = tuple(int(v) for v in header["arch"].split(","))
+    arch = header_field(path, header, "arch", lambda v: tuple(int(p) for p in v.split(",")))
+    num_classes = header_field(path, header, "num_classes")
+    t_embed_dim = header_field(path, header, "t_embed_dim")
+    T = header_field(path, header, "T")
+    in_dim = POINT_DIM + t_embed_dim + num_classes + 1
+    if len(arch) < 2 or min(arch) < 1 or arch[0] != in_dim or arch[-1] != POINT_DIM:
+        raise MismatchError(
+            f"{path}: arch {arch} does not fit {num_classes} classes and a "
+            f"{t_embed_dim}-dim time embedding (input {in_dim}, output {POINT_DIM})"
+        )
     if payload.size != param_count(arch):
         raise MismatchError(
             f"{path}: parameter payload has {payload.size} floats, arch {arch} "
@@ -423,7 +495,7 @@ def load_checkpoint(path) -> tuple[Denoiser, int]:
     d = Denoiser(
         params=payload.copy(),
         arch=arch,
-        num_classes=int(header["num_classes"]),
-        t_embed_dim=int(header["t_embed_dim"]),
+        num_classes=num_classes,
+        t_embed_dim=t_embed_dim,
     )
-    return d, int(header["T"])
+    return d, T

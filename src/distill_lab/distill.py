@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .denoiser import POINT_DIM, Denoiser, cfg_predict
+from .denoiser import POINT_DIM, Denoiser, cfg_predict, eps
 from .errors import DivergenceError
 from .latentops import SharedNoiseDraw, forward_sample, sample_shared_noise, stochastic_latent
 from .optim import AdamState, adam_step
@@ -164,6 +164,18 @@ def sds_grad(
     return gen.pullback(w_t * (eps_hat - draw.eps_cur))
 
 
+def _predict_pair(
+    x_t_tgt: np.ndarray, x_t_src: np.ndarray, prob: EditProblem, t: int, d: Denoiser
+) -> tuple[np.ndarray, np.ndarray]:
+    # Target and source share one eval; each row is bitwise its batch-1 value,
+    # which keeps the source == target gradients exactly zero.
+    out = eps(d, np.stack([x_t_tgt, x_t_src]), [prob.y_tgt, prob.y_src], t, prob.omega)
+    return (
+        _check_finite(out[0], "target prediction"),
+        _check_finite(out[1], "source prediction"),
+    )
+
+
 def dds_grad(
     prob: EditProblem,
     draw: SharedNoiseDraw,
@@ -176,8 +188,7 @@ def dds_grad(
     x0_tgt = prob.gen.render()
     x_t_tgt = forward_sample(x0_tgt, t, draw.eps_cur, s)
     x_t_src = forward_sample(prob.x0_src, t, draw.eps_cur, s)
-    eps_tgt = _check_finite(cfg_predict(d, x_t_tgt, prob.y_tgt, t, prob.omega), "target prediction")
-    eps_src = _check_finite(cfg_predict(d, x_t_src, prob.y_src, t, prob.omega), "source prediction")
+    eps_tgt, eps_src = _predict_pair(x_t_tgt, x_t_src, prob, t, d)
     return prob.gen.pullback(w_t * (eps_tgt - eps_src))
 
 
@@ -199,8 +210,7 @@ def pds_grad(
     x0_tgt = prob.gen.render()
     x_t_tgt = forward_sample(x0_tgt, t, draw.eps_cur, s)
     x_t_src = forward_sample(prob.x0_src, t, draw.eps_cur, s)
-    eps_tgt = _check_finite(cfg_predict(d, x_t_tgt, prob.y_tgt, t, prob.omega), "target prediction")
-    eps_src = _check_finite(cfg_predict(d, x_t_src, prob.y_src, t, prob.omega), "source prediction")
+    eps_tgt, eps_src = _predict_pair(x_t_tgt, x_t_src, prob, t, d)
     residual = coeffs.psi * (x0_tgt - prob.x0_src) + coeffs.chi * (eps_tgt - eps_src)
     return prob.gen.pullback(residual)
 

@@ -11,8 +11,6 @@ from the configuration, never hard-coded).
 from __future__ import annotations
 
 import csv
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -21,7 +19,7 @@ import numpy as np
 from .config import ExperimentConfig
 from .denoiser import ClassSpec, Denoiser
 from .distill import EditProblem, TrajectoryRecord, identity_generator, optimize, write_trajectory_csv
-from .latentops import generate_with_latents, invert, sdedit_batch
+from .latentops import generate_with_latents_batch, invert, sdedit_batch
 from .schedule import NoiseSchedule, TimestepSubsequence
 
 __all__ = [
@@ -32,19 +30,7 @@ __all__ = [
     "run_figure2",
     "run_sdedit_sweep",
     "run_roundtrip_report",
-    "job_parallelism",
 ]
-
-THREADS_ENV_VAR = "DISTILL_LAB_THREADS"
-
-
-def job_parallelism() -> int:
-    """Cap on concurrent (objective, seed) jobs; defaults to 1."""
-    raw = os.environ.get(THREADS_ENV_VAR, "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def boundary_frame(class_params: tuple[ClassSpec, ClassSpec]) -> tuple[np.ndarray, np.ndarray]:
@@ -143,14 +129,7 @@ def run_figure2(
         (dist.n_runs, 2)
     )
 
-    jobs = [
-        (objective, run, dist.base_seed + 1 + run)
-        for objective in dist.objectives
-        for run in range(dist.n_runs)
-    ]
-
-    def run_one(job) -> tuple[str, int, TrajectoryRecord]:
-        objective, run, seed = job
+    def run_one(objective: str, run: int) -> TrajectoryRecord:
         prob = EditProblem(
             x0_src=starts[run],
             y_src=1,
@@ -159,29 +138,22 @@ def run_figure2(
             omega=dist.omega,
             sub=sub,
         )
-        record = optimize(
+        return optimize(
             prob,
             objective,
             steps=dist.steps,
             lr=dist.lr,
-            seed=seed,
+            seed=dist.base_seed + 1 + run,
             d=d,
             s=s,
             w_mode=dist.w_mode,
             optimizer=dist.optimizer,
         )
-        return objective, run, record
 
-    workers = job_parallelism()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run_one, jobs))
-    else:
-        results = [run_one(job) for job in jobs]
-
-    records: dict[str, list[TrajectoryRecord]] = {obj: [None] * dist.n_runs for obj in dist.objectives}
-    for objective, run, record in results:
-        records[objective][run] = record
+    records: dict[str, list[TrajectoryRecord]] = {
+        objective: [run_one(objective, run) for run in range(dist.n_runs)]
+        for objective in dist.objectives
+    }
 
     aggregates = {}
     for objective in dist.objectives:
@@ -335,15 +307,22 @@ def run_roundtrip_report(
     k: int = 50,
     seed: int | None = None,
 ) -> list[tuple[int, int, float]]:
-    """Invert and replay k random points; returns (index, label, abs error)."""
+    """Invert and replay k random points; returns (index, label, abs error).
+
+    Points are inverted one at a time, in the order their draws come from
+    the generator, then replayed together.
+    """
     class_params = cfg.class_params()
     rng = np.random.default_rng(cfg.dataset.seed + 202 if seed is None else seed)
-    rows = []
-    for idx in range(int(k)):
-        label = 1 + idx % 2
+    labels = [1 + idx % 2 for idx in range(int(k))]
+    points, seqs = [], []
+    for label in labels:
         spec = class_params[label - 1]
         x0 = np.asarray(spec.mean) + spec.std * rng.standard_normal(2)
-        seq = invert(x0, label, d, cfg.distill.omega, s, sub, rng)
-        x_back = generate_with_latents(seq, label, d, cfg.distill.omega, s, sub)
-        rows.append((idx, label, float(np.max(np.abs(x_back - x0)))))
-    return rows
+        points.append(x0)
+        seqs.append(invert(x0, label, d, cfg.distill.omega, s, sub, rng))
+    backs = generate_with_latents_batch(seqs, labels, d, cfg.distill.omega, s, sub)
+    return [
+        (idx, label, float(np.max(np.abs(back - x0))))
+        for idx, (label, x0, back) in enumerate(zip(labels, points, backs))
+    ]

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import MismatchError
 
-__all__ = ["write_flat_file", "read_flat_file"]
+__all__ = ["write_flat_file", "read_flat_file", "header_field"]
 
 _PREFIX = "distill-lab"
 _VERSION = "v1"
@@ -38,15 +38,21 @@ def write_flat_file(path, kind: str, header: dict[str, str], payload: np.ndarray
 
 
 def read_flat_file(path) -> tuple[str, dict[str, str], np.ndarray]:
-    raw = Path(path).read_bytes()
+    try:
+        raw = Path(path).read_bytes()
+    except OSError as exc:
+        raise MismatchError(f"{path}: cannot read ({exc.strerror})") from None
     sep = raw.find(_SEPARATOR)
     if sep < 0:
         raise MismatchError(f"{path}: missing header separator; not a flat file")
-    head = raw[:sep].decode("ascii").splitlines()
+    try:
+        head = raw[:sep].decode("ascii").splitlines()
+    except UnicodeDecodeError as exc:
+        raise MismatchError(f"{path}: header is not ASCII (byte {exc.start})") from None
     body = raw[sep + len(_SEPARATOR) :]
-    first = head[0].split()
+    first = head[0].split() if head else []
     if len(first) != 3 or first[0] != _PREFIX or first[2] != _VERSION:
-        raise MismatchError(f"{path}: unrecognized flat-file signature {head[0]!r}")
+        raise MismatchError(f"{path}: unrecognized flat-file signature {(head[0] if head else '')!r}")
     kind = first[1]
     header: dict[str, str] = {}
     for line in head[1:]:
@@ -54,10 +60,21 @@ def read_flat_file(path) -> tuple[str, dict[str, str], np.ndarray]:
         if not _:
             raise MismatchError(f"{path}: malformed header line {line!r}")
         header[key] = value
-    count = int(header.pop("payload_count", "-1"))
-    payload = np.frombuffer(body, dtype="<f8").astype(np.float64)
-    if count != payload.size:
+    count = header_field(path, header, "payload_count")
+    header.pop("payload_count")
+    if len(body) != 8 * count:
         raise MismatchError(
-            f"{path}: payload has {payload.size} floats, header promised {count}"
+            f"{path}: payload has {len(body)} bytes, header promised {count} floats"
         )
-    return kind, header, payload
+    return kind, header, np.frombuffer(body, dtype="<f8").astype(np.float64)
+
+
+def header_field(path, header: dict[str, str], key: str, parse=int):
+    """``parse(header[key])``; a missing key or a value ``parse`` rejects
+    raises MismatchError naming the file and the key."""
+    if key not in header:
+        raise MismatchError(f"{path}: header has no '{key}' key")
+    try:
+        return parse(header[key])
+    except ValueError:
+        raise MismatchError(f"{path}: bad value for header key '{key}': {header[key]!r}") from None

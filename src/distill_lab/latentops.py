@@ -21,9 +21,9 @@ import math
 
 import numpy as np
 
-from .denoiser import POINT_DIM, Denoiser, cfg_predict, cfg_predict_batch
+from .denoiser import POINT_DIM, Denoiser, cfg_predict, cfg_predict_batch, eps
 from .errors import DegenerateTimestepError, DivergenceError, MismatchError
-from .flatfile import read_flat_file, write_flat_file
+from .flatfile import header_field, read_flat_file, write_flat_file
 from .schedule import (
     NoiseSchedule,
     TimestepSubsequence,
@@ -41,6 +41,7 @@ __all__ = [
     "stochastic_latent",
     "invert",
     "generate_with_latents",
+    "generate_with_latents_batch",
     "sdedit",
     "sdedit_batch",
     "save_latent_sequence",
@@ -120,11 +121,39 @@ def posterior_mean_pred(
     )
 
 
-def _level_state(x0: np.ndarray, level: int, eps: np.ndarray, s: NoiseSchedule) -> np.ndarray:
+def _latents(
+    x0: np.ndarray,
+    y: int,
+    idx: np.ndarray,
+    eps_prev: np.ndarray,
+    eps_cur: np.ndarray,
+    d: Denoiser,
+    omega: float,
+    s: NoiseSchedule,
+    sub: TimestepSubsequence,
+) -> np.ndarray:
+    """Latents of x0 at grid indices ``idx`` given each index's two level
+    noises (rows of ``eps_prev`` / ``eps_cur``), from one ``eps`` call.
+
+    Given the noises the latents do not depend on each other, so all of
+    them share one batch; every row's arithmetic is the single-draw one.
+    """
+    t_cur = sub.tau[idx]
+    t_prev = sub.tau[idx - 1]
+    sigma = s.sigma[t_cur]
+    if np.any(sigma == 0.0):
+        bad = int(t_cur[np.argmax(sigma == 0.0)])
+        raise DegenerateTimestepError(
+            f"sigma is zero at timestep {bad}; the stochastic latent is undefined"
+        )
+    x_prev = s.sqrt_ab[t_prev][:, None] * x0 + s.sqrt_1m_ab[t_prev][:, None] * eps_prev
     # Level 0 is the clean point itself (alpha_bar[0] = 1 kills the noise term).
-    if level == 0:
-        return np.asarray(x0, dtype=float)
-    return forward_sample(x0, level, eps, s)
+    x_prev[t_prev == 0] = x0
+    x_cur = s.sqrt_ab[t_cur][:, None] * x0 + s.sqrt_1m_ab[t_cur][:, None] * eps_cur
+    eps_hat = eps(d, x_cur, y, t_cur, omega)
+    x0_est = (x_cur - s.sqrt_1m_ab[t_cur][:, None] * eps_hat) / s.sqrt_ab[t_cur][:, None]
+    mu = s.gamma[t_cur][:, None] * x0_est + s.delta[t_cur][:, None] * x_cur
+    return (x_prev - mu) / sigma[:, None]
 
 
 def stochastic_latent(
@@ -140,16 +169,10 @@ def stochastic_latent(
     i = int(draw.i)
     if not 1 <= i <= sub.S:
         raise ValueError(f"draw index {i} outside the grid [1, {sub.S}]")
-    t_cur = int(sub.tau[i])
-    t_prev = int(sub.tau[i - 1])
-    pc = posterior_coeffs(s, t_cur)
-    if pc.sigma == 0.0:
-        raise DegenerateTimestepError(
-            f"sigma is zero at timestep {t_cur}; the stochastic latent is undefined"
-        )
-    x_prev = _level_state(x0, t_prev, draw.eps_prev, s)
-    x_cur = _level_state(x0, t_cur, draw.eps_cur, s)
-    return (x_prev - posterior_mean_pred(x_cur, y, t_cur, d, omega, s)) / pc.sigma
+    x0 = np.asarray(x0, dtype=float)
+    eps_prev = np.asarray(draw.eps_prev, dtype=float)[None, :]
+    eps_cur = np.asarray(draw.eps_cur, dtype=float)[None, :]
+    return _latents(x0, y, np.array([i]), eps_prev, eps_cur, d, omega, s, sub)[0]
 
 
 def invert(
@@ -166,19 +189,20 @@ def invert(
     One fresh noise is drawn per grid level; step i pairs the level-(i-1)
     and level-i noises, so consecutive steps share the level state they
     have in common. That sharing is what makes the recorded trajectory
-    replayable: feeding the latents back reconstructs x0 exactly.
+    replayable: feeding the latents back reconstructs x0 exactly. All S
+    latents come from one ``eps`` call.
     """
     x0 = np.asarray(x0, dtype=float)
     n = sub.S
     eps_levels = np.zeros((n + 1, POINT_DIM))
     eps_levels[1:] = rng.standard_normal((n, POINT_DIM))
     x_top = forward_sample(x0, int(sub.tau[n]), eps_levels[n], s)
-    latents = np.empty((n, POINT_DIM))
-    draws: list[SharedNoiseDraw] = []
-    for k, i in enumerate(range(n, 0, -1)):
-        draw = SharedNoiseDraw(i=i, eps_prev=eps_levels[i - 1], eps_cur=eps_levels[i])
-        latents[k] = stochastic_latent(x0, y, draw, d, omega, s, sub)
-        draws.append(draw)
+    idx = np.arange(n, 0, -1)
+    latents = _latents(x0, y, idx, eps_levels[idx - 1], eps_levels[idx], d, omega, s, sub)
+    draws = [
+        SharedNoiseDraw(i=i, eps_prev=eps_levels[i - 1], eps_cur=eps_levels[i])
+        for i in range(n, 0, -1)
+    ]
     return StochasticLatentSequence(
         latents=latents,
         condition=int(y),
@@ -200,17 +224,39 @@ def generate_with_latents(
 ) -> np.ndarray:
     """Replay the generative traversal from seq.x_top, substituting the
     recorded latents for fresh noise, under a possibly new condition."""
-    if s.T != seq.T or not np.array_equal(np.asarray(sub.tau), np.asarray(seq.tau)):
-        raise MismatchError("latent sequence was computed on a different schedule or grid")
-    if seq.latents.shape != (sub.S, POINT_DIM):
-        raise MismatchError(
-            f"latent sequence has shape {seq.latents.shape}, grid expects {(sub.S, POINT_DIM)}"
-        )
-    x = np.array(seq.x_top, dtype=float)
+    return generate_with_latents_batch([seq], y_new, d, omega, s, sub)[0]
+
+
+def generate_with_latents_batch(
+    seqs: list[StochasticLatentSequence],
+    y_new,
+    d: Denoiser,
+    omega: float,
+    s: NoiseSchedule,
+    sub: TimestepSubsequence,
+) -> np.ndarray:
+    """Replay k latent sequences together, shape (k, 2).
+
+    ``y_new`` is one condition for all or one per sequence. The traversal
+    stays sequential over levels; each level is one ``eps`` call over the
+    k points, and every point's result equals its own replay bitwise.
+    """
+    for seq in seqs:
+        if s.T != seq.T or not np.array_equal(np.asarray(sub.tau), np.asarray(seq.tau)):
+            raise MismatchError("latent sequence was computed on a different schedule or grid")
+        if seq.latents.shape != (sub.S, POINT_DIM):
+            raise MismatchError(
+                f"latent sequence has shape {seq.latents.shape}, grid expects {(sub.S, POINT_DIM)}"
+            )
+    if not seqs:
+        return np.empty((0, POINT_DIM))
+    x = np.array([seq.x_top for seq in seqs], dtype=float)
+    latents = np.stack([seq.latents for seq in seqs], axis=1)
     for k, i in enumerate(range(sub.S, 0, -1)):
         t = int(sub.tau[i])
-        pc = posterior_coeffs(s, t)
-        x = posterior_mean_pred(x, y_new, t, d, omega, s) + pc.sigma * seq.latents[k]
+        eps_hat = eps(d, x, y_new, t, omega)
+        x0_est = (x - s.sqrt_1m_ab[t] * eps_hat) / s.sqrt_ab[t]
+        x = s.gamma[t] * x0_est + s.delta[t] * x + s.sigma[t] * latents[k]
         if not np.all(np.isfinite(x)):
             raise DivergenceError(f"non-finite state while replaying latents at t={t}")
     return x
@@ -304,7 +350,10 @@ def load_latent_sequence(path) -> StochasticLatentSequence:
     kind, header, payload = read_flat_file(path)
     if kind != "latents":
         raise MismatchError(f"{path}: expected a latent-sequence file, found kind {kind!r}")
-    n = int(header["S"])
+    n = header_field(path, header, "S")
+    condition = header_field(path, header, "condition")
+    omega = header_field(path, header, "omega", float)
+    T = header_field(path, header, "T")
     expected = n + POINT_DIM + n * POINT_DIM + (n + 1) * POINT_DIM
     if payload.size != expected:
         raise MismatchError(f"{path}: payload size {payload.size} != expected {expected}")
@@ -322,10 +371,10 @@ def load_latent_sequence(path) -> StochasticLatentSequence:
     ]
     return StochasticLatentSequence(
         latents=latents,
-        condition=int(header["condition"]),
+        condition=condition,
         draws=draws,
         x_top=x_top,
-        omega=float(header["omega"]),
-        T=int(header["T"]),
+        omega=omega,
+        T=T,
         tau=tau,
     )

@@ -22,7 +22,7 @@ consecutive timesteps and are only non-trivial on strided subsequences.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -43,12 +43,47 @@ __all__ = [
 
 @dataclass(frozen=True)
 class NoiseSchedule:
-    """Immutable discrete variance schedule over timesteps 1..T."""
+    """Immutable discrete variance schedule over timesteps 1..T.
+
+    Besides the three defining arrays it carries per-timestep tables, built
+    once from them: ``sqrt_ab`` = sqrt(alpha_bar), ``sqrt_1m_ab`` =
+    sqrt(1 - alpha_bar), and the posterior coefficients ``gamma``,
+    ``delta``, ``sigma`` (index 0 unused; t = 1 holds the exact degenerate
+    values 1, 0, 0).
+    """
 
     T: int
     beta: np.ndarray
     alpha: np.ndarray
     alpha_bar: np.ndarray
+    sqrt_ab: np.ndarray = field(init=False, repr=False, compare=False)
+    sqrt_1m_ab: np.ndarray = field(init=False, repr=False, compare=False)
+    gamma: np.ndarray = field(init=False, repr=False, compare=False)
+    delta: np.ndarray = field(init=False, repr=False, compare=False)
+    sigma: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        ab = self.alpha_bar
+        ab_prev = ab[:-1]
+        den = 1.0 - ab[1:]
+        gamma = np.zeros(self.T + 1)
+        delta = np.zeros(self.T + 1)
+        sigma = np.zeros(self.T + 1)
+        gamma[1:] = np.sqrt(ab_prev) * (1.0 - self.alpha[1:]) / den
+        delta[1:] = np.sqrt(self.alpha[1:]) * (1.0 - ab_prev) / den
+        sigma[1:] = (1.0 - ab_prev) / den * self.beta[1:]
+        # alpha_bar[0] = 1 forces the t = 1 values exactly; evaluating the
+        # formulas would only add rounding noise to the degenerate step.
+        gamma[1], delta[1], sigma[1] = 1.0, 0.0, 0.0
+        tables = {
+            "sqrt_ab": np.sqrt(ab),
+            "sqrt_1m_ab": np.sqrt(1.0 - ab),
+            "gamma": gamma,
+            "delta": delta,
+            "sigma": sigma,
+        }
+        for name, table in tables.items():
+            object.__setattr__(self, name, _readonly(table))
 
     def check_t(self, t: int) -> int:
         t = int(t)
@@ -123,17 +158,7 @@ def build_linear_schedule(T: int, beta_start: float, beta_end: float) -> NoiseSc
 def posterior_coeffs(s: NoiseSchedule, t: int) -> PosteriorCoeffs:
     """Posterior coefficients (gamma_t, delta_t, sigma_t) on the fine schedule."""
     t = s.check_t(t)
-    if t == 1:
-        # alpha_bar[0] = 1 forces these exactly; evaluating the formulas
-        # would only add rounding noise to the degenerate step.
-        return PosteriorCoeffs(gamma=1.0, delta=0.0, sigma=0.0)
-    ab_prev = float(s.alpha_bar[t - 1])
-    ab_cur = float(s.alpha_bar[t])
-    den = 1.0 - ab_cur
-    gamma = math.sqrt(ab_prev) * (1.0 - float(s.alpha[t])) / den
-    delta = math.sqrt(float(s.alpha[t])) * (1.0 - ab_prev) / den
-    sigma = (1.0 - ab_prev) / den * float(s.beta[t])
-    return PosteriorCoeffs(gamma=gamma, delta=delta, sigma=sigma)
+    return PosteriorCoeffs(gamma=float(s.gamma[t]), delta=float(s.delta[t]), sigma=float(s.sigma[t]))
 
 
 def posterior_coeffs_pair(s: NoiseSchedule, t_prev: int, t_cur: int) -> PosteriorCoeffs:

@@ -1,4 +1,5 @@
 import csv
+import inspect
 import os
 import subprocess
 import sys
@@ -6,8 +7,10 @@ import sys
 import numpy as np
 import pytest
 
+from distill_lab import denoiser
 from distill_lab.cli import main
 from distill_lab.config import load_config
+from distill_lab.flatfile import read_flat_file, write_flat_file
 from distill_lab.errors import (
     EXIT_CHECK_FAILED,
     EXIT_CONFIG_ERROR,
@@ -281,30 +284,133 @@ class TestEntryPoint:
         assert proc.returncode == EXIT_CONFIG_ERROR
         assert "nope" in proc.stderr
 
-    def test_thread_cap_parsing(self, monkeypatch):
-        from distill_lab.experiments import job_parallelism
 
-        monkeypatch.setenv("DISTILL_LAB_THREADS", "4")
-        assert job_parallelism() == 4
-        monkeypatch.setenv("DISTILL_LAB_THREADS", "bogus")
-        assert job_parallelism() == 1
-        monkeypatch.delenv("DISTILL_LAB_THREADS")
-        assert job_parallelism() == 1
+def _rows_per_prediction(omega):
+    return 1 if omega in (0.0, 1.0) else 2
 
-    def test_parallel_figure2_matches_serial(self, fast_config_file, trained_dir, tmp_path, monkeypatch):
-        from distill_lab.denoiser import load_checkpoint
-        from distill_lab.experiments import run_figure2
 
+class RowCounter:
+    """Rows evaluated at the denoiser's entry points, counted through every
+    ``distill_lab`` namespace that binds them."""
+
+    RULES = {
+        "eps": lambda a: np.asarray(a["x"]).reshape(-1, 2).shape[0]
+        * _rows_per_prediction(a["omega"]),
+        "cfg_predict_batch": lambda a: a["x_t"].shape[0] * _rows_per_prediction(a["omega"]),
+        "loss_and_grad": lambda a: a["x0"].shape[0],
+    }
+
+    def __init__(self, monkeypatch):
+        self.rows = 0
+        for name, rule in self.RULES.items():
+            fn = getattr(denoiser, name)
+            wrapped = self._wrap(fn, rule)
+            for mod_name, mod in list(sys.modules.items()):
+                if mod_name.startswith("distill_lab"):
+                    for attr, value in list(vars(mod).items()):
+                        if value is fn:
+                            monkeypatch.setattr(mod, attr, wrapped)
+
+    def _wrap(self, fn, rule):
+        sig = inspect.signature(fn)
+
+        def counted(*args, **kwargs):
+            self.rows += rule(sig.bind(*args, **kwargs).arguments)
+            return fn(*args, **kwargs)
+
+        return counted
+
+
+class TestRowCount:
+    """Denoiser rows (NFE) per command equal their closed-form counts."""
+
+    def test_figure2_rows(self, fast_config_file, trained_dir, tmp_path, monkeypatch):
         cfg = load_config(fast_config_file)
-        d, _ = load_checkpoint(trained_dir / "model.ckpt")
+        assert cfg.distill.omega not in (0.0, 1.0)
+        counter = RowCounter(monkeypatch)
+        code = main([
+            "figure2", str(trained_dir / "model.ckpt"),
+            "--config", fast_config_file, "--out", str(tmp_path / "f"),
+        ])
+        assert code == EXIT_OK
+        # per step: sds one guided row pair, dds and pds two each
+        assert counter.rows == cfg.distill.steps * cfg.distill.n_runs * (2 + 4 + 4)
+
+    def test_invert_roundtrip_rows(self, fast_config_file, trained_dir, tmp_path, monkeypatch):
+        cfg = load_config(fast_config_file)
+        assert cfg.distill.omega not in (0.0, 1.0)
         s = cfg.build_schedule()
-        sub = cfg.build_subsequence(s)
-        monkeypatch.delenv("DISTILL_LAB_THREADS", raising=False)
-        serial = run_figure2(cfg, d, s, sub)
-        monkeypatch.setenv("DISTILL_LAB_THREADS", "3")
-        threaded = run_figure2(cfg, d, s, sub)
-        for objective in serial.aggregates:
-            assert np.array_equal(
-                serial.aggregates[objective].endpoints,
-                threaded.aggregates[objective].endpoints,
-            )
+        grid_len = cfg.build_subsequence(s).S
+        k = 3
+        counter = RowCounter(monkeypatch)
+        code = main([
+            "invert-roundtrip", str(trained_dir / "model.ckpt"),
+            "--config", fast_config_file, "--out", str(tmp_path / "r"), "--k", str(k),
+        ])
+        assert code == EXIT_OK
+        # invert and replay each evaluate one guided row pair per level
+        assert counter.rows == k * 4 * grid_len
+
+
+class TestMalformedInput:
+    """Bad configs and checkpoints end with exit code 2 and one stderr line."""
+
+    @staticmethod
+    def assert_config_error(argv, capsys):
+        assert main(argv) == EXIT_CONFIG_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ")
+        assert len(err.strip().splitlines()) == 1
+
+    @staticmethod
+    def rewrite_checkpoint(src, dst, drop=(), **changes):
+        kind, header, payload = read_flat_file(src)
+        header = {k: v for k, v in header.items() if k not in drop}
+        header.update(changes)
+        write_flat_file(dst, kind, header, payload)
+
+    def test_checkpoint_without_arch(self, trained_dir, tmp_path, capsys):
+        ckpt = tmp_path / "no_arch.ckpt"
+        self.rewrite_checkpoint(trained_dir / "model.ckpt", ckpt, drop=("arch",))
+        self.assert_config_error(
+            ["invert-roundtrip", str(ckpt), "--k", "1", "--out", str(tmp_path / "o")], capsys
+        )
+
+    def test_checkpoint_with_non_integer_header_value(self, trained_dir, tmp_path, capsys):
+        ckpt = tmp_path / "bad_t.ckpt"
+        self.rewrite_checkpoint(trained_dir / "model.ckpt", ckpt, T="ten")
+        self.assert_config_error(
+            ["invert-roundtrip", str(ckpt), "--k", "1", "--out", str(tmp_path / "o")], capsys
+        )
+
+    def test_checkpoint_with_non_ascii_header(self, trained_dir, tmp_path, capsys):
+        ckpt = tmp_path / "latin1.ckpt"
+        raw = (trained_dir / "model.ckpt").read_bytes()
+        ckpt.write_bytes(raw.replace(b"arch", b"\xe4rch", 1))
+        self.assert_config_error(
+            ["figure2", str(ckpt), "--out", str(tmp_path / "o")], capsys
+        )
+
+    def test_missing_checkpoint(self, tmp_path, capsys):
+        self.assert_config_error(
+            ["figure2", str(tmp_path / "absent.ckpt"), "--out", str(tmp_path / "o")], capsys
+        )
+
+    @pytest.mark.parametrize(
+        "section, line",
+        [
+            ("distill", "lr = nan"),
+            ("distill", "omega = nan"),
+            ("training", "sample_omega = inf"),
+            ("dataset", "class1_mean = -2.0, nan"),
+        ],
+    )
+    def test_non_finite_float_rejected(self, section, line, tmp_path, capsys):
+        path = tmp_path / "nonfinite.ini"
+        path.write_text(f"[{section}]\n{line}\n")
+        self.assert_config_error(["train", "--config", str(path), "--out", str(tmp_path)], capsys)
+
+    def test_config_without_section_header(self, tmp_path, capsys):
+        path = tmp_path / "flat.ini"
+        path.write_text("steps = 10\n")
+        self.assert_config_error(["train", "--config", str(path), "--out", str(tmp_path)], capsys)

@@ -11,11 +11,13 @@ from distill_lab.denoiser import (
     ancestral_sample,
     ancestral_sample_batch,
     cfg_predict,
+    eps,
     load_checkpoint,
     loss_and_grad,
     predict,
     sample_two_marginal_dataset,
     save_checkpoint,
+    time_embedding,
     train,
     train_step,
 )
@@ -145,6 +147,73 @@ class TestCfgPredict:
         assert np.max(np.abs((b - a) - (c - b))) < 1e-10
 
 
+class TestEps:
+    """The batched evaluation path: every row is bitwise its single-row value."""
+
+    @staticmethod
+    def batch_with_duplicates(n, seed):
+        rng = np.random.default_rng(seed)
+        x = 2.0 * rng.standard_normal((n, 2))
+        y = rng.integers(0, 3, size=n)
+        t = rng.integers(1, 1001, size=n)
+        # the same row at the front, the middle and the end of the batch
+        for j in {n // 2, n - 1} - {0}:
+            x[j], y[j], t[j] = x[0], y[0], t[0]
+        return x, y, t
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 17, 240, 1000])
+    @pytest.mark.parametrize("omega", [0.0, 1.0, 7.5])
+    def test_rows_equal_single_row_evaluation(self, trained_model, n, omega):
+        x, y, t = self.batch_with_duplicates(n, seed=n)
+        batch = eps(trained_model, x, y, t, omega)
+        assert batch.shape == (n, 2)
+        for i in range(n):
+            single = eps(trained_model, x[i : i + 1], y[i : i + 1], t[i : i + 1], omega)
+            assert np.array_equal(batch[i], single[0])
+        for j in {n // 2, n - 1}:
+            assert np.array_equal(batch[j], batch[0])
+
+    def test_single_row_equals_batch_one_forward(self, random_model):
+        from distill_lab.denoiser import _forward
+
+        x, y, t = self.batch_with_duplicates(50, seed=3)
+        for i in range(50):
+            row = (x[i : i + 1], y[i : i + 1], t[i : i + 1])
+            assert np.array_equal(eps(random_model, *row, 1.0), _forward(random_model, *row)[0])
+
+    def test_guidance_combines_null_and_conditional_rows(self, random_model):
+        x, _, t = self.batch_with_duplicates(7, seed=4)
+        y = np.full(7, 2)
+        e_null = eps(random_model, x, NULL_LABEL, t, 1.0)
+        e_cond = eps(random_model, x, y, t, 1.0)
+        assert np.array_equal(eps(random_model, x, y, t, 3.5), e_null + 3.5 * (e_cond - e_null))
+        assert np.array_equal(eps(random_model, x, y, t, 0.0), e_null)
+
+    def test_time_table_rows_equal_time_embedding(self, random_model):
+        table = random_model.time_rows(np.arange(1001))
+        for t in range(1001):
+            assert np.array_equal(table[t], time_embedding(np.array([t]), random_model.t_embed_dim)[0])
+
+    def test_layer_cache_follows_replaced_params(self):
+        d = Denoiser.create(seed=5, random_head=True)
+        x = np.array([[0.3, -0.2]])
+        assert np.any(eps(d, x, 1, 10, 1.0) != 0.0)
+        d.params = np.zeros_like(d.params)
+        assert np.array_equal(eps(d, x, 1, 10, 1.0), np.zeros((1, 2)))
+
+    def test_rejects_invalid_rows(self, random_model):
+        x = np.zeros((2, 2))
+        with pytest.raises(ValueError):
+            eps(random_model, x, [1, 3], 10, 2.0)
+        with pytest.raises(ValueError):
+            eps(random_model, x, 1, [10, 0], 2.0)
+        with pytest.raises(ValueError):
+            eps(random_model, x, [1, 2, 1], 10, 2.0)
+
+    def test_empty_batch(self, random_model):
+        assert eps(random_model, np.empty((0, 2)), 1, 10, 2.0).shape == (0, 2)
+
+
 class TestTrainStep:
     def test_oracle_predictions_give_zero_loss(self, schedule, rng):
         # zero injected noise with a zero-output model: exact residual match
@@ -261,6 +330,28 @@ class TestCheckpoint:
 
         path = tmp_path / "other.bin"
         write_flat_file(path, "latents", {"T": "10"}, np.zeros(3))
+        with pytest.raises(MismatchError):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "drop, changes",
+        [
+            (("arch",), {}),
+            (("num_classes",), {}),
+            ((), {"T": "ten"}),
+            ((), {"arch": "13,64,x,2"}),
+            ((), {"num_classes": "3"}),
+        ],
+    )
+    def test_rejects_missing_or_malformed_header(self, tmp_path, trained_model, drop, changes):
+        from distill_lab.flatfile import read_flat_file, write_flat_file
+
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(trained_model, path, 1000)
+        kind, header, payload = read_flat_file(path)
+        header = {k: v for k, v in header.items() if k not in drop}
+        header.update(changes)
+        write_flat_file(path, kind, header, payload)
         with pytest.raises(MismatchError):
             load_checkpoint(path)
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from distill_lab.errors import MismatchError
-from distill_lab.flatfile import read_flat_file, write_flat_file
+from distill_lab.flatfile import header_field, read_flat_file, write_flat_file
 
 
 def test_round_trip(tmp_path):
@@ -51,3 +51,36 @@ def test_count_mismatch_rejected(tmp_path):
     path.write_bytes(raw + b"\x00" * 8)
     with pytest.raises(MismatchError):
         read_flat_file(path)
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [
+        b"distill-lab x v1\nk\xe9y = 1\npayload_count = 0\n---\n",
+        b"distill-lab x v1\npayload_count = many\n---\n",
+        b"distill-lab x v1\nkey = 1\n---\n",
+        b"---\n",
+        b"distill-lab x v1\npayload_count = 1\n---\n" + b"\x00" * 7,
+    ],
+    ids=["non-ascii", "non-integer-count", "missing-count", "empty-header", "partial-float"],
+)
+def test_malformed_file_rejected(tmp_path, raw):
+    path = tmp_path / "bad.bin"
+    path.write_bytes(raw)
+    with pytest.raises(MismatchError):
+        read_flat_file(path)
+
+
+def test_missing_file_rejected(tmp_path):
+    with pytest.raises(MismatchError):
+        read_flat_file(tmp_path / "absent.bin")
+
+
+def test_header_field_parses_or_rejects():
+    header = {"T": "1000", "omega": "7.5", "name": "x"}
+    assert header_field("f", header, "T") == 1000
+    assert header_field("f", header, "omega", float) == 7.5
+    with pytest.raises(MismatchError, match="name"):
+        header_field("f", header, "name")
+    with pytest.raises(MismatchError, match="S"):
+        header_field("f", header, "S")

@@ -3,13 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from distill_lab.denoiser import Denoiser, _layer_views
+from distill_lab.denoiser import Denoiser, _layer_views, cfg_predict
 from distill_lab.errors import DegenerateTimestepError, MismatchError
 from distill_lab.latentops import (
     SharedNoiseDraw,
     StochasticLatentSequence,
     forward_sample,
     generate_with_latents,
+    generate_with_latents_batch,
     invert,
     load_latent_sequence,
     posterior_mean_pred,
@@ -30,6 +31,37 @@ def constant_model(eps: np.ndarray) -> Denoiser:
     w[:] = 0.0
     b[:] = np.asarray(eps, dtype=float)
     return d
+
+
+def reference_invert(x0, y, d, omega, s, sub, rng):
+    """Latents and top state of x0, one level at a time, top-down."""
+    n = sub.S
+    eps_levels = np.zeros((n + 1, 2))
+    eps_levels[1:] = rng.standard_normal((n, 2))
+    latents = []
+    for i in range(n, 0, -1):
+        t_cur, t_prev = int(sub.tau[i]), int(sub.tau[i - 1])
+        pc = posterior_coeffs(s, t_cur)
+        x_prev = x0 if t_prev == 0 else forward_sample(x0, t_prev, eps_levels[i - 1], s)
+        x_cur = forward_sample(x0, t_cur, eps_levels[i], s)
+        e = cfg_predict(d, x_cur, y, t_cur, omega)
+        ab = s.alpha_bar[t_cur]
+        x0_est = (x_cur - math.sqrt(1.0 - ab) * e) / math.sqrt(ab)
+        latents.append((x_prev - (pc.gamma * x0_est + pc.delta * x_cur)) / pc.sigma)
+    return np.array(latents), forward_sample(x0, int(sub.tau[n]), eps_levels[n], s)
+
+
+def reference_replay(x_top, latents, y, d, omega, s, sub):
+    """One point's generative traversal, one level at a time."""
+    x = np.array(x_top, dtype=float)
+    for k, i in enumerate(range(sub.S, 0, -1)):
+        t = int(sub.tau[i])
+        pc = posterior_coeffs(s, t)
+        e = cfg_predict(d, x, y, t, omega)
+        ab = s.alpha_bar[t]
+        x0_est = (x - math.sqrt(1.0 - ab) * e) / math.sqrt(ab)
+        x = pc.gamma * x0_est + pc.delta * x + pc.sigma * latents[k]
+    return x
 
 
 class TestForwardSample:
@@ -216,6 +248,19 @@ class TestInvert:
         for earlier, later in zip(seq.draws, seq.draws[1:]):
             assert np.array_equal(earlier.eps_prev, later.eps_cur)
 
+    @pytest.mark.parametrize("model_fixture", ["trained_model", "random_model"])
+    @pytest.mark.parametrize("omega", [1.0, 7.5])
+    def test_equals_per_level_reference(self, model_fixture, omega, schedule, subsequence, request):
+        d = request.getfixturevalue(model_fixture)
+        for seed in range(3):
+            x0 = np.random.default_rng(100 + seed).standard_normal(2) * 1.5
+            seq = invert(x0, 1 + seed % 2, d, omega, schedule, subsequence, np.random.default_rng(seed))
+            ref_latents, ref_top = reference_invert(
+                x0, 1 + seed % 2, d, omega, schedule, subsequence, np.random.default_rng(seed)
+            )
+            assert np.array_equal(seq.latents, ref_latents)
+            assert np.array_equal(seq.x_top, ref_top)
+
     def test_stride_one_grid_is_degenerate(self, random_model, schedule, rng):
         sub1 = build_subsequence(schedule, 1, 0.02, 0.98)
         with pytest.raises(DegenerateTimestepError):
@@ -233,6 +278,23 @@ class TestGenerateWithLatents:
             back = generate_with_latents(seq, 1, d, 7.5, schedule, subsequence)
             worst = max(worst, float(np.max(np.abs(back - x0))))
         assert worst < 1e-8
+
+    @pytest.mark.parametrize("model_fixture", ["trained_model", "random_model"])
+    def test_batch_equals_per_point_reference(self, model_fixture, schedule, subsequence, rng, request):
+        d = request.getfixturevalue(model_fixture)
+        labels = [1, 2, 2, 1, 1]
+        seqs = [invert(rng.standard_normal(2), y, d, 7.5, schedule, subsequence, rng) for y in labels]
+        # replay under the recorded conditions and under swapped ones
+        for y_new in (labels, [3 - y for y in labels]):
+            batch = generate_with_latents_batch(seqs, y_new, d, 7.5, schedule, subsequence)
+            for seq, y, got in zip(seqs, y_new, batch):
+                ref = reference_replay(seq.x_top, seq.latents, y, d, 7.5, schedule, subsequence)
+                assert np.array_equal(got, ref)
+                assert np.array_equal(got, generate_with_latents(seq, y, d, 7.5, schedule, subsequence))
+
+    def test_batch_of_none(self, random_model, schedule, subsequence):
+        got = generate_with_latents_batch([], 1, random_model, 7.5, schedule, subsequence)
+        assert got.shape == (0, 2)
 
     def test_new_condition_moves_toward_target_class(
         self, trained_model, schedule, subsequence, dataset, rng

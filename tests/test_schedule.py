@@ -88,6 +88,19 @@ class TestPosteriorCoeffs:
         assert pc.delta == pytest.approx(math.sqrt(alpha) * (1 - ab_prev) / (1 - ab), rel=1e-14)
         assert pc.sigma == pytest.approx((1 - ab_prev) / (1 - ab) * beta, rel=1e-14)
 
+    def test_tables_equal_scalar_formulas(self, small_schedule):
+        s = small_schedule
+        for t in range(2, s.T + 1):
+            ab_prev, ab_cur = float(s.alpha_bar[t - 1]), float(s.alpha_bar[t])
+            den = 1.0 - ab_cur
+            assert s.gamma[t] == math.sqrt(ab_prev) * (1.0 - float(s.alpha[t])) / den
+            assert s.delta[t] == math.sqrt(float(s.alpha[t])) * (1.0 - ab_prev) / den
+            assert s.sigma[t] == (1.0 - ab_prev) / den * float(s.beta[t])
+        for t in range(s.T + 1):
+            assert s.sqrt_ab[t] == math.sqrt(s.alpha_bar[t])
+            assert s.sqrt_1m_ab[t] == math.sqrt(1.0 - s.alpha_bar[t])
+        assert (s.gamma[1], s.delta[1], s.sigma[1]) == (1.0, 0.0, 0.0)
+
     @pytest.mark.parametrize("t", [0, -3, 1001])
     def test_rejects_out_of_range(self, schedule, t):
         with pytest.raises(ValueError):

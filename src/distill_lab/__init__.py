@@ -12,7 +12,7 @@ from .denoiser import (
     Denoiser,
     TrainConfig,
     TwoMarginalDataset,
-    ancestral_sample,
+    ancestral_sample_batch,
     cfg_predict,
     eps,
     predict,
@@ -39,7 +39,7 @@ from .latentops import (
     generate_with_latents_batch,
     invert,
     posterior_mean_pred,
-    sdedit,
+    sdedit_batch,
     stochastic_latent,
     tweedie_estimate,
 )
@@ -62,7 +62,7 @@ __all__ = [
     "Denoiser",
     "TrainConfig",
     "TwoMarginalDataset",
-    "ancestral_sample",
+    "ancestral_sample_batch",
     "cfg_predict",
     "eps",
     "predict",
@@ -85,7 +85,7 @@ __all__ = [
     "generate_with_latents_batch",
     "invert",
     "posterior_mean_pred",
-    "sdedit",
+    "sdedit_batch",
     "stochastic_latent",
     "tweedie_estimate",
     "NoiseSchedule",

@@ -391,8 +391,10 @@ def criterion_9_sdedit_limits(fx: Fixtures) -> CriterionResult:
     """Ratio 0 is an exact identity; displacement grows with the ratio."""
     t0 = time.perf_counter()
     rng = np.random.default_rng(MASTER_SEED + 90)
-    x0 = rng.standard_normal(2)
-    out = latentops.sdedit(x0, 1, 0.0, fx.trained, fx.cfg.training.sample_omega, fx.schedule, rng)
+    x0 = rng.standard_normal((1, 2))
+    out = latentops.sdedit_batch(
+        x0, 1, 0.0, fx.trained, fx.cfg.training.sample_omega, fx.schedule, rng
+    )
     identity_exact = np.array_equal(out, x0)
     rows = run_sdedit_sweep(fx.cfg, fx.trained, fx.schedule, n_points=200)
     ratios = np.array([r for r, _ in rows])

@@ -49,6 +49,11 @@ def _load_model(cfg: ExperimentConfig, checkpoint: str) -> Denoiser:
     return d
 
 
+def _check_count(flag: str, value: int, low: int) -> None:
+    if value < low:
+        raise ConfigError(f"{flag} must be >= {low}, got {value}")
+
+
 def cmd_train(cfg: ExperimentConfig, args) -> int:
     out = _out_dir(cfg)
     s = cfg.build_schedule()
@@ -77,6 +82,7 @@ def cmd_train(cfg: ExperimentConfig, args) -> int:
 
 
 def cmd_invert_roundtrip(cfg: ExperimentConfig, args) -> int:
+    _check_count("--k", args.k, 0)
     out = _out_dir(cfg)
     s = cfg.build_schedule()
     sub = cfg.build_subsequence(s)
@@ -121,6 +127,8 @@ def cmd_figure2(cfg: ExperimentConfig, args) -> int:
 
 
 def cmd_sdedit_demo(cfg: ExperimentConfig, args) -> int:
+    _check_count("--points", args.points, 1)
+    _check_count("--grid-points", args.grid_points, 0)
     out = _out_dir(cfg)
     s = cfg.build_schedule()
     d = _load_model(cfg, args.checkpoint)

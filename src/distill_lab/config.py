@@ -15,7 +15,14 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .denoiser import ClassSpec, TrainConfig, check_class_separation
+from .denoiser import (
+    ClassSpec,
+    TrainConfig,
+    check_class_separation,
+    check_dataset_size,
+    denoiser_arch,
+)
+from .distill import OBJECTIVES, OPTIMIZERS, WEIGHT_MODES
 from .errors import ConfigError
 from .schedule import NoiseSchedule, TimestepSubsequence, build_linear_schedule, build_subsequence
 
@@ -62,7 +69,7 @@ class TrainingConfig:
 
 @dataclass(frozen=True)
 class DistillConfig:
-    objectives: tuple[str, ...] = ("sds", "dds", "pds")
+    objectives: tuple[str, ...] = OBJECTIVES
     omega: float = 7.5
     w_mode: str = "const"
     steps: int = 300
@@ -205,18 +212,20 @@ def _validate(cfg: ExperimentConfig) -> None:
     try:
         s = cfg.build_schedule()
         cfg.build_subsequence(s)
+        check_dataset_size(cfg.dataset.n)
         check_class_separation(cfg.class_params())
         cfg.train_config()
+        denoiser_arch(2, cfg.training.t_embed_dim, cfg.training.hidden)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     if not cfg.distill.objectives:
         raise ConfigError("distill.objectives must name at least one objective")
     for objective in cfg.distill.objectives:
-        if objective not in ("sds", "dds", "pds"):
+        if objective not in OBJECTIVES:
             raise ConfigError(f"unknown objective '{objective}' in distill.objectives")
-    if cfg.distill.w_mode not in ("const", "one_minus_alpha_bar"):
+    if cfg.distill.w_mode not in WEIGHT_MODES:
         raise ConfigError(f"unknown distill.w_mode '{cfg.distill.w_mode}'")
-    if cfg.distill.optimizer not in ("gd", "adam"):
+    if cfg.distill.optimizer not in OPTIMIZERS:
         raise ConfigError(f"unknown distill.optimizer '{cfg.distill.optimizer}'")
     if cfg.distill.n_runs < 1:
         raise ConfigError(f"distill.n_runs must be >= 1, got {cfg.distill.n_runs}")

@@ -25,7 +25,9 @@ __all__ = [
     "TwoMarginalDataset",
     "TrainConfig",
     "check_class_separation",
+    "check_dataset_size",
     "Denoiser",
+    "denoiser_arch",
     "default_class_params",
     "sample_two_marginal_dataset",
     "eps",
@@ -36,7 +38,6 @@ __all__ = [
     "loss_and_grad",
     "train_step",
     "train",
-    "ancestral_sample",
     "ancestral_sample_batch",
     "save_checkpoint",
     "load_checkpoint",
@@ -78,6 +79,10 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if self.steps < 1:
+            raise ValueError(f"training steps must be >= 1, got {self.steps}")
+        if self.batch_size < 1:
+            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.learning_rate <= 0:
             raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
         if not 0.0 <= self.null_cond_prob < 1.0:
@@ -106,6 +111,11 @@ def check_class_separation(class_params: tuple[ClassSpec, ClassSpec]) -> None:
         )
 
 
+def check_dataset_size(n: int) -> None:
+    if n < 2 or n % 2 != 0:
+        raise ValueError(f"dataset size must be an even n >= 2, got {n}")
+
+
 def sample_two_marginal_dataset(
     n: int,
     class_params: tuple[ClassSpec, ClassSpec] | None = None,
@@ -113,8 +123,7 @@ def sample_two_marginal_dataset(
 ) -> TwoMarginalDataset:
     """Draw n/2 points per class; deterministic for a fixed seed."""
     n = int(n)
-    if n < 2 or n % 2 != 0:
-        raise ValueError(f"need an even n >= 2, got {n}")
+    check_dataset_size(n)
     if class_params is None:
         class_params = default_class_params()
     check_class_separation(class_params)
@@ -165,12 +174,7 @@ class Denoiser:
         initialization scale instead, producing a non-degenerate
         random-weight model.
         """
-        if t_embed_dim % 2 != 0 or t_embed_dim <= 0:
-            raise ValueError(f"t_embed_dim must be a positive even integer, got {t_embed_dim}")
-        if num_classes < 1:
-            raise ValueError(f"need num_classes >= 1, got {num_classes}")
-        in_dim = POINT_DIM + t_embed_dim + num_classes + 1
-        arch = (in_dim, *hidden, POINT_DIM)
+        arch = denoiser_arch(num_classes, t_embed_dim, hidden)
         rng = np.random.default_rng(seed)
         params = np.zeros(param_count(arch))
         for (w, b), is_last in zip(_layer_views(params, arch), _last_flags(arch)):
@@ -195,6 +199,18 @@ class Denoiser:
             table = time_embedding(np.arange(int(np.max(t)) + 1), self.t_embed_dim)
             self._t_table = table
             return table[t]
+
+
+def denoiser_arch(num_classes: int, t_embed_dim: int, hidden: tuple[int, ...]) -> tuple[int, ...]:
+    """Every layer width, input and output included, of a denoiser with
+    these sizes; ValueError for sizes no denoiser can have."""
+    if t_embed_dim % 2 != 0 or t_embed_dim <= 0:
+        raise ValueError(f"t_embed_dim must be a positive even integer, got {t_embed_dim}")
+    if num_classes < 1:
+        raise ValueError(f"need num_classes >= 1, got {num_classes}")
+    if any(w < 1 for w in hidden):
+        raise ValueError(f"hidden widths must be >= 1, got {tuple(hidden)}")
+    return (POINT_DIM + t_embed_dim + num_classes + 1, *hidden, POINT_DIM)
 
 
 def param_count(arch: tuple[int, ...]) -> int:
@@ -448,17 +464,6 @@ def ancestral_sample_batch(
     return x
 
 
-def ancestral_sample(
-    d: Denoiser,
-    y: int,
-    s: NoiseSchedule,
-    omega: float,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """One ancestral sample conditioned on y."""
-    return ancestral_sample_batch(d, y, 1, s, omega, rng)[0]
-
-
 def save_checkpoint(d: Denoiser, path, T: int) -> None:
     """Write the model as a flat file: header (arch, num_classes,
     t_embed_dim, T) followed by the parameter vector as little-endian
@@ -481,11 +486,14 @@ def load_checkpoint(path) -> tuple[Denoiser, int]:
     num_classes = header_field(path, header, "num_classes")
     t_embed_dim = header_field(path, header, "t_embed_dim")
     T = header_field(path, header, "T")
-    in_dim = POINT_DIM + t_embed_dim + num_classes + 1
-    if len(arch) < 2 or min(arch) < 1 or arch[0] != in_dim or arch[-1] != POINT_DIM:
+    try:
+        fits = arch == denoiser_arch(num_classes, t_embed_dim, arch[1:-1])
+    except ValueError:
+        fits = False
+    if not fits:
         raise MismatchError(
             f"{path}: arch {arch} does not fit {num_classes} classes and a "
-            f"{t_embed_dim}-dim time embedding (input {in_dim}, output {POINT_DIM})"
+            f"{t_embed_dim}-dim time embedding"
         )
     if payload.size != param_count(arch):
         raise MismatchError(

@@ -17,8 +17,7 @@ predictor's own Jacobian is deliberately omitted everywhere.
 from __future__ import annotations
 
 import csv
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -26,10 +25,12 @@ from .denoiser import POINT_DIM, Denoiser, cfg_predict, eps
 from .errors import DivergenceError
 from .latentops import SharedNoiseDraw, forward_sample, sample_shared_noise, stochastic_latent
 from .optim import AdamState, adam_step
-from .schedule import NoiseSchedule, TimestepSubsequence, pds_coeffs, posterior_coeffs
+from .schedule import NoiseSchedule, TimestepSubsequence, pds_coeffs
 
 __all__ = [
     "OBJECTIVES",
+    "WEIGHT_MODES",
+    "OPTIMIZERS",
     "Generator",
     "identity_generator",
     "affine_generator",
@@ -48,6 +49,7 @@ __all__ = [
 
 OBJECTIVES = ("sds", "dds", "pds")
 WEIGHT_MODES = ("const", "one_minus_alpha_bar")
+OPTIMIZERS = ("gd", "adam")
 
 
 @dataclass
@@ -215,16 +217,6 @@ def pds_grad(
     return prob.gen.pullback(residual)
 
 
-def _latent_form_weight(prob: EditProblem, draw: SharedNoiseDraw, s: NoiseSchedule) -> float:
-    # The unique scale that makes the latent-difference form agree with the
-    # expanded form: w = 2 * f / sigma with f the shared common factor.
-    t_cur = int(prob.sub.tau[draw.i])
-    t_prev = int(prob.sub.tau[draw.i - 1])
-    pc = posterior_coeffs(s, t_cur)
-    f = math.sqrt(s.alpha_bar[t_prev]) - math.sqrt(s.alpha_bar[t_cur - 1])
-    return 2.0 * f / pc.sigma
-
-
 def pds_grad_latent_form(
     prob: EditProblem,
     draw: SharedNoiseDraw,
@@ -235,7 +227,7 @@ def pds_grad_latent_form(
     x0_tgt = prob.gen.render()
     z_tgt = stochastic_latent(x0_tgt, prob.y_tgt, draw, d, prob.omega, s, prob.sub)
     z_src = stochastic_latent(prob.x0_src, prob.y_src, draw, d, prob.omega, s, prob.sub)
-    w = _latent_form_weight(prob, draw, s)
+    w = pds_coeffs(s, prob.sub, draw.i).latent_weight
     return prob.gen.pullback(w * (z_tgt - z_src))
 
 
@@ -273,18 +265,11 @@ def optimize(
     """
     if objective_kind not in OBJECTIVES:
         raise ValueError(f"unknown objective {objective_kind!r}; expected one of {OBJECTIVES}")
-    if optimizer not in ("gd", "adam"):
-        raise ValueError(f"unknown optimizer {optimizer!r}; expected 'gd' or 'adam'")
+    if optimizer not in OPTIMIZERS:
+        raise ValueError(f"unknown optimizer {optimizer!r}; expected one of {OPTIMIZERS}")
     rng = np.random.default_rng(seed)
-    gen = prob.gen.copy()
-    work = EditProblem(
-        x0_src=np.asarray(prob.x0_src, dtype=float).copy(),
-        y_src=prob.y_src,
-        gen=gen,
-        y_tgt=prob.y_tgt,
-        omega=prob.omega,
-        sub=prob.sub,
-    )
+    prob = replace(prob, gen=prob.gen.copy())
+    gen = prob.gen
     record = TrajectoryRecord(objective_kind=objective_kind, seed=int(seed))
     record.steps.append(
         TrajectoryStep(step=0, theta=gen.theta.copy(), x0_tgt=gen.render(), grad_norm=0.0)
@@ -298,9 +283,9 @@ def optimize(
             if objective_kind == "sds":
                 grad = sds_grad(gen, prob.y_tgt, draw, d, prob.omega, w_t, s, prob.sub)
             elif objective_kind == "dds":
-                grad = dds_grad(work, draw, d, w_t, s)
+                grad = dds_grad(prob, draw, d, w_t, s)
             else:
-                grad = pds_grad(work, draw, d, s)
+                grad = pds_grad(prob, draw, d, s)
         except DivergenceError:
             record.diverged = True
             break

@@ -18,11 +18,8 @@ class DegenerateTimestepError(DistillLabError):
 
 
 class MismatchError(DistillLabError):
-    """Two artifacts (checkpoint, schedule, subsequence, latent sequence) disagree."""
-
-
-class CheckFailure(DistillLabError):
-    """An acceptance or consistency check did not pass."""
+    """A checkpoint file is unreadable, or a checkpoint or an inverted latent
+    sequence does not fit the schedule or grid it is used with."""
 
 
 EXIT_OK = 0

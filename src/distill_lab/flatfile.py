@@ -1,4 +1,4 @@
-"""Shared flat-file convention: plain-text header + raw float64 payload.
+"""Checkpoint file layout: plain-text header + raw float64 payload.
 
 Layout (documented byte-exactly in the README):
 

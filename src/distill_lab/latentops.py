@@ -23,7 +23,6 @@ import numpy as np
 
 from .denoiser import POINT_DIM, Denoiser, cfg_predict, cfg_predict_batch, eps
 from .errors import DegenerateTimestepError, DivergenceError, MismatchError
-from .flatfile import header_field, read_flat_file, write_flat_file
 from .schedule import (
     NoiseSchedule,
     TimestepSubsequence,
@@ -42,10 +41,7 @@ __all__ = [
     "invert",
     "generate_with_latents",
     "generate_with_latents_batch",
-    "sdedit",
     "sdedit_batch",
-    "save_latent_sequence",
-    "load_latent_sequence",
 ]
 
 
@@ -74,10 +70,7 @@ class StochasticLatentSequence:
     """
 
     latents: np.ndarray
-    condition: int
-    draws: list[SharedNoiseDraw]
     x_top: np.ndarray
-    omega: float
     T: int
     tau: np.ndarray
 
@@ -199,19 +192,7 @@ def invert(
     x_top = forward_sample(x0, int(sub.tau[n]), eps_levels[n], s)
     idx = np.arange(n, 0, -1)
     latents = _latents(x0, y, idx, eps_levels[idx - 1], eps_levels[idx], d, omega, s, sub)
-    draws = [
-        SharedNoiseDraw(i=i, eps_prev=eps_levels[i - 1], eps_cur=eps_levels[i])
-        for i in range(n, 0, -1)
-    ]
-    return StochasticLatentSequence(
-        latents=latents,
-        condition=int(y),
-        draws=draws,
-        x_top=x_top,
-        omega=float(omega),
-        T=s.T,
-        tau=np.array(sub.tau),
-    )
+    return StochasticLatentSequence(latents=latents, x_top=x_top, T=s.T, tau=np.array(sub.tau))
 
 
 def generate_with_latents(
@@ -303,78 +284,3 @@ def sdedit_batch(
         x_tilde = (x - math.sqrt(1.0 - ab) * eps_hat) / math.sqrt(ab)
         x = pc.gamma * x_tilde + pc.delta * x + pc.sigma * rng.standard_normal(x.shape)
     return x
-
-
-def sdedit(
-    x0: np.ndarray,
-    y: int,
-    t0_ratio: float,
-    d: Denoiser,
-    omega: float,
-    s: NoiseSchedule,
-    rng: np.random.Generator,
-    n_steps: int = 20,
-) -> np.ndarray:
-    """Single-point partial noising / denoising; see :func:`sdedit_batch`."""
-    return sdedit_batch(np.asarray(x0, dtype=float)[None, :], y, t0_ratio, d, omega, s, rng, n_steps)[0]
-
-
-def save_latent_sequence(seq: StochasticLatentSequence, path) -> None:
-    """Serialize a latent sequence with the shared header + float64 layout.
-
-    Payload order: tau[1..S], x_top, latents (top-down, row-major), then the
-    per-level noises (level 0 first; level 0 is all zeros by convention).
-    """
-    n = seq.latents.shape[0]
-    eps_levels = np.zeros((n + 1, POINT_DIM))
-    for draw in seq.draws:
-        eps_levels[draw.i] = draw.eps_cur
-    payload = np.concatenate(
-        [
-            np.asarray(seq.tau[1:], dtype=float),
-            np.asarray(seq.x_top, dtype=float),
-            seq.latents.ravel(),
-            eps_levels.ravel(),
-        ]
-    )
-    header = {
-        "T": str(seq.T),
-        "S": str(n),
-        "condition": str(seq.condition),
-        "omega": repr(float(seq.omega)),
-    }
-    write_flat_file(path, "latents", header, payload)
-
-
-def load_latent_sequence(path) -> StochasticLatentSequence:
-    kind, header, payload = read_flat_file(path)
-    if kind != "latents":
-        raise MismatchError(f"{path}: expected a latent-sequence file, found kind {kind!r}")
-    n = header_field(path, header, "S")
-    condition = header_field(path, header, "condition")
-    omega = header_field(path, header, "omega", float)
-    T = header_field(path, header, "T")
-    expected = n + POINT_DIM + n * POINT_DIM + (n + 1) * POINT_DIM
-    if payload.size != expected:
-        raise MismatchError(f"{path}: payload size {payload.size} != expected {expected}")
-    tau = np.zeros(n + 1, dtype=np.int64)
-    tau[1:] = payload[:n].astype(np.int64)
-    off = n
-    x_top = payload[off : off + POINT_DIM].copy()
-    off += POINT_DIM
-    latents = payload[off : off + n * POINT_DIM].reshape(n, POINT_DIM).copy()
-    off += n * POINT_DIM
-    eps_levels = payload[off:].reshape(n + 1, POINT_DIM).copy()
-    draws = [
-        SharedNoiseDraw(i=i, eps_prev=eps_levels[i - 1], eps_cur=eps_levels[i])
-        for i in range(n, 0, -1)
-    ]
-    return StochasticLatentSequence(
-        latents=latents,
-        condition=condition,
-        draws=draws,
-        x_top=x_top,
-        omega=omega,
-        T=T,
-        tau=tau,
-    )

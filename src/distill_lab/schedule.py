@@ -122,10 +122,15 @@ class TimestepSubsequence:
 
 @dataclass(frozen=True)
 class PdsCoeffs:
-    """Latent-matching gradient coefficients for one subsequence index."""
+    """Latent-matching gradient coefficients for one subsequence index.
+
+    ``latent_weight`` = 2 f / sigma_t is the scale that makes
+    latent_weight * (z_tgt - z_src) equal the expanded residual.
+    """
 
     psi: float
     chi: float
+    latent_weight: float
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -257,4 +262,4 @@ def pds_coeffs(s: NoiseSchedule, sub: TimestepSubsequence, i: int) -> PdsCoeffs:
     sigma_sq = pc.sigma * pc.sigma
     psi = 2.0 * f * f / sigma_sq
     chi = 2.0 * f * pc.gamma * math.sqrt(1.0 / s.alpha_bar[t_cur] - 1.0) / sigma_sq
-    return PdsCoeffs(psi=float(psi), chi=float(chi))
+    return PdsCoeffs(psi=float(psi), chi=float(chi), latent_weight=float(2.0 * f / pc.sigma))

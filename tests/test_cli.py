@@ -403,12 +403,39 @@ class TestMalformedInput:
             ("distill", "omega = nan"),
             ("training", "sample_omega = inf"),
             ("dataset", "class1_mean = -2.0, nan"),
+            # values that parse but fail a command's precondition, and unknown names
+            ("training", "steps = 0"),
+            ("training", "batch_size = 0"),
+            ("training", "batch_size = -5"),
+            ("training", "t_embed_dim = 3"),
+            ("dataset", "n = 3"),
+            ("training", "hidden = -4"),
+            ("training", "hidden = 0"),
+            ("distill", "objectives = sds, sgd"),
+            ("distill", "w_mode = linear"),
+            ("distill", "optimizer = sgd"),
         ],
     )
     def test_non_finite_float_rejected(self, section, line, tmp_path, capsys):
         path = tmp_path / "nonfinite.ini"
         path.write_text(f"[{section}]\n{line}\n")
         self.assert_config_error(["train", "--config", str(path), "--out", str(tmp_path)], capsys)
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ("sdedit-demo", "--points", "0"),
+            ("sdedit-demo", "--points", "-1"),
+            ("sdedit-demo", "--grid-points", "-2"),
+            ("invert-roundtrip", "--k", "-3"),
+        ],
+    )
+    def test_count_flag_below_bound_rejected(self, flags, trained_dir, tmp_path, capsys):
+        command, *rest = flags
+        out = tmp_path / "o"
+        self.assert_config_error([command, str(trained_dir / "model.ckpt"), *rest,
+                                  "--out", str(out)], capsys)
+        assert not out.exists()
 
     def test_config_without_section_header(self, tmp_path, capsys):
         path = tmp_path / "flat.ini"

@@ -8,7 +8,6 @@ from distill_lab.denoiser import (
     ClassSpec,
     Denoiser,
     TrainConfig,
-    ancestral_sample,
     ancestral_sample_batch,
     cfg_predict,
     eps,
@@ -288,8 +287,8 @@ class TestTrainStep:
 
 class TestAncestralSample:
     def test_deterministic_under_seed(self, trained_model, schedule):
-        a = ancestral_sample(trained_model, 1, schedule, 2.0, np.random.default_rng(5))
-        b = ancestral_sample(trained_model, 1, schedule, 2.0, np.random.default_rng(5))
+        a = ancestral_sample_batch(trained_model, 1, 1, schedule, 2.0, np.random.default_rng(5))
+        b = ancestral_sample_batch(trained_model, 1, 1, schedule, 2.0, np.random.default_rng(5))
         assert np.array_equal(a, b)
 
     def test_final_step_noise_scale_is_zero(self, schedule):

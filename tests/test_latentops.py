@@ -12,11 +12,8 @@ from distill_lab.latentops import (
     generate_with_latents,
     generate_with_latents_batch,
     invert,
-    load_latent_sequence,
     posterior_mean_pred,
     sample_shared_noise,
-    save_latent_sequence,
-    sdedit,
     sdedit_batch,
     stochastic_latent,
     tweedie_estimate,
@@ -240,13 +237,6 @@ class TestInvert:
     def test_sequence_length_matches_grid(self, random_model, schedule, subsequence, rng):
         seq = invert(np.zeros(2), 1, random_model, 1.0, schedule, subsequence, rng)
         assert seq.latents.shape == (subsequence.S, 2)
-        assert len(seq.draws) == subsequence.S
-        assert [d.i for d in seq.draws] == list(range(subsequence.S, 0, -1))
-
-    def test_consecutive_draws_share_level_noise(self, random_model, schedule, subsequence, rng):
-        seq = invert(np.zeros(2), 1, random_model, 1.0, schedule, subsequence, rng)
-        for earlier, later in zip(seq.draws, seq.draws[1:]):
-            assert np.array_equal(earlier.eps_prev, later.eps_cur)
 
     @pytest.mark.parametrize("model_fixture", ["trained_model", "random_model"])
     @pytest.mark.parametrize("omega", [1.0, 7.5])
@@ -315,10 +305,7 @@ class TestGenerateWithLatents:
         x_top = np.array([0.4, 1.1])
         seq = StochasticLatentSequence(
             latents=np.zeros((subsequence.S, 2)),
-            condition=1,
-            draws=[],
             x_top=x_top,
-            omega=1.0,
             T=schedule.T,
             tau=np.array(subsequence.tau),
         )
@@ -337,14 +324,14 @@ class TestGenerateWithLatents:
 
 class TestSdedit:
     def test_zero_ratio_is_exact_identity(self, trained_model, schedule, rng):
-        x0 = np.array([-1.7, 0.9])
-        out = sdedit(x0, 1, 0.0, trained_model, 2.0, schedule, rng)
+        x0 = np.array([[-1.7, 0.9]])
+        out = sdedit_batch(x0, 1, 0.0, trained_model, 2.0, schedule, rng)
         assert np.array_equal(out, x0)
 
     def test_deterministic_under_seed(self, trained_model, schedule):
-        x0 = np.array([-1.7, 0.9])
-        a = sdedit(x0, 1, 0.15, trained_model, 2.0, schedule, np.random.default_rng(8))
-        b = sdedit(x0, 1, 0.15, trained_model, 2.0, schedule, np.random.default_rng(8))
+        x0 = np.array([[-1.7, 0.9]])
+        a = sdedit_batch(x0, 1, 0.15, trained_model, 2.0, schedule, np.random.default_rng(8))
+        b = sdedit_batch(x0, 1, 0.15, trained_model, 2.0, schedule, np.random.default_rng(8))
         assert np.array_equal(a, b)
 
     def test_default_operating_range_stays_close(self, trained_model, schedule, dataset, rng):
@@ -366,34 +353,4 @@ class TestSdedit:
 
     def test_rejects_bad_ratio(self, trained_model, schedule, rng):
         with pytest.raises(ValueError):
-            sdedit(np.zeros(2), 1, 1.5, trained_model, 2.0, schedule, rng)
-
-
-class TestSerialization:
-    def test_round_trip_bitwise(self, random_model, schedule, subsequence, rng, tmp_path):
-        seq = invert(np.array([0.3, -0.8]), 2, random_model, 3.5, schedule, subsequence, rng)
-        path = tmp_path / "seq.lat"
-        save_latent_sequence(seq, path)
-        loaded = load_latent_sequence(path)
-        assert np.array_equal(loaded.latents, seq.latents)
-        assert np.array_equal(loaded.x_top, seq.x_top)
-        assert np.array_equal(loaded.tau, seq.tau)
-        assert loaded.condition == seq.condition
-        assert loaded.omega == seq.omega
-        assert loaded.T == seq.T
-        for da, db in zip(loaded.draws, seq.draws):
-            assert da.i == db.i
-            assert np.array_equal(da.eps_prev, db.eps_prev)
-            assert np.array_equal(da.eps_cur, db.eps_cur)
-
-    def test_replay_from_loaded_sequence_matches(
-        self, random_model, schedule, subsequence, rng, tmp_path
-    ):
-        x0 = np.array([1.1, 0.6])
-        seq = invert(x0, 1, random_model, 7.5, schedule, subsequence, rng)
-        path = tmp_path / "seq.lat"
-        save_latent_sequence(seq, path)
-        loaded = load_latent_sequence(path)
-        a = generate_with_latents(seq, 2, random_model, 7.5, schedule, subsequence)
-        b = generate_with_latents(loaded, 2, random_model, 7.5, schedule, subsequence)
-        assert np.array_equal(a, b)
+            sdedit_batch(np.zeros((1, 2)), 1, 1.5, trained_model, 2.0, schedule, rng)

@@ -26,6 +26,7 @@ from .distill import (
     TrajectoryRecord,
     dds_grad,
     optimize,
+    optimize_batch,
     pds_grad,
     pds_grad_latent_form,
     pds_objective,
@@ -74,6 +75,7 @@ __all__ = [
     "TrajectoryRecord",
     "dds_grad",
     "optimize",
+    "optimize_batch",
     "pds_grad",
     "pds_grad_latent_form",
     "pds_objective",

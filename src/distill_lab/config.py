@@ -218,6 +218,14 @@ def _validate(cfg: ExperimentConfig) -> None:
         denoiser_arch(2, cfg.training.t_embed_dim, cfg.training.hidden)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    seeds = {
+        "dataset.seed": cfg.dataset.seed,
+        "training.seed": cfg.training.seed,
+        "distill.base_seed": cfg.distill.base_seed,
+    }
+    for key, seed in seeds.items():
+        if seed < 0:
+            raise ConfigError(f"{key} must be >= 0, got {seed}")
     if not cfg.distill.objectives:
         raise ConfigError("distill.objectives must name at least one objective")
     for objective in cfg.distill.objectives:

@@ -17,13 +17,16 @@ predictor's own Jacobian is deliberately omitted everywhere.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field, replace
+import math
+from collections.abc import Iterable
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .denoiser import POINT_DIM, Denoiser, cfg_predict, eps
+from .denoiser import POINT_DIM, Denoiser, eps
+from .denoiser import cfg_predict  # noqa: F401  perfbench/selftest.py reads distill.cfg_predict
 from .errors import DivergenceError
-from .latentops import SharedNoiseDraw, forward_sample, sample_shared_noise, stochastic_latent
+from .latentops import SharedNoiseDraw, sample_shared_noise, stochastic_latent
 from .optim import AdamState, adam_step
 from .schedule import NoiseSchedule, TimestepSubsequence, pds_coeffs
 
@@ -44,6 +47,7 @@ __all__ = [
     "pds_grad_latent_form",
     "pds_objective",
     "optimize",
+    "optimize_batch",
     "write_trajectory_csv",
 ]
 
@@ -134,18 +138,83 @@ class TrajectoryRecord:
         return self.steps[0].x0_tgt
 
 
-def resolve_weight(mode: str, s: NoiseSchedule, t: int) -> float:
+def resolve_weight(mode: str, s: NoiseSchedule, t: int | np.ndarray) -> float | np.ndarray:
+    """Weight w(t) of the noise-matching and prediction-differencing
+    residuals; ``t`` may be an array of timesteps."""
     if mode == "const":
         return 1.0
     if mode == "one_minus_alpha_bar":
-        return float(1.0 - s.alpha_bar[t])
+        return 1.0 - s.alpha_bar[t]
     raise ValueError(f"unknown weight mode {mode!r}; expected one of {WEIGHT_MODES}")
 
 
-def _check_finite(v: np.ndarray, what: str) -> np.ndarray:
-    if not np.all(np.isfinite(v)):
-        raise DivergenceError(f"non-finite {what}")
-    return v
+def _residuals(
+    d: Denoiser,
+    s: NoiseSchedule,
+    omega: float,
+    kind: np.ndarray,
+    t: np.ndarray,
+    eps_cur: np.ndarray,
+    x0_tgt: np.ndarray,
+    y_tgt: np.ndarray,
+    x0_src: np.ndarray,
+    y_src: np.ndarray,
+    spring: np.ndarray,
+    scale: np.ndarray,
+) -> np.ndarray:
+    """Residuals of n objectives from one batch-invariant ``eps`` call.
+
+    Row k is scale[k] * (eps_hat_tgt - ref) with ref = eps_cur for sds and
+    the source prediction under the same noise otherwise; pds rows add
+    spring[k] * (x0_tgt - x0_src). The source point and label are read only
+    for dds and pds rows. Since each prediction row is bitwise its batch-1
+    value, a row's residual does not depend on what else is in the batch,
+    and source == target gives exactly zero. A non-finite prediction makes
+    its row's residual non-finite.
+    """
+    two = kind != "sds"
+    t2 = t[two]
+    x_t_tgt = s.sqrt_ab[t, None] * x0_tgt + s.sqrt_1m_ab[t, None] * eps_cur
+    x_t_src = s.sqrt_ab[t2, None] * x0_src[two] + s.sqrt_1m_ab[t2, None] * eps_cur[two]
+    out = eps(
+        d,
+        np.concatenate([x_t_tgt, x_t_src]),
+        np.concatenate([y_tgt, y_src[two]]),
+        np.concatenate([t, t2]),
+        omega,
+    )
+    n = len(t)
+    ref = eps_cur.copy()
+    ref[two] = out[n:]
+    res = scale[:, None] * (out[:n] - ref)
+    pds = kind == "pds"
+    res[pds] += spring[pds, None] * (x0_tgt[pds] - x0_src[pds])
+    return res
+
+
+def _grad_one(
+    d: Denoiser,
+    s: NoiseSchedule,
+    omega: float,
+    kind: str,
+    gen: Generator,
+    y_tgt: int,
+    x0_src: np.ndarray,
+    y_src: int,
+    draw: SharedNoiseDraw,
+    t: int,
+    spring: float,
+    scale: float,
+) -> np.ndarray:
+    """One objective's residual, through :func:`_residuals`, pulled back to theta."""
+    (res,) = _residuals(
+        d, s, omega, np.array([kind]), np.array([t]), draw.eps_cur[None, :],
+        gen.render()[None, :], np.array([y_tgt]), np.asarray(x0_src, dtype=float)[None, :],
+        np.array([y_src]), np.array([spring]), np.array([scale]),
+    )
+    if not np.isfinite(res).all():
+        raise DivergenceError("non-finite residual")
+    return gen.pullback(res)
 
 
 def sds_grad(
@@ -160,22 +229,8 @@ def sds_grad(
 ) -> np.ndarray:
     """Noise-matching gradient w(t) * (eps_hat - eps) pulled back to theta."""
     t = int(sub.tau[draw.i])
-    x0 = gen.render()
-    x_t = forward_sample(x0, t, draw.eps_cur, s)
-    eps_hat = _check_finite(cfg_predict(d, x_t, y_tgt, t, omega), "noise prediction")
-    return gen.pullback(w_t * (eps_hat - draw.eps_cur))
-
-
-def _predict_pair(
-    x_t_tgt: np.ndarray, x_t_src: np.ndarray, prob: EditProblem, t: int, d: Denoiser
-) -> tuple[np.ndarray, np.ndarray]:
-    # Target and source share one eval; each row is bitwise its batch-1 value,
-    # which keeps the source == target gradients exactly zero.
-    out = eps(d, np.stack([x_t_tgt, x_t_src]), [prob.y_tgt, prob.y_src], t, prob.omega)
-    return (
-        _check_finite(out[0], "target prediction"),
-        _check_finite(out[1], "source prediction"),
-    )
+    # sds has no source side; the target stands in for the unread source
+    return _grad_one(d, s, omega, "sds", gen, y_tgt, gen.render(), y_tgt, draw, t, 0.0, w_t)
 
 
 def dds_grad(
@@ -187,11 +242,9 @@ def dds_grad(
 ) -> np.ndarray:
     """Prediction-difference gradient under one shared forward noise."""
     t = int(prob.sub.tau[draw.i])
-    x0_tgt = prob.gen.render()
-    x_t_tgt = forward_sample(x0_tgt, t, draw.eps_cur, s)
-    x_t_src = forward_sample(prob.x0_src, t, draw.eps_cur, s)
-    eps_tgt, eps_src = _predict_pair(x_t_tgt, x_t_src, prob, t, d)
-    return prob.gen.pullback(w_t * (eps_tgt - eps_src))
+    return _grad_one(
+        d, s, prob.omega, "dds", prob.gen, prob.y_tgt, prob.x0_src, prob.y_src, draw, t, 0.0, w_t
+    )
 
 
 def pds_grad(
@@ -209,12 +262,10 @@ def pds_grad(
     """
     coeffs = pds_coeffs(s, prob.sub, draw.i)
     t = int(prob.sub.tau[draw.i])
-    x0_tgt = prob.gen.render()
-    x_t_tgt = forward_sample(x0_tgt, t, draw.eps_cur, s)
-    x_t_src = forward_sample(prob.x0_src, t, draw.eps_cur, s)
-    eps_tgt, eps_src = _predict_pair(x_t_tgt, x_t_src, prob, t, d)
-    residual = coeffs.psi * (x0_tgt - prob.x0_src) + coeffs.chi * (eps_tgt - eps_src)
-    return prob.gen.pullback(residual)
+    return _grad_one(
+        d, s, prob.omega, "pds", prob.gen, prob.y_tgt, prob.x0_src, prob.y_src, draw, t,
+        coeffs.psi, coeffs.chi,
+    )
 
 
 def pds_grad_latent_form(
@@ -261,50 +312,110 @@ def optimize(
     Each step draws a fresh shared-noise sample, evaluates the chosen
     gradient and applies one update. The record holds theta, the rendered
     point and the gradient norm after every step; a non-finite state aborts
-    the run and flags the partial record.
+    the run and flags the partial record. This is :func:`optimize_batch`
+    with a single job.
     """
-    if objective_kind not in OBJECTIVES:
-        raise ValueError(f"unknown objective {objective_kind!r}; expected one of {OBJECTIVES}")
+    return optimize_batch([(prob, objective_kind, seed)], steps, lr, d, s, w_mode, optimizer)[0]
+
+
+@dataclass
+class _Run:
+    """Working state of one job of :func:`optimize_batch`."""
+
+    gen: Generator
+    rng: np.random.Generator
+    record: TrajectoryRecord
+    x0: np.ndarray
+    adam: AdamState | None
+
+
+def optimize_batch(
+    jobs: Iterable[tuple[EditProblem, str, int]],
+    steps: int,
+    lr: float,
+    d: Denoiser,
+    s: NoiseSchedule,
+    w_mode: str = "const",
+    optimizer: str = "gd",
+) -> list[TrajectoryRecord]:
+    """Run seeded optimizations in lockstep; one record per job, in order.
+
+    Each job is ``(EditProblem, objective, seed)`` and advances exactly as
+    :func:`optimize` would run it alone: every step draws each live job's
+    shared-noise sample from that job's own generator seeded with its seed,
+    then one batch-invariant ``eps`` call evaluates the target and source
+    rows of all live jobs. A job whose predictions or parameters go
+    non-finite is flagged and takes no further steps; the other jobs' bits
+    do not change. The jobs must share one guidance weight omega.
+    """
+    jobs = list(jobs)
+    for _, objective, _ in jobs:
+        if objective not in OBJECTIVES:
+            raise ValueError(f"unknown objective {objective!r}; expected one of {OBJECTIVES}")
     if optimizer not in OPTIMIZERS:
         raise ValueError(f"unknown optimizer {optimizer!r}; expected one of {OPTIMIZERS}")
-    rng = np.random.default_rng(seed)
-    prob = replace(prob, gen=prob.gen.copy())
-    gen = prob.gen
-    record = TrajectoryRecord(objective_kind=objective_kind, seed=int(seed))
-    record.steps.append(
-        TrajectoryStep(step=0, theta=gen.theta.copy(), x0_tgt=gen.render(), grad_norm=0.0)
-    )
-    opt_state = AdamState.for_params(gen.theta) if optimizer == "adam" else None
-    for k in range(1, int(steps) + 1):
-        draw = sample_shared_noise(prob.sub, rng)
-        t = int(prob.sub.tau[draw.i])
-        w_t = resolve_weight(w_mode, s, t)
-        try:
-            if objective_kind == "sds":
-                grad = sds_grad(gen, prob.y_tgt, draw, d, prob.omega, w_t, s, prob.sub)
-            elif objective_kind == "dds":
-                grad = dds_grad(prob, draw, d, w_t, s)
-            else:
-                grad = pds_grad(prob, draw, d, s)
-        except DivergenceError:
-            record.diverged = True
-            break
-        if optimizer == "adam":
-            adam_step(gen.theta, grad, opt_state, lr)
-        else:
-            gen.theta -= lr * grad
-        if not np.all(np.isfinite(gen.theta)):
-            record.diverged = True
-            break
+    omegas = {prob.omega for prob, _, _ in jobs}
+    if len(omegas) > 1:
+        raise ValueError(f"jobs must share one omega, got {sorted(omegas)}")
+    if not jobs:
+        return []
+    (omega,) = omegas
+
+    runs = []
+    for prob, objective, seed in jobs:
+        gen = prob.gen.copy()
+        x0 = gen.render()
+        record = TrajectoryRecord(objective_kind=objective, seed=int(seed))
         record.steps.append(
-            TrajectoryStep(
-                step=k,
-                theta=gen.theta.copy(),
-                x0_tgt=gen.render(),
-                grad_norm=float(np.linalg.norm(grad)),
-            )
+            TrajectoryStep(step=0, theta=gen.theta.copy(), x0_tgt=x0, grad_norm=0.0)
         )
-    return record
+        adam = AdamState.for_params(gen.theta) if optimizer == "adam" else None
+        runs.append(_Run(gen, np.random.default_rng(seed), record, x0, adam))
+    kind = np.array([objective for _, objective, _ in jobs])
+    y_tgt = np.array([prob.y_tgt for prob, _, _ in jobs])
+    y_src = np.array([prob.y_src for prob, _, _ in jobs])
+    x0_src = np.array([prob.x0_src for prob, _, _ in jobs], dtype=float)
+    subs = [prob.sub for prob, _, _ in jobs]
+
+    live = np.arange(len(jobs))
+    for k in range(1, int(steps) + 1):
+        if live.size == 0:
+            break
+        draws = [sample_shared_noise(subs[j], runs[j].rng) for j in live]
+        t = np.array([subs[j].tau[draw.i] for j, draw in zip(live, draws)])
+        pds = kind[live] == "pds"
+        spring = np.array([subs[j].psi[draw.i] for j, draw in zip(live, draws)])
+        chi = np.array([subs[j].chi[draw.i] for j, draw in zip(live, draws)])
+        res = _residuals(
+            d, s, omega, kind[live], t, np.array([draw.eps_cur for draw in draws]),
+            np.array([runs[j].x0 for j in live]), y_tgt[live], x0_src[live], y_src[live],
+            spring, np.where(pds, chi, resolve_weight(w_mode, s, t)),
+        )
+        survivors = []
+        for j, r in zip(live, res):
+            run = runs[j]
+            # a non-finite residual always leaves theta non-finite
+            grad = run.gen.pullback(r)
+            if run.adam is not None:
+                adam_step(run.gen.theta, grad, run.adam, lr)
+            else:
+                run.gen.theta -= lr * grad
+            if not np.isfinite(run.gen.theta).all():
+                run.record.diverged = True
+                continue
+            run.x0 = run.gen.render()
+            run.record.steps.append(
+                TrajectoryStep(
+                    step=k,
+                    theta=run.gen.theta.copy(),
+                    x0_tgt=run.x0,
+                    # np.linalg.norm's own arithmetic for a 1-D vector
+                    grad_norm=math.sqrt(grad.dot(grad)),
+                )
+            )
+            survivors.append(j)
+        live = np.array(survivors, dtype=int)
+    return [run.record for run in runs]
 
 
 def write_trajectory_csv(record: TrajectoryRecord, path) -> None:

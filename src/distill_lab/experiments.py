@@ -18,7 +18,13 @@ import numpy as np
 
 from .config import ExperimentConfig
 from .denoiser import ClassSpec, Denoiser
-from .distill import EditProblem, TrajectoryRecord, identity_generator, optimize, write_trajectory_csv
+from .distill import (
+    EditProblem,
+    TrajectoryRecord,
+    identity_generator,
+    optimize_batch,
+    write_trajectory_csv,
+)
 from .latentops import generate_with_latents_batch, invert, sdedit_batch
 from .schedule import NoiseSchedule, TimestepSubsequence
 
@@ -120,7 +126,9 @@ def run_figure2(
     """Run the seeded trajectory comparison; optionally emit all CSVs.
 
     Runs share seeds across objectives, so every objective sees the same
-    start points, timestep draws and noises.
+    start points, timestep draws and noises. Every objective x run job
+    advances in lockstep through one :func:`optimize_batch` call, with the
+    same bits as running each job alone.
     """
     dist = cfg.distill
     class_params = cfg.class_params()
@@ -129,30 +137,28 @@ def run_figure2(
         (dist.n_runs, 2)
     )
 
-    def run_one(objective: str, run: int) -> TrajectoryRecord:
-        prob = EditProblem(
-            x0_src=starts[run],
-            y_src=1,
-            gen=identity_generator(starts[run]),
-            y_tgt=2,
-            omega=dist.omega,
-            sub=sub,
-        )
-        return optimize(
-            prob,
+    jobs = [
+        (
+            EditProblem(
+                x0_src=starts[run],
+                y_src=1,
+                gen=identity_generator(starts[run]),
+                y_tgt=2,
+                omega=dist.omega,
+                sub=sub,
+            ),
             objective,
-            steps=dist.steps,
-            lr=dist.lr,
-            seed=dist.base_seed + 1 + run,
-            d=d,
-            s=s,
-            w_mode=dist.w_mode,
-            optimizer=dist.optimizer,
+            dist.base_seed + 1 + run,
         )
-
-    records: dict[str, list[TrajectoryRecord]] = {
-        objective: [run_one(objective, run) for run in range(dist.n_runs)]
         for objective in dist.objectives
+        for run in range(dist.n_runs)
+    ]
+    flat = optimize_batch(
+        jobs, dist.steps, dist.lr, d, s, w_mode=dist.w_mode, optimizer=dist.optimizer
+    )
+    records: dict[str, list[TrajectoryRecord]] = {
+        objective: flat[k * dist.n_runs : (k + 1) * dist.n_runs]
+        for k, objective in enumerate(dist.objectives)
     }
 
     aggregates = {}

@@ -109,11 +109,19 @@ class TimestepSubsequence:
     level), mirroring the schedule's convention slot. Monte-Carlo index
     sampling is restricted to [lo_index, hi_index]; lo_index >= 2 so the
     in-grid predecessor tau[i-1] always has sigma > 0.
+
+    ``psi``, ``chi`` and ``latent_weight`` hold the latent-matching
+    coefficients of :func:`pds_coeffs` for every grid index, computed once
+    from the schedule the grid was built on. They are NaN where undefined:
+    at the sentinel and where sigma_t = 0.
     """
 
     tau: np.ndarray
     lo_index: int
     hi_index: int
+    psi: np.ndarray = field(repr=False, compare=False)
+    chi: np.ndarray = field(repr=False, compare=False)
+    latent_weight: np.ndarray = field(repr=False, compare=False)
 
     @property
     def S(self) -> int:
@@ -226,7 +234,30 @@ def build_subsequence(
             f"sampling range [{lo_index}, {hi_index}] is empty for S={n}; "
             f"widen the ratio range or reduce the stride"
         )
-    return TimestepSubsequence(tau=_readonly(tau), lo_index=lo_index, hi_index=hi_index)
+    t_cur = tau[1:]
+    sigma = s.sigma[t_cur]
+    sigma_sq = sigma * sigma
+    # pds_coeffs' common factor, through the consecutive-step identity
+    f = s.sqrt_ab[tau[:-1]] - s.sqrt_ab[t_cur - 1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        psi = 2.0 * f * f / sigma_sq
+        chi = 2.0 * f * s.gamma[t_cur] * np.sqrt(1.0 / s.alpha_bar[t_cur] - 1.0) / sigma_sq
+        latent_weight = 2.0 * f / sigma
+    return TimestepSubsequence(
+        tau=_readonly(tau),
+        lo_index=lo_index,
+        hi_index=hi_index,
+        psi=_grid_table(psi, sigma),
+        chi=_grid_table(chi, sigma),
+        latent_weight=_grid_table(latent_weight, sigma),
+    )
+
+
+def _grid_table(values: np.ndarray, sigma: np.ndarray) -> np.ndarray:
+    """Per-grid-index table: NaN at the sentinel and where sigma_t = 0."""
+    table = np.full(len(values) + 1, np.nan)
+    table[1:] = np.where(sigma == 0.0, np.nan, values)
+    return _readonly(table)
 
 
 def pds_coeffs(s: NoiseSchedule, sub: TimestepSubsequence, i: int) -> PdsCoeffs:
@@ -244,7 +275,8 @@ def pds_coeffs(s: NoiseSchedule, sub: TimestepSubsequence, i: int) -> PdsCoeffs:
     The common factor is computed through the consecutive-step identity as
     sqrt(alpha_bar[tau[i-1]]) - sqrt(alpha_bar[t - 1]); this is equal to the
     literal expression but cancellation-free, and makes the stride-1
-    degeneracy (psi = chi = 0) exact.
+    degeneracy (psi = chi = 0) exact. :func:`build_subsequence` evaluates
+    these formulas for every grid index; this function reads those arrays.
     """
     i = int(i)
     if not sub.lo_index <= i <= sub.hi_index:
@@ -252,14 +284,10 @@ def pds_coeffs(s: NoiseSchedule, sub: TimestepSubsequence, i: int) -> PdsCoeffs:
             f"index {i} outside the sampling range [{sub.lo_index}, {sub.hi_index}]"
         )
     t_cur = int(sub.tau[i])
-    t_prev = int(sub.tau[i - 1])
-    pc = posterior_coeffs(s, t_cur)
-    if pc.sigma == 0.0:
+    if s.sigma[t_cur] == 0.0:
         raise DegenerateTimestepError(
             f"sigma is zero at timestep {t_cur}; latent-matching coefficients undefined"
         )
-    f = math.sqrt(s.alpha_bar[t_prev]) - math.sqrt(s.alpha_bar[t_cur - 1])
-    sigma_sq = pc.sigma * pc.sigma
-    psi = 2.0 * f * f / sigma_sq
-    chi = 2.0 * f * pc.gamma * math.sqrt(1.0 / s.alpha_bar[t_cur] - 1.0) / sigma_sq
-    return PdsCoeffs(psi=float(psi), chi=float(chi), latent_weight=float(2.0 * f / pc.sigma))
+    return PdsCoeffs(
+        psi=float(sub.psi[i]), chi=float(sub.chi[i]), latent_weight=float(sub.latent_weight[i])
+    )

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import inspect
 import os
 import subprocess
@@ -272,6 +273,56 @@ class TestSdeditDemoCommand:
         assert blobs["roundtrip"][0] == blobs["roundtrip"][1]
 
 
+# SHA-256 of every file that train, figure2, invert-roundtrip --k 3 and
+# sdedit-demo write at the fast config above (master seed 7). The inference
+# outputs must not change by a byte when their evaluation is reorganised.
+GOLDEN_SHA256 = {
+    "train": {
+        "model.ckpt": "aac5fc35565f286b4623b66fc23caf405abca02a1cf99df175b513cbceb06fec",
+        "train_log.csv": "f1e552bca08be6edea076a4173a9edf3b56f0d4de1fe074a20106a6f324621aa",
+    },
+    "figure2": {
+        "fig2_endpoints.csv": "f32c9aca588344dfbaf663511a231030f456b64e011977077f78349c9b5b3592",
+        "fig2_meta.csv": "5216e5e69e1d8517df9e8d9091fc04c3fb52c3c2794c00182fa34401386b3bfd",
+        "fig2_plotdata.csv": "9339c0cad8e5a2c60bde9aeaf62278014396efa466f28bbeceaa27d91bd26339",
+        "fig2_summary.csv": "455607cf1add522d418809ec19abd0d3ff76b0309413cf193588102ac14c8cc3",
+        "fig2_traj_dds_000.csv": "85c390c2eb99b93cec5cb66f88aeb9c58669d45edc017f0b3f9bfa0bcdea7951",
+        "fig2_traj_dds_001.csv": "817669e1b4cd78891d8cb7b90b411f3d08c391208a413a07c114618b1b69af16",
+        "fig2_traj_dds_002.csv": "6a9b644d4424a28d1dc6e3fc93e506cf8b5e104f522d1224447e47cc67eda4b5",
+        "fig2_traj_pds_000.csv": "3838e2d631809725f7c611fe70aaa0d71b7983ffc7c8283fa1a4e3bfe3115f70",
+        "fig2_traj_pds_001.csv": "303c2e659caae6d53ccb210519caf376928ea4abc93e4c4adefdd22f19b2c2a6",
+        "fig2_traj_pds_002.csv": "610102736d5e260a79b1ac83edcb6329d1ff93bd3eb70c60d9e88f849c7a1fbd",
+        "fig2_traj_sds_000.csv": "ea430f2eed2af4694c883e1082a3148beb7a1708ef495e173fe21d14c3935eef",
+        "fig2_traj_sds_001.csv": "afb5971db51b56844119509223963cb56d69753fc4107168c6d13eefc0c935a7",
+        "fig2_traj_sds_002.csv": "8aeb8a5f60c4419fc5cdbe40490f5689c768be265e0ae373b28a59dc4302992f",
+    },
+    "invert-roundtrip": {
+        "roundtrip.csv": "ffa922253ab309bc9a1c60c1e8220536d06902035d572b1288e9b36f0f57fd40",
+    },
+    "sdedit-demo": {
+        "sdedit_sweep.csv": "04ef8ca6f59a99ec672cc8f991940acdb180ebbd4d9aa2f38af98348dd64cb97",
+    },
+}
+
+
+def sha256_files(directory):
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(directory.iterdir())}
+
+
+class TestGoldenOutputs:
+    def test_outputs_match_recorded_digests(self, fast_config_file, trained_dir, tmp_path):
+        trained = sha256_files(trained_dir)
+        got = {"train": {name: trained[name] for name in GOLDEN_SHA256["train"]}}
+        runs = (("figure2", []), ("invert-roundtrip", ["--k", "3"]), ("sdedit-demo", []))
+        for command, flags in runs:
+            out = tmp_path / command
+            code = main([command, str(trained_dir / "model.ckpt"), "--config", fast_config_file,
+                         "--out", str(out), *flags])
+            assert code == EXIT_OK
+            got[command] = sha256_files(out)
+        assert got == GOLDEN_SHA256
+
+
 class TestEntryPoint:
     def test_module_invocation(self, tmp_path):
         env = dict(os.environ)
@@ -302,6 +353,7 @@ class RowCounter:
 
     def __init__(self, monkeypatch):
         self.rows = 0
+        self.calls = dict.fromkeys(self.RULES, 0)
         for name, rule in self.RULES.items():
             fn = getattr(denoiser, name)
             wrapped = self._wrap(fn, rule)
@@ -316,6 +368,7 @@ class RowCounter:
 
         def counted(*args, **kwargs):
             self.rows += rule(sig.bind(*args, **kwargs).arguments)
+            self.calls[fn.__name__] += 1
             return fn(*args, **kwargs)
 
         return counted
@@ -335,6 +388,10 @@ class TestRowCount:
         assert code == EXIT_OK
         # per step: sds one guided row pair, dds and pds two each
         assert counter.rows == cfg.distill.steps * cfg.distill.n_runs * (2 + 4 + 4)
+        # every objective x run advances in lockstep: one eval per step
+        assert counter.calls == {
+            "eps": cfg.distill.steps, "cfg_predict_batch": 0, "loss_and_grad": 0,
+        }
 
     def test_invert_roundtrip_rows(self, fast_config_file, trained_dir, tmp_path, monkeypatch):
         cfg = load_config(fast_config_file)
@@ -414,6 +471,7 @@ class TestMalformedInput:
             ("distill", "objectives = sds, sgd"),
             ("distill", "w_mode = linear"),
             ("distill", "optimizer = sgd"),
+            ("distill", "base_seed = -3"),
         ],
     )
     def test_non_finite_float_rejected(self, section, line, tmp_path, capsys):
@@ -428,6 +486,9 @@ class TestMalformedInput:
             ("sdedit-demo", "--points", "-1"),
             ("sdedit-demo", "--grid-points", "-2"),
             ("invert-roundtrip", "--k", "-3"),
+            # a master seed below -1 makes a component seed negative
+            ("figure2", "--seed", "-5"),
+            ("sdedit-demo", "--seed", "-120"),
         ],
     )
     def test_count_flag_below_bound_rejected(self, flags, trained_dir, tmp_path, capsys):

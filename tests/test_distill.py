@@ -1,14 +1,18 @@
 import csv
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from distill_lab.distill import (
     EditProblem,
+    TrajectoryRecord,
+    TrajectoryStep,
     affine_generator,
     dds_grad,
     identity_generator,
     optimize,
+    optimize_batch,
     pds_grad,
     pds_grad_latent_form,
     pds_objective,
@@ -18,6 +22,7 @@ from distill_lab.distill import (
 )
 from distill_lab.latentops import SharedNoiseDraw, forward_sample, sample_shared_noise, stochastic_latent
 from distill_lab.denoiser import Denoiser, cfg_predict, _layer_views
+from distill_lab.optim import AdamState, adam_step
 from distill_lab.schedule import build_subsequence, pds_coeffs, posterior_coeffs
 
 
@@ -342,6 +347,132 @@ class TestOptimize:
         prob = make_problem(rng, subsequence)
         with pytest.raises(ValueError):
             optimize(prob, "vsd", 5, 0.01, 1, trained_model, schedule)
+
+
+def reference_optimize(prob, objective, steps, lr, seed, d, s, w_mode="const", optimizer="gd"):
+    """One run, one step at a time, every prediction evaluated alone."""
+    rng = np.random.default_rng(seed)
+    gen = prob.gen.copy()
+    rec = TrajectoryRecord(objective_kind=objective, seed=seed)
+    rec.steps.append(
+        TrajectoryStep(step=0, theta=gen.theta.copy(), x0_tgt=gen.render(), grad_norm=0.0)
+    )
+    adam = AdamState.for_params(gen.theta) if optimizer == "adam" else None
+    for k in range(1, steps + 1):
+        draw = sample_shared_noise(prob.sub, rng)
+        t = int(prob.sub.tau[draw.i])
+        w_t = 1.0 if w_mode == "const" else float(1.0 - s.alpha_bar[t])
+        x0 = gen.render()
+        e_tgt = cfg_predict(d, forward_sample(x0, t, draw.eps_cur, s), prob.y_tgt, t, prob.omega)
+        if objective == "sds":
+            e_ref = draw.eps_cur
+        else:
+            x_t_src = forward_sample(prob.x0_src, t, draw.eps_cur, s)
+            e_ref = cfg_predict(d, x_t_src, prob.y_src, t, prob.omega)
+        if not (np.all(np.isfinite(e_tgt)) and np.all(np.isfinite(e_ref))):
+            rec.diverged = True
+            break
+        if objective == "pds":
+            c = pds_coeffs(s, prob.sub, draw.i)
+            residual = c.psi * (x0 - prob.x0_src) + c.chi * (e_tgt - e_ref)
+        else:
+            residual = w_t * (e_tgt - e_ref)
+        grad = gen.pullback(residual)
+        if adam is not None:
+            adam_step(gen.theta, grad, adam, lr)
+        else:
+            gen.theta -= lr * grad
+        if not np.all(np.isfinite(gen.theta)):
+            rec.diverged = True
+            break
+        rec.steps.append(
+            TrajectoryStep(step=k, theta=gen.theta.copy(), x0_tgt=gen.render(),
+                           grad_norm=float(np.linalg.norm(grad)))
+        )
+    return rec
+
+
+def record_bits(rec):
+    rows = [
+        (row.step, row.theta.tobytes(), row.x0_tgt.tobytes(), np.float64(row.grad_norm).tobytes())
+        for row in rec.steps
+    ]
+    return rec.objective_kind, rec.seed, rec.diverged, rows
+
+
+def mixed_jobs(sub, rng, omega=7.5):
+    """sds, dds and pds on identity and affine generators, two seeds each."""
+    jobs = []
+    for seed in (3, 41):
+        for objective in ("sds", "dds", "pds"):
+            src = np.array([-2.0, 0.0]) + 0.5 * rng.standard_normal(2)
+            a = np.eye(2) + 0.1 * rng.standard_normal((2, 2))
+            gens = [identity_generator(src), affine_generator(a, src - a @ src, src)]
+            for gen in gens:
+                prob = EditProblem(x0_src=src, y_src=1, gen=gen, y_tgt=2, omega=omega, sub=sub)
+                jobs.append((prob, objective, seed))
+    return jobs
+
+
+class TestOptimizeBatch:
+    """Lockstep records equal the per-job reference loop bit for bit."""
+
+    @pytest.mark.parametrize("optimizer", ["gd", "adam"])
+    @pytest.mark.parametrize("w_mode", ["const", "one_minus_alpha_bar"])
+    def test_equals_per_job_reference(
+        self, trained_model, schedule, subsequence, w_mode, optimizer
+    ):
+        jobs = mixed_jobs(subsequence, np.random.default_rng(5))
+        lr = 0.05 if optimizer == "adam" else 0.01
+        got = optimize_batch(jobs, 12, lr, trained_model, schedule, w_mode, optimizer)
+        assert len(got) == len(jobs)
+        for (prob, objective, seed), rec in zip(jobs, got):
+            ref = reference_optimize(prob, objective, 12, lr, seed, trained_model, schedule,
+                                     w_mode, optimizer)
+            assert record_bits(rec) == record_bits(ref)
+            assert len(rec.steps) == 13 and not rec.diverged
+
+    def test_zero_steps(self, trained_model, schedule, subsequence):
+        jobs = mixed_jobs(subsequence, np.random.default_rng(6))
+        got = optimize_batch(jobs, 0, 0.01, trained_model, schedule)
+        for (prob, objective, seed), rec in zip(jobs, got):
+            ref = reference_optimize(prob, objective, 0, 0.01, seed, trained_model, schedule)
+            assert record_bits(rec) == record_bits(ref)
+            assert [row.step for row in rec.steps] == [0]
+
+    def test_diverging_job_leaves_the_others_unchanged(self, trained_model, schedule, subsequence):
+        # an infinite spring coefficient on the upper half of the sampling
+        # range sends this pds job's theta non-finite at its first draw there
+        psi = subsequence.psi.copy()
+        psi[(subsequence.lo_index + subsequence.hi_index) // 2 :] = np.inf
+        bad_sub = replace(subsequence, psi=psi)
+        jobs = mixed_jobs(subsequence, np.random.default_rng(7))
+        prob, _, _ = jobs[0]
+        jobs.insert(3, (replace(prob, sub=bad_sub), "pds", 11))
+        with np.errstate(invalid="ignore", over="ignore"):
+            got = optimize_batch(jobs, 20, 0.01, trained_model, schedule)
+            refs = [
+                reference_optimize(prob, objective, 20, 0.01, seed, trained_model, schedule)
+                for prob, objective, seed in jobs
+            ]
+        assert [rec.diverged for rec in got] == [k == 3 for k in range(len(jobs))]
+        assert len(got[3].steps) == 3  # seed 11 first draws the upper half at step 3
+        for rec, ref in zip(got, refs):
+            assert record_bits(rec) == record_bits(ref)
+
+    def test_optimize_is_the_batch_of_one(self, trained_model, schedule, subsequence):
+        jobs = mixed_jobs(subsequence, np.random.default_rng(8))
+        batch = optimize_batch(jobs, 6, 0.01, trained_model, schedule)
+        for (prob, objective, seed), rec in zip(jobs, batch):
+            alone = optimize(prob, objective, 6, 0.01, seed, trained_model, schedule)
+            assert record_bits(alone) == record_bits(rec)
+
+    def test_rejects_mixed_omega(self, trained_model, schedule, subsequence):
+        jobs = mixed_jobs(subsequence, np.random.default_rng(9))
+        prob, objective, seed = jobs[0]
+        jobs.append((replace(prob, omega=3.0), objective, seed))
+        with pytest.raises(ValueError, match="omega"):
+            optimize_batch(jobs, 1, 0.01, trained_model, schedule)
 
 
 class TestWeightsAndCsv:

@@ -222,6 +222,28 @@ class TestPdsCoeffs:
             consecutive = sub.tau[i - 1] == sub.tau[i] - 1
             assert (c.psi == 0.0 and c.chi == 0.0) == consecutive
 
+    @pytest.mark.parametrize("stride", [1, 2, 3, 10])
+    def test_grid_arrays_equal_scalar_formula(self, schedule, stride):
+        # every defined entry, sampled or not, against the scalar arithmetic
+        sub = build_subsequence(schedule, stride, 0.02, 0.98)
+        for name in ("psi", "chi", "latent_weight"):
+            assert np.isnan(getattr(sub, name)[0])
+        for i in range(1, sub.S + 1):
+            t_cur, t_prev = int(sub.tau[i]), int(sub.tau[i - 1])
+            pc = posterior_coeffs(schedule, t_cur)
+            if pc.sigma == 0.0:
+                assert np.isnan(sub.psi[i]) and np.isnan(sub.chi[i])
+                continue
+            f = math.sqrt(schedule.alpha_bar[t_prev]) - math.sqrt(schedule.alpha_bar[t_cur - 1])
+            sigma_sq = pc.sigma * pc.sigma
+            psi = 2.0 * f * f / sigma_sq
+            chi = 2.0 * f * pc.gamma * math.sqrt(1.0 / schedule.alpha_bar[t_cur] - 1.0) / sigma_sq
+            assert sub.psi[i] == psi
+            assert sub.chi[i] == chi
+            assert sub.latent_weight[i] == 2.0 * f / pc.sigma
+            if stride == 1:
+                assert psi == chi == 0.0
+
     def test_rejects_out_of_range_index(self, schedule, subsequence):
         with pytest.raises(ValueError):
             pds_coeffs(schedule, subsequence, subsequence.lo_index - 1)

@@ -36,7 +36,10 @@ ROUNDTRIP_TOLERANCE = 1e-8
 
 def _out_dir(cfg: ExperimentConfig) -> Path:
     path = Path(cfg.output.dir)
-    path.mkdir(parents=True, exist_ok=True)
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot use output directory {path}: {exc.strerror}") from exc
     return path
 
 

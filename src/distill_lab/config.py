@@ -228,9 +228,11 @@ def _validate(cfg: ExperimentConfig) -> None:
             raise ConfigError(f"{key} must be >= 0, got {seed}")
     if not cfg.distill.objectives:
         raise ConfigError("distill.objectives must name at least one objective")
-    for objective in cfg.distill.objectives:
+    for k, objective in enumerate(cfg.distill.objectives):
         if objective not in OBJECTIVES:
             raise ConfigError(f"unknown objective '{objective}' in distill.objectives")
+        if objective in cfg.distill.objectives[:k]:
+            raise ConfigError(f"objective '{objective}' repeats in distill.objectives")
     if cfg.distill.w_mode not in WEIGHT_MODES:
         raise ConfigError(f"unknown distill.w_mode '{cfg.distill.w_mode}'")
     if cfg.distill.optimizer not in OPTIMIZERS:

@@ -16,10 +16,9 @@ predictor's own Jacobian is deliberately omitted everywhere.
 
 from __future__ import annotations
 
-import csv
 import math
 from collections.abc import Iterable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,7 +37,6 @@ __all__ = [
     "identity_generator",
     "affine_generator",
     "EditProblem",
-    "TrajectoryStep",
     "TrajectoryRecord",
     "resolve_weight",
     "sds_grad",
@@ -112,30 +110,29 @@ class EditProblem:
     sub: TimestepSubsequence
 
 
-@dataclass(frozen=True)
-class TrajectoryStep:
-    step: int
-    theta: np.ndarray
-    x0_tgt: np.ndarray
-    grad_norm: float
-
-
 @dataclass
 class TrajectoryRecord:
-    """Per-step log of one optimization run."""
+    """Per-step log of one optimization run, one array row per step.
+
+    Row k of ``theta`` (m, p), ``x0_tgt`` (m, 2) and ``grad_norm`` (m,) is
+    the state after step k; row 0 is the start, with gradient norm 0, and
+    m is 1 plus the number of completed steps.
+    """
 
     objective_kind: str
     seed: int
-    steps: list[TrajectoryStep] = field(default_factory=list)
+    theta: np.ndarray
+    x0_tgt: np.ndarray
+    grad_norm: np.ndarray
     diverged: bool = False
 
     @property
     def endpoint(self) -> np.ndarray:
-        return self.steps[-1].x0_tgt
+        return self.x0_tgt[-1]
 
     @property
     def start(self) -> np.ndarray:
-        return self.steps[0].x0_tgt
+        return self.x0_tgt[0]
 
 
 def resolve_weight(mode: str, s: NoiseSchedule, t: int | np.ndarray) -> float | np.ndarray:
@@ -318,17 +315,6 @@ def optimize(
     return optimize_batch([(prob, objective_kind, seed)], steps, lr, d, s, w_mode, optimizer)[0]
 
 
-@dataclass
-class _Run:
-    """Working state of one job of :func:`optimize_batch`."""
-
-    gen: Generator
-    rng: np.random.Generator
-    record: TrajectoryRecord
-    x0: np.ndarray
-    adam: AdamState | None
-
-
 def optimize_batch(
     jobs: Iterable[tuple[EditProblem, str, int]],
     steps: int,
@@ -342,11 +328,14 @@ def optimize_batch(
 
     Each job is ``(EditProblem, objective, seed)`` and advances exactly as
     :func:`optimize` would run it alone: every step draws each live job's
-    shared-noise sample from that job's own generator seeded with its seed,
-    then one batch-invariant ``eps`` call evaluates the target and source
-    rows of all live jobs. A job whose predictions or parameters go
-    non-finite is flagged and takes no further steps; the other jobs' bits
-    do not change. The jobs must share one guidance weight omega.
+    shared-noise sample from a generator seeded with its seed, then one
+    batch-invariant ``eps`` call evaluates the target and source rows of all
+    live jobs. A draw reads only the seed's stream and the grid's sampling
+    range, so jobs with the same seed and range share one generator, which
+    draws once per step while any of them is live. A job whose predictions
+    or parameters go non-finite is flagged, its record is cut to its last
+    finite row, and it takes no further steps; the other jobs' bits do not
+    change. The jobs must share one guidance weight omega.
     """
     jobs = list(jobs)
     for _, objective, _ in jobs:
@@ -361,78 +350,111 @@ def optimize_batch(
         return []
     (omega,) = omegas
 
-    runs = []
-    for prob, objective, seed in jobs:
-        gen = prob.gen.copy()
-        x0 = gen.render()
-        record = TrajectoryRecord(objective_kind=objective, seed=int(seed))
-        record.steps.append(
-            TrajectoryStep(step=0, theta=gen.theta.copy(), x0_tgt=x0, grad_norm=0.0)
+    n_rows = int(steps) + 1
+    gens = [prob.gen.copy() for prob, _, _ in jobs]
+    records = [
+        TrajectoryRecord(
+            objective_kind=objective,
+            seed=int(seed),
+            theta=np.empty((n_rows, gen.theta.size)),
+            x0_tgt=np.empty((n_rows, POINT_DIM)),
+            grad_norm=np.zeros(n_rows),
         )
-        adam = AdamState.for_params(gen.theta) if optimizer == "adam" else None
-        runs.append(_Run(gen, np.random.default_rng(seed), record, x0, adam))
+        for gen, (_, objective, seed) in zip(gens, jobs)
+    ]
+    for gen, record in zip(gens, records):
+        record.theta[0] = gen.theta
+        record.x0_tgt[0] = gen.render()
+    adams = [AdamState.for_params(gen.theta) if optimizer == "adam" else None for gen in gens]
+
+    # one generator per distinct (seed, sampling range); its draw serves every job on it
+    streams: dict[tuple[int, int, int], int] = {}
+    stream_subs, stream = [], []
+    for prob, _, seed in jobs:
+        key = (int(seed), prob.sub.lo_index, prob.sub.hi_index)
+        if key not in streams:
+            streams[key] = len(streams)
+            stream_subs.append(prob.sub)
+        stream.append(streams[key])
+    stream = np.array(stream)
+    rngs = [np.random.default_rng(seed) for seed, _, _ in streams]
+    draw_i = np.zeros(len(rngs), dtype=int)
+    draw_eps = np.zeros((len(rngs), POINT_DIM))
+
+    # every job's grid tables end to end, so one gather reads all live jobs
+    grids = {id(prob.sub): prob.sub for prob, _, _ in jobs}
+    starts = np.cumsum([0] + [len(sub.tau) for sub in grids.values()])
+    base = dict(zip(grids, starts.tolist()))
+    offset = np.array([base[id(prob.sub)] for prob, _, _ in jobs])
+    tau = np.concatenate([sub.tau for sub in grids.values()])
+    psi = np.concatenate([sub.psi for sub in grids.values()])
+    chi = np.concatenate([sub.chi for sub in grids.values()])
+
     kind = np.array([objective for _, objective, _ in jobs])
     y_tgt = np.array([prob.y_tgt for prob, _, _ in jobs])
     y_src = np.array([prob.y_src for prob, _, _ in jobs])
     x0_src = np.array([prob.x0_src for prob, _, _ in jobs], dtype=float)
-    subs = [prob.sub for prob, _, _ in jobs]
 
     live = np.arange(len(jobs))
-    for k in range(1, int(steps) + 1):
+    for k in range(1, n_rows):
         if live.size == 0:
             break
-        draws = [sample_shared_noise(subs[j], runs[j].rng) for j in live]
-        t = np.array([subs[j].tau[draw.i] for j, draw in zip(live, draws)])
+        for g in np.unique(stream[live]).tolist():
+            draw = sample_shared_noise(stream_subs[g], rngs[g])
+            draw_i[g] = draw.i
+            draw_eps[g] = draw.eps_cur
+        at = offset[live] + draw_i[stream[live]]
+        t = tau[at]
         pds = kind[live] == "pds"
-        spring = np.array([subs[j].psi[draw.i] for j, draw in zip(live, draws)])
-        chi = np.array([subs[j].chi[draw.i] for j, draw in zip(live, draws)])
+        x0 = np.array([records[j].x0_tgt[k - 1] for j in live])
         res = _residuals(
-            d, s, omega, kind[live], t, np.array([draw.eps_cur for draw in draws]),
-            np.array([runs[j].x0 for j in live]), y_tgt[live], x0_src[live], y_src[live],
-            spring, np.where(pds, chi, resolve_weight(w_mode, s, t)),
+            d, s, omega, kind[live], t, draw_eps[stream[live]], x0, y_tgt[live], x0_src[live],
+            y_src[live], psi[at], np.where(pds, chi[at], resolve_weight(w_mode, s, t)),
         )
         survivors = []
-        for j, r in zip(live, res):
-            run = runs[j]
+        for j, r in zip(live.tolist(), res):
+            gen, record = gens[j], records[j]
             # a non-finite residual always leaves theta non-finite
-            grad = run.gen.pullback(r)
-            if run.adam is not None:
-                adam_step(run.gen.theta, grad, run.adam, lr)
+            grad = gen.pullback(r)
+            if adams[j] is not None:
+                adam_step(gen.theta, grad, adams[j], lr)
             else:
-                run.gen.theta -= lr * grad
-            if not np.isfinite(run.gen.theta).all():
-                run.record.diverged = True
+                gen.theta -= lr * grad
+            if not np.isfinite(gen.theta).all():
+                record.diverged = True
+                record.theta = record.theta[:k]
+                record.x0_tgt = record.x0_tgt[:k]
+                record.grad_norm = record.grad_norm[:k]
                 continue
-            run.x0 = run.gen.render()
-            run.record.steps.append(
-                TrajectoryStep(
-                    step=k,
-                    theta=run.gen.theta.copy(),
-                    x0_tgt=run.x0,
-                    # np.linalg.norm's own arithmetic for a 1-D vector
-                    grad_norm=math.sqrt(grad.dot(grad)),
-                )
-            )
+            record.theta[k] = gen.theta
+            record.x0_tgt[k] = gen.render()
+            # np.linalg.norm's own arithmetic for a 1-D vector
+            record.grad_norm[k] = math.sqrt(grad.dot(grad))
             survivors.append(j)
         live = np.array(survivors, dtype=int)
-    return [run.record for run in runs]
+    return records
 
 
-def write_trajectory_csv(record: TrajectoryRecord, path) -> None:
-    """One row per step: step, theta components, rendered point, grad norm."""
-    n_theta = record.steps[0].theta.size
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["step", *[f"theta{j}" for j in range(n_theta)], "x0_tgt_x", "x0_tgt_y", "grad_norm"]
+def write_trajectory_csv(record: TrajectoryRecord, path) -> list[str]:
+    """One row per step: step, theta components, rendered point, grad norm.
+
+    The whole file is formatted with one template per row and written at
+    once; the bytes are those of ``csv.writer`` with every float as
+    ``f"{v:.17g}"``. Returns each row's rendered point as its ``"x,y"``
+    text, for callers that write the points again.
+    """
+    n_theta = record.theta.shape[1]
+    header = ",".join(
+        ["step", *[f"theta{j}" for j in range(n_theta)], "x0_tgt_x", "x0_tgt_y", "grad_norm"]
+    )
+    points = ["%.17g,%.17g" % (x, y) for x, y in record.x0_tgt.tolist()]
+    template = "%d" + ",%.17g" * n_theta + ",%s,%.17g"
+    lines = [
+        template % (k, *theta, point, norm)
+        for k, (theta, point, norm) in enumerate(
+            zip(record.theta.tolist(), points, record.grad_norm.tolist())
         )
-        for row in record.steps:
-            writer.writerow(
-                [
-                    row.step,
-                    *[f"{v:.17g}" for v in row.theta],
-                    f"{row.x0_tgt[0]:.17g}",
-                    f"{row.x0_tgt[1]:.17g}",
-                    f"{row.grad_norm:.17g}",
-                ]
-            )
+    ]
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write("\r\n".join([header, *lines, ""]))
+    return points

@@ -126,7 +126,8 @@ def run_figure2(
     """Run the seeded trajectory comparison; optionally emit all CSVs.
 
     Runs share seeds across objectives, so every objective sees the same
-    start points, timestep draws and noises. Every objective x run job
+    start points, timestep draws and noises; each step draws one sample per
+    run, which all objectives of that run read. Every objective x run job
     advances in lockstep through one :func:`optimize_batch` call, with the
     same bits as running each job alone.
     """
@@ -186,9 +187,11 @@ def _fmt(v: float) -> str:
 
 def _emit_figure2_files(out_dir, cfg, summary, records, class_params) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
+    points = {}
     for objective, recs in records.items():
         for run, rec in enumerate(recs):
-            write_trajectory_csv(rec, out_dir / f"fig2_traj_{objective}_{run:03d}.csv")
+            path = out_dir / f"fig2_traj_{objective}_{run:03d}.csv"
+            points[objective, run] = write_trajectory_csv(rec, path)
 
     with open(out_dir / "fig2_endpoints.csv", "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
@@ -247,17 +250,13 @@ def _emit_figure2_files(out_dir, cfg, summary, records, class_params) -> None:
             writer.writerow(
                 ["start", "", run, "", _fmt(summary.starts[run, 0]), _fmt(summary.starts[run, 1])]
             )
-        for objective, recs in records.items():
-            for run, rec in enumerate(recs):
-                for step in rec.steps:
-                    writer.writerow(
-                        ["trajectory", objective, run, step.step,
-                         _fmt(step.x0_tgt[0]), _fmt(step.x0_tgt[1])]
-                    )
-                writer.writerow(
-                    ["endpoint", objective, run, rec.steps[-1].step,
-                     _fmt(rec.endpoint[0]), _fmt(rec.endpoint[1])]
-                )
+        # the trajectory rows reuse the point text of the trajectory files
+        lines = []
+        for (objective, run), xy in points.items():
+            prefix = f"trajectory,{objective},{run},"
+            lines += [f"{prefix}{step},{point}" for step, point in enumerate(xy)]
+            lines.append(f"endpoint,{objective},{run},{len(xy) - 1},{xy[-1]}")
+        fh.write("\r\n".join([*lines, ""]))
 
     with open(out_dir / "fig2_meta.csv", "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)

@@ -8,10 +8,11 @@ import sys
 import numpy as np
 import pytest
 
-from distill_lab import denoiser
+from distill_lab import denoiser, distill
 from distill_lab.cli import main
 from distill_lab.config import load_config
 from distill_lab.flatfile import read_flat_file, write_flat_file
+from distill_lab.latentops import sample_shared_noise
 from distill_lab.errors import (
     EXIT_CHECK_FAILED,
     EXIT_CONFIG_ERROR,
@@ -381,6 +382,13 @@ class TestRowCount:
         cfg = load_config(fast_config_file)
         assert cfg.distill.omega not in (0.0, 1.0)
         counter = RowCounter(monkeypatch)
+        draws = []
+
+        def counted_draw(sub, rng):
+            draws.append(sub)
+            return sample_shared_noise(sub, rng)
+
+        monkeypatch.setattr(distill, "sample_shared_noise", counted_draw)
         code = main([
             "figure2", str(trained_dir / "model.ckpt"),
             "--config", fast_config_file, "--out", str(tmp_path / "f"),
@@ -392,6 +400,8 @@ class TestRowCount:
         assert counter.calls == {
             "eps": cfg.distill.steps, "cfg_predict_batch": 0, "loss_and_grad": 0,
         }
+        # a run's objectives share its seed, so one draw serves all of them
+        assert len(draws) == cfg.distill.steps * cfg.distill.n_runs
 
     def test_invert_roundtrip_rows(self, fast_config_file, trained_dir, tmp_path, monkeypatch):
         cfg = load_config(fast_config_file)
@@ -472,6 +482,7 @@ class TestMalformedInput:
             ("distill", "w_mode = linear"),
             ("distill", "optimizer = sgd"),
             ("distill", "base_seed = -3"),
+            ("distill", "objectives = sds, sds"),
         ],
     )
     def test_non_finite_float_rejected(self, section, line, tmp_path, capsys):
@@ -497,6 +508,15 @@ class TestMalformedInput:
         self.assert_config_error([command, str(trained_dir / "model.ckpt"), *rest,
                                   "--out", str(out)], capsys)
         assert not out.exists()
+
+    def test_out_naming_a_file(self, trained_dir, tmp_path, capsys):
+        afile = tmp_path / "afile"
+        afile.write_text("")
+        self.assert_config_error(
+            ["figure2", str(trained_dir / "model.ckpt"), "--out", str(afile)], capsys
+        )
+        self.assert_config_error(["train", "--out", str(afile / "sub")], capsys)
+        assert afile.read_text() == ""
 
     def test_config_without_section_header(self, tmp_path, capsys):
         path = tmp_path / "flat.ini"

@@ -4,10 +4,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from distill_lab import distill
 from distill_lab.distill import (
     EditProblem,
     TrajectoryRecord,
-    TrajectoryStep,
     affine_generator,
     dds_grad,
     identity_generator,
@@ -302,18 +302,16 @@ class TestOptimize:
     def test_zero_steps_records_initial_state_only(self, trained_model, schedule, subsequence, rng):
         prob = make_problem(rng, subsequence, gen_point=[-2.0, 0.0], src_point=[-2.0, 0.0])
         rec = optimize(prob, "pds", 0, 0.01, 5, trained_model, schedule)
-        assert len(rec.steps) == 1
-        assert rec.steps[0].step == 0
-        assert rec.steps[0].grad_norm == 0.0
+        assert len(rec.theta) == len(rec.x0_tgt) == len(rec.grad_norm) == 1
+        assert rec.grad_norm[0] == 0.0
         assert not rec.diverged
 
     def test_identical_seeds_identical_records(self, trained_model, schedule, subsequence, rng):
         prob = make_problem(rng, subsequence, gen_point=[-2.0, 0.1], src_point=[-2.0, 0.1])
         a = optimize(prob, "dds", 25, 0.01, 99, trained_model, schedule)
         b = optimize(prob, "dds", 25, 0.01, 99, trained_model, schedule)
-        for ra, rb in zip(a.steps, b.steps):
-            assert np.array_equal(ra.theta, rb.theta)
-            assert ra.grad_norm == rb.grad_norm
+        assert np.array_equal(a.theta, b.theta)
+        assert np.array_equal(a.grad_norm, b.grad_norm)
 
     def test_does_not_mutate_input_problem(self, trained_model, schedule, subsequence, rng):
         start = np.array([-2.0, 0.1])
@@ -327,7 +325,7 @@ class TestOptimize:
         with np.errstate(over="ignore", invalid="ignore"):
             rec = optimize(prob, "sds", 50, 1e308, 3, trained_model, schedule)
         assert rec.diverged
-        assert len(rec.steps) < 51
+        assert len(rec.theta) < 51
 
     def test_non_finite_prediction_flags_partial_record(self, schedule, subsequence, rng):
         bad = Denoiser.create(seed=1)
@@ -335,12 +333,12 @@ class TestOptimize:
         prob = make_problem(rng, subsequence, gen_point=[-2.0, 0.0], src_point=[1.0, 1.0])
         rec = optimize(prob, "dds", 10, 0.01, 3, bad, schedule)
         assert rec.diverged
-        assert len(rec.steps) == 1
+        assert len(rec.theta) == 1
 
     def test_adam_option_runs(self, trained_model, schedule, subsequence, rng):
         prob = make_problem(rng, subsequence, gen_point=[-2.0, 0.0], src_point=[-2.0, 0.0])
         rec = optimize(prob, "pds", 20, 0.05, 7, trained_model, schedule, optimizer="adam")
-        assert len(rec.steps) == 21
+        assert len(rec.theta) == 21
         assert not rec.diverged
 
     def test_rejects_unknown_objective(self, trained_model, schedule, subsequence, rng):
@@ -353,10 +351,8 @@ def reference_optimize(prob, objective, steps, lr, seed, d, s, w_mode="const", o
     """One run, one step at a time, every prediction evaluated alone."""
     rng = np.random.default_rng(seed)
     gen = prob.gen.copy()
-    rec = TrajectoryRecord(objective_kind=objective, seed=seed)
-    rec.steps.append(
-        TrajectoryStep(step=0, theta=gen.theta.copy(), x0_tgt=gen.render(), grad_norm=0.0)
-    )
+    thetas, points, norms = [gen.theta.copy()], [gen.render()], [0.0]
+    diverged = False
     adam = AdamState.for_params(gen.theta) if optimizer == "adam" else None
     for k in range(1, steps + 1):
         draw = sample_shared_noise(prob.sub, rng)
@@ -370,7 +366,7 @@ def reference_optimize(prob, objective, steps, lr, seed, d, s, w_mode="const", o
             x_t_src = forward_sample(prob.x0_src, t, draw.eps_cur, s)
             e_ref = cfg_predict(d, x_t_src, prob.y_src, t, prob.omega)
         if not (np.all(np.isfinite(e_tgt)) and np.all(np.isfinite(e_ref))):
-            rec.diverged = True
+            diverged = True
             break
         if objective == "pds":
             c = pds_coeffs(s, prob.sub, draw.i)
@@ -383,19 +379,21 @@ def reference_optimize(prob, objective, steps, lr, seed, d, s, w_mode="const", o
         else:
             gen.theta -= lr * grad
         if not np.all(np.isfinite(gen.theta)):
-            rec.diverged = True
+            diverged = True
             break
-        rec.steps.append(
-            TrajectoryStep(step=k, theta=gen.theta.copy(), x0_tgt=gen.render(),
-                           grad_norm=float(np.linalg.norm(grad)))
-        )
-    return rec
+        thetas.append(gen.theta.copy())
+        points.append(gen.render())
+        norms.append(float(np.linalg.norm(grad)))
+    return TrajectoryRecord(objective_kind=objective, seed=seed, theta=np.array(thetas),
+                            x0_tgt=np.array(points), grad_norm=np.array(norms), diverged=diverged)
 
 
 def record_bits(rec):
+    assert len(rec.theta) == len(rec.x0_tgt) == len(rec.grad_norm)
     rows = [
-        (row.step, row.theta.tobytes(), row.x0_tgt.tobytes(), np.float64(row.grad_norm).tobytes())
-        for row in rec.steps
+        (step, rec.theta[step].tobytes(), rec.x0_tgt[step].tobytes(),
+         np.float64(rec.grad_norm[step]).tobytes())
+        for step in range(len(rec.theta))
     ]
     return rec.objective_kind, rec.seed, rec.diverged, rows
 
@@ -430,7 +428,7 @@ class TestOptimizeBatch:
             ref = reference_optimize(prob, objective, 12, lr, seed, trained_model, schedule,
                                      w_mode, optimizer)
             assert record_bits(rec) == record_bits(ref)
-            assert len(rec.steps) == 13 and not rec.diverged
+            assert len(rec.theta) == 13 and not rec.diverged
 
     def test_zero_steps(self, trained_model, schedule, subsequence):
         jobs = mixed_jobs(subsequence, np.random.default_rng(6))
@@ -438,7 +436,7 @@ class TestOptimizeBatch:
         for (prob, objective, seed), rec in zip(jobs, got):
             ref = reference_optimize(prob, objective, 0, 0.01, seed, trained_model, schedule)
             assert record_bits(rec) == record_bits(ref)
-            assert [row.step for row in rec.steps] == [0]
+            assert len(rec.theta) == 1
 
     def test_diverging_job_leaves_the_others_unchanged(self, trained_model, schedule, subsequence):
         # an infinite spring coefficient on the upper half of the sampling
@@ -456,7 +454,7 @@ class TestOptimizeBatch:
                 for prob, objective, seed in jobs
             ]
         assert [rec.diverged for rec in got] == [k == 3 for k in range(len(jobs))]
-        assert len(got[3].steps) == 3  # seed 11 first draws the upper half at step 3
+        assert len(got[3].theta) == 3  # seed 11 first draws the upper half at step 3
         for rec, ref in zip(got, refs):
             assert record_bits(rec) == record_bits(ref)
 
@@ -467,12 +465,96 @@ class TestOptimizeBatch:
             alone = optimize(prob, objective, 6, 0.01, seed, trained_model, schedule)
             assert record_bits(alone) == record_bits(rec)
 
+    def test_shared_draw_survives_a_diverging_member(
+        self, trained_model, schedule, subsequence, monkeypatch
+    ):
+        # same seed and grid: one stream serves both jobs. The pds job starts
+        # at 1e308 with its source at -1e308, so its spring term overflows and
+        # it diverges at step 1; the sds job must keep drawing the same stream.
+        huge = np.array([1e308, 1e308])
+        bad = EditProblem(x0_src=-huge, y_src=1, gen=identity_generator(huge), y_tgt=2,
+                          omega=7.5, sub=subsequence)
+        good = make_problem(np.random.default_rng(10), subsequence, gen_point=[-2.0, 0.2],
+                            src_point=[-2.0, 0.2])
+        jobs = [(bad, "pds", 5), (good, "sds", 5)]
+        draws = []
+
+        def counted(sub, rng):
+            draws.append(sub)
+            return sample_shared_noise(sub, rng)
+
+        monkeypatch.setattr(distill, "sample_shared_noise", counted)
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = optimize_batch(jobs, 15, 0.01, trained_model, schedule)
+            refs = [
+                reference_optimize(prob, objective, 15, 0.01, seed, trained_model, schedule)
+                for prob, objective, seed in jobs
+            ]
+        assert len(draws) == 15
+        assert got[0].diverged and len(got[0].theta) == 1
+        assert not got[1].diverged and len(got[1].theta) == 16
+        for rec, ref in zip(got, refs):
+            assert record_bits(rec) == record_bits(ref)
+
     def test_rejects_mixed_omega(self, trained_model, schedule, subsequence):
         jobs = mixed_jobs(subsequence, np.random.default_rng(9))
         prob, objective, seed = jobs[0]
         jobs.append((replace(prob, omega=3.0), objective, seed))
         with pytest.raises(ValueError, match="omega"):
             optimize_batch(jobs, 1, 0.01, trained_model, schedule)
+
+
+def reference_trajectory_csv(record, path):
+    """The trajectory layout through ``csv.writer``, one ``f"{v:.17g}"`` per float."""
+    n_theta = record.theta.shape[1]
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(
+            ["step", *[f"theta{j}" for j in range(n_theta)], "x0_tgt_x", "x0_tgt_y", "grad_norm"]
+        )
+        for step in range(len(record.theta)):
+            writer.writerow(
+                [
+                    step,
+                    *[f"{v:.17g}" for v in record.theta[step]],
+                    f"{record.x0_tgt[step, 0]:.17g}",
+                    f"{record.x0_tgt[step, 1]:.17g}",
+                    f"{record.grad_norm[step]:.17g}",
+                ]
+            )
+
+
+EDGE_VALUES = [-0.0, 5e-324, 1e308, 0.1, 3.0, -7.0, 1e16, 2.0**53, -1e-300, 0.0]
+
+
+def csv_case(name, d, s, sub):
+    rng = np.random.default_rng(12)
+    start = np.array([-2.0, 0.1])
+    identity = make_problem(rng, sub, gen_point=start, src_point=start)
+    a = np.eye(2) + 0.1 * rng.standard_normal((2, 2))
+    affine = replace(identity, gen=affine_generator(a, start - a @ start, start))
+    if name == "identity":
+        return optimize(identity, "pds", 6, 0.01, 11, d, s)
+    if name == "affine":
+        return optimize(affine, "dds", 6, 0.01, 11, d, s)
+    if name == "step_zero_only":
+        return optimize(affine, "sds", 0, 0.01, 11, d, s)
+    if name == "diverged":
+        with np.errstate(over="ignore", invalid="ignore"):
+            rec = optimize(identity, "sds", 50, 1e308, 3, d, s)
+        assert rec.diverged and 1 < len(rec.theta) < 51
+        return rec
+    # edge values in every column, as the 2- and 6-theta layouts
+    vals = np.array(EDGE_VALUES)
+    n_theta = 2 if name == "edge_identity" else 6
+    rows = len(vals)
+    return TrajectoryRecord(
+        objective_kind="sds",
+        seed=0,
+        theta=np.array([np.roll(vals, k)[:n_theta] for k in range(rows)]),
+        x0_tgt=np.array([np.roll(vals, k + 3)[:2] for k in range(rows)]),
+        grad_norm=np.roll(np.abs(vals), 5),
+    )
 
 
 class TestWeightsAndCsv:
@@ -484,6 +566,19 @@ class TestWeightsAndCsv:
         with pytest.raises(ValueError):
             resolve_weight("quadratic", schedule, 500)
 
+    @pytest.mark.parametrize(
+        "case",
+        ["identity", "affine", "step_zero_only", "diverged", "edge_identity", "edge_affine"],
+    )
+    def test_trajectory_csv_bytes_match_csv_writer(
+        self, case, trained_model, schedule, subsequence, tmp_path
+    ):
+        rec = csv_case(case, trained_model, schedule, subsequence)
+        points = write_trajectory_csv(rec, tmp_path / "new.csv")
+        reference_trajectory_csv(rec, tmp_path / "ref.csv")
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+        assert points == [f"{x:.17g},{y:.17g}" for x, y in rec.x0_tgt]
+
     def test_trajectory_csv_layout(self, trained_model, schedule, subsequence, rng, tmp_path):
         prob = make_problem(rng, subsequence, gen_point=[-1.8, 0.2], src_point=[-1.8, 0.2])
         rec = optimize(prob, "pds", 5, 0.01, 11, trained_model, schedule)
@@ -494,5 +589,5 @@ class TestWeightsAndCsv:
         assert rows[0] == ["step", "theta0", "theta1", "x0_tgt_x", "x0_tgt_y", "grad_norm"]
         assert len(rows) == 7
         # 17-significant-digit floats reparse exactly
-        for text, value in zip(rows[3][1:3], rec.steps[2].theta):
+        for text, value in zip(rows[3][1:3], rec.theta[2]):
             assert float(text) == value

@@ -17,6 +17,7 @@ predictor's own Jacobian is deliberately omitted everywhere.
 from __future__ import annotations
 
 import math
+import numbers
 from collections.abc import Iterable
 from dataclasses import dataclass
 
@@ -54,12 +55,30 @@ WEIGHT_MODES = ("const", "one_minus_alpha_bar")
 OPTIMIZERS = ("gd", "adam")
 
 
+def render_rows(kind: str, theta: np.ndarray, latent: np.ndarray | None) -> np.ndarray:
+    """Rendered points (n, 2) of n generators of one kind: theta (n, p) and,
+    read only by the affine kind, latent (n, 2)."""
+    if kind == "identity":
+        return theta.copy()
+    a = theta[:, :4].reshape(-1, POINT_DIM, POINT_DIM)
+    return (a @ latent.reshape(-1, POINT_DIM, 1))[:, :, 0] + theta[:, 4:6]
+
+
+def pullback_rows(kind: str, latent: np.ndarray | None, cotangent: np.ndarray) -> np.ndarray:
+    """Row k contracts the x0-space cotangent[k] to a gradient over theta[k]."""
+    if kind == "identity":
+        return cotangent.copy()
+    outer = cotangent[:, :, None] * latent.reshape(-1, 1, POINT_DIM)
+    return np.concatenate([outer.reshape(len(cotangent), -1), cotangent], axis=1)
+
+
 @dataclass
 class Generator:
     """Differentiable generator theta -> x0 with its exact adjoint.
 
-    ``kind`` is "identity" (theta is the point) or "affine"
-    (x0 = A @ u + b for a fixed latent input u, theta = [A.ravel(), b]).
+    ``kind`` is "identity" (theta is the point) or "affine" (x0 = A @ u + b
+    for a fixed latent input u, theta = [A.ravel(), b]). ``render`` and
+    ``pullback`` are the one-row case of :func:`render_rows`/:func:`pullback_rows`.
     """
 
     kind: str
@@ -67,17 +86,12 @@ class Generator:
     latent: np.ndarray | None = None
 
     def render(self) -> np.ndarray:
-        if self.kind == "identity":
-            return self.theta.copy()
-        a = self.theta[:4].reshape(POINT_DIM, POINT_DIM)
-        return a @ self.latent + self.theta[4:6]
+        return render_rows(self.kind, self.theta[None], self.latent)[0]
 
     def pullback(self, cotangent: np.ndarray) -> np.ndarray:
         """Contract a cotangent in x0-space to a gradient over theta."""
         v = np.asarray(cotangent, dtype=float)
-        if self.kind == "identity":
-            return v.copy()
-        return np.concatenate([np.outer(v, self.latent).ravel(), v])
+        return pullback_rows(self.kind, self.latent, v[None])[0]
 
     def copy(self) -> "Generator":
         return Generator(
@@ -93,9 +107,10 @@ def identity_generator(x0: np.ndarray) -> Generator:
 
 def affine_generator(a: np.ndarray, b: np.ndarray, u: np.ndarray) -> Generator:
     theta = np.concatenate([np.asarray(a, dtype=float).ravel(), np.asarray(b, dtype=float)])
-    if theta.shape != (6,):
-        raise ValueError("affine generator needs a 2x2 matrix and a 2-vector")
-    return Generator(kind="affine", theta=theta, latent=np.asarray(u, dtype=float).copy())
+    latent = np.array(u, dtype=float)
+    if theta.shape != (6,) or latent.shape != (POINT_DIM,):
+        raise ValueError("affine generator needs a 2x2 matrix, a 2-vector and a 2-vector latent u")
+    return Generator(kind="affine", theta=theta, latent=latent)
 
 
 @dataclass
@@ -190,28 +205,19 @@ def _residuals(
 
 
 def _grad_one(
-    d: Denoiser,
-    s: NoiseSchedule,
-    omega: float,
-    kind: str,
-    gen: Generator,
-    y_tgt: int,
-    x0_src: np.ndarray,
-    y_src: int,
-    draw: SharedNoiseDraw,
-    t: int,
-    spring: float,
-    scale: float,
+    prob: EditProblem, kind: str, draw: SharedNoiseDraw, d: Denoiser, s: NoiseSchedule,
+    spring: float, scale: float,
 ) -> np.ndarray:
     """One objective's residual, through :func:`_residuals`, pulled back to theta."""
     (res,) = _residuals(
-        d, s, omega, np.array([kind]), np.array([t]), draw.eps_cur[None, :],
-        gen.render()[None, :], np.array([y_tgt]), np.asarray(x0_src, dtype=float)[None, :],
-        np.array([y_src]), np.array([spring]), np.array([scale]),
+        d, s, prob.omega, np.array([kind]), np.array([int(prob.sub.tau[draw.i])]),
+        draw.eps_cur[None, :], prob.gen.render()[None, :], np.array([prob.y_tgt]),
+        np.asarray(prob.x0_src, dtype=float)[None, :], np.array([prob.y_src]),
+        np.array([spring]), np.array([scale]),
     )
     if not np.isfinite(res).all():
         raise DivergenceError("non-finite residual")
-    return gen.pullback(res)
+    return prob.gen.pullback(res)
 
 
 def sds_grad(
@@ -225,9 +231,9 @@ def sds_grad(
     sub: TimestepSubsequence,
 ) -> np.ndarray:
     """Noise-matching gradient w(t) * (eps_hat - eps) pulled back to theta."""
-    t = int(sub.tau[draw.i])
     # sds has no source side; the target stands in for the unread source
-    return _grad_one(d, s, omega, "sds", gen, y_tgt, gen.render(), y_tgt, draw, t, 0.0, w_t)
+    prob = EditProblem(gen.render(), y_tgt, gen, y_tgt, omega, sub)
+    return _grad_one(prob, "sds", draw, d, s, 0.0, w_t)
 
 
 def dds_grad(
@@ -238,10 +244,7 @@ def dds_grad(
     s: NoiseSchedule,
 ) -> np.ndarray:
     """Prediction-difference gradient under one shared forward noise."""
-    t = int(prob.sub.tau[draw.i])
-    return _grad_one(
-        d, s, prob.omega, "dds", prob.gen, prob.y_tgt, prob.x0_src, prob.y_src, draw, t, 0.0, w_t
-    )
+    return _grad_one(prob, "dds", draw, d, s, 0.0, w_t)
 
 
 def pds_grad(
@@ -258,11 +261,7 @@ def pds_grad(
     the gradient is exactly invariant to it.
     """
     coeffs = pds_coeffs(s, prob.sub, draw.i)
-    t = int(prob.sub.tau[draw.i])
-    return _grad_one(
-        d, s, prob.omega, "pds", prob.gen, prob.y_tgt, prob.x0_src, prob.y_src, draw, t,
-        coeffs.psi, coeffs.chi,
-    )
+    return _grad_one(prob, "pds", draw, d, s, coeffs.psi, coeffs.chi)
 
 
 def pds_grad_latent_form(
@@ -315,6 +314,23 @@ def optimize(
     return optimize_batch([(prob, objective_kind, seed)], steps, lr, d, s, w_mode, optimizer)[0]
 
 
+@dataclass
+class _KindBlock:
+    """Live jobs of one generator kind: indices, thetas (n, p), latents, Adam moments."""
+
+    kind: str
+    ids: np.ndarray
+    theta: np.ndarray
+    latent: np.ndarray | None
+    adam: AdamState | None
+
+    def keep(self, ok: np.ndarray) -> None:
+        self.ids, self.theta = self.ids[ok], self.theta[ok]
+        self.latent = None if self.latent is None else self.latent[ok]
+        if self.adam is not None:
+            self.adam.m, self.adam.v = self.adam.m[ok], self.adam.v[ok]
+
+
 def optimize_batch(
     jobs: Iterable[tuple[EditProblem, str, int]],
     steps: int,
@@ -332,10 +348,12 @@ def optimize_batch(
     batch-invariant ``eps`` call evaluates the target and source rows of all
     live jobs. A draw reads only the seed's stream and the grid's sampling
     range, so jobs with the same seed and range share one generator, which
-    draws once per step while any of them is live. A job whose predictions
-    or parameters go non-finite is flagged, its record is cut to its last
-    finite row, and it takes no further steps; the other jobs' bits do not
-    change. The jobs must share one guidance weight omega.
+    draws once per step while any of them is live. Thetas and Adam moments
+    are stacked per generator kind and updated with one array operation per
+    kind and step. A job whose predictions or parameters go non-finite is
+    dropped from the stacks and flagged, and its record (a slice of a shared
+    history block) is cut to its last finite row; the other jobs' bits do
+    not change. The jobs must share one guidance weight omega.
     """
     jobs = list(jobs)
     for _, objective, _ in jobs:
@@ -343,6 +361,12 @@ def optimize_batch(
             raise ValueError(f"unknown objective {objective!r}; expected one of {OBJECTIVES}")
     if optimizer not in OPTIMIZERS:
         raise ValueError(f"unknown optimizer {optimizer!r}; expected one of {OPTIMIZERS}")
+    if w_mode not in WEIGHT_MODES:
+        raise ValueError(f"unknown w_mode {w_mode!r}; expected one of {WEIGHT_MODES}")
+    if not isinstance(steps, numbers.Integral) or steps < 0:
+        raise ValueError(f"steps must be a non-negative integer, got {steps!r}")
+    if not (lr > 0 and math.isfinite(lr)):
+        raise ValueError(f"lr must be positive and finite, got {lr!r}")
     omegas = {prob.omega for prob, _, _ in jobs}
     if len(omegas) > 1:
         raise ValueError(f"jobs must share one omega, got {sorted(omegas)}")
@@ -351,33 +375,28 @@ def optimize_batch(
     (omega,) = omegas
 
     n_rows = int(steps) + 1
-    gens = [prob.gen.copy() for prob, _, _ in jobs]
-    records = [
-        TrajectoryRecord(
-            objective_kind=objective,
-            seed=int(seed),
-            theta=np.empty((n_rows, gen.theta.size)),
-            x0_tgt=np.empty((n_rows, POINT_DIM)),
-            grad_norm=np.zeros(n_rows),
-        )
-        for gen, (_, objective, seed) in zip(gens, jobs)
-    ]
-    for gen, record in zip(gens, records):
-        record.theta[0] = gen.theta
-        record.x0_tgt[0] = gen.render()
-    adams = [AdamState.for_params(gen.theta) if optimizer == "adam" else None for gen in gens]
+    x0_hist = np.empty((len(jobs), n_rows, POINT_DIM))
+    norm_hist = np.zeros((len(jobs), n_rows))
+    kept = np.full(len(jobs), n_rows)  # rows each record keeps
+    gen_kind = np.array([prob.gen.kind for prob, _, _ in jobs])
+    theta_hist, blocks = {}, []  # per kind, (jobs, steps + 1, p); its jobs' rows are written
+    for g in dict.fromkeys(gen_kind.tolist()):
+        ids = np.flatnonzero(gen_kind == g)
+        theta = np.array([jobs[j][0].gen.theta for j in ids], dtype=float)
+        latent = None if g == "identity" else np.array([jobs[j][0].gen.latent for j in ids])
+        adam = AdamState.for_params(theta) if optimizer == "adam" else None
+        blocks.append(_KindBlock(g, ids, theta, latent, adam))
+        theta_hist[g] = np.empty((len(jobs), n_rows, theta.shape[1]))
+        theta_hist[g][ids, 0] = theta
+        x0_hist[ids, 0] = render_rows(g, theta, latent)
 
     # one generator per distinct (seed, sampling range); its draw serves every job on it
-    streams: dict[tuple[int, int, int], int] = {}
-    stream_subs, stream = [], []
-    for prob, _, seed in jobs:
-        key = (int(seed), prob.sub.lo_index, prob.sub.hi_index)
-        if key not in streams:
-            streams[key] = len(streams)
-            stream_subs.append(prob.sub)
-        stream.append(streams[key])
-    stream = np.array(stream)
-    rngs = [np.random.default_rng(seed) for seed, _, _ in streams]
+    job_keys = [(int(seed), prob.sub.lo_index, prob.sub.hi_index) for prob, _, seed in jobs]
+    subs = {key: prob.sub for key, (prob, _, _) in zip(job_keys, jobs)}  # draws read lo/hi only
+    number = {key: g for g, key in enumerate(subs)}
+    stream = np.array([number[key] for key in job_keys])
+    stream_subs = list(subs.values())
+    rngs = [np.random.default_rng(seed) for seed, _, _ in subs]
     draw_i = np.zeros(len(rngs), dtype=int)
     draw_eps = np.zeros((len(rngs), POINT_DIM))
 
@@ -395,66 +414,68 @@ def optimize_batch(
     y_src = np.array([prob.y_src for prob, _, _ in jobs])
     x0_src = np.array([prob.x0_src for prob, _, _ in jobs], dtype=float)
 
-    live = np.arange(len(jobs))
     for k in range(1, n_rows):
-        if live.size == 0:
+        blocks = [block for block in blocks if block.ids.size]
+        if not blocks:
             break
+        # rows grouped by generator kind; eps is batch-invariant, so row order is free
+        live = np.concatenate([block.ids for block in blocks])
         for g in np.unique(stream[live]).tolist():
             draw = sample_shared_noise(stream_subs[g], rngs[g])
             draw_i[g] = draw.i
             draw_eps[g] = draw.eps_cur
         at = offset[live] + draw_i[stream[live]]
         t = tau[at]
-        pds = kind[live] == "pds"
-        x0 = np.array([records[j].x0_tgt[k - 1] for j in live])
         res = _residuals(
-            d, s, omega, kind[live], t, draw_eps[stream[live]], x0, y_tgt[live], x0_src[live],
-            y_src[live], psi[at], np.where(pds, chi[at], resolve_weight(w_mode, s, t)),
+            d, s, omega, kind[live], t, draw_eps[stream[live]], x0_hist[live, k - 1],
+            y_tgt[live], x0_src[live], y_src[live], psi[at],
+            np.where(kind[live] == "pds", chi[at], resolve_weight(w_mode, s, t)),
         )
-        survivors = []
-        for j, r in zip(live.tolist(), res):
-            gen, record = gens[j], records[j]
-            # a non-finite residual always leaves theta non-finite
-            grad = gen.pullback(r)
-            if adams[j] is not None:
-                adam_step(gen.theta, grad, adams[j], lr)
+        parts = np.split(res, np.cumsum([block.ids.size for block in blocks])[:-1])
+        for block, part in zip(blocks, parts):
+            grad = pullback_rows(block.kind, block.latent, part)
+            if block.adam is not None:
+                adam_step(block.theta, grad, block.adam, lr)
             else:
-                gen.theta -= lr * grad
-            if not np.isfinite(gen.theta).all():
-                record.diverged = True
-                record.theta = record.theta[:k]
-                record.x0_tgt = record.x0_tgt[:k]
-                record.grad_norm = record.grad_norm[:k]
-                continue
-            record.theta[k] = gen.theta
-            record.x0_tgt[k] = gen.render()
-            # np.linalg.norm's own arithmetic for a 1-D vector
-            record.grad_norm[k] = math.sqrt(grad.dot(grad))
-            survivors.append(j)
-        live = np.array(survivors, dtype=int)
-    return records
+                block.theta -= lr * grad
+            # a non-finite residual always leaves theta non-finite
+            ok = np.isfinite(block.theta).all(axis=1)
+            if not ok.all():
+                kept[block.ids[~ok]] = k
+                block.keep(ok)
+                grad = grad[ok]
+            theta_hist[block.kind][block.ids, k] = block.theta
+            x0_hist[block.ids, k] = render_rows(block.kind, block.theta, block.latent)
+            # np.linalg.norm's own arithmetic, one dot product per row
+            norm_hist[block.ids, k] = np.sqrt((grad[:, None, :] @ grad[:, :, None])[:, 0, 0])
+    return [
+        TrajectoryRecord(objective, int(seed), theta_hist[gen_kind[j]][j, :m],
+                         x0_hist[j, :m], norm_hist[j, :m], diverged=bool(m < n_rows))
+        for j, ((_, objective, seed), m) in enumerate(zip(jobs, kept.tolist()))
+    ]
 
 
 def write_trajectory_csv(record: TrajectoryRecord, path) -> list[str]:
     """One row per step: step, theta components, rendered point, grad norm.
 
-    The whole file is formatted with one template per row and written at
+    Every float is formatted once with ``%.17g`` and the file is written at
     once; the bytes are those of ``csv.writer`` with every float as
-    ``f"{v:.17g}"``. Returns each row's rendered point as its ``"x,y"``
-    text, for callers that write the points again.
+    ``f"{v:.17g}"``. When theta holds the rendered point's bytes (an
+    identity generator), the point text fills the theta columns too.
+    Returns each row's rendered point as its ``"x,y"`` text, for callers
+    that write the points again.
     """
     n_theta = record.theta.shape[1]
     header = ",".join(
         ["step", *[f"theta{j}" for j in range(n_theta)], "x0_tgt_x", "x0_tgt_y", "grad_norm"]
     )
     points = ["%.17g,%.17g" % (x, y) for x, y in record.x0_tgt.tolist()]
-    template = "%d" + ",%.17g" * n_theta + ",%s,%.17g"
-    lines = [
-        template % (k, *theta, point, norm)
-        for k, (theta, point, norm) in enumerate(
-            zip(record.theta.tolist(), points, record.grad_norm.tolist())
-        )
-    ]
+    thetas = points  # an identity generator's theta is its point, bit for bit
+    if n_theta != POINT_DIM or record.theta.tobytes() != record.x0_tgt.tobytes():
+        template = ",".join(["%.17g"] * n_theta)
+        thetas = [template % tuple(theta) for theta in record.theta.tolist()]
+    rows = zip(range(len(points)), thetas, points, record.grad_norm.tolist())
+    lines = ["%d,%s,%s,%.17g" % row for row in rows]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write("\r\n".join([header, *lines, ""]))
     return points

@@ -26,10 +26,13 @@ class AdamState:
 
 
 def adam_step(params: np.ndarray, grad: np.ndarray, state: AdamState, lr: float) -> None:
-    """Apply one bias-corrected Adam update to ``params`` in place."""
+    """Apply one bias-corrected Adam update to ``params``, ``state.m`` and
+    ``state.v`` in place; ``params`` may be a stack of rows on one step."""
     state.step += 1
-    state.m = state.beta1 * state.m + (1.0 - state.beta1) * grad
-    state.v = state.beta2 * state.v + (1.0 - state.beta2) * grad * grad
+    state.m *= state.beta1
+    state.m += (1.0 - state.beta1) * grad
+    state.v *= state.beta2
+    state.v += (1.0 - state.beta2) * grad * grad
     m_hat = state.m / (1.0 - state.beta1**state.step)
     v_hat = state.v / (1.0 - state.beta2**state.step)
     params -= lr * m_hat / (np.sqrt(v_hat) + state.eps)

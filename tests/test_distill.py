@@ -6,6 +6,7 @@ import pytest
 
 from distill_lab import distill
 from distill_lab.distill import (
+    OPTIMIZERS,
     EditProblem,
     TrajectoryRecord,
     affine_generator,
@@ -61,6 +62,11 @@ class TestGenerators:
         u = rng.standard_normal(2)
         gen = affine_generator(a, b, u)
         assert gen.render() == pytest.approx(a @ u + b, rel=1e-15)
+
+    @pytest.mark.parametrize("u", [[1.0, 2.0, 3.0], [[1.0], [2.0]], 1.0])
+    def test_affine_rejects_latent_of_wrong_shape(self, u):
+        with pytest.raises(ValueError, match="latent u"):
+            affine_generator(np.eye(2), np.zeros(2), np.array(u))
 
     @pytest.mark.parametrize("kind", ["identity", "affine"])
     def test_pullback_matches_render_finite_differences(self, kind, rng):
@@ -412,6 +418,15 @@ def mixed_jobs(sub, rng, omega=7.5):
     return jobs
 
 
+def spring_blowup(sub, frac):
+    """The grid with an infinite spring coefficient from ``frac`` of its
+    sampling range up, so a pds job's theta goes non-finite at its first
+    draw there."""
+    psi = sub.psi.copy()
+    psi[sub.lo_index + int(frac * (sub.hi_index - sub.lo_index)) :] = np.inf
+    return replace(sub, psi=psi)
+
+
 class TestOptimizeBatch:
     """Lockstep records equal the per-job reference loop bit for bit."""
 
@@ -496,6 +511,116 @@ class TestOptimizeBatch:
         for rec, ref in zip(got, refs):
             assert record_bits(rec) == record_bits(ref)
 
+    def test_adam_job_diverging_mid_run_among_mixed_kinds(
+        self, trained_model, schedule, subsequence
+    ):
+        # an affine pds job under Adam meets an infinite spring at its first
+        # upper-half draw; identity and affine jobs around it keep their bits
+        jobs = mixed_jobs(subsequence, np.random.default_rng(13))
+        prob, _, _ = jobs[1]
+        assert prob.gen.kind == "affine"
+        jobs.insert(5, (replace(prob, sub=spring_blowup(subsequence, 0.5)), "pds", 11))
+        with np.errstate(invalid="ignore", over="ignore"):
+            got = optimize_batch(jobs, 20, 0.05, trained_model, schedule, optimizer="adam")
+            refs = [
+                reference_optimize(prob, objective, 20, 0.05, seed, trained_model, schedule,
+                                   optimizer="adam")
+                for prob, objective, seed in jobs
+            ]
+        assert [rec.diverged for rec in got] == [k == 5 for k in range(len(jobs))]
+        assert len(got[5].theta) == 3
+        for rec, ref in zip(got, refs):
+            assert record_bits(rec) == record_bits(ref)
+
+    def test_jobs_diverging_at_different_steps(self, trained_model, schedule, subsequence):
+        jobs = mixed_jobs(subsequence, np.random.default_rng(14))
+        prob, _, _ = jobs[0]
+        bad = replace(prob, sub=spring_blowup(subsequence, 0.8))
+        jobs[2:2] = [(bad, "pds", 21), (bad, "pds", 22)]
+        with np.errstate(invalid="ignore", over="ignore"):
+            got = optimize_batch(jobs, 30, 0.01, trained_model, schedule)
+            refs = [
+                reference_optimize(prob, objective, 30, 0.01, seed, trained_model, schedule)
+                for prob, objective, seed in jobs
+            ]
+        assert [rec.diverged for rec in got] == [k in (2, 3) for k in range(len(jobs))]
+        assert (len(got[2].theta), len(got[3].theta)) == (3, 9)
+        for rec, ref in zip(got, refs):
+            assert record_bits(rec) == record_bits(ref)
+
+    def test_every_job_diverged_stops_the_loop(
+        self, schedule, subsequence, monkeypatch
+    ):
+        bad = Denoiser.create(seed=1)
+        bad.params[:] = np.nan
+        jobs = mixed_jobs(subsequence, np.random.default_rng(15))
+        draws = []
+
+        def counted(sub, rng):
+            draws.append(sub)
+            return sample_shared_noise(sub, rng)
+
+        monkeypatch.setattr(distill, "sample_shared_noise", counted)
+        for optimizer in OPTIMIZERS:
+            draws.clear()
+            got = optimize_batch(jobs, 25, 0.01, bad, schedule, optimizer=optimizer)
+            assert len(draws) == 2  # one step, one draw for each of the two seeds
+            for (prob, objective, seed), rec in zip(jobs, got):
+                ref = reference_optimize(prob, objective, 25, 0.01, seed, bad, schedule,
+                                         optimizer=optimizer)
+                assert rec.diverged and len(rec.theta) == 1
+                assert record_bits(rec) == record_bits(ref)
+
+    @pytest.mark.parametrize("copies", [1, 2])
+    def test_array_calls_per_step_do_not_grow_with_jobs(
+        self, trained_model, schedule, subsequence, monkeypatch, copies
+    ):
+        # 12 (or 24) jobs over two generator kinds: each row function and
+        # adam_step runs at most once per kind and step, never once per job
+        jobs = mixed_jobs(subsequence, np.random.default_rng(16)) * copies
+        kinds = len({prob.gen.kind for prob, _, _ in jobs})
+        calls = dict.fromkeys(["render_rows", "pullback_rows", "adam_step"], 0)
+        for name in calls:
+            fn = getattr(distill, name)
+
+            def counted(*args, _fn=fn, _name=name):
+                calls[_name] += 1
+                return _fn(*args)
+
+            monkeypatch.setattr(distill, name, counted)
+        steps = 7
+        optimize_batch(jobs, steps, 0.05, trained_model, schedule, optimizer="adam")
+        assert len(jobs) == 12 * copies and kinds == 2
+        # render_rows also draws row 0 of the history, once per kind
+        assert calls["render_rows"] <= kinds * (steps + 1)
+        assert calls["pullback_rows"] <= kinds * steps
+        assert calls["adam_step"] <= kinds * steps
+
+    @pytest.mark.parametrize(
+        "arg, kwargs",
+        [
+            ("steps", {"steps": -1}),
+            ("steps", {"steps": 2.5}),
+            ("lr", {"lr": float("nan")}),
+            ("lr", {"lr": -0.01}),
+            ("w_mode", {"steps": 0, "w_mode": "quadratic"}),
+        ],
+        ids=["negative_steps", "fractional_steps", "nan_lr", "negative_lr", "unknown_w_mode"],
+    )
+    def test_rejects_bad_argument_before_any_work(
+        self, trained_model, schedule, subsequence, monkeypatch, arg, kwargs
+    ):
+        def no_work(*args):
+            raise AssertionError("optimize_batch started work before validating")
+
+        monkeypatch.setattr(distill, "render_rows", no_work)
+        monkeypatch.setattr(distill, "sample_shared_noise", no_work)
+        call = {"steps": 3, "lr": 0.01, "w_mode": "const"} | kwargs
+        jobs = mixed_jobs(subsequence, np.random.default_rng(17))
+        with pytest.raises(ValueError, match=arg):
+            optimize_batch(jobs, call["steps"], call["lr"], trained_model, schedule,
+                           call["w_mode"])
+
     def test_rejects_mixed_omega(self, trained_model, schedule, subsequence):
         jobs = mixed_jobs(subsequence, np.random.default_rng(9))
         prob, objective, seed = jobs[0]
@@ -544,8 +669,16 @@ def csv_case(name, d, s, sub):
             rec = optimize(identity, "sds", 50, 1e308, 3, d, s)
         assert rec.diverged and 1 < len(rec.theta) < 51
         return rec
-    # edge values in every column, as the 2- and 6-theta layouts
     vals = np.array(EDGE_VALUES)
+    if name in ("identity_negative_zero", "theta_negative_zero_point_positive_zero"):
+        # theta is the point, as for an identity generator; in the second
+        # case the point holds +0.0 where theta holds -0.0 (adding 0.0 does that)
+        theta = np.array([np.roll(vals, k)[:2] for k in range(len(vals))])
+        x0 = theta.copy() if name == "identity_negative_zero" else theta + 0.0
+        assert (x0.tobytes() == theta.tobytes()) == (name == "identity_negative_zero")
+        return TrajectoryRecord(objective_kind="pds", seed=0, theta=theta, x0_tgt=x0,
+                                grad_norm=np.abs(vals))
+    # edge values in every column, as the 2- and 6-theta layouts
     n_theta = 2 if name == "edge_identity" else 6
     rows = len(vals)
     return TrajectoryRecord(
@@ -568,7 +701,10 @@ class TestWeightsAndCsv:
 
     @pytest.mark.parametrize(
         "case",
-        ["identity", "affine", "step_zero_only", "diverged", "edge_identity", "edge_affine"],
+        [
+            "identity", "affine", "step_zero_only", "diverged", "edge_identity", "edge_affine",
+            "identity_negative_zero", "theta_negative_zero_point_positive_zero",
+        ],
     )
     def test_trajectory_csv_bytes_match_csv_writer(
         self, case, trained_model, schedule, subsequence, tmp_path

@@ -86,6 +86,8 @@ def cmd_train(cfg: ExperimentConfig, args) -> int:
 
 def cmd_invert_roundtrip(cfg: ExperimentConfig, args) -> int:
     _check_count("--k", args.k, 0)
+    if not (args.tolerance > 0.0 and np.isfinite(args.tolerance)):
+        raise ConfigError(f"--tolerance must be finite and > 0, got {args.tolerance}")
     out = _out_dir(cfg)
     s = cfg.build_schedule()
     sub = cfg.build_subsequence(s)

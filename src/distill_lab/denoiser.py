@@ -16,7 +16,7 @@ import numpy as np
 from .errors import DivergenceError, MismatchError
 from .flatfile import header_field, read_flat_file, write_flat_file
 from .optim import AdamState, adam_step
-from .schedule import NoiseSchedule, posterior_coeffs
+from .schedule import NoiseSchedule
 
 __all__ = [
     "NULL_LABEL",
@@ -144,10 +144,11 @@ class Denoiser:
 
     ``arch`` lists every layer width including input and output, e.g.
     (13, 64, 64, 2). ``opt_state`` is training-only bookkeeping and is not
-    part of checkpoints. Reads are safe to share: the layer views and the
-    time-embedding table are caches filled on first use and only ever
-    replaced whole. ``train_step`` mutates ``params`` in place (the views
-    follow) and must be externally serialized.
+    part of checkpoints. :func:`eps` is safe to share across threads: the
+    layer views and time-embedding table are filled on first use and only
+    ever replaced whole. The gemm path (training, ``cfg_predict_batch``,
+    ``sdedit_batch``, ``ancestral_sample_batch``) writes the model's
+    activation scratch and ``train_step`` mutates ``params``: serialize both.
     """
 
     params: np.ndarray
@@ -157,6 +158,7 @@ class Denoiser:
     opt_state: AdamState | None = field(default=None, repr=False)
     _views: tuple = field(default=(None, None), init=False, repr=False, compare=False)
     _t_table: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    _scratch: tuple = field(default=(), init=False, repr=False, compare=False)
 
     @classmethod
     def create(
@@ -196,9 +198,16 @@ class Denoiser:
         try:
             return self._t_table[t]
         except (IndexError, TypeError):
-            table = time_embedding(np.arange(int(np.max(t)) + 1), self.t_embed_dim)
+            table = time_embedding(np.arange(int(np.max(t, initial=0)) + 1), self.t_embed_dim)
             self._t_table = table
             return table[t]
+
+    def scratch(self, n: int) -> tuple[np.ndarray, ...]:
+        """An (n, width) buffer per layer input, rebuilt whole when n changes;
+        reusing them keeps repeated large batches from faulting pages in."""
+        if not self._scratch or self._scratch[0].shape[0] != n:
+            self._scratch = tuple(np.empty((n, width)) for width in self.arch[:-1])
+        return self._scratch
 
 
 def denoiser_arch(num_classes: int, t_embed_dim: int, hidden: tuple[int, ...]) -> tuple[int, ...]:
@@ -250,12 +259,13 @@ def _check_label(d: Denoiser, y: int) -> int:
     return y
 
 
-def _features(d: Denoiser, x: np.ndarray, y: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Input rows [x, time embedding, one-hot label]."""
+def _features(d: Denoiser, x: np.ndarray, y: np.ndarray, t: np.ndarray, out=None) -> np.ndarray:
+    """Input rows [x, time embedding, one-hot label], written into ``out`` if given."""
     n = x.shape[0]
-    feats = np.zeros((n, d.arch[0]))
+    feats = np.zeros((n, d.arch[0])) if out is None else out
     feats[:, :POINT_DIM] = x
     feats[:, POINT_DIM : POINT_DIM + d.t_embed_dim] = d.time_rows(t)
+    feats[:, POINT_DIM + d.t_embed_dim :] = 0.0
     feats[np.arange(n), POINT_DIM + d.t_embed_dim + y] = 1.0
     return feats
 
@@ -264,13 +274,17 @@ def _forward(d: Denoiser, x: np.ndarray, y: np.ndarray, t: np.ndarray):
     """Batched gemm forward pass; returns (output, activation cache).
 
     Fastest for large batches, but a row's bits may depend on the batch it
-    sits in; :func:`eps` is the batch-invariant evaluation.
+    sits in; :func:`eps` is the batch-invariant evaluation. The cache aliases
+    the model's scratch and holds only until the next ``_forward`` on it.
     """
-    h = _features(d, x, y, t)
+    feats, *hidden = d.scratch(x.shape[0])
+    h = _features(d, x, y, t, out=feats)
     cache = [h]
     layers = d.layers()
-    for w, b in layers[:-1]:
-        h = np.tanh(h @ w + b)
+    for (w, b), buf in zip(layers[:-1], hidden):
+        h = np.matmul(h, w, out=buf)
+        h += b
+        np.tanh(h, out=h)
         cache.append(h)
     w, b = layers[-1]
     return h @ w + b, cache
@@ -360,6 +374,8 @@ def cfg_predict_batch(
     t = int(t)
     if t < 1:
         raise ValueError(f"timestep {t} must be >= 1")
+    if x_t.ndim != 2 or x_t.shape[1] != POINT_DIM:
+        raise ValueError(f"x_t has shape {x_t.shape}, expected (n, {POINT_DIM})")
     n = x_t.shape[0]
     ts = np.full(n, t)
     if omega == 1.0:
@@ -455,10 +471,9 @@ def ancestral_sample_batch(
     """
     x = rng.standard_normal((n, POINT_DIM))
     for t in range(s.T, 0, -1):
-        pc = posterior_coeffs(s, t)
         eps_hat = cfg_predict_batch(d, x, y, t, omega)
-        x_tilde = (x - math.sqrt(1.0 - s.alpha_bar[t]) * eps_hat) / math.sqrt(s.alpha_bar[t])
-        x = pc.gamma * x_tilde + pc.delta * x + pc.sigma * rng.standard_normal((n, POINT_DIM))
+        x_tilde = (x - s.sqrt_1m_ab[t] * eps_hat) / s.sqrt_ab[t]
+        x = s.gamma[t] * x_tilde + s.delta[t] * x + s.sigma[t] * rng.standard_normal((n, POINT_DIM))
         if not np.all(np.isfinite(x)):
             raise DivergenceError(f"non-finite state in the generative chain at t={t}")
     return x

@@ -244,6 +244,8 @@ def generate_with_latents_batch(
 
 
 def _denoise_grid(T: int, n_steps: int) -> np.ndarray:
+    if n_steps < 1:
+        raise ValueError(f"n_steps must be >= 1, got {n_steps}")
     levels = np.round(np.arange(n_steps + 1) * (T / n_steps)).astype(np.int64)
     if np.any(np.diff(levels) < 1):
         raise ValueError(f"n_steps={n_steps} is too fine for T={T}")
@@ -280,7 +282,6 @@ def sdedit_batch(
         t = int(levels[k])
         pc = posterior_coeffs_pair(s, int(levels[k - 1]), t)
         eps_hat = cfg_predict_batch(d, x, y, t, omega)
-        ab = s.alpha_bar[t]
-        x_tilde = (x - math.sqrt(1.0 - ab) * eps_hat) / math.sqrt(ab)
+        x_tilde = (x - s.sqrt_1m_ab[t] * eps_hat) / s.sqrt_ab[t]
         x = pc.gamma * x_tilde + pc.delta * x + pc.sigma * rng.standard_normal(x.shape)
     return x

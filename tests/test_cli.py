@@ -500,6 +500,10 @@ class TestMalformedInput:
             # a master seed below -1 makes a component seed negative
             ("figure2", "--seed", "-5"),
             ("sdedit-demo", "--seed", "-120"),
+            # the round-trip threshold must be finite and positive
+            ("invert-roundtrip", "--tolerance", "nan"),
+            ("invert-roundtrip", "--tolerance", "-1"),
+            ("invert-roundtrip", "--tolerance", "inf"),
         ],
     )
     def test_count_flag_below_bound_rejected(self, flags, trained_dir, tmp_path, capsys):

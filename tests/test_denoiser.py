@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -8,8 +9,12 @@ from distill_lab.denoiser import (
     ClassSpec,
     Denoiser,
     TrainConfig,
+    _backward,
+    _features,
+    _forward,
     ancestral_sample_batch,
     cfg_predict,
+    cfg_predict_batch,
     eps,
     load_checkpoint,
     loss_and_grad,
@@ -213,6 +218,83 @@ class TestEps:
         assert eps(random_model, np.empty((0, 2)), 1, 10, 2.0).shape == (0, 2)
 
 
+def reference_forward(d, x, y, t):
+    """The gemm forward with a fresh array per layer: tanh(h @ w + b)."""
+    h = _features(d, x, y, t)
+    cache = [h]
+    layers = d.layers()
+    for w, b in layers[:-1]:
+        h = np.tanh(h @ w + b)
+        cache.append(h)
+    w, b = layers[-1]
+    return h @ w + b, cache
+
+
+def gemm_rows(n, seed):
+    rng = np.random.default_rng(seed)
+    return 2.0 * rng.standard_normal((n, 2)), rng.integers(0, 3, size=n), rng.integers(1, 1001, size=n)
+
+
+class TestGemmForward:
+    """The gemm forward writes into per-model scratch; its bits must not change."""
+
+    def test_output_and_cache_equal_reference(self):
+        d = Denoiser.create(seed=314, random_head=True)
+        for params in (d.params, Denoiser.create(seed=9, random_head=True).params):
+            d.params = params
+            for n in (0, 1, 3, 128, 4000):
+                x, y, t = gemm_rows(n, seed=n)
+                out, cache = _forward(d, x, y, t)
+                ref_out, ref_cache = reference_forward(d, x, y, t)
+                assert np.array_equal(out, ref_out)
+                assert len(cache) == len(ref_cache)
+                for got, want in zip(cache, ref_cache):
+                    assert np.array_equal(got, want)
+
+    def test_guided_batch_keeps_the_first_forward(self, random_model):
+        x, _, _ = gemm_rows(300, seed=1)
+        e_null = reference_forward(random_model, x, np.full(300, NULL_LABEL), np.full(300, 77))[0]
+        e_cond = reference_forward(random_model, x, np.full(300, 2), np.full(300, 77))[0]
+        got = cfg_predict_batch(random_model, x, 2, 77, 2.5)
+        assert np.array_equal(got, e_null + 2.5 * (e_cond - e_null))
+
+    def test_loss_and_grad_equal_reference(self, random_model, schedule):
+        x0, y, t = gemm_rows(128, seed=2)
+        noise = np.random.default_rng(3).standard_normal((128, 2))
+        loss, grad = loss_and_grad(random_model, schedule, x0, y, t, noise)
+        ab = schedule.alpha_bar[t][:, None]
+        x_t = np.sqrt(ab) * x0 + np.sqrt(1.0 - ab) * noise
+        out, cache = reference_forward(random_model, x_t, y, t)
+        resid = out - noise
+        assert loss == float(np.mean(np.sum(resid**2, axis=1)))
+        assert np.array_equal(grad, _backward(random_model, cache, 2.0 * resid / 128))
+
+    def test_scratch_reused_only_at_the_same_row_count(self, random_model):
+        first = _forward(random_model, *gemm_rows(64, seed=4))[1]
+        same = _forward(random_model, *gemm_rows(64, seed=5))[1]
+        other = _forward(random_model, *gemm_rows(65, seed=6))[1]
+        for k in range(1, len(first)):
+            assert np.shares_memory(first[k], same[k])
+            assert not np.shares_memory(first[k], other[k])
+
+    @pytest.mark.parametrize("shape", [(2,), (3, 1), (2, 3), (1, 2, 2)])
+    def test_guided_batch_rejects_wrong_shape(self, random_model, shape):
+        with pytest.raises(ValueError, match="shape"):
+            cfg_predict_batch(random_model, np.zeros(shape), 1, 10, 2.0)
+
+    @pytest.mark.skipif(
+        not sys.platform.startswith("linux"), reason="minor-fault counts are Linux-specific"
+    )
+    def test_large_batch_forward_adds_no_page_faults(self, trained_model):
+        resource = pytest.importorskip("resource")
+        x = np.random.default_rng(0).standard_normal((4000, 2))
+        cfg_predict_batch(trained_model, x, 1, 500, 2.0)
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        for _ in range(20):
+            cfg_predict_batch(trained_model, x, 1, 500, 2.0)
+        assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 2000
+
+
 class TestTrainStep:
     def test_oracle_predictions_give_zero_loss(self, schedule, rng):
         # zero injected noise with a zero-output model: exact residual match
@@ -290,6 +372,23 @@ class TestAncestralSample:
         a = ancestral_sample_batch(trained_model, 1, 1, schedule, 2.0, np.random.default_rng(5))
         b = ancestral_sample_batch(trained_model, 1, 1, schedule, 2.0, np.random.default_rng(5))
         assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("omega", [0.0, 1.0, 2.0])
+    def test_equals_per_level_reference(self, trained_model, schedule, omega):
+        # the sampler reads the schedule's tables; the reference rebuilds each
+        # level's coefficients with posterior_coeffs and math.sqrt
+        def reference(rng):
+            x = rng.standard_normal((16, 2))
+            for t in range(schedule.T, 0, -1):
+                pc = posterior_coeffs(schedule, t)
+                eps_hat = cfg_predict_batch(trained_model, x, 1, t, omega)
+                ab = schedule.alpha_bar[t]
+                x_tilde = (x - math.sqrt(1.0 - ab) * eps_hat) / math.sqrt(ab)
+                x = pc.gamma * x_tilde + pc.delta * x + pc.sigma * rng.standard_normal((16, 2))
+            return x
+
+        got = ancestral_sample_batch(trained_model, 1, 16, schedule, omega, np.random.default_rng(6))
+        assert np.array_equal(got, reference(np.random.default_rng(6)))
 
     def test_final_step_noise_scale_is_zero(self, schedule):
         assert posterior_coeffs(schedule, 1).sigma == 0.0

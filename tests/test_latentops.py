@@ -354,3 +354,8 @@ class TestSdedit:
     def test_rejects_bad_ratio(self, trained_model, schedule, rng):
         with pytest.raises(ValueError):
             sdedit_batch(np.zeros((1, 2)), 1, 1.5, trained_model, 2.0, schedule, rng)
+
+    @pytest.mark.parametrize("n_steps", [0, -3])
+    def test_rejects_step_count_below_one(self, trained_model, schedule, rng, n_steps):
+        with pytest.raises(ValueError, match="n_steps"):
+            sdedit_batch(np.zeros((1, 2)), 1, 0.5, trained_model, 2.0, schedule, rng, n_steps=n_steps)

@@ -75,7 +75,7 @@ def build_fixtures(cfg: ExperimentConfig | None = None) -> Fixtures:
         seed=cfg.training.seed,
     )
     t0 = time.perf_counter()
-    train(d, dataset, s, cfg.train_config())
+    train(d, dataset, s, cfg.training)
     train_seconds = time.perf_counter() - t0
     return Fixtures(
         cfg=cfg, schedule=s, sub=sub, dataset=dataset, trained=d, train_seconds=train_seconds

@@ -68,7 +68,7 @@ def cmd_train(cfg: ExperimentConfig, args) -> int:
         seed=cfg.training.seed,
     )
     t0 = time.perf_counter()
-    losses = train(d, dataset, s, cfg.train_config())
+    losses = train(d, dataset, s, cfg.training)
     elapsed = time.perf_counter() - t0
     ckpt_path = out / "model.ckpt"
     save_checkpoint(d, ckpt_path, cfg.schedule.t)

@@ -56,11 +56,7 @@ class DatasetConfig:
 
 
 @dataclass(frozen=True)
-class TrainingConfig:
-    steps: int = 4000
-    batch_size: int = 128
-    learning_rate: float = 1e-3
-    null_cond_prob: float = 0.1
+class TrainingConfig(TrainConfig):
     seed: int = DEFAULT_MASTER_SEED + 2
     hidden: tuple[int, ...] = (64, 64)
     t_embed_dim: int = 8
@@ -105,15 +101,6 @@ class ExperimentConfig:
         return (
             ClassSpec(mean=np.asarray(self.dataset.class1_mean), std=self.dataset.class1_std),
             ClassSpec(mean=np.asarray(self.dataset.class2_mean), std=self.dataset.class2_std),
-        )
-
-    def train_config(self) -> TrainConfig:
-        return TrainConfig(
-            steps=self.training.steps,
-            batch_size=self.training.batch_size,
-            learning_rate=self.training.learning_rate,
-            null_cond_prob=self.training.null_cond_prob,
-            seed=self.training.seed,
         )
 
 
@@ -162,7 +149,10 @@ def _coerce_section(name: str, cls, items: dict[str, str]):
         if key not in known:
             raise ConfigError(f"unknown key '{key}' in section [{name}]")
         values[key] = _parse_value(raw, known[key], f"{name}.{key}")
-    return cls(**values)
+    try:
+        return cls(**values)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 _ANNOTATIONS = {cls: typing.get_type_hints(cls) for cls in _SECTIONS.values()}
@@ -214,7 +204,6 @@ def _validate(cfg: ExperimentConfig) -> None:
         cfg.build_subsequence(s)
         check_dataset_size(cfg.dataset.n)
         check_class_separation(cfg.class_params())
-        cfg.train_config()
         denoiser_arch(2, cfg.training.t_embed_dim, cfg.training.hidden)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc

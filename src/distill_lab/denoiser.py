@@ -144,11 +144,10 @@ class Denoiser:
 
     ``arch`` lists every layer width including input and output, e.g.
     (13, 64, 64, 2). ``opt_state`` is training-only bookkeeping and is not
-    part of checkpoints. :func:`eps` is safe to share across threads: the
-    layer views and time-embedding table are filled on first use and only
-    ever replaced whole. The gemm path (training, ``cfg_predict_batch``,
-    ``sdedit_batch``, ``ancestral_sample_batch``) writes the model's
-    activation scratch and ``train_step`` mutates ``params``: serialize both.
+    part of checkpoints. Every forward pass, batch-invariant (:func:`eps`)
+    or gemm (training, ``cfg_predict_batch``, ``sdedit_batch``,
+    ``ancestral_sample_batch``), writes the model's activation scratch, and
+    ``train_step`` mutates ``params``: serialize all calls on one model.
     """
 
     params: np.ndarray
@@ -252,13 +251,6 @@ def time_embedding(t: np.ndarray, dim: int) -> np.ndarray:
     return np.concatenate([np.sin(ang), np.cos(ang)], axis=1)
 
 
-def _check_label(d: Denoiser, y: int) -> int:
-    y = int(y)
-    if not 0 <= y <= d.num_classes:
-        raise ValueError(f"label {y} invalid; expected 0 (null) .. {d.num_classes}")
-    return y
-
-
 def _features(d: Denoiser, x: np.ndarray, y: np.ndarray, t: np.ndarray, out=None) -> np.ndarray:
     """Input rows [x, time embedding, one-hot label], written into ``out`` if given."""
     n = x.shape[0]
@@ -270,35 +262,30 @@ def _features(d: Denoiser, x: np.ndarray, y: np.ndarray, t: np.ndarray, out=None
     return feats
 
 
-def _forward(d: Denoiser, x: np.ndarray, y: np.ndarray, t: np.ndarray):
-    """Batched gemm forward pass; returns (output, activation cache).
+def _forward(d: Denoiser, x: np.ndarray, y: np.ndarray, t: np.ndarray, per_row: bool = False):
+    """Forward pass; returns (output, activation cache).
 
-    Fastest for large batches, but a row's bits may depend on the batch it
-    sits in; :func:`eps` is the batch-invariant evaluation. The cache aliases
-    the model's scratch and holds only until the next ``_forward`` on it.
+    The features and hidden layers are written into the model's scratch, so
+    the cache holds only until the next ``_forward`` on that model. The gemm
+    kernel is fastest for large batches, but a row's bits may depend on the
+    batch it sits in. With ``per_row`` each layer is a stack of (1, k) @ (k, m)
+    products, so every output row is bitwise equal to its batch-1 value.
     """
     feats, *hidden = d.scratch(x.shape[0])
     h = _features(d, x, y, t, out=feats)
     cache = [h]
     layers = d.layers()
     for (w, b), buf in zip(layers[:-1], hidden):
-        h = np.matmul(h, w, out=buf)
+        if per_row:
+            h = np.matmul(h[:, None, :], w, out=buf[:, None, :])[:, 0, :]
+        else:
+            h = np.matmul(h, w, out=buf)
         h += b
         np.tanh(h, out=h)
         cache.append(h)
     w, b = layers[-1]
-    return h @ w + b, cache
-
-
-def _forward_rows(d: Denoiser, x: np.ndarray, y: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Forward pass one row at a time: each layer is a stack of (1, k) @ (k, m)
-    products, so every output row is bitwise equal to its batch-1 value."""
-    h = _features(d, x, y, t)
-    layers = d.layers()
-    for w, b in layers[:-1]:
-        h = np.tanh((h[:, None, :] @ w)[:, 0, :] + b)
-    w, b = layers[-1]
-    return (h[:, None, :] @ w)[:, 0, :] + b
+    out = (h[:, None, :] @ w)[:, 0, :] if per_row else h @ w
+    return out + b, cache
 
 
 def _backward(d: Denoiser, cache: list[np.ndarray], cotangent: np.ndarray) -> np.ndarray:
@@ -326,34 +313,46 @@ def _per_row(v, n: int, what: str) -> np.ndarray:
     return v
 
 
+def _check_rows(d: Denoiser, x: np.ndarray, y, t) -> tuple[np.ndarray, np.ndarray]:
+    """Labels and timesteps of the n rows of ``x``, broadcast to length n;
+    ValueError unless x is (n, 2), labels lie in 0 (null) .. num_classes
+    and timesteps are >= 1."""
+    if x.ndim != 2 or x.shape[1] != POINT_DIM:
+        raise ValueError(f"x has shape {x.shape}, expected (n, {POINT_DIM})")
+    n = x.shape[0]
+    y = _per_row(y, n, "labels")
+    t = _per_row(t, n, "timesteps")
+    if y.min(initial=0) < 0 or y.max(initial=0) > d.num_classes:
+        raise ValueError(f"labels must lie in 0 (null) .. {d.num_classes}")
+    if t.min(initial=1) < 1:
+        raise ValueError(f"timesteps must be >= 1, got {int(t.min())}")
+    return y, t
+
+
+def _guided(d: Denoiser, x: np.ndarray, y, t, omega: float, per_row: bool) -> np.ndarray:
+    """e_null + omega * (e_y - e_null) from a null and a conditional forward
+    of n rows each; omega = 1 and omega = 0 run only the forward they return."""
+    y, t = _check_rows(d, x, y, t)
+    if omega == 1.0:
+        return _forward(d, x, y, t, per_row)[0]
+    e_null = _forward(d, x, np.full(x.shape[0], NULL_LABEL), t, per_row)[0]
+    if omega == 0.0:
+        return e_null
+    e_cond = _forward(d, x, y, t, per_row)[0]
+    return e_null + omega * (e_cond - e_null)
+
+
 def eps(d: Denoiser, x: np.ndarray, y, t, omega: float) -> np.ndarray:
     """Guided noise predictions e_null + omega * (e_y - e_null) for n rows.
 
     ``x`` is (n, 2); ``y`` and ``t`` are length-n label and timestep arrays
     (scalars broadcast). Every output row is bitwise equal to the same row
-    evaluated alone, whatever the batch holds. The null and conditional rows
-    share one forward of 2n rows; omega = 1 returns the conditional
-    prediction and omega = 0 the unconditional one from n rows, with no
-    arithmetic on the endpoints.
+    evaluated alone, whatever the batch holds. The null and conditional
+    predictions are two per-row forwards of n rows; omega = 1 returns the
+    conditional prediction and omega = 0 the unconditional one from one
+    forward, with no arithmetic on the endpoints.
     """
-    x = np.asarray(x, dtype=float).reshape(-1, POINT_DIM)
-    n = x.shape[0]
-    y = _per_row(y, n, "labels")
-    t = _per_row(t, n, "timesteps")
-    if n == 0:
-        return np.empty((0, POINT_DIM))
-    if y.min() < 0 or y.max() > d.num_classes:
-        raise ValueError(f"labels must lie in 0 (null) .. {d.num_classes}")
-    if t.min() < 1:
-        raise ValueError(f"timesteps must be >= 1, got {int(t.min())}")
-    if omega == 1.0:
-        return _forward_rows(d, x, y, t)
-    null = np.full(n, NULL_LABEL)
-    if omega == 0.0:
-        return _forward_rows(d, x, null, t)
-    out = _forward_rows(d, np.concatenate([x, x]), np.concatenate([null, y]), np.concatenate([t, t]))
-    e_null, e_cond = out[:n], out[n:]
-    return e_null + omega * (e_cond - e_null)
+    return _guided(d, np.asarray(x, dtype=float).reshape(-1, POINT_DIM), y, t, omega, True)
 
 
 def predict(d: Denoiser, x_t: np.ndarray, y: int, t: int) -> np.ndarray:
@@ -366,25 +365,10 @@ def cfg_predict(d: Denoiser, x_t: np.ndarray, y: int, t: int, omega: float) -> n
     return eps(d, x_t, y, t, omega)[0]
 
 
-def cfg_predict_batch(
-    d: Denoiser, x_t: np.ndarray, y: int, t: int, omega: float
-) -> np.ndarray:
-    """Guided prediction for a batch of points sharing one label and timestep."""
-    y = _check_label(d, y)
-    t = int(t)
-    if t < 1:
-        raise ValueError(f"timestep {t} must be >= 1")
-    if x_t.ndim != 2 or x_t.shape[1] != POINT_DIM:
-        raise ValueError(f"x_t has shape {x_t.shape}, expected (n, {POINT_DIM})")
-    n = x_t.shape[0]
-    ts = np.full(n, t)
-    if omega == 1.0:
-        return _forward(d, x_t, np.full(n, y), ts)[0]
-    if omega == 0.0:
-        return _forward(d, x_t, np.full(n, NULL_LABEL), ts)[0]
-    e_null = _forward(d, x_t, np.full(n, NULL_LABEL), ts)[0]
-    e_cond = _forward(d, x_t, np.full(n, y), ts)[0]
-    return e_null + omega * (e_cond - e_null)
+def cfg_predict_batch(d: Denoiser, x_t: np.ndarray, y: int, t: int, omega: float) -> np.ndarray:
+    """Guided prediction for a batch of points sharing one label and timestep,
+    on the gemm forward (faster for large batches, not batch-invariant)."""
+    return _guided(d, x_t, int(y), int(t), omega, False)
 
 
 def loss_and_grad(
@@ -400,8 +384,9 @@ def loss_and_grad(
     The batch loss is mean_i ||eps_hat_i - eps_i||^2 with x_t formed as
     sqrt(alpha_bar_t) x0 + sqrt(1 - alpha_bar_t) eps. Deterministic given
     the explicit (x0, y, t, eps), which is what makes finite-difference
-    checks of the gradient possible.
+    checks of the gradient possible. Bad rows raise ValueError as in eps.
     """
+    y, t = _check_rows(d, x0, y, t)
     ab = s.alpha_bar[t][:, None]
     x_t = np.sqrt(ab) * x0 + np.sqrt(1.0 - ab) * eps
     out, cache = _forward(d, x_t, y, t)

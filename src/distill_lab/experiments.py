@@ -38,6 +38,9 @@ __all__ = [
     "run_roundtrip_report",
 ]
 
+SDEDIT_STEPS = 20
+SDEDIT_OMEGA = 0.0
+
 
 def boundary_frame(class_params: tuple[ClassSpec, ClassSpec]) -> tuple[np.ndarray, np.ndarray]:
     """Midpoint and unit normal of the bisector between the class means.
@@ -278,17 +281,15 @@ def run_sdedit_sweep(
     s: NoiseSchedule,
     n_points: int = 100,
     grid: np.ndarray | None = None,
-    n_steps: int = 20,
-    omega: float = 0.0,
 ) -> list[tuple[float, float]]:
     """Mean displacement of class-1 points after partial noising/denoising,
     for each starting ratio on the grid. Returns (ratio, mean) pairs.
 
-    The default sweep denoises unconditionally (omega = 0), which isolates
-    the operator's own identity decay: conditional guidance re-attracts
-    points to their class core and flattens the curve. The default grid
-    steps by 0.1 from 0 so every ratio lands on a distinct position of the
-    20-step chain.
+    The sweep denoises unconditionally (omega = 0), which isolates the
+    operator's own identity decay: conditional guidance re-attracts points
+    to their class core and flattens the curve. The default grid steps by
+    0.1 from 0 so every ratio lands on a distinct position of the 20-step
+    chain.
     """
     if grid is None:
         grid = np.arange(10) / 10.0
@@ -299,7 +300,7 @@ def run_sdedit_sweep(
     )
     rows = []
     for ratio in grid:
-        edited = sdedit_batch(points, 1, float(ratio), d, omega, s, rng, n_steps=n_steps)
+        edited = sdedit_batch(points, 1, float(ratio), d, SDEDIT_OMEGA, s, rng, SDEDIT_STEPS)
         rows.append((float(ratio), float(np.mean(np.linalg.norm(edited - points, axis=1)))))
     return rows
 

@@ -38,7 +38,7 @@ def trained_model(default_config, schedule, dataset):
         hidden=default_config.training.hidden,
         seed=default_config.training.seed,
     )
-    train(d, dataset, schedule, default_config.train_config())
+    train(d, dataset, schedule, default_config.training)
     return d
 
 

@@ -230,9 +230,61 @@ def reference_forward(d, x, y, t):
     return h @ w + b, cache
 
 
+def reference_rows_forward(d, x, y, t):
+    """The per-row forward with a fresh array per layer: each layer is a stack
+    of (1, k) @ (k, m) products."""
+    h = _features(d, x, y, t)
+    layers = d.layers()
+    for w, b in layers[:-1]:
+        h = np.tanh((h[:, None, :] @ w)[:, 0, :] + b)
+    w, b = layers[-1]
+    return (h[:, None, :] @ w)[:, 0, :] + b
+
+
+def reference_eps(d, x, y, t, omega):
+    """Guidance from one joint per-row forward of the n null and n conditional
+    rows; ``y`` and ``t`` are length-n arrays."""
+    n = x.shape[0]
+    null = np.full(n, NULL_LABEL)
+    if omega == 1.0:
+        return reference_rows_forward(d, x, y, t)
+    if omega == 0.0:
+        return reference_rows_forward(d, x, null, t)
+    out = reference_rows_forward(
+        d, np.concatenate([x, x]), np.concatenate([null, y]), np.concatenate([t, t])
+    )
+    e_null, e_cond = out[:n], out[n:]
+    return e_null + omega * (e_cond - e_null)
+
+
 def gemm_rows(n, seed):
     rng = np.random.default_rng(seed)
     return 2.0 * rng.standard_normal((n, 2)), rng.integers(0, 3, size=n), rng.integers(1, 1001, size=n)
+
+
+class TestPerRowForward:
+    """eps writes into the same per-model scratch; its bits must not change."""
+
+    def test_eps_equals_reference(self):
+        d = Denoiser.create(seed=314, random_head=True)
+        for params in (d.params, Denoiser.create(seed=9, random_head=True).params):
+            d.params = params
+            for n in (0, 1, 3, 128, 1000):
+                x, y, t = gemm_rows(n, seed=n)
+                for omega in (0.0, 1.0, 7.5):
+                    want = reference_eps(d, x, y, t, omega)
+                    assert np.array_equal(eps(d, x, y, t, omega), want)
+
+    def test_eps_and_gemm_results_survive_each_other(self, random_model):
+        x, y, t = gemm_rows(200, seed=7)
+        rows = eps(random_model, x, y, t, 7.5)
+        batch = cfg_predict_batch(random_model, x, 2, 300, 7.5)
+        rows_copy, batch_copy = rows.copy(), batch.copy()
+        eps(random_model, x, y, t, 7.5)
+        assert np.array_equal(rows, rows_copy)
+        cfg_predict_batch(random_model, x, 2, 300, 7.5)
+        assert np.array_equal(batch, batch_copy)
+        assert np.array_equal(rows, reference_eps(random_model, x, y, t, 7.5))
 
 
 class TestGemmForward:
@@ -258,6 +310,12 @@ class TestGemmForward:
         got = cfg_predict_batch(random_model, x, 2, 77, 2.5)
         assert np.array_equal(got, e_null + 2.5 * (e_cond - e_null))
 
+    @pytest.mark.parametrize("y, t", [(-1, 10), (3, 10), (1, 0)])
+    def test_loss_and_grad_rejects_invalid_rows(self, random_model, schedule, y, t):
+        with pytest.raises(ValueError):
+            loss_and_grad(random_model, schedule, np.zeros((1, 2)), np.array([y]), np.array([t]),
+                          np.zeros((1, 2)))
+
     def test_loss_and_grad_equal_reference(self, random_model, schedule):
         x0, y, t = gemm_rows(128, seed=2)
         noise = np.random.default_rng(3).standard_normal((128, 2))
@@ -270,12 +328,13 @@ class TestGemmForward:
         assert np.array_equal(grad, _backward(random_model, cache, 2.0 * resid / 128))
 
     def test_scratch_reused_only_at_the_same_row_count(self, random_model):
-        first = _forward(random_model, *gemm_rows(64, seed=4))[1]
-        same = _forward(random_model, *gemm_rows(64, seed=5))[1]
-        other = _forward(random_model, *gemm_rows(65, seed=6))[1]
-        for k in range(1, len(first)):
-            assert np.shares_memory(first[k], same[k])
-            assert not np.shares_memory(first[k], other[k])
+        for per_row in (False, True):
+            first = _forward(random_model, *gemm_rows(64, seed=4), per_row)[1]
+            same = _forward(random_model, *gemm_rows(64, seed=5), per_row)[1]
+            other = _forward(random_model, *gemm_rows(65, seed=6), per_row)[1]
+            for k in range(1, len(first)):
+                assert np.shares_memory(first[k], same[k])
+                assert not np.shares_memory(first[k], other[k])
 
     @pytest.mark.parametrize("shape", [(2,), (3, 1), (2, 3), (1, 2, 2)])
     def test_guided_batch_rejects_wrong_shape(self, random_model, shape):
@@ -285,13 +344,21 @@ class TestGemmForward:
     @pytest.mark.skipif(
         not sys.platform.startswith("linux"), reason="minor-fault counts are Linux-specific"
     )
-    def test_large_batch_forward_adds_no_page_faults(self, trained_model):
+    @pytest.mark.parametrize(
+        "n, predict_batch",
+        [
+            (4000, lambda d, x: cfg_predict_batch(d, x, 1, 500, 2.0)),
+            (1000, lambda d, x: eps(d, x, 1, np.arange(1, 1001), 7.5)),
+        ],
+        ids=["gemm", "per-row"],
+    )
+    def test_large_batch_forward_adds_no_page_faults(self, trained_model, n, predict_batch):
         resource = pytest.importorskip("resource")
-        x = np.random.default_rng(0).standard_normal((4000, 2))
-        cfg_predict_batch(trained_model, x, 1, 500, 2.0)
+        x = np.random.default_rng(0).standard_normal((n, 2))
+        predict_batch(trained_model, x)
         before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
         for _ in range(20):
-            cfg_predict_batch(trained_model, x, 1, 500, 2.0)
+            predict_batch(trained_model, x)
         assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 2000
 
 

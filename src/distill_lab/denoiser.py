@@ -305,7 +305,10 @@ def _backward(d: Denoiser, cache: list[np.ndarray], cotangent: np.ndarray) -> np
 
 
 def _per_row(v, n: int, what: str) -> np.ndarray:
-    v = np.asarray(v, dtype=np.int64)
+    v = np.asarray(v)
+    if v.dtype.kind not in "iu":
+        raise ValueError(f"{what} must have an integer dtype, got {v.dtype}")
+    v = v.astype(np.int64, copy=False)
     if v.ndim == 0:
         return np.full(n, v)
     if v.shape != (n,):
@@ -315,8 +318,8 @@ def _per_row(v, n: int, what: str) -> np.ndarray:
 
 def _check_rows(d: Denoiser, x: np.ndarray, y, t) -> tuple[np.ndarray, np.ndarray]:
     """Labels and timesteps of the n rows of ``x``, broadcast to length n;
-    ValueError unless x is (n, 2), labels lie in 0 (null) .. num_classes
-    and timesteps are >= 1."""
+    ValueError unless x is (n, 2), both are integers, labels lie in
+    0 (null) .. num_classes and timesteps are >= 1."""
     if x.ndim != 2 or x.shape[1] != POINT_DIM:
         raise ValueError(f"x has shape {x.shape}, expected (n, {POINT_DIM})")
     n = x.shape[0]
@@ -368,7 +371,7 @@ def cfg_predict(d: Denoiser, x_t: np.ndarray, y: int, t: int, omega: float) -> n
 def cfg_predict_batch(d: Denoiser, x_t: np.ndarray, y: int, t: int, omega: float) -> np.ndarray:
     """Guided prediction for a batch of points sharing one label and timestep,
     on the gemm forward (faster for large batches, not batch-invariant)."""
-    return _guided(d, x_t, int(y), int(t), omega, False)
+    return _guided(d, x_t, y, t, omega, False)
 
 
 def loss_and_grad(
@@ -384,9 +387,12 @@ def loss_and_grad(
     The batch loss is mean_i ||eps_hat_i - eps_i||^2 with x_t formed as
     sqrt(alpha_bar_t) x0 + sqrt(1 - alpha_bar_t) eps. Deterministic given
     the explicit (x0, y, t, eps), which is what makes finite-difference
-    checks of the gradient possible. Bad rows raise ValueError as in eps.
+    checks of the gradient possible. Bad rows raise ValueError as in eps,
+    and so do timesteps above the schedule's T.
     """
     y, t = _check_rows(d, x0, y, t)
+    if t.max(initial=1) > s.T:
+        raise ValueError(f"timesteps must be <= T = {s.T}, got {int(t.max())}")
     ab = s.alpha_bar[t][:, None]
     x_t = np.sqrt(ab) * x0 + np.sqrt(1.0 - ab) * eps
     out, cache = _forward(d, x_t, y, t)

@@ -26,7 +26,7 @@ import numpy as np
 from .denoiser import POINT_DIM, Denoiser, eps
 from .denoiser import cfg_predict  # noqa: F401  perfbench/selftest.py reads distill.cfg_predict
 from .errors import DivergenceError
-from .latentops import SharedNoiseDraw, sample_shared_noise, stochastic_latent
+from .latentops import SharedNoiseDraw, draw_shared_noise, stochastic_latent
 from .optim import AdamState, adam_step
 from .schedule import NoiseSchedule, TimestepSubsequence, pds_coeffs
 
@@ -160,47 +160,74 @@ def resolve_weight(mode: str, s: NoiseSchedule, t: int | np.ndarray) -> float | 
     raise ValueError(f"unknown weight mode {mode!r}; expected one of {WEIGHT_MODES}")
 
 
+@dataclass
+class _RowPlan:
+    """The rows of one ``eps`` call for n objective rows: the n targets, then
+    one row per source group at the group's point ``x0_src``. ``rows`` names
+    the objective row each call row takes its timestep and noise from.
+    Residual k subtracts row ``ref[k]`` of [eps_cur; source predictions];
+    ``pds`` lists the latent-matching rows, whose sources are ``pds_x0_src``.
+    """
+
+    rows: np.ndarray
+    y: np.ndarray
+    x0_src: np.ndarray
+    ref: np.ndarray
+    pds: np.ndarray
+    pds_x0_src: np.ndarray
+
+
+def _row_plan(
+    kind: np.ndarray, y_tgt: np.ndarray, group: np.ndarray, x0_src: np.ndarray, y_src: np.ndarray
+) -> _RowPlan:
+    """The plan of n rows with objectives ``kind`` and target labels
+    ``y_tgt``; ``group[k]`` indexes row k's source in ``x0_src`` and
+    ``y_src`` and is not read for sds rows, which have no source side."""
+    n = len(kind)
+    two = np.flatnonzero(kind != "sds")
+    groups, first, src = np.unique(group[two], return_index=True, return_inverse=True)
+    ref = np.arange(n)
+    ref[two] = n + src
+    pds = np.flatnonzero(kind == "pds")
+    return _RowPlan(
+        rows=np.concatenate([np.arange(n), two[first]]),
+        y=np.concatenate([y_tgt, y_src[groups]]),
+        x0_src=x0_src[groups],
+        ref=ref,
+        pds=pds,
+        pds_x0_src=x0_src[group[pds]],
+    )
+
+
 def _residuals(
     d: Denoiser,
     s: NoiseSchedule,
     omega: float,
-    kind: np.ndarray,
+    plan: _RowPlan,
     t: np.ndarray,
     eps_cur: np.ndarray,
     x0_tgt: np.ndarray,
-    y_tgt: np.ndarray,
-    x0_src: np.ndarray,
-    y_src: np.ndarray,
     spring: np.ndarray,
     scale: np.ndarray,
 ) -> np.ndarray:
     """Residuals of n objectives from one batch-invariant ``eps`` call.
 
     Row k is scale[k] * (eps_hat_tgt - ref) with ref = eps_cur for sds and
-    the source prediction under the same noise otherwise; pds rows add
-    spring[k] * (x0_tgt - x0_src). The source point and label are read only
-    for dds and pds rows. Since each prediction row is bitwise its batch-1
-    value, a row's residual does not depend on what else is in the batch,
-    and source == target gives exactly zero. A non-finite prediction makes
-    its row's residual non-finite.
+    its group's source prediction under the same noise otherwise; pds rows
+    add spring[k] * (x0_tgt - x0_src). Since each prediction row is bitwise
+    its batch-1 value, a row's residual does not depend on what else is in
+    the batch or on which rows share its source row, and source == target
+    gives exactly zero. A non-finite prediction makes its row's residual
+    non-finite.
     """
-    two = kind != "sds"
-    t2 = t[two]
-    x_t_tgt = s.sqrt_ab[t, None] * x0_tgt + s.sqrt_1m_ab[t, None] * eps_cur
-    x_t_src = s.sqrt_ab[t2, None] * x0_src[two] + s.sqrt_1m_ab[t2, None] * eps_cur[two]
-    out = eps(
-        d,
-        np.concatenate([x_t_tgt, x_t_src]),
-        np.concatenate([y_tgt, y_src[two]]),
-        np.concatenate([t, t2]),
-        omega,
-    )
+    tt = t[plan.rows]
+    x0 = np.concatenate([x0_tgt, plan.x0_src])
+    x_t = s.sqrt_ab[tt, None] * x0 + s.sqrt_1m_ab[tt, None] * eps_cur[plan.rows]
+    out = eps(d, x_t, plan.y, tt, omega)
     n = len(t)
-    ref = eps_cur.copy()
-    ref[two] = out[n:]
+    ref = np.concatenate([eps_cur, out[n:]])[plan.ref]
     res = scale[:, None] * (out[:n] - ref)
-    pds = kind == "pds"
-    res[pds] += spring[pds, None] * (x0_tgt[pds] - x0_src[pds])
+    res[plan.pds] += spring[plan.pds, None] * (x0_tgt[plan.pds] - plan.pds_x0_src)
     return res
 
 
@@ -209,11 +236,11 @@ def _grad_one(
     spring: float, scale: float,
 ) -> np.ndarray:
     """One objective's residual, through :func:`_residuals`, pulled back to theta."""
+    plan = _row_plan(np.array([kind]), np.array([prob.y_tgt]), np.zeros(1, dtype=int),
+                     np.asarray(prob.x0_src, dtype=float)[None, :], np.array([prob.y_src]))
     (res,) = _residuals(
-        d, s, prob.omega, np.array([kind]), np.array([int(prob.sub.tau[draw.i])]),
-        draw.eps_cur[None, :], prob.gen.render()[None, :], np.array([prob.y_tgt]),
-        np.asarray(prob.x0_src, dtype=float)[None, :], np.array([prob.y_src]),
-        np.array([spring]), np.array([scale]),
+        d, s, prob.omega, plan, np.array([int(prob.sub.tau[draw.i])]), draw.eps_cur[None, :],
+        prob.gen.render()[None, :], np.array([spring]), np.array([scale]),
     )
     if not np.isfinite(res).all():
         raise DivergenceError("non-finite residual")
@@ -348,12 +375,16 @@ def optimize_batch(
     batch-invariant ``eps`` call evaluates the target and source rows of all
     live jobs. A draw reads only the seed's stream and the grid's sampling
     range, so jobs with the same seed and range share one generator, which
-    draws once per step while any of them is live. Thetas and Adam moments
-    are stacked per generator kind and updated with one array operation per
-    kind and step. A job whose predictions or parameters go non-finite is
-    dropped from the stacks and flagged, and its record (a slice of a shared
-    history block) is cut to its last finite row; the other jobs' bits do
-    not change. The jobs must share one guidance weight omega.
+    draws once per step while any of them is live. A source prediction
+    reads only the draw, the grid, the source point and its label, so dds
+    and pds jobs that agree on all four share one source row. Thetas and
+    Adam moments are stacked per generator kind and updated with one array
+    operation per kind and step. A job whose predictions or parameters go
+    non-finite is dropped from the stacks and flagged, and its record (a
+    slice of a shared history block) is cut to its last finite row; the
+    other jobs' bits do not change. What a step gathers of the live jobs is
+    rebuilt only when one drops. The jobs must share one guidance weight
+    omega.
     """
     jobs = list(jobs)
     for _, objective, _ in jobs:
@@ -397,8 +428,6 @@ def optimize_batch(
     stream = np.array([number[key] for key in job_keys])
     stream_subs = list(subs.values())
     rngs = [np.random.default_rng(seed) for seed, _, _ in subs]
-    draw_i = np.zeros(len(rngs), dtype=int)
-    draw_eps = np.zeros((len(rngs), POINT_DIM))
 
     # every job's grid tables end to end, so one gather reads all live jobs
     grids = {id(prob.sub): prob.sub for prob, _, _ in jobs}
@@ -413,26 +442,33 @@ def optimize_batch(
     y_tgt = np.array([prob.y_tgt for prob, _, _ in jobs])
     y_src = np.array([prob.y_src for prob, _, _ in jobs])
     x0_src = np.array([prob.x0_src for prob, _, _ in jobs], dtype=float)
+    # jobs with one stream, grid, source point and source label read one
+    # source prediction; the first such job numbers their group
+    first = {}
+    keys = zip(stream.tolist(), offset.tolist(), (x.tobytes() for x in x0_src), y_src.tolist())
+    group = np.array([first.setdefault(key, j) for j, key in enumerate(keys)])
 
+    plan = None  # with the gathers built beside it, rebuilt only when a job drops
     for k in range(1, n_rows):
-        blocks = [block for block in blocks if block.ids.size]
-        if not blocks:
-            break
-        # rows grouped by generator kind; eps is batch-invariant, so row order is free
-        live = np.concatenate([block.ids for block in blocks])
-        for g in np.unique(stream[live]).tolist():
-            draw = sample_shared_noise(stream_subs[g], rngs[g])
-            draw_i[g] = draw.i
-            draw_eps[g] = draw.eps_cur
-        at = offset[live] + draw_i[stream[live]]
+        if plan is None:
+            blocks = [block for block in blocks if block.ids.size]
+            if not blocks:
+                break
+            # rows grouped by generator kind; eps is batch-invariant, so row order is free
+            live = np.concatenate([block.ids for block in blocks])
+            live_streams, row_stream = np.unique(stream[live], return_inverse=True)
+            draws = [(stream_subs[g], rngs[g]) for g in live_streams.tolist()]
+            row_offset, is_pds = offset[live], kind[live] == "pds"
+            plan = _row_plan(kind[live], y_tgt[live], group[live], x0_src, y_src)
+            splits = np.cumsum([block.ids.size for block in blocks])[:-1]
+        drawn = [draw_shared_noise(sub, rng) for sub, rng in draws]
+        at = row_offset + np.array([i for i, _ in drawn])[row_stream]
         t = tau[at]
         res = _residuals(
-            d, s, omega, kind[live], t, draw_eps[stream[live]], x0_hist[live, k - 1],
-            y_tgt[live], x0_src[live], y_src[live], psi[at],
-            np.where(kind[live] == "pds", chi[at], resolve_weight(w_mode, s, t)),
+            d, s, omega, plan, t, np.array([noise[1] for _, noise in drawn])[row_stream],
+            x0_hist[live, k - 1], psi[at], np.where(is_pds, chi[at], resolve_weight(w_mode, s, t)),
         )
-        parts = np.split(res, np.cumsum([block.ids.size for block in blocks])[:-1])
-        for block, part in zip(blocks, parts):
+        for block, part in zip(blocks, np.split(res, splits)):
             grad = pullback_rows(block.kind, block.latent, part)
             if block.adam is not None:
                 adam_step(block.theta, grad, block.adam, lr)
@@ -444,6 +480,7 @@ def optimize_batch(
                 kept[block.ids[~ok]] = k
                 block.keep(ok)
                 grad = grad[ok]
+                plan = None
             theta_hist[block.kind][block.ids, k] = block.theta
             x0_hist[block.ids, k] = render_rows(block.kind, block.theta, block.latent)
             # np.linalg.norm's own arithmetic, one dot product per row

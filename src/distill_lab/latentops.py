@@ -33,6 +33,7 @@ from .schedule import (
 __all__ = [
     "SharedNoiseDraw",
     "StochasticLatentSequence",
+    "draw_shared_noise",
     "sample_shared_noise",
     "forward_sample",
     "tweedie_estimate",
@@ -75,14 +76,17 @@ class StochasticLatentSequence:
     tau: np.ndarray
 
 
-def sample_shared_noise(sub: TimestepSubsequence, rng: np.random.Generator) -> SharedNoiseDraw:
-    """Draw i uniformly from the grid's sampling range plus the two noises."""
+def draw_shared_noise(sub: TimestepSubsequence, rng: np.random.Generator) -> tuple[int, np.ndarray]:
+    """Draw i uniformly from the grid's sampling range plus the two noises,
+    rows eps_prev and eps_cur of a (2, 2) array (the bits of two (2,) draws)."""
     i = int(rng.integers(sub.lo_index, sub.hi_index + 1))
-    return SharedNoiseDraw(
-        i=i,
-        eps_prev=rng.standard_normal(POINT_DIM),
-        eps_cur=rng.standard_normal(POINT_DIM),
-    )
+    return i, rng.standard_normal((2, POINT_DIM))
+
+
+def sample_shared_noise(sub: TimestepSubsequence, rng: np.random.Generator) -> SharedNoiseDraw:
+    """One :func:`draw_shared_noise` draw as a :class:`SharedNoiseDraw`."""
+    i, noise = draw_shared_noise(sub, rng)
+    return SharedNoiseDraw(i=i, eps_prev=noise[0], eps_cur=noise[1])
 
 
 def forward_sample(x0: np.ndarray, t: int, eps: np.ndarray, s: NoiseSchedule) -> np.ndarray:

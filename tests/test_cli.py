@@ -4,15 +4,17 @@ import inspect
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import distill_lab
 from distill_lab import denoiser, distill
 from distill_lab.cli import main
 from distill_lab.config import load_config
 from distill_lab.flatfile import read_flat_file, write_flat_file
-from distill_lab.latentops import sample_shared_noise
+from distill_lab.latentops import draw_shared_noise
 from distill_lab.errors import (
     EXIT_CHECK_FAILED,
     EXIT_CONFIG_ERROR,
@@ -326,7 +328,10 @@ class TestGoldenOutputs:
 
 class TestEntryPoint:
     def test_module_invocation(self, tmp_path):
+        # the child imports the package from where this test imported it
         env = dict(os.environ)
+        root = str(Path(distill_lab.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [root, env.get("PYTHONPATH")]))
         bad = tmp_path / "bad.ini"
         bad.write_text("[nope]\nx = 1\n")
         proc = subprocess.run(
@@ -386,16 +391,17 @@ class TestRowCount:
 
         def counted_draw(sub, rng):
             draws.append(sub)
-            return sample_shared_noise(sub, rng)
+            return draw_shared_noise(sub, rng)
 
-        monkeypatch.setattr(distill, "sample_shared_noise", counted_draw)
+        monkeypatch.setattr(distill, "draw_shared_noise", counted_draw)
         code = main([
             "figure2", str(trained_dir / "model.ckpt"),
             "--config", fast_config_file, "--out", str(tmp_path / "f"),
         ])
         assert code == EXIT_OK
-        # per step: sds one guided row pair, dds and pds two each
-        assert counter.rows == cfg.distill.steps * cfg.distill.n_runs * (2 + 4 + 4)
+        # per step and run: sds one guided row pair, dds two (target and
+        # source); pds reads the source row of dds on its seed, grid and source
+        assert counter.rows == cfg.distill.steps * cfg.distill.n_runs * (2 + 4 + 2)
         # every objective x run advances in lockstep: one eval per step
         assert counter.calls == {
             "eps": cfg.distill.steps, "cfg_predict_batch": 0, "loss_and_grad": 0,

@@ -310,11 +310,23 @@ class TestGemmForward:
         got = cfg_predict_batch(random_model, x, 2, 77, 2.5)
         assert np.array_equal(got, e_null + 2.5 * (e_cond - e_null))
 
-    @pytest.mark.parametrize("y, t", [(-1, 10), (3, 10), (1, 0)])
+    @pytest.mark.parametrize("y, t", [(-1, 10), (3, 10), (1, 0), (1, "T + 1")])
     def test_loss_and_grad_rejects_invalid_rows(self, random_model, schedule, y, t):
+        t = schedule.T + 1 if t == "T + 1" else t
         with pytest.raises(ValueError):
             loss_and_grad(random_model, schedule, np.zeros((1, 2)), np.array([y]), np.array([t]),
                           np.zeros((1, 2)))
+
+    @pytest.mark.parametrize("y, t", [(1.5, 10), (1, 2.7)], ids=["float_label", "float_timestep"])
+    def test_rejects_non_integer_labels_and_timesteps(self, random_model, schedule, y, t):
+        # a fractional value must not be truncated to a valid integer row
+        x = np.zeros((1, 2))
+        with pytest.raises(ValueError, match="integer dtype"):
+            eps(random_model, x, y, t, 2.0)
+        with pytest.raises(ValueError, match="integer dtype"):
+            loss_and_grad(random_model, schedule, x, np.array([y]), np.array([t]), x)
+        with pytest.raises(ValueError, match="integer dtype"):
+            cfg_predict_batch(random_model, x, y, t, 2.0)
 
     def test_loss_and_grad_equal_reference(self, random_model, schedule):
         x0, y, t = gemm_rows(128, seed=2)

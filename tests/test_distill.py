@@ -21,8 +21,10 @@ from distill_lab.distill import (
     sds_grad,
     write_trajectory_csv,
 )
-from distill_lab.latentops import SharedNoiseDraw, forward_sample, sample_shared_noise, stochastic_latent
-from distill_lab.denoiser import Denoiser, cfg_predict, _layer_views
+from distill_lab.latentops import (
+    SharedNoiseDraw, draw_shared_noise, forward_sample, sample_shared_noise, stochastic_latent,
+)
+from distill_lab.denoiser import Denoiser, cfg_predict, eps, _layer_views
 from distill_lab.optim import AdamState, adam_step
 from distill_lab.schedule import build_subsequence, pds_coeffs, posterior_coeffs
 
@@ -496,9 +498,9 @@ class TestOptimizeBatch:
 
         def counted(sub, rng):
             draws.append(sub)
-            return sample_shared_noise(sub, rng)
+            return draw_shared_noise(sub, rng)
 
-        monkeypatch.setattr(distill, "sample_shared_noise", counted)
+        monkeypatch.setattr(distill, "draw_shared_noise", counted)
         with np.errstate(over="ignore", invalid="ignore"):
             got = optimize_batch(jobs, 15, 0.01, trained_model, schedule)
             refs = [
@@ -558,9 +560,9 @@ class TestOptimizeBatch:
 
         def counted(sub, rng):
             draws.append(sub)
-            return sample_shared_noise(sub, rng)
+            return draw_shared_noise(sub, rng)
 
-        monkeypatch.setattr(distill, "sample_shared_noise", counted)
+        monkeypatch.setattr(distill, "draw_shared_noise", counted)
         for optimizer in OPTIMIZERS:
             draws.clear()
             got = optimize_batch(jobs, 25, 0.01, bad, schedule, optimizer=optimizer)
@@ -596,6 +598,79 @@ class TestOptimizeBatch:
         assert calls["pullback_rows"] <= kinds * steps
         assert calls["adam_step"] <= kinds * steps
 
+    @staticmethod
+    def eps_rows(monkeypatch):
+        """Rows handed to ``eps`` by distill, as a one-item list that grows."""
+        rows = [0]
+
+        def counted(d, x, y, t, omega):
+            rows[0] += len(x)
+            return eps(d, x, y, t, omega)
+
+        monkeypatch.setattr(distill, "eps", counted)
+        return rows
+
+    @staticmethod
+    def assert_matches_reference(jobs, steps, d, s):
+        got = optimize_batch(jobs, steps, 0.01, d, s)
+        for (prob, objective, seed), rec in zip(jobs, got):
+            ref = reference_optimize(prob, objective, steps, 0.01, seed, d, s)
+            assert record_bits(rec) == record_bits(ref)
+        return got
+
+    def test_one_source_row_per_seed_grid_and_source(
+        self, trained_model, schedule, subsequence, monkeypatch
+    ):
+        prob = make_problem(np.random.default_rng(18), subsequence, gen_point=[-2.0, 0.3],
+                            src_point=[-2.1, 0.2])
+        jobs = [(prob, objective, 4) for objective in ("sds", "dds", "pds")]
+        rows = self.eps_rows(monkeypatch)
+        self.assert_matches_reference(jobs, 9, trained_model, schedule)
+        # three target rows and one source row per step
+        assert rows[0] == 9 * 4
+
+    @pytest.mark.parametrize("differs", ["y_src", "x0_src", "negative_zero", "grid"])
+    def test_no_shared_source_row_when_the_source_side_differs(
+        self, trained_model, schedule, subsequence, monkeypatch, differs
+    ):
+        prob = make_problem(np.random.default_rng(19), subsequence, gen_point=[0.0, 0.3],
+                            src_point=[0.0, 0.2])
+        if differs == "y_src":
+            other = replace(prob, y_src=2)
+        elif differs == "x0_src":
+            other = replace(prob, x0_src=prob.x0_src + [0.0, 1e-12])
+        elif differs == "negative_zero":
+            other = replace(prob, x0_src=np.array([-0.0, 0.2]))
+        else:
+            # the same sampling range, hence the same stream, on other timesteps
+            sub = build_subsequence(schedule, 1, 0.01, 0.49)
+            assert (sub.lo_index, sub.hi_index) == (subsequence.lo_index, subsequence.hi_index)
+            other = replace(prob, sub=sub)
+        jobs = [(prob, "dds", 4), (other, "pds", 4)]
+        rows = self.eps_rows(monkeypatch)
+        self.assert_matches_reference(jobs, 9, trained_model, schedule)
+        assert rows[0] == 9 * 4
+
+    def test_shared_source_row_outlives_a_diverging_member(
+        self, trained_model, schedule, subsequence, monkeypatch
+    ):
+        # an affine dds job whose latent input is huge: its first update
+        # sends A @ u to infinity, so it drops at step 2; the pds job on its
+        # seed, grid and source then reads the source row alone
+        src = np.array([-2.0, 0.2])
+        a, u = np.eye(2), np.array([1e300, 0.0])
+        blowup = EditProblem(x0_src=src, y_src=1, gen=affine_generator(a, src - a @ u, u),
+                             y_tgt=2, omega=7.5, sub=subsequence)
+        partner = make_problem(None, subsequence, gen_point=[-2.0, 0.4], src_point=src)
+        jobs = [(blowup, "dds", 6), (partner, "pds", 6)]
+        rows = self.eps_rows(monkeypatch)
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = self.assert_matches_reference(jobs, 10, trained_model, schedule)
+        assert got[0].diverged and len(got[0].theta) == 2
+        assert not got[1].diverged and len(got[1].theta) == 11
+        # two target rows and one source row per step while both are live
+        assert rows[0] == 2 * 3 + 8 * 2
+
     @pytest.mark.parametrize(
         "arg, kwargs",
         [
@@ -614,7 +689,7 @@ class TestOptimizeBatch:
             raise AssertionError("optimize_batch started work before validating")
 
         monkeypatch.setattr(distill, "render_rows", no_work)
-        monkeypatch.setattr(distill, "sample_shared_noise", no_work)
+        monkeypatch.setattr(distill, "draw_shared_noise", no_work)
         call = {"steps": 3, "lr": 0.01, "w_mode": "const"} | kwargs
         jobs = mixed_jobs(subsequence, np.random.default_rng(17))
         with pytest.raises(ValueError, match=arg):

@@ -12,7 +12,6 @@ from .denoiser import (
     Denoiser,
     TrainConfig,
     TwoMarginalDataset,
-    ancestral_sample_batch,
     cfg_predict,
     eps,
     predict,
@@ -29,20 +28,18 @@ from .distill import (
     optimize_batch,
     pds_grad,
     pds_grad_latent_form,
-    pds_objective,
     sds_grad,
 )
 from .latentops import (
     SharedNoiseDraw,
     StochasticLatentSequence,
+    ancestral_sample_batch,
     forward_sample,
     generate_with_latents,
     generate_with_latents_batch,
     invert,
-    posterior_mean_pred,
     sdedit_batch,
     stochastic_latent,
-    tweedie_estimate,
 )
 from .schedule import (
     NoiseSchedule,
@@ -63,7 +60,6 @@ __all__ = [
     "Denoiser",
     "TrainConfig",
     "TwoMarginalDataset",
-    "ancestral_sample_batch",
     "cfg_predict",
     "eps",
     "predict",
@@ -78,18 +74,16 @@ __all__ = [
     "optimize_batch",
     "pds_grad",
     "pds_grad_latent_form",
-    "pds_objective",
     "sds_grad",
     "SharedNoiseDraw",
     "StochasticLatentSequence",
+    "ancestral_sample_batch",
     "forward_sample",
     "generate_with_latents",
     "generate_with_latents_batch",
     "invert",
-    "posterior_mean_pred",
     "sdedit_batch",
     "stochastic_latent",
-    "tweedie_estimate",
     "NoiseSchedule",
     "PdsCoeffs",
     "PosteriorCoeffs",

@@ -19,7 +19,6 @@ from .config import ExperimentConfig
 from .denoiser import (
     Denoiser,
     TwoMarginalDataset,
-    ancestral_sample_batch,
     cfg_predict,
     loss_and_grad,
     sample_two_marginal_dataset,
@@ -367,7 +366,7 @@ def criterion_8_generative_sanity(fx: Fixtures) -> CriterionResult:
     """At least 90% of 200 class-1 samples land nearer the class-1 mean."""
     t0 = time.perf_counter()
     rng = np.random.default_rng(MASTER_SEED + 80)
-    samples = ancestral_sample_batch(
+    samples = latentops.ancestral_sample_batch(
         fx.trained, 1, 200, fx.schedule, fx.cfg.training.sample_omega, rng
     )
     m1 = np.asarray(fx.dataset.class_params[0].mean)

@@ -38,7 +38,6 @@ __all__ = [
     "loss_and_grad",
     "train_step",
     "train",
-    "ancestral_sample_batch",
     "save_checkpoint",
     "load_checkpoint",
 ]
@@ -145,8 +144,8 @@ class Denoiser:
     ``arch`` lists every layer width including input and output, e.g.
     (13, 64, 64, 2). ``opt_state`` is training-only bookkeeping and is not
     part of checkpoints. Every forward pass, batch-invariant (:func:`eps`)
-    or gemm (training, ``cfg_predict_batch``, ``sdedit_batch``,
-    ``ancestral_sample_batch``), writes the model's activation scratch, and
+    or gemm (training and ``cfg_predict_batch``, which the samplers in
+    ``latentops`` call), writes the model's activation scratch, and
     ``train_step`` mutates ``params``: serialize all calls on one model.
     """
 
@@ -393,9 +392,7 @@ def loss_and_grad(
     y, t = _check_rows(d, x0, y, t)
     if t.max(initial=1) > s.T:
         raise ValueError(f"timesteps must be <= T = {s.T}, got {int(t.max())}")
-    ab = s.alpha_bar[t][:, None]
-    x_t = np.sqrt(ab) * x0 + np.sqrt(1.0 - ab) * eps
-    out, cache = _forward(d, x_t, y, t)
+    out, cache = _forward(d, s.noised(x0, t, eps), y, t)
     resid = out - eps
     loss = float(np.mean(np.sum(resid**2, axis=1)))
     grad = _backward(d, cache, 2.0 * resid / x0.shape[0])
@@ -445,29 +442,6 @@ def train(
         idx = rng.integers(0, n, size=min(cfg.batch_size, n))
         losses.append(train_step(d, (dataset.points[idx], dataset.labels[idx]), s, cfg, rng))
     return losses
-
-
-def ancestral_sample_batch(
-    d: Denoiser,
-    y: int,
-    n: int,
-    s: NoiseSchedule,
-    omega: float,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """n independent ancestral samples conditioned on y, shape (n, 2).
-
-    Runs the full fine-grained generative chain from pure noise. The final
-    step has sigma_1 = 0, so the last transition is deterministic.
-    """
-    x = rng.standard_normal((n, POINT_DIM))
-    for t in range(s.T, 0, -1):
-        eps_hat = cfg_predict_batch(d, x, y, t, omega)
-        x_tilde = (x - s.sqrt_1m_ab[t] * eps_hat) / s.sqrt_ab[t]
-        x = s.gamma[t] * x_tilde + s.delta[t] * x + s.sigma[t] * rng.standard_normal((n, POINT_DIM))
-        if not np.all(np.isfinite(x)):
-            raise DivergenceError(f"non-finite state in the generative chain at t={t}")
-    return x
 
 
 def save_checkpoint(d: Denoiser, path, T: int) -> None:

@@ -44,7 +44,6 @@ __all__ = [
     "dds_grad",
     "pds_grad",
     "pds_grad_latent_form",
-    "pds_objective",
     "optimize",
     "optimize_batch",
     "write_trajectory_csv",
@@ -222,8 +221,7 @@ def _residuals(
     """
     tt = t[plan.rows]
     x0 = np.concatenate([x0_tgt, plan.x0_src])
-    x_t = s.sqrt_ab[tt, None] * x0 + s.sqrt_1m_ab[tt, None] * eps_cur[plan.rows]
-    out = eps(d, x_t, plan.y, tt, omega)
+    out = eps(d, s.noised(x0, tt, eps_cur[plan.rows]), plan.y, tt, omega)
     n = len(t)
     ref = np.concatenate([eps_cur, out[n:]])[plan.ref]
     res = scale[:, None] * (out[:n] - ref)
@@ -303,20 +301,6 @@ def pds_grad_latent_form(
     z_src = stochastic_latent(prob.x0_src, prob.y_src, draw, d, prob.omega, s, prob.sub)
     w = pds_coeffs(s, prob.sub, draw.i).latent_weight
     return prob.gen.pullback(w * (z_tgt - z_src))
-
-
-def pds_objective(
-    prob: EditProblem,
-    draw: SharedNoiseDraw,
-    d: Denoiser,
-    s: NoiseSchedule,
-) -> float:
-    """Squared latent mismatch ||z_tgt - z_src||^2 for one draw."""
-    x0_tgt = prob.gen.render()
-    z_tgt = stochastic_latent(x0_tgt, prob.y_tgt, draw, d, prob.omega, s, prob.sub)
-    z_src = stochastic_latent(prob.x0_src, prob.y_src, draw, d, prob.omega, s, prob.sub)
-    diff = z_tgt - z_src
-    return float(diff @ diff)
 
 
 def optimize(

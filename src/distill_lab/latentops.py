@@ -1,4 +1,4 @@
-"""Forward-process sampling, posterior means, stochastic latents and editing.
+"""Forward-process sampling, stochastic latents and the generative chain.
 
 The stochastic latent of a clean point x0 at a grid step is the noise that,
 injected into the generative step from tau[i] to tau[i-1], lands exactly on
@@ -11,24 +11,25 @@ the definition is a rearrangement of the generative step, replaying the
 recorded latents reproduces the source trajectory exactly, for any noise
 predictor; swapping in a new condition during the replay edits the point
 while keeping the trajectory anchored to the source.
+
+Ancestral sampling, latent replay and partial noising all run their reverse
+chain through one function, ``_generate``, whose step mean is the one the
+latents are taken against. The three differ only in their steps, their
+noise (fresh draws or recorded latents) and their predictor: the replay
+uses the batch-invariant ``eps``, the two samplers the gemm
+``cfg_predict_batch``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import math
-
 import numpy as np
 
-from .denoiser import POINT_DIM, Denoiser, cfg_predict, cfg_predict_batch, eps
+from .denoiser import POINT_DIM, Denoiser, cfg_predict_batch, eps
+from .denoiser import cfg_predict  # noqa: F401  perfbench/selftest.py reads latentops.cfg_predict
 from .errors import DegenerateTimestepError, DivergenceError, MismatchError
-from .schedule import (
-    NoiseSchedule,
-    TimestepSubsequence,
-    posterior_coeffs,
-    posterior_coeffs_pair,
-)
+from .schedule import NoiseSchedule, TimestepSubsequence, posterior_coeffs_pair
 
 __all__ = [
     "SharedNoiseDraw",
@@ -36,12 +37,11 @@ __all__ = [
     "draw_shared_noise",
     "sample_shared_noise",
     "forward_sample",
-    "tweedie_estimate",
-    "posterior_mean_pred",
     "stochastic_latent",
     "invert",
     "generate_with_latents",
     "generate_with_latents_batch",
+    "ancestral_sample_batch",
     "sdedit_batch",
 ]
 
@@ -91,31 +91,33 @@ def sample_shared_noise(sub: TimestepSubsequence, rng: np.random.Generator) -> S
 
 def forward_sample(x0: np.ndarray, t: int, eps: np.ndarray, s: NoiseSchedule) -> np.ndarray:
     """Noising map sqrt(alpha_bar_t) * x0 + sqrt(1 - alpha_bar_t) * eps."""
-    t = s.check_t(t)
-    ab = s.alpha_bar[t]
-    return math.sqrt(ab) * np.asarray(x0, dtype=float) + math.sqrt(1.0 - ab) * np.asarray(
-        eps, dtype=float
-    )
+    return s.noised(np.asarray(x0, dtype=float), s.check_t(t), np.asarray(eps, dtype=float))
 
 
-def tweedie_estimate(
-    x_t: np.ndarray, y: int, t: int, d: Denoiser, omega: float, s: NoiseSchedule
-) -> np.ndarray:
-    """One-step denoised estimate (x_t - sqrt(1 - alpha_bar_t) * eps_hat) / sqrt(alpha_bar_t)."""
-    t = s.check_t(t)
-    eps_hat = cfg_predict(d, x_t, y, t, omega)
-    ab = s.alpha_bar[t]
-    return (np.asarray(x_t, dtype=float) - math.sqrt(1.0 - ab) * eps_hat) / math.sqrt(ab)
+def _step_mean(s: NoiseSchedule, x: np.ndarray, t, eps_hat: np.ndarray, gamma, delta) -> np.ndarray:
+    """Mean gamma * x0_estimate(x) + delta * x of the generative step from x
+    at t, given the noise prediction at x; ``t``, ``gamma`` and ``delta`` are
+    scalars or one per row."""
+    return gamma * s.x0_estimate(x, t, eps_hat) + delta * x
 
 
-def posterior_mean_pred(
-    x_t: np.ndarray, y: int, t: int, d: Denoiser, omega: float, s: NoiseSchedule
-) -> np.ndarray:
-    """Model posterior mean gamma_t * x0_estimate + delta_t * x_t."""
-    pc = posterior_coeffs(s, t)
-    return pc.gamma * tweedie_estimate(x_t, y, t, d, omega, s) + pc.delta * np.asarray(
-        x_t, dtype=float
-    )
+def _generate(predict, d: Denoiser, x: np.ndarray, y, omega: float, s: NoiseSchedule,
+              steps, noise) -> np.ndarray:
+    """Run the generative chain from x, one step per (t, gamma, delta, sigma)
+    of ``steps``: the k-th step sets x to its :func:`_step_mean` plus
+    sigma * noise(k), with the prediction ``predict(d, x, y, t, omega)``.
+    DivergenceError when a step leaves x non-finite."""
+    for k, (t, gamma, delta, sigma) in enumerate(steps):
+        eps_hat = predict(d, x, y, t, omega)
+        x = _step_mean(s, x, t, eps_hat, gamma, delta) + sigma * noise(k)
+        if not np.all(np.isfinite(x)):
+            raise DivergenceError(f"non-finite state in the generative chain at t={t}")
+    return x
+
+
+def _fine_steps(s: NoiseSchedule, ts) -> list[tuple]:
+    """Generative steps at timesteps ``ts`` with the fine schedule's coefficients."""
+    return [(int(t), s.gamma[t], s.delta[t], s.sigma[t]) for t in ts]
 
 
 def _latents(
@@ -143,13 +145,12 @@ def _latents(
         raise DegenerateTimestepError(
             f"sigma is zero at timestep {bad}; the stochastic latent is undefined"
         )
-    x_prev = s.sqrt_ab[t_prev][:, None] * x0 + s.sqrt_1m_ab[t_prev][:, None] * eps_prev
+    x_prev = s.noised(x0, t_prev, eps_prev)
     # Level 0 is the clean point itself (alpha_bar[0] = 1 kills the noise term).
     x_prev[t_prev == 0] = x0
-    x_cur = s.sqrt_ab[t_cur][:, None] * x0 + s.sqrt_1m_ab[t_cur][:, None] * eps_cur
+    x_cur = s.noised(x0, t_cur, eps_cur)
     eps_hat = eps(d, x_cur, y, t_cur, omega)
-    x0_est = (x_cur - s.sqrt_1m_ab[t_cur][:, None] * eps_hat) / s.sqrt_ab[t_cur][:, None]
-    mu = s.gamma[t_cur][:, None] * x0_est + s.delta[t_cur][:, None] * x_cur
+    mu = _step_mean(s, x_cur, t_cur, eps_hat, s.gamma[t_cur][:, None], s.delta[t_cur][:, None])
     return (x_prev - mu) / sigma[:, None]
 
 
@@ -237,14 +238,27 @@ def generate_with_latents_batch(
         return np.empty((0, POINT_DIM))
     x = np.array([seq.x_top for seq in seqs], dtype=float)
     latents = np.stack([seq.latents for seq in seqs], axis=1)
-    for k, i in enumerate(range(sub.S, 0, -1)):
-        t = int(sub.tau[i])
-        eps_hat = eps(d, x, y_new, t, omega)
-        x0_est = (x - s.sqrt_1m_ab[t] * eps_hat) / s.sqrt_ab[t]
-        x = s.gamma[t] * x0_est + s.delta[t] * x + s.sigma[t] * latents[k]
-        if not np.all(np.isfinite(x)):
-            raise DivergenceError(f"non-finite state while replaying latents at t={t}")
-    return x
+    steps = _fine_steps(s, sub.tau[sub.S : 0 : -1])
+    return _generate(eps, d, x, y_new, omega, s, steps, lambda k: latents[k])
+
+
+def ancestral_sample_batch(
+    d: Denoiser,
+    y: int,
+    n: int,
+    s: NoiseSchedule,
+    omega: float,
+    rng: np.random.Generator,
+) -> np.ndarray:
+    """n independent ancestral samples conditioned on y, shape (n, 2).
+
+    Runs the full fine-grained generative chain from pure noise. The final
+    step has sigma_1 = 0, so the last transition is deterministic.
+    """
+    x = rng.standard_normal((n, POINT_DIM))
+    steps = _fine_steps(s, range(s.T, 0, -1))
+    return _generate(cfg_predict_batch, d, x, y, omega, s, steps,
+                     lambda k: rng.standard_normal((n, POINT_DIM)))
 
 
 def _denoise_grid(T: int, n_steps: int) -> np.ndarray:
@@ -271,7 +285,8 @@ def sdedit_batch(
     The denoising runs over an ``n_steps``-point coarse grid spanning the
     whole schedule; ``t0_ratio`` selects the starting position on that grid,
     so 0 is an exact identity and 1 is a full resampling that forgets the
-    input almost entirely.
+    input almost entirely. A step that turns non-finite raises
+    DivergenceError, as in every chain of :func:`_generate`.
     """
     if not 0.0 <= t0_ratio <= 1.0:
         raise ValueError(f"t0_ratio must be in [0, 1], got {t0_ratio}")
@@ -280,12 +295,9 @@ def sdedit_batch(
     k0 = int(round(t0_ratio * n_steps))
     if k0 == 0:
         return x0.copy()
-    t0 = int(levels[k0])
-    x = forward_sample(x0, t0, rng.standard_normal(x0.shape), s)
-    for k in range(k0, 0, -1):
-        t = int(levels[k])
-        pc = posterior_coeffs_pair(s, int(levels[k - 1]), t)
-        eps_hat = cfg_predict_batch(d, x, y, t, omega)
-        x_tilde = (x - s.sqrt_1m_ab[t] * eps_hat) / s.sqrt_ab[t]
-        x = pc.gamma * x_tilde + pc.delta * x + pc.sigma * rng.standard_normal(x.shape)
-    return x
+    down = levels[k0::-1].tolist()
+    x = forward_sample(x0, down[0], rng.standard_normal(x0.shape), s)
+    pairs = [(t, posterior_coeffs_pair(s, t_prev, t)) for t, t_prev in zip(down, down[1:])]
+    steps = [(t, pc.gamma, pc.delta, pc.sigma) for t, pc in pairs]
+    return _generate(cfg_predict_batch, d, x, y, omega, s, steps,
+                     lambda k: rng.standard_normal(x0.shape))

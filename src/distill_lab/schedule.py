@@ -49,7 +49,8 @@ class NoiseSchedule:
     once from them: ``sqrt_ab`` = sqrt(alpha_bar), ``sqrt_1m_ab`` =
     sqrt(1 - alpha_bar), and the posterior coefficients ``gamma``,
     ``delta``, ``sigma`` (index 0 unused; t = 1 holds the exact degenerate
-    values 1, 0, 0).
+    values 1, 0, 0). :meth:`noised` and :meth:`x0_estimate` are the noising
+    arithmetic every sampler, objective and training step uses.
     """
 
     T: int
@@ -90,6 +91,21 @@ class NoiseSchedule:
         if not 1 <= t <= self.T:
             raise ValueError(f"timestep {t} outside [1, {self.T}]")
         return t
+
+    def noised(self, x0: np.ndarray, t, noise: np.ndarray) -> np.ndarray:
+        """Forward-process state sqrt(alpha_bar_t) * x0 + sqrt(1 - alpha_bar_t) * noise;
+        ``t`` is one timestep, or one per row of ``x0``."""
+        return _at(self.sqrt_ab, t) * x0 + _at(self.sqrt_1m_ab, t) * noise
+
+    def x0_estimate(self, x_t: np.ndarray, t, eps_hat: np.ndarray) -> np.ndarray:
+        """One-step denoised estimate (x_t - sqrt(1 - alpha_bar_t) * eps_hat) /
+        sqrt(alpha_bar_t); ``t`` is one timestep, or one per row of ``x_t``."""
+        return (x_t - _at(self.sqrt_1m_ab, t) * eps_hat) / _at(self.sqrt_ab, t)
+
+
+def _at(table: np.ndarray, t):
+    """table[t] as a scalar, or as a column that scales row k by table[t[k]]."""
+    return table[t][:, None] if getattr(t, "ndim", 0) else table[t]
 
 
 @dataclass(frozen=True)

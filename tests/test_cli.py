@@ -275,6 +275,22 @@ class TestSdeditDemoCommand:
         assert blobs["sweep"][0] == blobs["sweep"][1]
         assert blobs["roundtrip"][0] == blobs["roundtrip"][1]
 
+    def test_divergence_exits_3_with_one_line(self, fast_config_file, trained_dir, tmp_path, capsys):
+        # a NaN output bias makes every prediction non-finite; the sweep must
+        # stop instead of writing nan rows
+        d, T = denoiser.load_checkpoint(trained_dir / "model.ckpt")
+        d.layers()[-1][1][-1] = np.nan
+        ckpt = tmp_path / "nan.ckpt"
+        denoiser.save_checkpoint(d, ckpt, T)
+        code = main([
+            "sdedit-demo", str(ckpt),
+            "--config", fast_config_file, "--out", str(tmp_path / "sd"), "--points", "5",
+        ])
+        assert code == EXIT_DIVERGENCE
+        err = capsys.readouterr().err
+        assert err.startswith("numerical divergence: ")
+        assert len(err.strip().splitlines()) == 1
+
 
 # SHA-256 of every file that train, figure2, invert-roundtrip --k 3 and
 # sdedit-demo write at the fast config above (master seed 7). The inference

@@ -12,7 +12,6 @@ from distill_lab.denoiser import (
     _backward,
     _features,
     _forward,
-    ancestral_sample_batch,
     cfg_predict,
     cfg_predict_batch,
     eps,
@@ -26,6 +25,7 @@ from distill_lab.denoiser import (
     train_step,
 )
 from distill_lab.errors import DivergenceError, MismatchError
+from distill_lab.latentops import ancestral_sample_batch
 from distill_lab.schedule import posterior_coeffs
 
 

@@ -16,7 +16,6 @@ from distill_lab.distill import (
     optimize_batch,
     pds_grad,
     pds_grad_latent_form,
-    pds_objective,
     resolve_weight,
     sds_grad,
     write_trajectory_csv,
@@ -27,6 +26,7 @@ from distill_lab.latentops import (
 from distill_lab.denoiser import Denoiser, cfg_predict, eps, _layer_views
 from distill_lab.optim import AdamState, adam_step
 from distill_lab.schedule import build_subsequence, pds_coeffs, posterior_coeffs
+from references import pds_objective, posterior_mean_pred
 
 
 def constant_model(eps: np.ndarray) -> Denoiser:
@@ -255,8 +255,6 @@ class TestPdsObjective:
 
     def test_matches_expanded_recomputation(self, schedule, subsequence, rng):
         # direct recomputation: sigma^-2 || (x_prev diff) - (mu diff) ||^2
-        from distill_lab.latentops import posterior_mean_pred
-
         d = rough_model(rng)
         prob = make_problem(rng, subsequence, omega=3.0)
         draw = sample_shared_noise(subsequence, rng)

@@ -3,22 +3,22 @@ import math
 import numpy as np
 import pytest
 
-from distill_lab.denoiser import Denoiser, _layer_views, cfg_predict
-from distill_lab.errors import DegenerateTimestepError, MismatchError
+from distill_lab.denoiser import Denoiser, _layer_views, cfg_predict, cfg_predict_batch
+from distill_lab.errors import DegenerateTimestepError, DivergenceError, MismatchError
 from distill_lab.latentops import (
     SharedNoiseDraw,
     StochasticLatentSequence,
+    ancestral_sample_batch,
     forward_sample,
     generate_with_latents,
     generate_with_latents_batch,
     invert,
-    posterior_mean_pred,
     sample_shared_noise,
     sdedit_batch,
     stochastic_latent,
-    tweedie_estimate,
 )
-from distill_lab.schedule import build_subsequence, posterior_coeffs
+from distill_lab.schedule import build_subsequence, posterior_coeffs, posterior_coeffs_pair
+from references import posterior_mean_pred, tweedie_estimate
 
 
 def constant_model(eps: np.ndarray) -> Denoiser:
@@ -315,6 +315,22 @@ class TestGenerateWithLatents:
             x = posterior_mean_pred(x, 1, int(subsequence.tau[i]), d, 1.0, schedule)
         assert np.array_equal(got, x)
 
+    def test_roundtrip_over_strides_omegas_and_models(self, schedule):
+        # seeded property sweep: each trial draws a random-head model, a
+        # guidance weight and a point, and replays on one of four strides
+        rng = np.random.default_rng(2311)
+        worst = 0.0
+        for trial in range(24):
+            sub = build_subsequence(schedule, (2, 3, 5, 10)[trial % 4], 0.02, 0.98)
+            d = Denoiser.create(seed=int(rng.integers(2**31)), random_head=True)
+            omega = float(rng.uniform(0.0, 8.0))
+            y = int(rng.integers(1, 3))
+            x0 = rng.standard_normal(2) * 2.0
+            seq = invert(x0, y, d, omega, schedule, sub, rng)
+            back = generate_with_latents(seq, y, d, omega, schedule, sub)
+            worst = max(worst, float(np.max(np.abs(back - x0))))
+        assert worst < 1e-8
+
     def test_grid_mismatch_rejected(self, random_model, schedule, subsequence, rng):
         seq = invert(np.zeros(2), 1, random_model, 1.0, schedule, subsequence, rng)
         other = build_subsequence(schedule, 5, 0.02, 0.98)
@@ -351,6 +367,33 @@ class TestSdedit:
         assert gap < 3.0 * spread / math.sqrt(200) * 3  # means agree within MC error
         assert abs(a.std() - b.std()) < 0.2
 
+    @pytest.mark.parametrize("omega", [0.0, 2.0])
+    @pytest.mark.parametrize("ratio", [0.15, 0.5, 1.0])
+    def test_equals_per_step_reference(self, trained_model, schedule, ratio, omega):
+        # the sampler runs the shared chain loop; the reference rebuilds
+        # each step with posterior_coeffs_pair and math.sqrt
+        n_steps = 20
+        levels = [round(k * schedule.T / n_steps) for k in range(n_steps + 1)]
+
+        def reference(x0, rng):
+            k0 = round(ratio * n_steps)
+            ab = schedule.alpha_bar[levels[k0]]
+            x = math.sqrt(ab) * x0 + math.sqrt(1.0 - ab) * rng.standard_normal(x0.shape)
+            for k in range(k0, 0, -1):
+                t = levels[k]
+                pc = posterior_coeffs_pair(schedule, levels[k - 1], t)
+                eps_hat = cfg_predict_batch(trained_model, x, 1, t, omega)
+                ab = schedule.alpha_bar[t]
+                x_tilde = (x - math.sqrt(1.0 - ab) * eps_hat) / math.sqrt(ab)
+                x = pc.gamma * x_tilde + pc.delta * x + pc.sigma * rng.standard_normal(x.shape)
+            return x
+
+        x0 = np.random.default_rng(3).standard_normal((16, 2))
+        got = sdedit_batch(
+            x0, 1, ratio, trained_model, omega, schedule, np.random.default_rng(9), n_steps
+        )
+        assert np.array_equal(got, reference(x0, np.random.default_rng(9)))
+
     def test_rejects_bad_ratio(self, trained_model, schedule, rng):
         with pytest.raises(ValueError):
             sdedit_batch(np.zeros((1, 2)), 1, 1.5, trained_model, 2.0, schedule, rng)
@@ -359,3 +402,34 @@ class TestSdedit:
     def test_rejects_step_count_below_one(self, trained_model, schedule, rng, n_steps):
         with pytest.raises(ValueError, match="n_steps"):
             sdedit_batch(np.zeros((1, 2)), 1, 0.5, trained_model, 2.0, schedule, rng, n_steps=n_steps)
+
+
+class TestDivergence:
+    """Every reverse chain stops with DivergenceError on a non-finite state."""
+
+    @pytest.fixture()
+    def nan_bias_model(self, trained_model):
+        # the trained model with its last output bias set to NaN, so every
+        # prediction's second coordinate is NaN
+        d = Denoiser(
+            params=trained_model.params.copy(),
+            arch=trained_model.arch,
+            num_classes=trained_model.num_classes,
+            t_embed_dim=trained_model.t_embed_dim,
+        )
+        d.layers()[-1][1][-1] = np.nan
+        return d
+
+    def test_ancestral_chain(self, nan_bias_model, small_schedule, rng):
+        with pytest.raises(DivergenceError, match="non-finite"):
+            ancestral_sample_batch(nan_bias_model, 1, 4, small_schedule, 2.0, rng)
+
+    def test_replay(self, nan_bias_model, trained_model, schedule, subsequence, rng):
+        seq = invert(np.array([-2.0, 0.3]), 1, trained_model, 7.5, schedule, subsequence, rng)
+        with pytest.raises(DivergenceError, match="non-finite"):
+            generate_with_latents(seq, 1, nan_bias_model, 7.5, schedule, subsequence)
+
+    @pytest.mark.parametrize("omega", [0.0, 2.0])
+    def test_sdedit(self, nan_bias_model, schedule, rng, omega):
+        with pytest.raises(DivergenceError, match="non-finite"):
+            sdedit_batch(np.zeros((4, 2)), 1, 0.25, nan_bias_model, omega, schedule, rng)

@@ -106,6 +106,24 @@ class TestPosteriorCoeffs:
         with pytest.raises(ValueError):
             posterior_coeffs(schedule, t)
 
+    def test_noising_methods_per_row_equal_scalar_formulas(self, small_schedule, rng):
+        # noised and x0_estimate take one timestep or one per row; row k of a
+        # per-row call equals the math.sqrt formula at t[k], bit for bit
+        s = small_schedule
+        t = np.arange(s.T + 1)
+        x0, noise = rng.standard_normal((2, s.T + 1, 2))
+        x_t = s.noised(x0, t, noise)
+        est = s.x0_estimate(x_t[1:], t[1:], noise[1:])
+        for k in range(s.T + 1):
+            ab = float(s.alpha_bar[k])
+            row = math.sqrt(ab) * x0[k] + math.sqrt(1.0 - ab) * noise[k]
+            assert np.array_equal(x_t[k], row)
+            assert np.array_equal(s.noised(x0[k], k, noise[k]), row)
+            if k:
+                back = (x_t[k] - math.sqrt(1.0 - ab) * noise[k]) / math.sqrt(ab)
+                assert np.array_equal(est[k - 1], back)
+                assert np.array_equal(s.x0_estimate(x_t[k], k, noise[k]), back)
+
     def test_pair_form_reduces_to_consecutive(self, schedule):
         for t in (2, 100, 500, 1000):
             one = posterior_coeffs(schedule, t)

@@ -8,8 +8,13 @@ for the null condition used by classifier-free guidance.
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import math
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -147,6 +152,8 @@ class Denoiser:
     or gemm (training and ``cfg_predict_batch``, which the samplers in
     ``latentops`` call), writes the model's activation scratch, and
     ``train_step`` mutates ``params``: serialize all calls on one model.
+    :func:`train` holds the process-wide BLAS thread count at 1 while it
+    runs; the samplers run on the caller's BLAS threads.
     """
 
     params: np.ndarray
@@ -428,19 +435,75 @@ def train_step(
     return loss
 
 
+@functools.cache
+def _blas_thread_fns():
+    """(get, set) of the thread count of numpy's bundled OpenBLAS, or None
+    when no such library is found; looked up once, at the first call."""
+    for path in (Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*"):
+        lib = ctypes.CDLL(str(path))
+        for prefix, suffix in (("scipy_openblas", "64_"), ("openblas", "64_"), ("openblas", "")):
+            get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+            set_ = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
+            if get is not None and set_ is not None:
+                get.restype, get.argtypes = ctypes.c_int, []
+                set_.restype, set_.argtypes = None, [ctypes.c_int]
+                return get, set_
+    return None
+
+
+# The BLAS thread count is process-wide, so the holds on it are counted
+# process-wide: the first hold saves the count, the last one restores it.
+_blas_lock = threading.Lock()
+_blas_holds = 0
+_blas_restore = 0
+
+
+@contextmanager
+def _one_blas_thread():
+    """Hold the process-wide BLAS thread count at 1 and restore the caller's
+    count when the last concurrent hold ends; a no-op when no OpenBLAS is
+    found. The training gemms are too small for a second thread to return
+    the CPU it burns."""
+    global _blas_holds, _blas_restore
+    fns = _blas_thread_fns()
+    if fns is None:
+        yield
+        return
+    get, set_ = fns
+    with _blas_lock:
+        if _blas_holds == 0:
+            _blas_restore = get()
+            set_(1)
+        _blas_holds += 1
+    try:
+        yield
+    finally:
+        with _blas_lock:
+            _blas_holds -= 1
+            if _blas_holds == 0:
+                set_(_blas_restore)
+
+
 def train(
     d: Denoiser,
     dataset: TwoMarginalDataset,
     s: NoiseSchedule,
     cfg: TrainConfig,
 ) -> list[float]:
-    """Run ``cfg.steps`` training steps; returns the per-step loss history."""
+    """Run ``cfg.steps`` training steps; returns the per-step loss history.
+
+    The steps run with numpy's OpenBLAS held at one thread, process-wide,
+    and the caller's thread count is restored when ``train`` returns or
+    raises; BLAS calls other threads make meanwhile run single-threaded.
+    The parameters therefore do not depend on the caller's thread count.
+    """
     rng = np.random.default_rng(cfg.seed)
     n = dataset.points.shape[0]
     losses = []
-    for _ in range(cfg.steps):
-        idx = rng.integers(0, n, size=min(cfg.batch_size, n))
-        losses.append(train_step(d, (dataset.points[idx], dataset.labels[idx]), s, cfg, rng))
+    with _one_blas_thread():
+        for _ in range(cfg.steps):
+            idx = rng.integers(0, n, size=min(cfg.batch_size, n))
+            losses.append(train_step(d, (dataset.points[idx], dataset.labels[idx]), s, cfg, rng))
     return losses
 
 

@@ -136,6 +136,7 @@ def _latents(
 
     Given the noises the latents do not depend on each other, so all of
     them share one batch; every row's arithmetic is the single-draw one.
+    DivergenceError when a latent is non-finite.
     """
     t_cur = sub.tau[idx]
     t_prev = sub.tau[idx - 1]
@@ -151,7 +152,12 @@ def _latents(
     x_cur = s.noised(x0, t_cur, eps_cur)
     eps_hat = eps(d, x_cur, y, t_cur, omega)
     mu = _step_mean(s, x_cur, t_cur, eps_hat, s.gamma[t_cur][:, None], s.delta[t_cur][:, None])
-    return (x_prev - mu) / sigma[:, None]
+    z = (x_prev - mu) / sigma[:, None]
+    finite = np.isfinite(z).all(axis=1)
+    if not finite.all():
+        bad = int(t_cur[np.argmin(finite)])
+        raise DivergenceError(f"non-finite stochastic latent at t={bad}")
+    return z
 
 
 def stochastic_latent(
@@ -188,7 +194,8 @@ def invert(
     and level-i noises, so consecutive steps share the level state they
     have in common. That sharing is what makes the recorded trajectory
     replayable: feeding the latents back reconstructs x0 exactly. All S
-    latents come from one ``eps`` call.
+    latents come from one ``eps`` call; a non-finite latent raises
+    DivergenceError.
     """
     x0 = np.asarray(x0, dtype=float)
     n = sub.S

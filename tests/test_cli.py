@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import distill_lab
-from distill_lab import denoiser, distill
+from distill_lab import denoiser, distill, experiments
 from distill_lab.cli import main
 from distill_lab.config import load_config
 from distill_lab.flatfile import read_flat_file, write_flat_file
@@ -163,6 +163,24 @@ class TestInvertRoundtripCommand:
         ])
         assert code == EXIT_OK
         assert len(read_csv(out / "roundtrip.csv")) == 1
+
+    def test_divergence_in_inversion_exits_3(self, trained_dir, tmp_path, capsys, monkeypatch):
+        # a NaN output bias makes every latent non-finite; the inversion must
+        # stop before any replay runs
+        d, T = denoiser.load_checkpoint(trained_dir / "model.ckpt")
+        d.layers()[-1][1][-1] = np.nan
+        ckpt = tmp_path / "nan.ckpt"
+        denoiser.save_checkpoint(d, ckpt, T)
+
+        def no_replay(*args, **kwargs):
+            raise AssertionError("the replay ran")
+
+        monkeypatch.setattr(experiments, "generate_with_latents_batch", no_replay)
+        code = main(["invert-roundtrip", str(ckpt), "--k", "2", "--out", str(tmp_path / "rt")])
+        assert code == EXIT_DIVERGENCE
+        err = capsys.readouterr().err
+        assert err.startswith("numerical divergence: non-finite stochastic latent")
+        assert len(err.strip().splitlines()) == 1
 
     def test_schedule_mismatch_is_config_error(self, trained_dir, tmp_path):
         cfg = tmp_path / "other.ini"
@@ -548,3 +566,47 @@ class TestMalformedInput:
         path = tmp_path / "flat.ini"
         path.write_text("steps = 10\n")
         self.assert_config_error(["train", "--config", str(path), "--out", str(tmp_path)], capsys)
+
+
+def checkpoint_mutants(raw, seed):
+    """Named corruptions of a checkpoint's bytes: (name, bytes, must_reject)."""
+    sep = raw.index(b"---\n")
+    lines = raw[:sep].splitlines(keepends=True)
+    rng = np.random.default_rng(seed)
+    out = []
+    for off in (0, 1, 20, sep - 1, sep + 2, sep + 4, len(raw) - 8, len(raw) - 1):
+        out.append((f"truncate_{off}", raw[:off], True))
+    for k in range(len(lines)):
+        out.append((f"drop_line_{k}", b"".join(lines[:k] + lines[k + 1 :]) + raw[sep:], True))
+    for j in range(12):
+        pos = int(rng.integers(0, sep))
+        flipped = raw[pos] ^ int(rng.integers(1, 256))
+        out.append((f"flip_{j}_at_{pos}", raw[:pos] + bytes([flipped]) + raw[pos + 1 :], False))
+    pos = int(rng.integers(0, sep))
+    out.append(("non_ascii", raw[:pos] + bytes([raw[pos] | 0x80]) + raw[pos + 1 :], True))
+    out.append(("payload_short", raw[:-8], True))
+    out.append(("payload_long", raw + np.ones(1).astype("<f8").tobytes(), True))
+    return out
+
+
+class TestCheckpointFuzz:
+    """Corrupted checkpoints end with exit 0, 2 or 3 and at most one stderr line."""
+
+    def test_mutants(self, trained_dir, tmp_path, capsys):
+        raw = (trained_dir / "model.ckpt").read_bytes()
+        kind, header, payload = read_flat_file(trained_dir / "model.ckpt")
+        mutants = checkpoint_mutants(raw, seed=5)
+        # a payload one float off whose header count agrees with it
+        for name, body in (("counted_short", payload[:-1]), ("counted_long", np.append(payload, 0.0))):
+            path = tmp_path / f"{name}.src"
+            write_flat_file(path, kind, header, body)
+            mutants.append((name, path.read_bytes(), True))
+        for name, data, must_reject in mutants:
+            ckpt = tmp_path / f"{name}.ckpt"
+            ckpt.write_bytes(data)
+            code = main(["invert-roundtrip", str(ckpt), "--k", "1", "--out", str(tmp_path / name)])
+            err = capsys.readouterr().err
+            assert code in {EXIT_OK, EXIT_CONFIG_ERROR, EXIT_DIVERGENCE}, (name, code, err)
+            assert len(err.splitlines()) <= 1, (name, err)
+            if must_reject:
+                assert code == EXIT_CONFIG_ERROR, (name, code, err)

@@ -1,19 +1,25 @@
+import hashlib
 import math
 import sys
+import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from distill_lab import denoiser
 from distill_lab.denoiser import (
     NULL_LABEL,
     ClassSpec,
     Denoiser,
     TrainConfig,
+    TwoMarginalDataset,
     _backward,
     _features,
     _forward,
     cfg_predict,
     cfg_predict_batch,
+    default_class_params,
     eps,
     load_checkpoint,
     loss_and_grad,
@@ -446,6 +452,111 @@ class TestTrainStep:
             )
 
 
+@pytest.fixture()
+def blas_threads():
+    """The OpenBLAS thread-count getter, with the count set to 2 for the test
+    and put back afterwards."""
+    fns = denoiser._blas_thread_fns()
+    if fns is None:
+        pytest.skip("no bundled OpenBLAS whose thread count can be read and set")
+    get, set_ = fns
+    before = get()
+    set_(2)
+    yield get
+    set_(before)
+
+
+class TestTrainBlasThreads:
+    """train runs its steps on one BLAS thread and restores the caller's count."""
+
+    CFG = TrainConfig(steps=20, batch_size=128, seed=4)
+
+    def test_steps_see_one_thread(self, blas_threads, schedule, dataset, monkeypatch):
+        seen = []
+
+        def recording_step(*args):
+            seen.append(blas_threads())
+            return train_step(*args)
+
+        monkeypatch.setattr(denoiser, "train_step", recording_step)
+        train(Denoiser.create(seed=4), dataset, schedule, self.CFG)
+        assert seen == [1] * self.CFG.steps
+
+    def test_caller_count_restored(self, blas_threads, schedule, dataset):
+        train(Denoiser.create(seed=4), dataset, schedule, self.CFG)
+        assert blas_threads() == 2
+
+    def test_caller_count_restored_on_divergence(self, blas_threads, schedule):
+        nan_points = TwoMarginalDataset(
+            points=np.full((4, 2), np.nan),
+            labels=np.array([1, 1, 2, 2]),
+            class_params=default_class_params(),
+        )
+        with pytest.raises(DivergenceError):
+            train(Denoiser.create(seed=4), nan_points, schedule, self.CFG)
+        assert blas_threads() == 2
+
+    def test_overlapping_trains_restore_once(self, blas_threads, schedule, dataset, monkeypatch):
+        # train "a" starts first and returns first; "b" must keep one thread
+        # after "a" returns, and the count goes back to 2 when "b" returns
+        a_in, b_in, a_done = threading.Event(), threading.Event(), threading.Event()
+        waited, seen_after_a = [], []
+
+        def step(*args):
+            name = threading.current_thread().name
+            if name == "a" and not a_in.is_set():
+                a_in.set()
+                waited.append(b_in.wait(10))
+            elif name == "b" and not b_in.is_set():
+                b_in.set()
+                waited.append(a_done.wait(10))
+                seen_after_a.append(blas_threads())
+            return train_step(*args)
+
+        def run_a():
+            train(Denoiser.create(seed=4), dataset, schedule, self.CFG)
+            a_done.set()
+
+        def run_b():
+            waited.append(a_in.wait(10))
+            train(Denoiser.create(seed=5), dataset, schedule, self.CFG)
+
+        monkeypatch.setattr(denoiser, "train_step", step)
+        threads = [threading.Thread(target=run_a, name="a"), threading.Thread(target=run_b, name="b")]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(30)
+        assert not any(th.is_alive() for th in threads)
+        assert waited == [True, True, True]
+        assert seen_after_a == [1]
+        assert blas_threads() == 2
+
+    def test_same_params_without_the_library(self, blas_threads, schedule, dataset, monkeypatch):
+        one_thread = Denoiser.create(seed=4)
+        train(one_thread, dataset, schedule, self.CFG)
+        monkeypatch.setattr(denoiser, "_blas_thread_fns", lambda: None)
+        caller_threads = Denoiser.create(seed=4)
+        train(caller_threads, dataset, schedule, self.CFG)
+        assert blas_threads() == 2
+        assert one_thread.params.tobytes() == caller_threads.params.tobytes()
+
+    @pytest.mark.parametrize("batch_size", [128, 512, 1000])
+    def test_params_do_not_depend_on_caller_count(self, blas_threads, schedule, dataset, batch_size):
+        # at batch 1000 OpenBLAS's two-thread weight-gradient gemm differs from
+        # its one-thread result in the last bits; train gives the same bits
+        # whatever count its caller runs at
+        cfg = TrainConfig(steps=20, batch_size=batch_size, seed=4)
+        params = []
+        for count in (2, 1):
+            denoiser._blas_thread_fns()[1](count)
+            d = Denoiser.create(seed=4)
+            train(d, dataset, schedule, cfg)
+            assert blas_threads() == count
+            params.append(d.params.tobytes())
+        assert params[0] == params[1]
+
+
 class TestAncestralSample:
     def test_deterministic_under_seed(self, trained_model, schedule):
         a = ancestral_sample_batch(trained_model, 1, 1, schedule, 2.0, np.random.default_rng(5))
@@ -501,6 +612,15 @@ class TestCheckpoint:
             save_checkpoint(d, path, schedule.T)
             blobs.append(path.read_bytes())
         assert blobs[0] == blobs[1]
+
+    def test_default_training_writes_the_benchmark_fixture(self, trained_model, tmp_path):
+        # the shared model is trained at the default config, which is the
+        # one the benchmark's fixture checkpoint was written with
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(trained_model, path, T=1000)
+        fixture = Path(__file__).resolve().parents[1] / "perfbench" / "fixtures" / "model.ckpt"
+        got = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert got == hashlib.sha256(fixture.read_bytes()).hexdigest()
 
     def test_rejects_wrong_kind(self, tmp_path):
         from distill_lab.flatfile import write_flat_file

@@ -405,7 +405,8 @@ class TestSdedit:
 
 
 class TestDivergence:
-    """Every reverse chain stops with DivergenceError on a non-finite state."""
+    """Every reverse chain stops with DivergenceError on a non-finite state,
+    and the inversion on a non-finite latent."""
 
     @pytest.fixture()
     def nan_bias_model(self, trained_model):
@@ -423,6 +424,15 @@ class TestDivergence:
     def test_ancestral_chain(self, nan_bias_model, small_schedule, rng):
         with pytest.raises(DivergenceError, match="non-finite"):
             ancestral_sample_batch(nan_bias_model, 1, 4, small_schedule, 2.0, rng)
+
+    def test_invert(self, nan_bias_model, schedule, subsequence, rng):
+        with pytest.raises(DivergenceError, match="non-finite stochastic latent"):
+            invert(np.array([-2.0, 0.3]), 1, nan_bias_model, 7.5, schedule, subsequence, rng)
+
+    def test_stochastic_latent(self, nan_bias_model, schedule, subsequence, rng):
+        draw = sample_shared_noise(subsequence, rng)
+        with pytest.raises(DivergenceError, match="non-finite stochastic latent"):
+            stochastic_latent(np.zeros(2), 1, draw, nan_bias_model, 7.5, schedule, subsequence)
 
     def test_replay(self, nan_bias_model, trained_model, schedule, subsequence, rng):
         seq = invert(np.array([-2.0, 0.3]), 1, trained_model, 7.5, schedule, subsequence, rng)

@@ -4,7 +4,8 @@ The package builds a small class-conditional noise predictor on a
 two-Gaussian dataset and exposes three gradient-based editing objectives
 over differentiable generators, together with stochastic-latent inversion,
 a partial-noising editor, and a seeded experiment harness with an
-executable acceptance suite (``distill-lab check``).
+executable acceptance suite (``distill-lab check``). A Monte-Carlo draw is
+the ``(i, noise)`` pair that ``objective_grad`` and ``stochastic_latents`` read.
 """
 
 from .config import ExperimentConfig, load_config
@@ -23,23 +24,19 @@ from .distill import (
     EditProblem,
     Generator,
     TrajectoryRecord,
-    dds_grad,
-    optimize,
+    objective_grad,
     optimize_batch,
-    pds_grad,
     pds_grad_latent_form,
-    sds_grad,
 )
 from .latentops import (
-    SharedNoiseDraw,
     StochasticLatentSequence,
     ancestral_sample_batch,
-    forward_sample,
+    draw_shared_noise,
     generate_with_latents,
     generate_with_latents_batch,
     invert,
     sdedit_batch,
-    stochastic_latent,
+    stochastic_latents,
 )
 from .schedule import (
     NoiseSchedule,
@@ -69,21 +66,17 @@ __all__ = [
     "EditProblem",
     "Generator",
     "TrajectoryRecord",
-    "dds_grad",
-    "optimize",
+    "objective_grad",
     "optimize_batch",
-    "pds_grad",
     "pds_grad_latent_form",
-    "sds_grad",
-    "SharedNoiseDraw",
     "StochasticLatentSequence",
     "ancestral_sample_batch",
-    "forward_sample",
+    "draw_shared_noise",
     "generate_with_latents",
     "generate_with_latents_batch",
     "invert",
     "sdedit_batch",
-    "stochastic_latent",
+    "stochastic_latents",
     "NoiseSchedule",
     "PdsCoeffs",
     "PosteriorCoeffs",

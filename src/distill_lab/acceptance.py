@@ -16,15 +16,9 @@ import numpy as np
 
 from . import distill, latentops
 from .config import ExperimentConfig
-from .denoiser import (
-    Denoiser,
-    TwoMarginalDataset,
-    cfg_predict,
-    loss_and_grad,
-    sample_two_marginal_dataset,
-    train,
-)
-from .experiments import run_figure2, run_sdedit_sweep
+from .denoiser import Denoiser, TwoMarginalDataset, cfg_predict, loss_and_grad, train
+from .errors import ConfigError
+from .experiments import check_sdedit_schedule, run_figure2, run_sdedit_sweep
 from .schedule import (
     NoiseSchedule,
     TimestepSubsequence,
@@ -33,9 +27,10 @@ from .schedule import (
     posterior_coeffs,
 )
 
-__all__ = ["CriterionResult", "Fixtures", "build_fixtures", "run_all", "CRITERIA"]
+__all__ = ["CriterionResult", "Fixtures", "check_config", "build_fixtures", "run_all", "CRITERIA"]
 
 MASTER_SEED = 7
+FORM_STRIDES = (2, 5, 10)  # criterion 2's grids, beside criterion 1's stride-1 grid
 
 
 @dataclass
@@ -61,18 +56,26 @@ class Fixtures:
     train_seconds: float
 
 
+def check_config(cfg: ExperimentConfig) -> None:
+    """ConfigError when cfg's schedule cannot hold the grids and the sdedit
+    chain that the criteria fix; :func:`build_fixtures` calls it before it trains."""
+    s = cfg.build_schedule()
+    try:
+        for stride in (1, *FORM_STRIDES):
+            build_subsequence(s, stride, 0.02, 0.98)
+    except ValueError:
+        raise ConfigError(f"check builds grids of stride 1, 2, 5 and 10; the stride-{stride} "
+                          f"grid does not fit in schedule.t = {s.T}") from None
+    check_sdedit_schedule(cfg)
+
+
 def build_fixtures(cfg: ExperimentConfig | None = None) -> Fixtures:
     if cfg is None:
         cfg = ExperimentConfig()
+    check_config(cfg)
     s = cfg.build_schedule()
     sub = cfg.build_subsequence(s)
-    dataset = sample_two_marginal_dataset(cfg.dataset.n, cfg.class_params(), cfg.dataset.seed)
-    d = Denoiser.create(
-        num_classes=2,
-        t_embed_dim=cfg.training.t_embed_dim,
-        hidden=cfg.training.hidden,
-        seed=cfg.training.seed,
-    )
+    dataset, d = cfg.build_dataset(), cfg.build_model()
     t0 = time.perf_counter()
     train(d, dataset, s, cfg.training)
     train_seconds = time.perf_counter() - t0
@@ -85,6 +88,15 @@ def _random_denoiser(rng: np.random.Generator, hidden=(16, 16), scale=0.8) -> De
     d = Denoiser.create(num_classes=2, t_embed_dim=4, hidden=hidden, seed=0)
     d.params[:] = scale * rng.standard_normal(d.params.size)
     return d
+
+
+def _random_problem(rng: np.random.Generator, sub: TimestepSubsequence) -> distill.EditProblem:
+    """Source point and label, identity-generator target, target label, omega."""
+    return distill.EditProblem(
+        x0_src=rng.standard_normal(2), y_src=int(rng.integers(1, 3)),
+        gen=distill.identity_generator(rng.standard_normal(2)),
+        y_tgt=int(rng.integers(1, 3)), omega=float(rng.uniform(0.0, 8.0)), sub=sub,
+    )
 
 
 def _rel_err(a: np.ndarray, b: np.ndarray) -> float:
@@ -126,19 +138,12 @@ def criterion_2_form_equivalence(fx: Fixtures) -> CriterionResult:
     s = fx.schedule
     worst = 0.0
     for _ in range(100):
-        stride = int(rng.choice([2, 5, 10]))
+        stride = int(rng.choice(FORM_STRIDES))
         sub = build_subsequence(s, stride, 0.02, 0.98)
         d = _random_denoiser(rng)
-        prob = distill.EditProblem(
-            x0_src=rng.standard_normal(2),
-            y_src=int(rng.integers(1, 3)),
-            gen=distill.identity_generator(rng.standard_normal(2)),
-            y_tgt=int(rng.integers(1, 3)),
-            omega=float(rng.uniform(0.0, 8.0)),
-            sub=sub,
-        )
-        draw = latentops.sample_shared_noise(sub, rng)
-        g1 = distill.pds_grad(prob, draw, d, s)
+        prob = _random_problem(rng, sub)
+        draw = latentops.draw_shared_noise(sub, rng)
+        g1 = distill.objective_grad(prob, "pds", draw, d, s)
         g2 = distill.pds_grad_latent_form(prob, draw, d, s)
         worst = max(worst, _rel_err(g1, g2))
     seconds = time.perf_counter() - t0
@@ -167,9 +172,9 @@ def criterion_3_zero_at_identity(fx: Fixtures) -> CriterionResult:
             omega=float(rng.uniform(0.0, 8.0)),
             sub=sub,
         )
-        draw = latentops.sample_shared_noise(sub, rng)
-        g_dds = distill.dds_grad(prob, draw, d, 1.0, s)
-        g_pds = distill.pds_grad(prob, draw, d, s)
+        draw = latentops.draw_shared_noise(sub, rng)
+        g_dds = distill.objective_grad(prob, "dds", draw, d, s)
+        g_pds = distill.objective_grad(prob, "pds", draw, d, s)
         if not (np.all(g_dds == 0.0) and np.all(g_pds == 0.0)):
             all_zero = False
             break
@@ -239,7 +244,7 @@ def criterion_5_gradient_oracles(fx: Fixtures) -> CriterionResult:
     err_b = 0.0
     for _ in range(10):
         d2 = _random_denoiser(rng)
-        draw = latentops.sample_shared_noise(sub, rng)
+        i, noise = draw = latentops.draw_shared_noise(sub, rng)
         x_src = rng.standard_normal(2)
         x_tgt = rng.standard_normal(2)
         y_src, y_tgt = int(rng.integers(1, 3)), int(rng.integers(1, 3))
@@ -248,17 +253,18 @@ def criterion_5_gradient_oracles(fx: Fixtures) -> CriterionResult:
             x0_src=x_src, y_src=y_src, gen=distill.identity_generator(x_tgt),
             y_tgt=y_tgt, omega=omega, sub=sub,
         )
-        residual = distill.pds_grad(prob, draw, d2, s)
-        t_cur = int(sub.tau[draw.i])
-        t_prev = int(sub.tau[draw.i - 1])
+        residual = distill.objective_grad(prob, "pds", draw, d2, s)
+        t_cur = int(sub.tau[i])
+        t_prev = int(sub.tau[i - 1])
         pc = posterior_coeffs(s, t_cur)
-        x_t_base = latentops.forward_sample(x_tgt, t_cur, draw.eps_cur, s)
+        x_t_base = s.noised(x_tgt, t_cur, noise[1])
         eps_frozen = cfg_predict(d2, x_t_base, y_tgt, t_cur, omega)
-        z_src = latentops.stochastic_latent(x_src, y_src, draw, d2, omega, s, sub)
+        z_src = latentops.stochastic_latents(x_src, y_src, np.array([i]), noise[:1], noise[1:],
+                                             d2, omega, s, sub)[0]
 
         def frozen_objective(x: np.ndarray) -> float:
-            x_prev = latentops.forward_sample(x, t_prev, draw.eps_prev, s) if t_prev else x
-            x_cur = latentops.forward_sample(x, t_cur, draw.eps_cur, s)
+            x_prev = s.noised(x, t_prev, noise[0]) if t_prev else x
+            x_cur = s.noised(x, t_cur, noise[1])
             ab = s.alpha_bar[t_cur]
             x0_est = (x_cur - np.sqrt(1.0 - ab) * eps_frozen) / np.sqrt(ab)
             z_tgt = (x_prev - (pc.gamma * x0_est + pc.delta * x_cur)) / pc.sigma
@@ -311,21 +317,12 @@ def criterion_6_eps_prev_invariance(fx: Fixtures) -> CriterionResult:
     exact = True
     for _ in range(100):
         d = _random_denoiser(rng)
-        prob = distill.EditProblem(
-            x0_src=rng.standard_normal(2),
-            y_src=int(rng.integers(1, 3)),
-            gen=distill.identity_generator(rng.standard_normal(2)),
-            y_tgt=int(rng.integers(1, 3)),
-            omega=float(rng.uniform(0.0, 8.0)),
-            sub=sub,
-        )
-        base = latentops.sample_shared_noise(sub, rng)
+        prob = _random_problem(rng, sub)
+        i, base = latentops.draw_shared_noise(sub, rng)
         grads = []
         for _ in range(3):
-            draw = latentops.SharedNoiseDraw(
-                i=base.i, eps_prev=rng.standard_normal(2), eps_cur=base.eps_cur
-            )
-            grads.append(distill.pds_grad(prob, draw, d, s))
+            noise = np.stack([rng.standard_normal(2), base[1]])
+            grads.append(distill.objective_grad(prob, "pds", (i, noise), d, s))
         if not (np.array_equal(grads[0], grads[1]) and np.array_equal(grads[0], grads[2])):
             exact = False
             break

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import acceptance
 from .config import ExperimentConfig, load_config
-from .denoiser import Denoiser, load_checkpoint, sample_two_marginal_dataset, save_checkpoint, train
+from .denoiser import Denoiser, load_checkpoint, save_checkpoint, train
 from .errors import (
     EXIT_CHECK_FAILED,
     EXIT_CONFIG_ERROR,
@@ -27,7 +27,7 @@ from .errors import (
     DivergenceError,
     MismatchError,
 )
-from .experiments import run_figure2, run_roundtrip_report, run_sdedit_sweep
+from .experiments import check_sdedit_schedule, run_figure2, run_roundtrip_report, run_sdedit_sweep
 
 __all__ = ["main"]
 
@@ -60,13 +60,7 @@ def _check_count(flag: str, value: int, low: int) -> None:
 def cmd_train(cfg: ExperimentConfig, args) -> int:
     out = _out_dir(cfg)
     s = cfg.build_schedule()
-    dataset = sample_two_marginal_dataset(cfg.dataset.n, cfg.class_params(), cfg.dataset.seed)
-    d = Denoiser.create(
-        num_classes=2,
-        t_embed_dim=cfg.training.t_embed_dim,
-        hidden=cfg.training.hidden,
-        seed=cfg.training.seed,
-    )
+    dataset, d = cfg.build_dataset(), cfg.build_model()
     t0 = time.perf_counter()
     losses = train(d, dataset, s, cfg.training)
     elapsed = time.perf_counter() - t0
@@ -134,6 +128,7 @@ def cmd_figure2(cfg: ExperimentConfig, args) -> int:
 def cmd_sdedit_demo(cfg: ExperimentConfig, args) -> int:
     _check_count("--points", args.points, 1)
     _check_count("--grid-points", args.grid_points, 0)
+    check_sdedit_schedule(cfg)
     out = _out_dir(cfg)
     s = cfg.build_schedule()
     d = _load_model(cfg, args.checkpoint)

@@ -17,10 +17,13 @@ import numpy as np
 
 from .denoiser import (
     ClassSpec,
+    Denoiser,
     TrainConfig,
+    TwoMarginalDataset,
     check_class_separation,
     check_dataset_size,
     denoiser_arch,
+    sample_two_marginal_dataset,
 )
 from .distill import OBJECTIVES, OPTIMIZERS, WEIGHT_MODES
 from .errors import ConfigError
@@ -96,6 +99,13 @@ class ExperimentConfig:
         return build_subsequence(
             s, self.subsequence.stride, self.subsequence.lo_ratio, self.subsequence.hi_ratio
         )
+
+    def build_dataset(self) -> TwoMarginalDataset:
+        return sample_two_marginal_dataset(self.dataset.n, self.class_params(), self.dataset.seed)
+
+    def build_model(self) -> Denoiser:
+        """The untrained denoiser that ``train`` fits to :meth:`build_dataset`."""
+        return Denoiser.create(2, self.training.t_embed_dim, self.training.hidden, self.training.seed)
 
     def class_params(self) -> tuple[ClassSpec, ClassSpec]:
         return (

@@ -12,6 +12,10 @@ Three objectives drive a generator g(theta) toward a target condition:
 
 All residuals are pulled back through the generator's exact adjoint; the
 predictor's own Jacobian is deliberately omitted everywhere.
+``objective_grad`` is one objective's gradient for one shared-noise draw
+``(i, noise)``; ``optimize_batch`` applies that gradient to seeded jobs in
+lockstep, and ``pds_grad_latent_form`` is the latent-difference form that
+pds is checked against.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ import numpy as np
 from .denoiser import POINT_DIM, Denoiser, eps
 from .denoiser import cfg_predict  # noqa: F401  perfbench/selftest.py reads distill.cfg_predict
 from .errors import DivergenceError
-from .latentops import SharedNoiseDraw, draw_shared_noise, stochastic_latent
+from .latentops import draw_shared_noise, stochastic_latents
 from .optim import AdamState, adam_step
 from .schedule import NoiseSchedule, TimestepSubsequence, pds_coeffs
 
@@ -40,11 +44,8 @@ __all__ = [
     "EditProblem",
     "TrajectoryRecord",
     "resolve_weight",
-    "sds_grad",
-    "dds_grad",
-    "pds_grad",
+    "objective_grad",
     "pds_grad_latent_form",
-    "optimize",
     "optimize_batch",
     "write_trajectory_csv",
 ]
@@ -91,13 +92,6 @@ class Generator:
         """Contract a cotangent in x0-space to a gradient over theta."""
         v = np.asarray(cotangent, dtype=float)
         return pullback_rows(self.kind, self.latent, v[None])[0]
-
-    def copy(self) -> "Generator":
-        return Generator(
-            kind=self.kind,
-            theta=self.theta.copy(),
-            latent=None if self.latent is None else self.latent.copy(),
-        )
 
 
 def identity_generator(x0: np.ndarray) -> Generator:
@@ -229,100 +223,44 @@ def _residuals(
     return res
 
 
-def _grad_one(
-    prob: EditProblem, kind: str, draw: SharedNoiseDraw, d: Denoiser, s: NoiseSchedule,
-    spring: float, scale: float,
-) -> np.ndarray:
-    """One objective's residual, through :func:`_residuals`, pulled back to theta."""
-    plan = _row_plan(np.array([kind]), np.array([prob.y_tgt]), np.zeros(1, dtype=int),
+def objective_grad(prob: EditProblem, objective: str, draw: tuple[int, np.ndarray], d: Denoiser,
+                   s: NoiseSchedule, w_mode: str = "const") -> np.ndarray:
+    """Gradient over theta of one objective for one draw ``(i, noise)``: the
+    residual :func:`optimize_batch` applies (weight ``resolve_weight(w_mode)``
+    for sds and dds, the grid's psi(i) and chi(i) for pds), pulled back. No
+    residual reads eps_prev (``noise[0]``): for pds it cancels identically in
+    z_tgt - z_src. ValueError for an unknown objective or weight mode or an
+    index outside the sampling range; DivergenceError for a non-finite residual.
+    """
+    if objective not in OBJECTIVES:
+        raise ValueError(f"unknown objective {objective!r}; expected one of {OBJECTIVES}")
+    i, noise = draw
+    sub = prob.sub
+    if not sub.lo_index <= i <= sub.hi_index:
+        raise ValueError(f"index {i} outside the sampling range [{sub.lo_index}, {sub.hi_index}]")
+    t = int(sub.tau[i])
+    w = resolve_weight(w_mode, s, t)  # read for every objective, so a bad mode always fails
+    scale = sub.chi[i] if objective == "pds" else w
+    plan = _row_plan(np.array([objective]), np.array([prob.y_tgt]), np.zeros(1, dtype=int),
                      np.asarray(prob.x0_src, dtype=float)[None, :], np.array([prob.y_src]))
-    (res,) = _residuals(
-        d, s, prob.omega, plan, np.array([int(prob.sub.tau[draw.i])]), draw.eps_cur[None, :],
-        prob.gen.render()[None, :], np.array([spring]), np.array([scale]),
-    )
+    (res,) = _residuals(d, s, prob.omega, plan, np.array([t]), noise[1:],
+                        prob.gen.render()[None, :], sub.psi[i : i + 1], np.array([scale]))
     if not np.isfinite(res).all():
         raise DivergenceError("non-finite residual")
     return prob.gen.pullback(res)
 
 
-def sds_grad(
-    gen: Generator,
-    y_tgt: int,
-    draw: SharedNoiseDraw,
-    d: Denoiser,
-    omega: float,
-    w_t: float,
-    s: NoiseSchedule,
-    sub: TimestepSubsequence,
-) -> np.ndarray:
-    """Noise-matching gradient w(t) * (eps_hat - eps) pulled back to theta."""
-    # sds has no source side; the target stands in for the unread source
-    prob = EditProblem(gen.render(), y_tgt, gen, y_tgt, omega, sub)
-    return _grad_one(prob, "sds", draw, d, s, 0.0, w_t)
-
-
-def dds_grad(
-    prob: EditProblem,
-    draw: SharedNoiseDraw,
-    d: Denoiser,
-    w_t: float,
-    s: NoiseSchedule,
-) -> np.ndarray:
-    """Prediction-difference gradient under one shared forward noise."""
-    return _grad_one(prob, "dds", draw, d, s, 0.0, w_t)
-
-
-def pds_grad(
-    prob: EditProblem,
-    draw: SharedNoiseDraw,
-    d: Denoiser,
-    s: NoiseSchedule,
-) -> np.ndarray:
-    """Latent-matching gradient in its expanded form.
-
-    The residual psi(i) * (x0_tgt - x0_src) + chi(i) * (eps_hat_tgt -
-    eps_hat_src) never touches the predecessor-level noise: the shared
-    eps_prev cancels identically when the two latents are subtracted, so
-    the gradient is exactly invariant to it.
-    """
-    coeffs = pds_coeffs(s, prob.sub, draw.i)
-    return _grad_one(prob, "pds", draw, d, s, coeffs.psi, coeffs.chi)
-
-
-def pds_grad_latent_form(
-    prob: EditProblem,
-    draw: SharedNoiseDraw,
-    d: Denoiser,
-    s: NoiseSchedule,
-) -> np.ndarray:
-    """Latent-matching gradient as w(t) * (z_tgt - z_src); verification form."""
-    x0_tgt = prob.gen.render()
-    z_tgt = stochastic_latent(x0_tgt, prob.y_tgt, draw, d, prob.omega, s, prob.sub)
-    z_src = stochastic_latent(prob.x0_src, prob.y_src, draw, d, prob.omega, s, prob.sub)
-    w = pds_coeffs(s, prob.sub, draw.i).latent_weight
+def pds_grad_latent_form(prob: EditProblem, draw: tuple[int, np.ndarray], d: Denoiser,
+                         s: NoiseSchedule) -> np.ndarray:
+    """Latent-matching gradient as w(t) * (z_tgt - z_src) for one draw
+    ``(i, noise)``; the verification form of pds's :func:`objective_grad`."""
+    i, noise = draw
+    z_tgt, z_src = (
+        stochastic_latents(x0, y, np.array([i]), noise[:1], noise[1:], d, prob.omega, s, prob.sub)[0]
+        for x0, y in ((prob.gen.render(), prob.y_tgt), (prob.x0_src, prob.y_src))
+    )
+    w = pds_coeffs(s, prob.sub, i).latent_weight
     return prob.gen.pullback(w * (z_tgt - z_src))
-
-
-def optimize(
-    prob: EditProblem,
-    objective_kind: str,
-    steps: int,
-    lr: float,
-    seed: int,
-    d: Denoiser,
-    s: NoiseSchedule,
-    w_mode: str = "const",
-    optimizer: str = "gd",
-) -> TrajectoryRecord:
-    """Run one seeded optimization of the generator under one objective.
-
-    Each step draws a fresh shared-noise sample, evaluates the chosen
-    gradient and applies one update. The record holds theta, the rendered
-    point and the gradient norm after every step; a non-finite state aborts
-    the run and flags the partial record. This is :func:`optimize_batch`
-    with a single job.
-    """
-    return optimize_batch([(prob, objective_kind, seed)], steps, lr, d, s, w_mode, optimizer)[0]
 
 
 @dataclass
@@ -354,10 +292,11 @@ def optimize_batch(
     """Run seeded optimizations in lockstep; one record per job, in order.
 
     Each job is ``(EditProblem, objective, seed)`` and advances exactly as
-    :func:`optimize` would run it alone: every step draws each live job's
+    it would alone, in a batch of one: every step draws each live job's
     shared-noise sample from a generator seeded with its seed, then one
     batch-invariant ``eps`` call evaluates the target and source rows of all
-    live jobs. A draw reads only the seed's stream and the grid's sampling
+    live jobs; a job's update is lr times its :func:`objective_grad` for
+    that draw (or its Adam step). A draw reads only the seed's stream and the grid's sampling
     range, so jobs with the same seed and range share one generator, which
     draws once per step while any of them is live. A source prediction
     reads only the draw, the grid, the source point and its label, so dds

@@ -25,6 +25,7 @@ from .distill import (
     optimize_batch,
     write_trajectory_csv,
 )
+from .errors import ConfigError
 from .latentops import generate_with_latents_batch, invert, sdedit_batch
 from .schedule import NoiseSchedule, TimestepSubsequence
 
@@ -34,6 +35,7 @@ __all__ = [
     "boundary_frame",
     "signed_boundary_distance",
     "run_figure2",
+    "check_sdedit_schedule",
     "run_sdedit_sweep",
     "run_roundtrip_report",
 ]
@@ -275,6 +277,14 @@ def _emit_figure2_files(out_dir, cfg, summary, records, class_params) -> None:
             writer.writerow([f"check_{name}", "pass" if passed else "fail"])
 
 
+def check_sdedit_schedule(cfg: ExperimentConfig) -> None:
+    """ConfigError unless the schedule has a distinct level for each of the
+    sweep's SDEDIT_STEPS denoising steps."""
+    if cfg.schedule.t < SDEDIT_STEPS:
+        raise ConfigError(f"the sdedit sweep denoises in {SDEDIT_STEPS} steps, "
+                          f"so it needs schedule.t >= {SDEDIT_STEPS}, got {cfg.schedule.t}")
+
+
 def run_sdedit_sweep(
     cfg: ExperimentConfig,
     d: Denoiser,
@@ -311,7 +321,6 @@ def run_roundtrip_report(
     s: NoiseSchedule,
     sub: TimestepSubsequence,
     k: int = 50,
-    seed: int | None = None,
 ) -> list[tuple[int, int, float]]:
     """Invert and replay k random points; returns (index, label, abs error).
 
@@ -319,7 +328,7 @@ def run_roundtrip_report(
     the generator, then replayed together.
     """
     class_params = cfg.class_params()
-    rng = np.random.default_rng(cfg.dataset.seed + 202 if seed is None else seed)
+    rng = np.random.default_rng(cfg.dataset.seed + 202)
     labels = [1 + idx % 2 for idx in range(int(k))]
     points, seqs = [], []
     for label in labels:

@@ -1,4 +1,8 @@
-"""Forward-process sampling, stochastic latents and the generative chain.
+"""Shared-noise draws, stochastic latents and the generative chain.
+
+A draw ``(i, noise)`` is a grid index and a (2, 2) array whose rows are the
+noises eps_prev and eps_cur of levels tau[i-1] and tau[i]; source and
+target sides of a two-sided computation read the same draw.
 
 The stochastic latent of a clean point x0 at a grid step is the noise that,
 injected into the generative step from tau[i] to tau[i-1], lands exactly on
@@ -32,32 +36,15 @@ from .errors import DegenerateTimestepError, DivergenceError, MismatchError
 from .schedule import NoiseSchedule, TimestepSubsequence, posterior_coeffs_pair
 
 __all__ = [
-    "SharedNoiseDraw",
     "StochasticLatentSequence",
     "draw_shared_noise",
-    "sample_shared_noise",
-    "forward_sample",
-    "stochastic_latent",
+    "stochastic_latents",
     "invert",
     "generate_with_latents",
     "generate_with_latents_batch",
     "ancestral_sample_batch",
     "sdedit_batch",
 ]
-
-
-@dataclass(frozen=True)
-class SharedNoiseDraw:
-    """One Monte-Carlo draw: a grid index and the two noises for its levels.
-
-    The same draw object must be handed to both the source and the target
-    side of any two-sided computation; the sharing contract is structural,
-    not conventional.
-    """
-
-    i: int
-    eps_prev: np.ndarray
-    eps_cur: np.ndarray
 
 
 @dataclass
@@ -81,17 +68,6 @@ def draw_shared_noise(sub: TimestepSubsequence, rng: np.random.Generator) -> tup
     rows eps_prev and eps_cur of a (2, 2) array (the bits of two (2,) draws)."""
     i = int(rng.integers(sub.lo_index, sub.hi_index + 1))
     return i, rng.standard_normal((2, POINT_DIM))
-
-
-def sample_shared_noise(sub: TimestepSubsequence, rng: np.random.Generator) -> SharedNoiseDraw:
-    """One :func:`draw_shared_noise` draw as a :class:`SharedNoiseDraw`."""
-    i, noise = draw_shared_noise(sub, rng)
-    return SharedNoiseDraw(i=i, eps_prev=noise[0], eps_cur=noise[1])
-
-
-def forward_sample(x0: np.ndarray, t: int, eps: np.ndarray, s: NoiseSchedule) -> np.ndarray:
-    """Noising map sqrt(alpha_bar_t) * x0 + sqrt(1 - alpha_bar_t) * eps."""
-    return s.noised(np.asarray(x0, dtype=float), s.check_t(t), np.asarray(eps, dtype=float))
 
 
 def _step_mean(s: NoiseSchedule, x: np.ndarray, t, eps_hat: np.ndarray, gamma, delta) -> np.ndarray:
@@ -120,7 +96,7 @@ def _fine_steps(s: NoiseSchedule, ts) -> list[tuple]:
     return [(int(t), s.gamma[t], s.delta[t], s.sigma[t]) for t in ts]
 
 
-def _latents(
+def stochastic_latents(
     x0: np.ndarray,
     y: int,
     idx: np.ndarray,
@@ -132,12 +108,15 @@ def _latents(
     sub: TimestepSubsequence,
 ) -> np.ndarray:
     """Latents of x0 at grid indices ``idx`` given each index's two level
-    noises (rows of ``eps_prev`` / ``eps_cur``), from one ``eps`` call.
-
-    Given the noises the latents do not depend on each other, so all of
-    them share one batch; every row's arithmetic is the single-draw one.
+    noises (rows of ``eps_prev`` / ``eps_cur``), from one ``eps`` call; a
+    draw ``(i, noise)`` is ``[i], noise[:1], noise[1:]``. Each row is bitwise
+    its batch-1 value. ValueError for an index outside [1, S],
     DivergenceError when a latent is non-finite.
     """
+    idx, x0 = np.asarray(idx), np.asarray(x0, dtype=float)
+    outside = (idx < 1) | (idx > sub.S)
+    if outside.any():
+        raise ValueError(f"draw index {int(idx[outside][0])} outside the grid [1, {sub.S}]")
     t_cur = sub.tau[idx]
     t_prev = sub.tau[idx - 1]
     sigma = s.sigma[t_cur]
@@ -158,25 +137,6 @@ def _latents(
         bad = int(t_cur[np.argmin(finite)])
         raise DivergenceError(f"non-finite stochastic latent at t={bad}")
     return z
-
-
-def stochastic_latent(
-    x0: np.ndarray,
-    y: int,
-    draw: SharedNoiseDraw,
-    d: Denoiser,
-    omega: float,
-    s: NoiseSchedule,
-    sub: TimestepSubsequence,
-) -> np.ndarray:
-    """Latent z = (x_prev - mu(x_cur)) / sigma for one draw; deterministic."""
-    i = int(draw.i)
-    if not 1 <= i <= sub.S:
-        raise ValueError(f"draw index {i} outside the grid [1, {sub.S}]")
-    x0 = np.asarray(x0, dtype=float)
-    eps_prev = np.asarray(draw.eps_prev, dtype=float)[None, :]
-    eps_cur = np.asarray(draw.eps_cur, dtype=float)[None, :]
-    return _latents(x0, y, np.array([i]), eps_prev, eps_cur, d, omega, s, sub)[0]
 
 
 def invert(
@@ -201,9 +161,9 @@ def invert(
     n = sub.S
     eps_levels = np.zeros((n + 1, POINT_DIM))
     eps_levels[1:] = rng.standard_normal((n, POINT_DIM))
-    x_top = forward_sample(x0, int(sub.tau[n]), eps_levels[n], s)
+    x_top = s.noised(x0, int(sub.tau[n]), eps_levels[n])
     idx = np.arange(n, 0, -1)
-    latents = _latents(x0, y, idx, eps_levels[idx - 1], eps_levels[idx], d, omega, s, sub)
+    latents = stochastic_latents(x0, y, idx, eps_levels[idx - 1], eps_levels[idx], d, omega, s, sub)
     return StochasticLatentSequence(latents=latents, x_top=x_top, T=s.T, tau=np.array(sub.tau))
 
 
@@ -303,7 +263,7 @@ def sdedit_batch(
     if k0 == 0:
         return x0.copy()
     down = levels[k0::-1].tolist()
-    x = forward_sample(x0, down[0], rng.standard_normal(x0.shape), s)
+    x = s.noised(x0, down[0], rng.standard_normal(x0.shape))
     pairs = [(t, posterior_coeffs_pair(s, t_prev, t)) for t, t_prev in zip(down, down[1:])]
     steps = [(t, pc.gamma, pc.delta, pc.sigma) for t, pc in pairs]
     return _generate(cfg_predict_batch, d, x, y, omega, s, steps,

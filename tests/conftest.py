@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from distill_lab.config import ExperimentConfig
-from distill_lab.denoiser import Denoiser, sample_two_marginal_dataset, train
+from distill_lab.denoiser import Denoiser, train
 from distill_lab.schedule import build_linear_schedule
 
 
@@ -23,21 +23,13 @@ def subsequence(default_config, schedule):
 
 @pytest.fixture(scope="session")
 def dataset(default_config):
-    return sample_two_marginal_dataset(
-        default_config.dataset.n,
-        default_config.class_params(),
-        default_config.dataset.seed,
-    )
+    return default_config.build_dataset()
 
 
 @pytest.fixture(scope="session")
 def trained_model(default_config, schedule, dataset):
     """One model trained with the default config, shared across the session."""
-    d = Denoiser.create(
-        t_embed_dim=default_config.training.t_embed_dim,
-        hidden=default_config.training.hidden,
-        seed=default_config.training.seed,
-    )
+    d = default_config.build_model()
     train(d, dataset, schedule, default_config.training)
     return d
 

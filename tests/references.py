@@ -11,7 +11,7 @@ import math
 import numpy as np
 
 from distill_lab.denoiser import cfg_predict
-from distill_lab.latentops import stochastic_latent
+from distill_lab.latentops import stochastic_latents
 from distill_lab.schedule import posterior_coeffs
 
 
@@ -31,10 +31,15 @@ def posterior_mean_pred(x_t, y, t, d, omega, s):
     )
 
 
+def one_latent(x0, y, draw, d, omega, s, sub):
+    """The stochastic latent of x0 for one draw ``(i, noise)``."""
+    i, noise = draw
+    return stochastic_latents(x0, y, np.array([i]), noise[:1], noise[1:], d, omega, s, sub)[0]
+
+
 def pds_objective(prob, draw, d, s):
     """Squared latent mismatch ||z_tgt - z_src||^2 for one draw."""
-    x0_tgt = prob.gen.render()
-    z_tgt = stochastic_latent(x0_tgt, prob.y_tgt, draw, d, prob.omega, s, prob.sub)
-    z_src = stochastic_latent(prob.x0_src, prob.y_src, draw, d, prob.omega, s, prob.sub)
+    z_tgt = one_latent(prob.gen.render(), prob.y_tgt, draw, d, prob.omega, s, prob.sub)
+    z_src = one_latent(prob.x0_src, prob.y_src, draw, d, prob.omega, s, prob.sub)
     diff = z_tgt - z_src
     return float(diff @ diff)

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import distill_lab
-from distill_lab import denoiser, distill, experiments
+from distill_lab import acceptance, denoiser, distill, experiments
 from distill_lab.cli import main
 from distill_lab.config import load_config
 from distill_lab.flatfile import read_flat_file, write_flat_file
@@ -561,6 +561,29 @@ class TestMalformedInput:
         )
         self.assert_config_error(["train", "--out", str(afile / "sub")], capsys)
         assert afile.read_text() == ""
+
+    @pytest.fixture()
+    def short_schedule(self, tmp_path, capsys):
+        """A config with T = 10, which load_config accepts, and a model trained under it."""
+        path = tmp_path / "short.ini"
+        path.write_text("[schedule]\nt = 10\n[training]\nsteps = 20\n")
+        assert main(["train", "--config", str(path), "--out", str(tmp_path / "m")]) == EXIT_OK
+        capsys.readouterr()
+        return str(path), str(tmp_path / "m" / "model.ckpt")
+
+    def test_sdedit_demo_on_a_short_schedule(self, short_schedule, tmp_path, capsys):
+        # the sweep denoises in 20 steps, more than T = 10 has levels
+        config, ckpt = short_schedule
+        self.assert_config_error(["sdedit-demo", ckpt, "--config", config,
+                                  "--out", str(tmp_path / "o")], capsys)
+
+    def test_check_on_a_short_schedule(self, short_schedule, tmp_path, capsys, monkeypatch):
+        # criterion 2's stride-5 and stride-10 grids do not fit in T = 10;
+        # the command stops before it trains
+        monkeypatch.setattr(acceptance, "train", None)
+        config, _ = short_schedule
+        self.assert_config_error(["check", "--config", config, "--out", str(tmp_path / "o")],
+                                 capsys)
 
     def test_config_without_section_header(self, tmp_path, capsys):
         path = tmp_path / "flat.ini"

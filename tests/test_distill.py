@@ -6,27 +6,25 @@ import pytest
 
 from distill_lab import distill
 from distill_lab.distill import (
+    OBJECTIVES,
     OPTIMIZERS,
+    WEIGHT_MODES,
     EditProblem,
     TrajectoryRecord,
     affine_generator,
-    dds_grad,
     identity_generator,
-    optimize,
+    objective_grad,
     optimize_batch,
-    pds_grad,
     pds_grad_latent_form,
     resolve_weight,
-    sds_grad,
     write_trajectory_csv,
 )
-from distill_lab.latentops import (
-    SharedNoiseDraw, draw_shared_noise, forward_sample, sample_shared_noise, stochastic_latent,
-)
+from distill_lab.latentops import draw_shared_noise
 from distill_lab.denoiser import Denoiser, cfg_predict, eps, _layer_views
+from distill_lab.errors import DivergenceError
 from distill_lab.optim import AdamState, adam_step
 from distill_lab.schedule import build_subsequence, pds_coeffs, posterior_coeffs
-from references import pds_objective, posterior_mean_pred
+from references import one_latent, pds_objective, posterior_mean_pred
 
 
 def constant_model(eps: np.ndarray) -> Denoiser:
@@ -105,19 +103,20 @@ class TestSdsGrad:
     def test_oracle_prediction_gives_zero(self, schedule, subsequence, rng):
         eps = rng.standard_normal(2)
         d = constant_model(eps)
-        draw = SharedNoiseDraw(i=200, eps_prev=np.zeros(2), eps_cur=eps)
-        gen = identity_generator(rng.standard_normal(2))
-        grad = sds_grad(gen, 1, draw, d, 1.0, 1.0, schedule, subsequence)
+        draw = (200, np.array([np.zeros(2), eps]))
+        prob = make_problem(rng, subsequence, y_tgt=1, omega=1.0)
+        grad = objective_grad(prob, "sds", draw, d, schedule)
         assert np.all(grad == 0.0)
 
     def test_identity_pullback_passes_residual(self, schedule, subsequence, rng):
         d = rough_model(rng)
-        draw = sample_shared_noise(subsequence, rng)
-        gen = identity_generator(rng.standard_normal(2))
-        t = int(subsequence.tau[draw.i])
-        x_t = forward_sample(gen.render(), t, draw.eps_cur, schedule)
-        expected = 2.5 * (cfg_predict(d, x_t, 2, t, 3.0) - draw.eps_cur)
-        got = sds_grad(gen, 2, draw, d, 3.0, 2.5, schedule, subsequence)
+        i, noise = draw = draw_shared_noise(subsequence, rng)
+        prob = make_problem(rng, subsequence, y_tgt=2, omega=3.0)
+        t = int(subsequence.tau[i])
+        x_t = schedule.noised(prob.gen.render(), t, noise[1])
+        w = 1.0 - schedule.alpha_bar[t]
+        expected = w * (cfg_predict(d, x_t, 2, t, 3.0) - noise[1])
+        got = objective_grad(prob, "sds", draw, d, schedule, "one_minus_alpha_bar")
         assert np.array_equal(got, expected)
 
     def test_on_distribution_residuals_shrink(self, trained_model, schedule, subsequence, dataset):
@@ -125,13 +124,11 @@ class TestSdsGrad:
         m2 = np.asarray(dataset.class_params[1].mean)
 
         def mean_norm(point):
-            gen = identity_generator(np.asarray(point, dtype=float))
+            prob = make_problem(None, subsequence, gen_point=point, src_point=point, omega=1.0)
             total = 0.0
             for _ in range(100):
-                draw = sample_shared_noise(subsequence, rng)
-                total += np.linalg.norm(
-                    sds_grad(gen, 2, draw, trained_model, 1.0, 1.0, schedule, subsequence)
-                )
+                draw = draw_shared_noise(subsequence, rng)
+                total += np.linalg.norm(objective_grad(prob, "sds", draw, trained_model, schedule))
             return total / 100
 
         assert mean_norm(m2) < mean_norm(m2 + np.array([5.0, 3.0]))
@@ -143,31 +140,31 @@ class TestDdsGrad:
             d = rough_model(rng)
             x0 = rng.standard_normal(2)
             prob = make_problem(rng, subsequence, gen_point=x0, src_point=x0, y_src=1, y_tgt=1)
-            draw = sample_shared_noise(subsequence, rng)
-            grad = dds_grad(prob, draw, d, 1.0, schedule)
+            draw = draw_shared_noise(subsequence, rng)
+            grad = objective_grad(prob, "dds", draw, d, schedule)
             assert np.all(grad == 0.0)
 
     def test_swapping_roles_negates_residual(self, schedule, subsequence, rng):
         d = rough_model(rng)
         a, b = rng.standard_normal(2), rng.standard_normal(2)
-        draw = sample_shared_noise(subsequence, rng)
-        fwd = dds_grad(make_problem(rng, subsequence, gen_point=b, src_point=a, y_src=1, y_tgt=2),
-                       draw, d, 1.0, schedule)
-        rev = dds_grad(make_problem(rng, subsequence, gen_point=a, src_point=b, y_src=2, y_tgt=1),
-                       draw, d, 1.0, schedule)
+        draw = draw_shared_noise(subsequence, rng)
+        fwd = objective_grad(make_problem(rng, subsequence, gen_point=b, src_point=a, y_src=1,
+                                          y_tgt=2), "dds", draw, d, schedule)
+        rev = objective_grad(make_problem(rng, subsequence, gen_point=a, src_point=b, y_src=2,
+                                          y_tgt=1), "dds", draw, d, schedule)
         assert np.array_equal(fwd, -rev)
 
     def test_residual_equals_two_direct_predictions(self, schedule, subsequence, rng):
         d = rough_model(rng)
         prob = make_problem(rng, subsequence, omega=4.0)
-        draw = sample_shared_noise(subsequence, rng)
-        t = int(subsequence.tau[draw.i])
-        x_t_tgt = forward_sample(prob.gen.render(), t, draw.eps_cur, schedule)
-        x_t_src = forward_sample(prob.x0_src, t, draw.eps_cur, schedule)
+        i, noise = draw = draw_shared_noise(subsequence, rng)
+        t = int(subsequence.tau[i])
+        x_t_tgt = schedule.noised(prob.gen.render(), t, noise[1])
+        x_t_src = schedule.noised(prob.x0_src, t, noise[1])
         expected = cfg_predict(d, x_t_tgt, prob.y_tgt, t, 4.0) - cfg_predict(
             d, x_t_src, prob.y_src, t, 4.0
         )
-        assert np.array_equal(dds_grad(prob, draw, d, 1.0, schedule), expected)
+        assert np.array_equal(objective_grad(prob, "dds", draw, d, schedule), expected)
 
 
 class TestPdsGrad:
@@ -176,18 +173,18 @@ class TestPdsGrad:
             d = rough_model(rng)
             x0 = rng.standard_normal(2)
             prob = make_problem(rng, subsequence, gen_point=x0, src_point=x0, y_src=2, y_tgt=2)
-            draw = sample_shared_noise(subsequence, rng)
-            assert np.all(pds_grad(prob, draw, d, schedule) == 0.0)
+            draw = draw_shared_noise(subsequence, rng)
+            assert np.all(objective_grad(prob, "pds", draw, d, schedule) == 0.0)
 
     def test_condition_blind_model_leaves_pure_attraction(self, schedule, subsequence, rng):
         # constant predictions erase the prediction difference, leaving
         # psi * (x0_tgt - x0_src) through the pullback
         d = constant_model(np.array([0.2, -0.4]))
         prob = make_problem(rng, subsequence)
-        draw = sample_shared_noise(subsequence, rng)
-        coeffs = pds_coeffs(schedule, prob.sub, draw.i)
+        draw = draw_shared_noise(subsequence, rng)
+        coeffs = pds_coeffs(schedule, prob.sub, draw[0])
         expected = coeffs.psi * (prob.gen.render() - prob.x0_src)
-        assert pds_grad(prob, draw, d, schedule) == pytest.approx(expected, rel=1e-12)
+        assert objective_grad(prob, "pds", draw, d, schedule) == pytest.approx(expected, rel=1e-12)
 
     @pytest.mark.parametrize("stride", [2, 5, 10])
     def test_equals_latent_form(self, schedule, stride, rng):
@@ -196,8 +193,8 @@ class TestPdsGrad:
         for _ in range(30):
             d = rough_model(rng)
             prob = make_problem(rng, sub, omega=float(rng.uniform(0, 8)))
-            draw = sample_shared_noise(sub, rng)
-            g1 = pds_grad(prob, draw, d, schedule)
+            draw = draw_shared_noise(sub, rng)
+            g1 = objective_grad(prob, "pds", draw, d, schedule)
             g2 = pds_grad_latent_form(prob, draw, d, schedule)
             worst = max(worst, np.linalg.norm(g1 - g2) / max(np.linalg.norm(g1), 1e-300))
         assert worst < 1e-8
@@ -209,17 +206,17 @@ class TestPdsGrad:
         for _ in range(10):
             d = rough_model(rng)
             prob = make_problem(rng, sub1)
-            draw = sample_shared_noise(sub1, rng)
-            assert np.all(pds_grad(prob, draw, d, schedule) == 0.0)
+            draw = draw_shared_noise(sub1, rng)
+            assert np.all(objective_grad(prob, "pds", draw, d, schedule) == 0.0)
 
     def test_exactly_invariant_to_predecessor_noise(self, schedule, subsequence, rng):
         d = rough_model(rng)
         prob = make_problem(rng, subsequence)
-        base = sample_shared_noise(subsequence, rng)
+        i, base = draw_shared_noise(subsequence, rng)
         grads = []
         for _ in range(3):
-            draw = SharedNoiseDraw(i=base.i, eps_prev=rng.standard_normal(2), eps_cur=base.eps_cur)
-            grads.append(pds_grad(prob, draw, d, schedule))
+            draw = (i, np.array([rng.standard_normal(2), base[1]]))
+            grads.append(objective_grad(prob, "pds", draw, d, schedule))
         assert np.array_equal(grads[0], grads[1])
         assert np.array_equal(grads[0], grads[2])
 
@@ -227,12 +224,12 @@ class TestPdsGrad:
         self, trained_model, schedule, subsequence, rng
     ):
         x_src, x_tgt = np.array([-2.0, 0.3]), np.array([0.5, 0.1])
-        base = sample_shared_noise(subsequence, rng)
+        i, base = draw_shared_noise(subsequence, rng)
         diffs = []
         for _ in range(3):
-            draw = SharedNoiseDraw(i=base.i, eps_prev=rng.standard_normal(2), eps_cur=base.eps_cur)
-            z_tgt = stochastic_latent(x_tgt, 2, draw, trained_model, 7.5, schedule, subsequence)
-            z_src = stochastic_latent(x_src, 1, draw, trained_model, 7.5, schedule, subsequence)
+            draw = (i, np.array([rng.standard_normal(2), base[1]]))
+            z_tgt = one_latent(x_tgt, 2, draw, trained_model, 7.5, schedule, subsequence)
+            z_src = one_latent(x_src, 1, draw, trained_model, 7.5, schedule, subsequence)
             diffs.append(z_tgt - z_src)
         assert np.max(np.abs(diffs[0] - diffs[1])) < 1e-9
         assert np.max(np.abs(diffs[0] - diffs[2])) < 1e-9
@@ -243,29 +240,29 @@ class TestPdsObjective:
         d = rough_model(rng)
         x0 = rng.standard_normal(2)
         prob = make_problem(rng, subsequence, gen_point=x0, src_point=x0, y_src=1, y_tgt=1)
-        draw = sample_shared_noise(subsequence, rng)
+        draw = draw_shared_noise(subsequence, rng)
         assert pds_objective(prob, draw, d, schedule) == 0.0
 
     def test_nonnegative(self, schedule, subsequence, rng):
         for _ in range(20):
             d = rough_model(rng)
             prob = make_problem(rng, subsequence)
-            draw = sample_shared_noise(subsequence, rng)
+            draw = draw_shared_noise(subsequence, rng)
             assert pds_objective(prob, draw, d, schedule) >= 0.0
 
     def test_matches_expanded_recomputation(self, schedule, subsequence, rng):
         # direct recomputation: sigma^-2 || (x_prev diff) - (mu diff) ||^2
         d = rough_model(rng)
         prob = make_problem(rng, subsequence, omega=3.0)
-        draw = sample_shared_noise(subsequence, rng)
-        t_cur = int(subsequence.tau[draw.i])
-        t_prev = int(subsequence.tau[draw.i - 1])
+        i, noise = draw = draw_shared_noise(subsequence, rng)
+        t_cur = int(subsequence.tau[i])
+        t_prev = int(subsequence.tau[i - 1])
         pc = posterior_coeffs(schedule, t_cur)
         x_tgt = prob.gen.render()
-        xp_t = forward_sample(x_tgt, t_prev, draw.eps_prev, schedule)
-        xp_s = forward_sample(prob.x0_src, t_prev, draw.eps_prev, schedule)
-        xc_t = forward_sample(x_tgt, t_cur, draw.eps_cur, schedule)
-        xc_s = forward_sample(prob.x0_src, t_cur, draw.eps_cur, schedule)
+        xp_t = schedule.noised(x_tgt, t_prev, noise[0])
+        xp_s = schedule.noised(prob.x0_src, t_prev, noise[0])
+        xc_t = schedule.noised(x_tgt, t_cur, noise[1])
+        xc_s = schedule.noised(prob.x0_src, t_cur, noise[1])
         mu_t = posterior_mean_pred(xc_t, prob.y_tgt, t_cur, d, 3.0, schedule)
         mu_s = posterior_mean_pred(xc_s, prob.y_src, t_cur, d, 3.0, schedule)
         diff = (xp_t - xp_s) - (mu_t - mu_s)
@@ -276,18 +273,18 @@ class TestPdsObjective:
         d = rough_model(rng)
         x_tgt = rng.standard_normal(2)
         prob = make_problem(rng, subsequence, gen_point=x_tgt, omega=2.0)
-        draw = sample_shared_noise(subsequence, rng)
-        residual = pds_grad(prob, draw, d, schedule)
-        t_cur = int(subsequence.tau[draw.i])
-        t_prev = int(subsequence.tau[draw.i - 1])
+        i, noise = draw = draw_shared_noise(subsequence, rng)
+        residual = objective_grad(prob, "pds", draw, d, schedule)
+        t_cur = int(subsequence.tau[i])
+        t_prev = int(subsequence.tau[i - 1])
         pc = posterior_coeffs(schedule, t_cur)
-        x_t_base = forward_sample(x_tgt, t_cur, draw.eps_cur, schedule)
+        x_t_base = schedule.noised(x_tgt, t_cur, noise[1])
         eps_frozen = cfg_predict(d, x_t_base, prob.y_tgt, t_cur, 2.0)
-        z_src = stochastic_latent(prob.x0_src, prob.y_src, draw, d, 2.0, schedule, subsequence)
+        z_src = one_latent(prob.x0_src, prob.y_src, draw, d, 2.0, schedule, subsequence)
 
         def frozen(x):
-            x_prev = forward_sample(x, t_prev, draw.eps_prev, schedule)
-            x_cur = forward_sample(x, t_cur, draw.eps_cur, schedule)
+            x_prev = schedule.noised(x, t_prev, noise[0])
+            x_cur = schedule.noised(x, t_cur, noise[1])
             ab = schedule.alpha_bar[t_cur]
             est = (x_cur - np.sqrt(1 - ab) * eps_frozen) / np.sqrt(ab)
             z_tgt = (x_prev - (pc.gamma * est + pc.delta * x_cur)) / pc.sigma
@@ -304,32 +301,78 @@ class TestPdsObjective:
         assert np.linalg.norm(residual - fd) / np.linalg.norm(fd) < 1e-4
 
 
+class TestObjectiveGrad:
+    @pytest.mark.parametrize("kind", ["identity", "affine"])
+    @pytest.mark.parametrize("w_mode", WEIGHT_MODES)
+    @pytest.mark.parametrize("objective", OBJECTIVES)
+    def test_is_the_step_optimize_batch_applies(
+        self, trained_model, schedule, subsequence, objective, w_mode, kind
+    ):
+        # the gradient the acceptance criteria certify is the one figure2
+        # applies: one gd step from the same seed moves theta by lr times it
+        src = np.array([-2.0, 0.3])
+        a = np.array([[1.1, 0.2], [-0.1, 0.9]])
+        gen = identity_generator(src) if kind == "identity" else affine_generator(a, [0.4, 0.1], src)
+        prob = EditProblem(x0_src=src, y_src=1, gen=gen, y_tgt=2, omega=7.5, sub=subsequence)
+        seed, lr = 29, 0.01
+        draw = draw_shared_noise(subsequence, np.random.default_rng(seed))
+        grad = objective_grad(prob, objective, draw, trained_model, schedule, w_mode)
+        (rec,) = optimize_batch([(prob, objective, seed)], 1, lr, trained_model, schedule, w_mode)
+        assert rec.theta[1].tobytes() == (rec.theta[0] - lr * grad).tobytes()
+        assert rec.grad_norm[1] == np.linalg.norm(grad)
+
+    @pytest.mark.parametrize("objective", OBJECTIVES)
+    def test_rejects_index_outside_sampling_range(self, schedule, subsequence, rng, objective):
+        d = rough_model(rng)
+        prob = make_problem(rng, subsequence)
+        for i in (subsequence.lo_index - 1, subsequence.hi_index + 1):
+            with pytest.raises(ValueError, match="sampling range"):
+                objective_grad(prob, objective, (i, np.zeros((2, 2))), d, schedule)
+
+    def test_rejects_unknown_objective_and_weight_mode(self, schedule, subsequence, rng):
+        d = rough_model(rng)
+        prob = make_problem(rng, subsequence)
+        draw = draw_shared_noise(subsequence, rng)
+        with pytest.raises(ValueError, match="objective"):
+            objective_grad(prob, "vsd", draw, d, schedule)
+        for objective in OBJECTIVES:
+            with pytest.raises(ValueError, match="weight mode"):
+                objective_grad(prob, objective, draw, d, schedule, "quadratic")
+
+    def test_non_finite_residual_raises(self, schedule, subsequence, rng):
+        bad = Denoiser.create(seed=1)
+        bad.params[:] = np.nan
+        draw = draw_shared_noise(subsequence, rng)
+        with pytest.raises(DivergenceError, match="non-finite residual"):
+            objective_grad(make_problem(rng, subsequence), "dds", draw, bad, schedule)
+
+
 class TestOptimize:
     def test_zero_steps_records_initial_state_only(self, trained_model, schedule, subsequence, rng):
         prob = make_problem(rng, subsequence, gen_point=[-2.0, 0.0], src_point=[-2.0, 0.0])
-        rec = optimize(prob, "pds", 0, 0.01, 5, trained_model, schedule)
+        (rec,) = optimize_batch([(prob, "pds", 5)], 0, 0.01, trained_model, schedule)
         assert len(rec.theta) == len(rec.x0_tgt) == len(rec.grad_norm) == 1
         assert rec.grad_norm[0] == 0.0
         assert not rec.diverged
 
     def test_identical_seeds_identical_records(self, trained_model, schedule, subsequence, rng):
         prob = make_problem(rng, subsequence, gen_point=[-2.0, 0.1], src_point=[-2.0, 0.1])
-        a = optimize(prob, "dds", 25, 0.01, 99, trained_model, schedule)
-        b = optimize(prob, "dds", 25, 0.01, 99, trained_model, schedule)
+        (a,) = optimize_batch([(prob, "dds", 99)], 25, 0.01, trained_model, schedule)
+        (b,) = optimize_batch([(prob, "dds", 99)], 25, 0.01, trained_model, schedule)
         assert np.array_equal(a.theta, b.theta)
         assert np.array_equal(a.grad_norm, b.grad_norm)
 
     def test_does_not_mutate_input_problem(self, trained_model, schedule, subsequence, rng):
         start = np.array([-2.0, 0.1])
         prob = make_problem(rng, subsequence, gen_point=start, src_point=start)
-        optimize(prob, "sds", 10, 0.05, 1, trained_model, schedule)
+        optimize_batch([(prob, "sds", 1)], 10, 0.05, trained_model, schedule)
         assert np.array_equal(prob.gen.theta, start)
 
     def test_divergence_flags_partial_record(self, trained_model, schedule, subsequence, rng):
         # an update large enough to overflow theta must stop the run
         prob = make_problem(rng, subsequence, gen_point=[-2.0, 0.0], src_point=[-2.0, 0.0])
         with np.errstate(over="ignore", invalid="ignore"):
-            rec = optimize(prob, "sds", 50, 1e308, 3, trained_model, schedule)
+            (rec,) = optimize_batch([(prob, "sds", 3)], 50, 1e308, trained_model, schedule)
         assert rec.diverged
         assert len(rec.theta) < 51
 
@@ -337,45 +380,46 @@ class TestOptimize:
         bad = Denoiser.create(seed=1)
         bad.params[:] = np.nan
         prob = make_problem(rng, subsequence, gen_point=[-2.0, 0.0], src_point=[1.0, 1.0])
-        rec = optimize(prob, "dds", 10, 0.01, 3, bad, schedule)
+        (rec,) = optimize_batch([(prob, "dds", 3)], 10, 0.01, bad, schedule)
         assert rec.diverged
         assert len(rec.theta) == 1
 
     def test_adam_option_runs(self, trained_model, schedule, subsequence, rng):
         prob = make_problem(rng, subsequence, gen_point=[-2.0, 0.0], src_point=[-2.0, 0.0])
-        rec = optimize(prob, "pds", 20, 0.05, 7, trained_model, schedule, optimizer="adam")
+        (rec,) = optimize_batch([(prob, "pds", 7)], 20, 0.05, trained_model, schedule,
+                                optimizer="adam")
         assert len(rec.theta) == 21
         assert not rec.diverged
 
     def test_rejects_unknown_objective(self, trained_model, schedule, subsequence, rng):
         prob = make_problem(rng, subsequence)
         with pytest.raises(ValueError):
-            optimize(prob, "vsd", 5, 0.01, 1, trained_model, schedule)
+            optimize_batch([(prob, "vsd", 1)], 5, 0.01, trained_model, schedule)
 
 
 def reference_optimize(prob, objective, steps, lr, seed, d, s, w_mode="const", optimizer="gd"):
     """One run, one step at a time, every prediction evaluated alone."""
     rng = np.random.default_rng(seed)
-    gen = prob.gen.copy()
+    gen = replace(prob.gen, theta=prob.gen.theta.copy())
     thetas, points, norms = [gen.theta.copy()], [gen.render()], [0.0]
     diverged = False
     adam = AdamState.for_params(gen.theta) if optimizer == "adam" else None
     for k in range(1, steps + 1):
-        draw = sample_shared_noise(prob.sub, rng)
-        t = int(prob.sub.tau[draw.i])
+        i, noise = draw_shared_noise(prob.sub, rng)
+        t = int(prob.sub.tau[i])
         w_t = 1.0 if w_mode == "const" else float(1.0 - s.alpha_bar[t])
         x0 = gen.render()
-        e_tgt = cfg_predict(d, forward_sample(x0, t, draw.eps_cur, s), prob.y_tgt, t, prob.omega)
+        e_tgt = cfg_predict(d, s.noised(x0, t, noise[1]), prob.y_tgt, t, prob.omega)
         if objective == "sds":
-            e_ref = draw.eps_cur
+            e_ref = noise[1]
         else:
-            x_t_src = forward_sample(prob.x0_src, t, draw.eps_cur, s)
+            x_t_src = s.noised(prob.x0_src, t, noise[1])
             e_ref = cfg_predict(d, x_t_src, prob.y_src, t, prob.omega)
         if not (np.all(np.isfinite(e_tgt)) and np.all(np.isfinite(e_ref))):
             diverged = True
             break
         if objective == "pds":
-            c = pds_coeffs(s, prob.sub, draw.i)
+            c = pds_coeffs(s, prob.sub, i)
             residual = c.psi * (x0 - prob.x0_src) + c.chi * (e_tgt - e_ref)
         else:
             residual = w_t * (e_tgt - e_ref)
@@ -473,11 +517,11 @@ class TestOptimizeBatch:
         for rec, ref in zip(got, refs):
             assert record_bits(rec) == record_bits(ref)
 
-    def test_optimize_is_the_batch_of_one(self, trained_model, schedule, subsequence):
+    def test_a_job_alone_equals_its_batch_record(self, trained_model, schedule, subsequence):
         jobs = mixed_jobs(subsequence, np.random.default_rng(8))
         batch = optimize_batch(jobs, 6, 0.01, trained_model, schedule)
-        for (prob, objective, seed), rec in zip(jobs, batch):
-            alone = optimize(prob, objective, 6, 0.01, seed, trained_model, schedule)
+        for job, rec in zip(jobs, batch):
+            (alone,) = optimize_batch([job], 6, 0.01, trained_model, schedule)
             assert record_bits(alone) == record_bits(rec)
 
     def test_shared_draw_survives_a_diverging_member(
@@ -732,14 +776,14 @@ def csv_case(name, d, s, sub):
     a = np.eye(2) + 0.1 * rng.standard_normal((2, 2))
     affine = replace(identity, gen=affine_generator(a, start - a @ start, start))
     if name == "identity":
-        return optimize(identity, "pds", 6, 0.01, 11, d, s)
+        return optimize_batch([(identity, "pds", 11)], 6, 0.01, d, s)[0]
     if name == "affine":
-        return optimize(affine, "dds", 6, 0.01, 11, d, s)
+        return optimize_batch([(affine, "dds", 11)], 6, 0.01, d, s)[0]
     if name == "step_zero_only":
-        return optimize(affine, "sds", 0, 0.01, 11, d, s)
+        return optimize_batch([(affine, "sds", 11)], 0, 0.01, d, s)[0]
     if name == "diverged":
         with np.errstate(over="ignore", invalid="ignore"):
-            rec = optimize(identity, "sds", 50, 1e308, 3, d, s)
+            (rec,) = optimize_batch([(identity, "sds", 3)], 50, 1e308, d, s)
         assert rec.diverged and 1 < len(rec.theta) < 51
         return rec
     vals = np.array(EDGE_VALUES)
@@ -790,7 +834,7 @@ class TestWeightsAndCsv:
 
     def test_trajectory_csv_layout(self, trained_model, schedule, subsequence, rng, tmp_path):
         prob = make_problem(rng, subsequence, gen_point=[-1.8, 0.2], src_point=[-1.8, 0.2])
-        rec = optimize(prob, "pds", 5, 0.01, 11, trained_model, schedule)
+        (rec,) = optimize_batch([(prob, "pds", 11)], 5, 0.01, trained_model, schedule)
         path = tmp_path / "traj.csv"
         write_trajectory_csv(rec, path)
         with open(path, newline="", encoding="utf-8") as fh:

@@ -29,3 +29,35 @@ def test_package_exports_what_it_imports():
         for alias in node.names
     }
     assert set(distill_lab.__all__) == imported | {"__version__"}
+
+
+# Names the benchmark under perfbench/ binds by name rather than through
+# the package's exports, each with the perfbench file that reads it;
+# deleting or rebinding one breaks the benchmark without failing any other test.
+PERFBENCH_BINDINGS = [
+    ("denoiser", "predict", "selftest.py RowCounter.RULES"),
+    ("denoiser", "cfg_predict", "selftest.py RowCounter.RULES"),
+    ("denoiser", "cfg_predict_batch", "selftest.py RowCounter.RULES, worker.py probe_denoiser"),
+    ("denoiser", "loss_and_grad", "selftest.py RowCounter.RULES, worker.py probe_denoiser"),
+    ("distill", "cfg_predict", "selftest.py check_tracer"),
+    ("latentops", "cfg_predict", "selftest.py check_tracer"),
+    ("latentops", "invert", "worker.py probe_roundtrip"),
+    ("latentops", "generate_with_latents", "worker.py probe_roundtrip"),
+]
+
+
+@pytest.mark.parametrize(
+    "module, name, reader", PERFBENCH_BINDINGS, ids=[f"{m}.{n}" for m, n, _ in PERFBENCH_BINDINGS]
+)
+def test_names_perfbench_binds_still_resolve(module, name, reader):
+    fn = getattr(importlib.import_module(f"distill_lab.{module}"), name, None)
+    assert callable(fn), f"perfbench/{reader} reads distill_lab.{module}.{name}"
+
+
+def test_perfbench_reimports_are_the_denoiser_function():
+    # perfbench/selftest.py (RowCounter, check_tracer) finds the re-imports
+    # by identity with denoiser.cfg_predict
+    from distill_lab import denoiser, distill, latentops
+
+    assert distill.cfg_predict is denoiser.cfg_predict
+    assert latentops.cfg_predict is denoiser.cfg_predict

@@ -6,19 +6,17 @@ import pytest
 from distill_lab.denoiser import Denoiser, _layer_views, cfg_predict, cfg_predict_batch
 from distill_lab.errors import DegenerateTimestepError, DivergenceError, MismatchError
 from distill_lab.latentops import (
-    SharedNoiseDraw,
     StochasticLatentSequence,
     ancestral_sample_batch,
-    forward_sample,
+    draw_shared_noise,
     generate_with_latents,
     generate_with_latents_batch,
     invert,
-    sample_shared_noise,
     sdedit_batch,
-    stochastic_latent,
+    stochastic_latents,
 )
 from distill_lab.schedule import build_subsequence, posterior_coeffs, posterior_coeffs_pair
-from references import posterior_mean_pred, tweedie_estimate
+from references import one_latent, posterior_mean_pred, tweedie_estimate
 
 
 def constant_model(eps: np.ndarray) -> Denoiser:
@@ -39,13 +37,13 @@ def reference_invert(x0, y, d, omega, s, sub, rng):
     for i in range(n, 0, -1):
         t_cur, t_prev = int(sub.tau[i]), int(sub.tau[i - 1])
         pc = posterior_coeffs(s, t_cur)
-        x_prev = x0 if t_prev == 0 else forward_sample(x0, t_prev, eps_levels[i - 1], s)
-        x_cur = forward_sample(x0, t_cur, eps_levels[i], s)
+        x_prev = x0 if t_prev == 0 else s.noised(x0, t_prev, eps_levels[i - 1])
+        x_cur = s.noised(x0, t_cur, eps_levels[i])
         e = cfg_predict(d, x_cur, y, t_cur, omega)
         ab = s.alpha_bar[t_cur]
         x0_est = (x_cur - math.sqrt(1.0 - ab) * e) / math.sqrt(ab)
         latents.append((x_prev - (pc.gamma * x0_est + pc.delta * x_cur)) / pc.sigma)
-    return np.array(latents), forward_sample(x0, int(sub.tau[n]), eps_levels[n], s)
+    return np.array(latents), s.noised(x0, int(sub.tau[n]), eps_levels[n])
 
 
 def reference_replay(x_top, latents, y, d, omega, s, sub):
@@ -62,33 +60,30 @@ def reference_replay(x_top, latents, y, d, omega, s, sub):
 
 
 class TestForwardSample:
+    """The forward-process state ``NoiseSchedule.noised`` that the
+    inversion, sdedit and the objectives' residuals all draw."""
+
     def test_zero_noise_limit(self, schedule):
         x0 = np.array([1.5, -2.5])
-        got = forward_sample(x0, 700, np.zeros(2), schedule)
+        got = schedule.noised(x0, 700, np.zeros(2))
         assert np.array_equal(got, math.sqrt(schedule.alpha_bar[700]) * x0)
 
     def test_zero_signal_limit(self, schedule):
         eps = np.array([0.3, 0.9])
-        got = forward_sample(np.zeros(2), 700, eps, schedule)
+        got = schedule.noised(np.zeros(2), 700, eps)
         assert np.array_equal(got, math.sqrt(1.0 - schedule.alpha_bar[700]) * eps)
 
     def test_matches_independent_evaluation(self, schedule):
         x0, eps = np.array([1.0, 1.0]), np.array([1.0, -1.0])
         ab = schedule.alpha_bar[500]
         expected = np.sqrt(ab) * x0 + np.sqrt(1.0 - ab) * eps
-        assert forward_sample(x0, 500, eps, schedule) == pytest.approx(expected, rel=1e-15)
-
-    def test_rejects_out_of_range(self, schedule):
-        with pytest.raises(ValueError):
-            forward_sample(np.zeros(2), 0, np.zeros(2), schedule)
-        with pytest.raises(ValueError):
-            forward_sample(np.zeros(2), 1001, np.zeros(2), schedule)
+        assert schedule.noised(x0, 500, eps) == pytest.approx(expected, rel=1e-15)
 
     def test_marginal_statistics(self, schedule, rng):
         x0 = np.array([0.8, -1.2])
         t = 400
         draws = rng.standard_normal((100_000, 2))
-        samples = forward_sample(x0, t, draws, schedule)
+        samples = schedule.noised(x0, t, draws)
         ab = schedule.alpha_bar[t]
         se_mean = math.sqrt((1.0 - ab) / len(draws))
         assert np.all(np.abs(samples.mean(axis=0) - np.sqrt(ab) * x0) < 3 * se_mean)
@@ -101,7 +96,7 @@ class TestTweedieEstimate:
         eps = np.array([0.7, -0.2])
         d = constant_model(eps)
         x0 = np.array([-1.1, 0.4])
-        x_t = forward_sample(x0, 350, eps, schedule)
+        x_t = schedule.noised(x0, 350, eps)
         got = tweedie_estimate(x_t, 1, 350, d, 1.0, schedule)
         assert got == pytest.approx(x0, abs=1e-12)
 
@@ -118,7 +113,7 @@ class TestTweedieEstimate:
             eps = rng.standard_normal(2)
             t = int(rng.integers(1, schedule.T + 1))
             d = constant_model(eps)
-            x_t = forward_sample(x0, t, eps, schedule)
+            x_t = schedule.noised(x0, t, eps)
             back = tweedie_estimate(x_t, 2, t, d, 1.0, schedule)
             worst = max(worst, float(np.max(np.abs(back - x0))))
         assert worst < 1e-10
@@ -138,7 +133,7 @@ class TestPosteriorMeanPred:
             x0 = rng.standard_normal(2)
             eps = rng.standard_normal(2)
             d = constant_model(eps)
-            x_t = forward_sample(x0, t, eps, schedule)
+            x_t = schedule.noised(x0, t, eps)
             mu = posterior_mean_pred(x_t, 1, t, d, 1.0, schedule)
             pc = posterior_coeffs(schedule, t)
             expected = (
@@ -160,8 +155,7 @@ class TestStochasticLatent:
         # zero noises + zero predictions: z = (sqrt(ab[prev]) - sqrt(ab[t-1])) x0 / sigma
         d = Denoiser.create(seed=5)
         x0 = np.array([1.3, -0.4])
-        draw = SharedNoiseDraw(i=250, eps_prev=np.zeros(2), eps_cur=np.zeros(2))
-        z = stochastic_latent(x0, 1, draw, d, 1.0, schedule, subsequence)
+        z = one_latent(x0, 1, (250, np.zeros((2, 2))), d, 1.0, schedule, subsequence)
         t_cur = int(subsequence.tau[250])
         t_prev = int(subsequence.tau[249])
         pc = posterior_coeffs(schedule, t_cur)
@@ -171,25 +165,24 @@ class TestStochasticLatent:
     def test_stride_one_zero_noise_latent_vanishes(self, schedule):
         sub1 = build_subsequence(schedule, 1, 0.02, 0.98)
         d = Denoiser.create(seed=5)
-        draw = SharedNoiseDraw(i=500, eps_prev=np.zeros(2), eps_cur=np.zeros(2))
-        z = stochastic_latent(np.array([0.7, 0.7]), 1, draw, d, 1.0, schedule, sub1)
+        z = one_latent(np.array([0.7, 0.7]), 1, (500, np.zeros((2, 2))), d, 1.0, schedule, sub1)
         assert np.max(np.abs(z)) < 1e-10
 
     def test_deterministic(self, trained_model, schedule, subsequence, rng):
-        draw = sample_shared_noise(subsequence, rng)
+        draw = draw_shared_noise(subsequence, rng)
         x0 = np.array([-1.9, 0.2])
-        a = stochastic_latent(x0, 1, draw, trained_model, 7.5, schedule, subsequence)
-        b = stochastic_latent(x0, 1, draw, trained_model, 7.5, schedule, subsequence)
+        a = one_latent(x0, 1, draw, trained_model, 7.5, schedule, subsequence)
+        b = one_latent(x0, 1, draw, trained_model, 7.5, schedule, subsequence)
         assert np.array_equal(a, b)
 
     def test_affine_in_predecessor_noise(self, trained_model, schedule, subsequence, rng):
         # x_prev is the only place eps_prev enters, linearly, for any model
-        base = sample_shared_noise(subsequence, rng)
+        i, base = draw_shared_noise(subsequence, rng)
         e = rng.standard_normal(2)
         zs = []
         for scale in (0.0, 1.0, 2.0):
-            draw = SharedNoiseDraw(i=base.i, eps_prev=scale * e, eps_cur=base.eps_cur)
-            zs.append(stochastic_latent(np.array([0.5, 0.5]), 2, draw, trained_model, 7.5, schedule, subsequence))
+            draw = (i, np.array([scale * e, base[1]]))
+            zs.append(one_latent(np.array([0.5, 0.5]), 2, draw, trained_model, 7.5, schedule, subsequence))
         assert np.max(np.abs((zs[1] - zs[0]) - (zs[2] - zs[1]))) < 1e-9
 
     def test_affine_in_both_noises_for_linear_model(self, schedule, subsequence, rng):
@@ -197,16 +190,34 @@ class TestStochasticLatent:
         e_prev, e_cur = rng.standard_normal(2), rng.standard_normal(2)
         zs = []
         for scale in (0.0, 1.0, 2.0):
-            draw = SharedNoiseDraw(i=300, eps_prev=scale * e_prev, eps_cur=scale * e_cur)
-            zs.append(stochastic_latent(np.array([0.5, -0.5]), 1, draw, d, 1.0, schedule, subsequence))
+            draw = (300, scale * np.array([e_prev, e_cur]))
+            zs.append(one_latent(np.array([0.5, -0.5]), 1, draw, d, 1.0, schedule, subsequence))
         assert np.max(np.abs((zs[1] - zs[0]) - (zs[2] - zs[1]))) < 1e-9
 
     def test_degenerate_sigma_raises(self, schedule):
         sub1 = build_subsequence(schedule, 1, 0.02, 0.98)
         d = Denoiser.create(seed=5)
-        draw = SharedNoiseDraw(i=1, eps_prev=np.zeros(2), eps_cur=np.zeros(2))
         with pytest.raises(DegenerateTimestepError):
-            stochastic_latent(np.zeros(2), 1, draw, d, 1.0, schedule, sub1)
+            one_latent(np.zeros(2), 1, (1, np.zeros((2, 2))), d, 1.0, schedule, sub1)
+
+    def test_rejects_index_outside_grid(self, random_model, schedule, subsequence):
+        noise = np.zeros((2, 2))
+        for bad in (0, subsequence.S + 1):
+            with pytest.raises(ValueError, match=f"draw index {bad} outside the grid"):
+                stochastic_latents(np.zeros(2), 1, np.array([3, bad]), noise, noise,
+                                   random_model, 1.0, schedule, subsequence)
+
+    def test_indices_share_one_batch_bitwise(self, trained_model, schedule, subsequence, rng):
+        # several draws of one point in one call: each row is its draw alone
+        draws = [draw_shared_noise(subsequence, rng) for _ in range(6)]
+        idx = np.array([i for i, _ in draws])
+        noise = np.array([n for _, n in draws])
+        x0 = np.array([-1.9, 0.2])
+        z = stochastic_latents(x0, 1, idx, noise[:, 0], noise[:, 1], trained_model, 7.5,
+                               schedule, subsequence)
+        for row, draw in zip(z, draws):
+            assert row.tobytes() == one_latent(x0, 1, draw, trained_model, 7.5, schedule,
+                                               subsequence).tobytes()
 
     def test_substitution_rule_reconstructs_single_step(
         self, trained_model, schedule, subsequence, rng
@@ -215,13 +226,13 @@ class TestStochasticLatent:
         # forward-drawn predecessor state
         for _ in range(20):
             x0 = rng.standard_normal(2)
-            draw = sample_shared_noise(subsequence, rng)
-            t_cur = int(subsequence.tau[draw.i])
-            t_prev = int(subsequence.tau[draw.i - 1])
+            i, noise = draw = draw_shared_noise(subsequence, rng)
+            t_cur = int(subsequence.tau[i])
+            t_prev = int(subsequence.tau[i - 1])
             pc = posterior_coeffs(schedule, t_cur)
-            x_prev = forward_sample(x0, t_prev, draw.eps_prev, schedule)
-            x_cur = forward_sample(x0, t_cur, draw.eps_cur, schedule)
-            z = stochastic_latent(x0, 1, draw, trained_model, 7.5, schedule, subsequence)
+            x_prev = schedule.noised(x0, t_prev, noise[0])
+            x_cur = schedule.noised(x0, t_cur, noise[1])
+            z = one_latent(x0, 1, draw, trained_model, 7.5, schedule, subsequence)
             mu = posterior_mean_pred(x_cur, 1, t_cur, trained_model, 7.5, schedule)
             assert np.max(np.abs(mu + pc.sigma * z - x_prev)) < 1e-12
 
@@ -430,9 +441,9 @@ class TestDivergence:
             invert(np.array([-2.0, 0.3]), 1, nan_bias_model, 7.5, schedule, subsequence, rng)
 
     def test_stochastic_latent(self, nan_bias_model, schedule, subsequence, rng):
-        draw = sample_shared_noise(subsequence, rng)
+        draw = draw_shared_noise(subsequence, rng)
         with pytest.raises(DivergenceError, match="non-finite stochastic latent"):
-            stochastic_latent(np.zeros(2), 1, draw, nan_bias_model, 7.5, schedule, subsequence)
+            one_latent(np.zeros(2), 1, draw, nan_bias_model, 7.5, schedule, subsequence)
 
     def test_replay(self, nan_bias_model, trained_model, schedule, subsequence, rng):
         seq = invert(np.array([-2.0, 0.3]), 1, trained_model, 7.5, schedule, subsequence, rng)

@@ -14,11 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import distill, latentops
+from . import distill, experiments, latentops
 from .config import ExperimentConfig
 from .denoiser import Denoiser, TwoMarginalDataset, cfg_predict, loss_and_grad, train
 from .errors import ConfigError
-from .experiments import check_sdedit_schedule, run_figure2, run_sdedit_sweep
 from .schedule import (
     NoiseSchedule,
     TimestepSubsequence,
@@ -58,7 +57,8 @@ class Fixtures:
 
 def check_config(cfg: ExperimentConfig) -> None:
     """ConfigError when cfg's schedule cannot hold the grids and the sdedit
-    chain that the criteria fix; :func:`build_fixtures` calls it before it trains."""
+    chain that the criteria fix, or when cfg's grid cannot be inverted;
+    :func:`build_fixtures` calls it before it trains."""
     s = cfg.build_schedule()
     try:
         for stride in (1, *FORM_STRIDES):
@@ -66,7 +66,8 @@ def check_config(cfg: ExperimentConfig) -> None:
     except ValueError:
         raise ConfigError(f"check builds grids of stride 1, 2, 5 and 10; the stride-{stride} "
                           f"grid does not fit in schedule.t = {s.T}") from None
-    check_sdedit_schedule(cfg)
+    experiments.check_sdedit_schedule(cfg)
+    experiments.check_roundtrip_grid(cfg)
 
 
 def build_fixtures(cfg: ExperimentConfig | None = None) -> Fixtures:
@@ -191,23 +192,12 @@ def criterion_4_inversion_roundtrip(fx: Fixtures) -> CriterionResult:
     the trained model and a random-weight model."""
     t0 = time.perf_counter()
     rng = np.random.default_rng(MASTER_SEED + 40)
-    s, sub = fx.schedule, fx.sub
-    omega = fx.cfg.distill.omega
-    models = {
-        "trained": fx.trained,
-        "random": Denoiser.create(seed=MASTER_SEED + 41, random_head=True),
-    }
-    labels = [1 + idx % 2 for idx in range(50)]
-    worst = 0.0
-    for d in models.values():
-        points, seqs = [], []
-        for label in labels:
-            spec = fx.dataset.class_params[label - 1]
-            x0 = np.asarray(spec.mean) + spec.std * rng.standard_normal(2)
-            points.append(x0)
-            seqs.append(latentops.invert(x0, label, d, omega, s, sub, rng))
-        backs = latentops.generate_with_latents_batch(seqs, labels, d, omega, s, sub)
-        worst = max(worst, float(np.max(np.abs(backs - np.array(points)))))
+    random_model = Denoiser.create(seed=MASTER_SEED + 41, random_head=True)
+    worst = max(
+        err
+        for d in (fx.trained, random_model)
+        for _, _, err in experiments.run_roundtrip_report(fx.cfg, d, rng, 50)
+    )
     seconds = time.perf_counter() - t0
     passed = worst < 1e-8 and seconds < 30.0
     return CriterionResult(
@@ -338,7 +328,7 @@ def criterion_7_figure2_ordering(fx: Fixtures) -> CriterionResult:
     """Latent matching ends closest to its start and to the boundary,
     within the time budget including training."""
     t0 = time.perf_counter()
-    summary = run_figure2(fx.cfg, fx.trained, fx.schedule, fx.sub)
+    summary = experiments.run_figure2(fx.cfg, fx.trained)
     seconds = time.perf_counter() - t0
     agg = summary.aggregates
     pds, sds, dds = agg["pds"], agg["sds"], agg["dds"]
@@ -392,7 +382,7 @@ def criterion_9_sdedit_limits(fx: Fixtures) -> CriterionResult:
         x0, 1, 0.0, fx.trained, fx.cfg.training.sample_omega, fx.schedule, rng
     )
     identity_exact = np.array_equal(out, x0)
-    rows = run_sdedit_sweep(fx.cfg, fx.trained, fx.schedule, n_points=200)
+    rows = experiments.run_sdedit_sweep(fx.cfg, fx.trained, 200, 10)
     ratios = np.array([r for r, _ in rows])
     means = np.array([m for _, m in rows])
     rho = rank_correlation(ratios, means)

@@ -8,14 +8,13 @@ Shared flags: --config PATH, --seed N, --out DIR, --check. Exit codes:
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
 import time
 from pathlib import Path
 
 import numpy as np
 
-from . import acceptance
+from . import acceptance, experiments
 from .config import ExperimentConfig, load_config
 from .denoiser import Denoiser, load_checkpoint, save_checkpoint, train
 from .errors import (
@@ -27,7 +26,6 @@ from .errors import (
     DivergenceError,
     MismatchError,
 )
-from .experiments import check_sdedit_schedule, run_figure2, run_roundtrip_report, run_sdedit_sweep
 
 __all__ = ["main"]
 
@@ -66,11 +64,8 @@ def cmd_train(cfg: ExperimentConfig, args) -> int:
     elapsed = time.perf_counter() - t0
     ckpt_path = out / "model.ckpt"
     save_checkpoint(d, ckpt_path, cfg.schedule.t)
-    with open(out / "train_log.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["step", "loss"])
-        for step, loss in enumerate(losses):
-            writer.writerow([step, f"{loss:.17g}"])
+    lines = ["%d,%.17g" % row for row in enumerate(losses)]
+    experiments.write_csv(out / "train_log.csv", ["step", "loss"], lines)
     print(f"trained {cfg.training.steps} steps in {elapsed:.1f}s "
           f"(loss {losses[0]:.4f} -> {losses[-1]:.4f})")
     print(f"checkpoint: {ckpt_path}")
@@ -82,17 +77,14 @@ def cmd_invert_roundtrip(cfg: ExperimentConfig, args) -> int:
     _check_count("--k", args.k, 0)
     if not (args.tolerance > 0.0 and np.isfinite(args.tolerance)):
         raise ConfigError(f"--tolerance must be finite and > 0, got {args.tolerance}")
+    experiments.check_roundtrip_grid(cfg)
     out = _out_dir(cfg)
-    s = cfg.build_schedule()
-    sub = cfg.build_subsequence(s)
     d = _load_model(cfg, args.checkpoint)
-    rows = run_roundtrip_report(cfg, d, s, sub, k=args.k)
+    rng = np.random.default_rng(cfg.dataset.seed + 202)
+    rows = experiments.run_roundtrip_report(cfg, d, rng, args.k)
     report_path = out / "roundtrip.csv"
-    with open(report_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["index", "label", "max_abs_error"])
-        for idx, label, err in rows:
-            writer.writerow([idx, label, f"{err:.17g}"])
+    lines = ["%d,%d,%.17g" % row for row in rows]
+    experiments.write_csv(report_path, ["index", "label", "max_abs_error"], lines)
     if not rows:
         print("empty report (k = 0)")
         return EXIT_OK
@@ -108,10 +100,8 @@ def cmd_invert_roundtrip(cfg: ExperimentConfig, args) -> int:
 
 def cmd_figure2(cfg: ExperimentConfig, args) -> int:
     out = _out_dir(cfg)
-    s = cfg.build_schedule()
-    sub = cfg.build_subsequence(s)
     d = _load_model(cfg, args.checkpoint)
-    summary = run_figure2(cfg, d, s, sub, out_dir=out)
+    summary = experiments.run_figure2(cfg, d, out_dir=out)
     print(f"{'objective':>9}  {'mean disp':>10}  {'mean |dist|':>11}  "
           f"{'frac class2':>11}  {'diverged':>8}")
     for name, agg in summary.aggregates.items():
@@ -128,18 +118,13 @@ def cmd_figure2(cfg: ExperimentConfig, args) -> int:
 def cmd_sdedit_demo(cfg: ExperimentConfig, args) -> int:
     _check_count("--points", args.points, 1)
     _check_count("--grid-points", args.grid_points, 0)
-    check_sdedit_schedule(cfg)
+    experiments.check_sdedit_schedule(cfg)
     out = _out_dir(cfg)
-    s = cfg.build_schedule()
     d = _load_model(cfg, args.checkpoint)
-    grid = np.arange(args.grid_points) / max(args.grid_points, 1)
-    rows = run_sdedit_sweep(cfg, d, s, n_points=args.points, grid=grid)
+    rows = experiments.run_sdedit_sweep(cfg, d, args.points, args.grid_points)
     path = out / "sdedit_sweep.csv"
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t0_ratio", "mean_displacement"])
-        for ratio, mean in rows:
-            writer.writerow([f"{ratio:.17g}", f"{mean:.17g}"])
+    lines = ["%.17g,%.17g" % row for row in rows]
+    experiments.write_csv(path, ["t0_ratio", "mean_displacement"], lines)
     for ratio, mean in rows:
         print(f"t0_ratio {ratio:4.2f}: mean displacement {mean:.4f}")
     print(f"sweep: {path}")

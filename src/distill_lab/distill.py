@@ -15,7 +15,8 @@ predictor's own Jacobian is deliberately omitted everywhere.
 ``objective_grad`` is one objective's gradient for one shared-noise draw
 ``(i, noise)``; ``optimize_batch`` applies that gradient to seeded jobs in
 lockstep, and ``pds_grad_latent_form`` is the latent-difference form that
-pds is checked against.
+pds is checked against. The module does no file I/O: trajectories are
+written by ``experiments.write_trajectory_csv``.
 """
 
 from __future__ import annotations
@@ -47,7 +48,6 @@ __all__ = [
     "objective_grad",
     "pds_grad_latent_form",
     "optimize_batch",
-    "write_trajectory_csv",
 ]
 
 OBJECTIVES = ("sds", "dds", "pds")
@@ -414,28 +414,3 @@ def optimize_batch(
         for j, ((_, objective, seed), m) in enumerate(zip(jobs, kept.tolist()))
     ]
 
-
-def write_trajectory_csv(record: TrajectoryRecord, path) -> list[str]:
-    """One row per step: step, theta components, rendered point, grad norm.
-
-    Every float is formatted once with ``%.17g`` and the file is written at
-    once; the bytes are those of ``csv.writer`` with every float as
-    ``f"{v:.17g}"``. When theta holds the rendered point's bytes (an
-    identity generator), the point text fills the theta columns too.
-    Returns each row's rendered point as its ``"x,y"`` text, for callers
-    that write the points again.
-    """
-    n_theta = record.theta.shape[1]
-    header = ",".join(
-        ["step", *[f"theta{j}" for j in range(n_theta)], "x0_tgt_x", "x0_tgt_y", "grad_norm"]
-    )
-    points = ["%.17g,%.17g" % (x, y) for x, y in record.x0_tgt.tolist()]
-    thetas = points  # an identity generator's theta is its point, bit for bit
-    if n_theta != POINT_DIM or record.theta.tobytes() != record.x0_tgt.tobytes():
-        template = ",".join(["%.17g"] * n_theta)
-        thetas = [template % tuple(theta) for theta in record.theta.tolist()]
-    rows = zip(range(len(points)), thetas, points, record.grad_norm.tolist())
-    lines = ["%d,%s,%s,%.17g" % row for row in rows]
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write("\r\n".join([header, *lines, ""]))
-    return points

@@ -1,41 +1,38 @@
-"""Experiment drivers: the two-marginal trajectory comparison, the partial
--noising sweep, and the inversion round-trip report.
+"""Experiment drivers and the CSV writer: the two-marginal trajectory
+comparison, the partial-noising sweep, and the inversion round-trip report.
+Each driver takes the config, the model and its own arguments.
 
 The trajectory comparison starts identity generators at samples of class 1
 and optimizes them toward class 2 under each objective with matched seeds,
 then aggregates endpoint displacement and distance to the class boundary
 (the perpendicular bisector of the two configured class means, computed
-from the configuration, never hard-coded).
+from the configuration, never hard-coded). Every CSV the lab writes goes
+through :func:`write_csv`, every float as ``%.17g``.
 """
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .config import ExperimentConfig
-from .denoiser import ClassSpec, Denoiser
-from .distill import (
-    EditProblem,
-    TrajectoryRecord,
-    identity_generator,
-    optimize_batch,
-    write_trajectory_csv,
-)
+from .denoiser import POINT_DIM, ClassSpec, Denoiser
+from .distill import EditProblem, TrajectoryRecord, identity_generator, optimize_batch
 from .errors import ConfigError
 from .latentops import generate_with_latents_batch, invert, sdedit_batch
-from .schedule import NoiseSchedule, TimestepSubsequence
 
 __all__ = [
     "ObjectiveAggregate",
     "Figure2Summary",
     "boundary_frame",
     "signed_boundary_distance",
+    "write_csv",
+    "write_trajectory_csv",
     "run_figure2",
     "check_sdedit_schedule",
+    "check_roundtrip_grid",
     "run_sdedit_sweep",
     "run_roundtrip_report",
 ]
@@ -121,12 +118,36 @@ def _evaluate_checks(summary: Figure2Summary) -> None:
     summary.checks["no_divergence"] = all(a.diverged_runs == 0 for a in agg.values())
 
 
+def write_csv(path, header: list[str], lines: list[str]) -> None:
+    """Write the header row and ``lines`` (each a row's comma-joined text) in
+    one write: UTF-8, CRLF line ends, no field quoted. That is ``csv.writer``'s
+    output, because no field the lab writes holds a comma, quote or line break."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write("\r\n".join([",".join(header), *lines, ""]))
+
+
+def write_trajectory_csv(record: TrajectoryRecord, path) -> list[str]:
+    """One row per step: step, theta components, rendered point, grad norm.
+
+    Every float is formatted once. When theta holds the rendered point's
+    bytes (an identity generator), the point text fills the theta columns
+    too. Returns each row's rendered point as its ``"x,y"`` text, for
+    callers that write the points again.
+    """
+    n_theta = record.theta.shape[1]
+    header = ["step", *[f"theta{j}" for j in range(n_theta)], "x0_tgt_x", "x0_tgt_y", "grad_norm"]
+    points = ["%.17g,%.17g" % (x, y) for x, y in record.x0_tgt.tolist()]
+    thetas = points  # an identity generator's theta is its point, bit for bit
+    if n_theta != POINT_DIM or record.theta.tobytes() != record.x0_tgt.tobytes():
+        template = ",".join(["%.17g"] * n_theta)
+        thetas = [template % tuple(theta) for theta in record.theta.tolist()]
+    rows = zip(range(len(points)), thetas, points, record.grad_norm.tolist())
+    write_csv(path, header, ["%d,%s,%s,%.17g" % row for row in rows])
+    return points
+
+
 def run_figure2(
-    cfg: ExperimentConfig,
-    d: Denoiser,
-    s: NoiseSchedule,
-    sub: TimestepSubsequence,
-    out_dir: str | Path | None = None,
+    cfg: ExperimentConfig, d: Denoiser, out_dir: str | Path | None = None
 ) -> Figure2Summary:
     """Run the seeded trajectory comparison; optionally emit all CSVs.
 
@@ -137,11 +158,10 @@ def run_figure2(
     same bits as running each job alone.
     """
     dist = cfg.distill
+    s = cfg.build_schedule()
+    sub = cfg.build_subsequence(s)
     class_params = cfg.class_params()
-    rng = np.random.default_rng(dist.base_seed)
-    starts = np.asarray(class_params[0].mean) + class_params[0].std * rng.standard_normal(
-        (dist.n_runs, 2)
-    )
+    starts = class_params[0].sample(np.random.default_rng(dist.base_seed), dist.n_runs)
 
     jobs = [
         (
@@ -186,10 +206,6 @@ def run_figure2(
     return summary
 
 
-def _fmt(v: float) -> str:
-    return f"{float(v):.17g}"
-
-
 def _emit_figure2_files(out_dir, cfg, summary, records, class_params) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     points = {}
@@ -198,83 +214,64 @@ def _emit_figure2_files(out_dir, cfg, summary, records, class_params) -> None:
             path = out_dir / f"fig2_traj_{objective}_{run:03d}.csv"
             points[objective, run] = write_trajectory_csv(rec, path)
 
-    with open(out_dir / "fig2_endpoints.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["objective", "run", "seed", "start_x", "start_y", "endpoint_x", "endpoint_y",
-             "displacement", "signed_boundary_dist", "diverged"]
-        )
-        for objective, agg in summary.aggregates.items():
-            for run in range(summary.n_runs):
-                writer.writerow(
-                    [
-                        objective,
-                        run,
-                        cfg.distill.base_seed + 1 + run,
-                        _fmt(summary.starts[run, 0]),
-                        _fmt(summary.starts[run, 1]),
-                        _fmt(agg.endpoints[run, 0]),
-                        _fmt(agg.endpoints[run, 1]),
-                        _fmt(agg.displacements[run]),
-                        _fmt(agg.signed_dists[run]),
-                        int(records[objective][run].diverged),
-                    ]
-                )
-
-    with open(out_dir / "fig2_summary.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["objective", "n_runs", "mean_displacement", "mean_signed_boundary_dist",
-             "mean_abs_boundary_dist", "frac_class2_side", "diverged_runs"]
-        )
-        for objective, agg in summary.aggregates.items():
-            writer.writerow(
-                [
-                    objective,
-                    summary.n_runs,
-                    _fmt(agg.mean_displacement),
-                    _fmt(agg.mean_signed_dist),
-                    _fmt(agg.mean_abs_dist),
-                    _fmt(agg.frac_class2_side),
-                    agg.diverged_runs,
-                ]
+    starts = summary.starts.tolist()
+    write_csv(
+        out_dir / "fig2_endpoints.csv",
+        ["objective", "run", "seed", "start_x", "start_y", "endpoint_x", "endpoint_y",
+         "displacement", "signed_boundary_dist", "diverged"],
+        [
+            "%s,%d,%d,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%d" % (
+                objective, run, cfg.distill.base_seed + 1 + run, *starts[run],
+                *agg.endpoints[run].tolist(), agg.displacements[run], agg.signed_dists[run],
+                records[objective][run].diverged,
             )
+            for objective, agg in summary.aggregates.items()
+            for run in range(summary.n_runs)
+        ],
+    )
+
+    write_csv(
+        out_dir / "fig2_summary.csv",
+        ["objective", "n_runs", "mean_displacement", "mean_signed_boundary_dist",
+         "mean_abs_boundary_dist", "frac_class2_side", "diverged_runs"],
+        [
+            "%s,%d,%.17g,%.17g,%.17g,%.17g,%d" % (
+                objective, summary.n_runs, agg.mean_displacement, agg.mean_signed_dist,
+                agg.mean_abs_dist, agg.frac_class2_side, agg.diverged_runs,
+            )
+            for objective, agg in summary.aggregates.items()
+        ],
+    )
 
     center, normal = boundary_frame(class_params)
     tangent = np.array([-normal[1], normal[0]])
     span = 1.5 * np.linalg.norm(
         np.asarray(class_params[1].mean) - np.asarray(class_params[0].mean)
     )
-    with open(out_dir / "fig2_plotdata.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["kind", "objective", "run", "step", "x", "y"])
-        for endpoint_sign in (-1.0, 1.0):
-            p = center + endpoint_sign * span * tangent
-            writer.writerow(["boundary", "", "", "", _fmt(p[0]), _fmt(p[1])])
-        for run in range(summary.n_runs):
-            writer.writerow(
-                ["start", "", run, "", _fmt(summary.starts[run, 0]), _fmt(summary.starts[run, 1])]
-            )
-        # the trajectory rows reuse the point text of the trajectory files
-        lines = []
-        for (objective, run), xy in points.items():
-            prefix = f"trajectory,{objective},{run},"
-            lines += [f"{prefix}{step},{point}" for step, point in enumerate(xy)]
-            lines.append(f"endpoint,{objective},{run},{len(xy) - 1},{xy[-1]}")
-        fh.write("\r\n".join([*lines, ""]))
+    lines = [
+        "boundary,,,,%.17g,%.17g" % tuple(center + endpoint_sign * span * tangent)
+        for endpoint_sign in (-1.0, 1.0)
+    ]
+    lines += ["start,,%d,,%.17g,%.17g" % (run, *starts[run]) for run in range(summary.n_runs)]
+    # the trajectory rows reuse the point text of the trajectory files
+    for (objective, run), xy in points.items():
+        prefix = f"trajectory,{objective},{run},"
+        lines += [f"{prefix}{step},{point}" for step, point in enumerate(xy)]
+        lines.append(f"endpoint,{objective},{run},{len(xy) - 1},{xy[-1]}")
+    write_csv(out_dir / "fig2_plotdata.csv", ["kind", "objective", "run", "step", "x", "y"], lines)
 
-    with open(out_dir / "fig2_meta.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["key", "value"])
-        writer.writerow(["steps", cfg.distill.steps])
-        writer.writerow(["n_runs", cfg.distill.n_runs])
-        writer.writerow(["lr", _fmt(cfg.distill.lr)])
-        writer.writerow(["omega", _fmt(cfg.distill.omega)])
-        writer.writerow(["w_mode", cfg.distill.w_mode])
-        writer.writerow(["optimizer", cfg.distill.optimizer])
-        writer.writerow(["defaults_origin", "lab-chosen; no published reference values"])
-        for name, passed in summary.checks.items():
-            writer.writerow([f"check_{name}", "pass" if passed else "fail"])
+    dist = cfg.distill
+    meta = [
+        "steps,%d" % dist.steps,
+        "n_runs,%d" % dist.n_runs,
+        "lr,%.17g" % dist.lr,
+        "omega,%.17g" % dist.omega,
+        f"w_mode,{dist.w_mode}",
+        f"optimizer,{dist.optimizer}",
+        "defaults_origin,lab-chosen; no published reference values",
+    ]
+    meta += [f"check_{name},{'pass' if ok else 'fail'}" for name, ok in summary.checks.items()]
+    write_csv(out_dir / "fig2_meta.csv", ["key", "value"], meta)
 
 
 def check_sdedit_schedule(cfg: ExperimentConfig) -> None:
@@ -285,29 +282,30 @@ def check_sdedit_schedule(cfg: ExperimentConfig) -> None:
                           f"so it needs schedule.t >= {SDEDIT_STEPS}, got {cfg.schedule.t}")
 
 
+def check_roundtrip_grid(cfg: ExperimentConfig) -> None:
+    """ConfigError unless points can be inverted on the configured grid."""
+    if cfg.subsequence.stride == 1:
+        raise ConfigError("inversion needs sigma > 0 at the grid's first step; "
+                          "subsequence.stride = 1 puts it at timestep 1, where sigma is zero")
+
+
 def run_sdedit_sweep(
-    cfg: ExperimentConfig,
-    d: Denoiser,
-    s: NoiseSchedule,
-    n_points: int = 100,
-    grid: np.ndarray | None = None,
+    cfg: ExperimentConfig, d: Denoiser, n_points: int, grid_points: int
 ) -> list[tuple[float, float]]:
-    """Mean displacement of class-1 points after partial noising/denoising,
-    for each starting ratio on the grid. Returns (ratio, mean) pairs.
+    """Mean displacement of ``n_points`` class-1 points after partial
+    noising/denoising, for each of the ``grid_points`` starting ratios
+    ``arange(grid_points) / grid_points``. Returns (ratio, mean) pairs.
 
     The sweep denoises unconditionally (omega = 0), which isolates the
     operator's own identity decay: conditional guidance re-attracts points
-    to their class core and flattens the curve. The default grid steps by
-    0.1 from 0 so every ratio lands on a distinct position of the 20-step
-    chain.
+    to their class core and flattens the curve. With 10 grid points the
+    ratios step by 0.1 from 0, so every ratio lands on a distinct position
+    of the 20-step chain.
     """
-    if grid is None:
-        grid = np.arange(10) / 10.0
-    class_params = cfg.class_params()
+    s = cfg.build_schedule()
+    grid = np.arange(grid_points) / max(grid_points, 1)
     rng = np.random.default_rng(cfg.dataset.seed + 101)
-    points = np.asarray(class_params[0].mean) + class_params[0].std * rng.standard_normal(
-        (n_points, 2)
-    )
+    points = cfg.class_params()[0].sample(rng, n_points)
     rows = []
     for ratio in grid:
         edited = sdedit_batch(points, 1, float(ratio), d, SDEDIT_OMEGA, s, rng, SDEDIT_STEPS)
@@ -316,24 +314,21 @@ def run_sdedit_sweep(
 
 
 def run_roundtrip_report(
-    cfg: ExperimentConfig,
-    d: Denoiser,
-    s: NoiseSchedule,
-    sub: TimestepSubsequence,
-    k: int = 50,
+    cfg: ExperimentConfig, d: Denoiser, rng: np.random.Generator, k: int
 ) -> list[tuple[int, int, float]]:
-    """Invert and replay k random points; returns (index, label, abs error).
+    """Invert and replay k points drawn from ``rng``, labels alternating 1, 2;
+    returns (index, label, max abs error) per point.
 
-    Points are inverted one at a time, in the order their draws come from
-    the generator, then replayed together.
+    Each point is drawn and then inverted, one at a time, from ``rng``; the
+    points are then replayed together.
     """
+    s = cfg.build_schedule()
+    sub = cfg.build_subsequence(s)
     class_params = cfg.class_params()
-    rng = np.random.default_rng(cfg.dataset.seed + 202)
     labels = [1 + idx % 2 for idx in range(int(k))]
     points, seqs = [], []
     for label in labels:
-        spec = class_params[label - 1]
-        x0 = np.asarray(spec.mean) + spec.std * rng.standard_normal(2)
+        x0 = class_params[label - 1].sample(rng, 1)[0]
         points.append(x0)
         seqs.append(invert(x0, label, d, cfg.distill.omega, s, sub, rng))
     backs = generate_with_latents_batch(seqs, labels, d, cfg.distill.omega, s, sub)

@@ -94,18 +94,26 @@ class NoiseSchedule:
 
     def noised(self, x0: np.ndarray, t, noise: np.ndarray) -> np.ndarray:
         """Forward-process state sqrt(alpha_bar_t) * x0 + sqrt(1 - alpha_bar_t) * noise;
-        ``t`` is one timestep, or one per row of ``x0``."""
-        return _at(self.sqrt_ab, t) * x0 + _at(self.sqrt_1m_ab, t) * noise
+        ``t`` is one timestep in [0, T], or one per row of ``x0``."""
+        sqrt_ab, sqrt_1m_ab = self._at(t)
+        return sqrt_ab * x0 + sqrt_1m_ab * noise
 
     def x0_estimate(self, x_t: np.ndarray, t, eps_hat: np.ndarray) -> np.ndarray:
         """One-step denoised estimate (x_t - sqrt(1 - alpha_bar_t) * eps_hat) /
-        sqrt(alpha_bar_t); ``t`` is one timestep, or one per row of ``x_t``."""
-        return (x_t - _at(self.sqrt_1m_ab, t) * eps_hat) / _at(self.sqrt_ab, t)
+        sqrt(alpha_bar_t); ``t`` is one timestep in [0, T], or one per row of ``x_t``."""
+        sqrt_ab, sqrt_1m_ab = self._at(t)
+        return (x_t - sqrt_1m_ab * eps_hat) / sqrt_ab
 
-
-def _at(table: np.ndarray, t):
-    """table[t] as a scalar, or as a column that scales row k by table[t[k]]."""
-    return table[t][:, None] if getattr(t, "ndim", 0) else table[t]
+    def _at(self, t) -> tuple:
+        """(sqrt_ab[t], sqrt_1m_ab[t]) as scalars, or as columns that scale
+        row k by the value at t[k]; ValueError for a timestep outside [0, T]."""
+        per_row = getattr(t, "ndim", 0) > 0
+        lo, hi = (t.min(initial=0), t.max(initial=0)) if per_row else (t, t)
+        if lo < 0 or hi > self.T:
+            raise ValueError(f"timestep {lo if lo < 0 else hi} outside [0, {self.T}]")
+        if per_row:
+            return self.sqrt_ab[t][:, None], self.sqrt_1m_ab[t][:, None]
+        return self.sqrt_ab[t], self.sqrt_1m_ab[t]
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,9 @@ import numpy as np
 import pytest
 
 from distill_lab import acceptance
+from distill_lab.denoiser import Denoiser
+from distill_lab.experiments import run_roundtrip_report
+from distill_lab.latentops import generate_with_latents_batch, invert
 
 
 @pytest.fixture(scope="module")
@@ -21,6 +24,29 @@ def test_criterion(criterion, fixtures):
     result = criterion(fixtures)
     print(result.line())
     assert result.passed, result.line()
+
+
+def test_criterion_4_is_the_roundtrip_report_worst_error(fixtures):
+    # the inline draw/invert/replay loop criterion 4 used before it called
+    # run_roundtrip_report, on the same stream
+    fx = fixtures
+    rng = np.random.default_rng(acceptance.MASTER_SEED + 40)
+    models = (fx.trained, Denoiser.create(seed=acceptance.MASTER_SEED + 41, random_head=True))
+    labels = [1 + idx % 2 for idx in range(50)]
+    omega, worst = fx.cfg.distill.omega, 0.0
+    for d in models:
+        points, seqs = [], []
+        for label in labels:
+            spec = fx.dataset.class_params[label - 1]
+            points.append(np.asarray(spec.mean) + spec.std * rng.standard_normal(2))
+            seqs.append(invert(points[-1], label, d, omega, fx.schedule, fx.sub, rng))
+        backs = generate_with_latents_batch(seqs, labels, d, omega, fx.schedule, fx.sub)
+        worst = max(worst, float(np.max(np.abs(backs - np.array(points)))))
+    rng = np.random.default_rng(acceptance.MASTER_SEED + 40)
+    rows = [row for d in models for row in run_roundtrip_report(fx.cfg, d, rng, 50)]
+    assert max(err for _, _, err in rows) == worst
+    result = acceptance.criterion_4_inversion_roundtrip(fx)
+    assert result.detail == f"max abs err {worst:.2e}"
 
 
 def test_rank_correlation_against_hand_value():

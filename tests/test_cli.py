@@ -1,7 +1,9 @@
 import csv
 import hashlib
 import inspect
+import io
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -360,6 +362,25 @@ class TestGoldenOutputs:
         assert got == GOLDEN_SHA256
 
 
+class TestCsvWriter:
+    def test_files_equal_csv_writer_bytes(self, fast_config_file, trained_dir, tmp_path):
+        # every CSV a command writes holds the bytes csv.writer gives for its rows
+        runs = (("figure2", []), ("invert-roundtrip", ["--k", "3"]), ("sdedit-demo", []))
+        for command, flags in runs:
+            code = main([command, str(trained_dir / "model.ckpt"), "--config", fast_config_file,
+                         "--out", str(tmp_path), *flags])
+            assert code == EXIT_OK
+        paths = sorted([trained_dir / "train_log.csv", *tmp_path.glob("*.csv")])
+        assert {re.sub(r"_(sds|dds|pds)_\d{3}", "", p.name) for p in paths} == {
+            "train_log.csv", "roundtrip.csv", "sdedit_sweep.csv", "fig2_traj.csv",
+            "fig2_endpoints.csv", "fig2_summary.csv", "fig2_plotdata.csv", "fig2_meta.csv",
+        }
+        for path in paths:
+            buffer = io.StringIO(newline="")
+            csv.writer(buffer).writerows(read_csv(path))
+            assert buffer.getvalue().encode("utf-8") == path.read_bytes(), path.name
+
+
 class TestEntryPoint:
     def test_module_invocation(self, tmp_path):
         # the child imports the package from where this test imported it
@@ -584,6 +605,35 @@ class TestMalformedInput:
         config, _ = short_schedule
         self.assert_config_error(["check", "--config", config, "--out", str(tmp_path / "o")],
                                  capsys)
+
+    @pytest.fixture()
+    def stride_one_config(self, tmp_path):
+        """A config with a stride-1 grid, which load_config accepts."""
+        path = tmp_path / "stride1.ini"
+        path.write_text("[subsequence]\nstride = 1\n")
+        return str(path)
+
+    def test_invert_roundtrip_on_a_stride_one_grid(self, stride_one_config, trained_dir,
+                                                   tmp_path, capsys, monkeypatch):
+        # inversion needs sigma > 0 at the grid's first step; the command
+        # stops before it loads the checkpoint
+        monkeypatch.setattr("distill_lab.cli.load_checkpoint", None)
+        self.assert_config_error(["invert-roundtrip", str(trained_dir / "model.ckpt"),
+                                  "--config", stride_one_config, "--out", str(tmp_path / "o")],
+                                 capsys)
+
+    def test_check_on_a_stride_one_grid(self, stride_one_config, tmp_path, capsys, monkeypatch):
+        # criterion 4 inverts on the configured grid; the command stops before it trains
+        monkeypatch.setattr(acceptance, "train", None)
+        self.assert_config_error(["check", "--config", stride_one_config,
+                                  "--out", str(tmp_path / "o")], capsys)
+
+    def test_figure2_and_sdedit_accept_a_stride_one_grid(self, stride_one_config, trained_dir,
+                                                         tmp_path):
+        ckpt = str(trained_dir / "model.ckpt")
+        for command in (["figure2", ckpt], ["sdedit-demo", ckpt, "--points", "5"]):
+            code = main([*command, "--config", stride_one_config, "--out", str(tmp_path / "o")])
+            assert code == EXIT_OK
 
     def test_config_without_section_header(self, tmp_path, capsys):
         path = tmp_path / "flat.ini"

@@ -52,6 +52,15 @@ class TestDataset:
             tol = 3.0 * spec.std / math.sqrt(len(pts))
             assert np.all(np.abs(pts.mean(axis=0) - spec.mean) < tol)
 
+    def test_class_sample_of_one_is_the_single_point_draw(self):
+        # a per-point draw is sample(rng, 1)[0]: the bits of the (2,) draw it replaced
+        spec = ClassSpec(mean=np.array([-2.0, 0.3]), std=0.7)
+        a, b = np.random.default_rng(5), np.random.default_rng(5)
+        for _ in range(50):
+            old = np.asarray(spec.mean) + spec.std * a.standard_normal(2)
+            assert spec.sample(b, 1)[0].tobytes() == old.tobytes()
+        assert spec.sample(b, 3).shape == (3, 2)
+
     def test_rejects_degenerate_covariance(self):
         bad = (
             ClassSpec(mean=np.array([-2.0, 0.0]), std=0.0),
@@ -182,6 +191,19 @@ class TestEps:
             assert np.array_equal(batch[i], single[0])
         for j in {n // 2, n - 1}:
             assert np.array_equal(batch[j], batch[0])
+
+    @pytest.mark.parametrize("omega", [0.0, 1.0, 7.5])
+    def test_rows_follow_a_random_permutation_of_the_batch(self, trained_model, omega):
+        rng = np.random.default_rng(21)
+        for _ in range(20):
+            n = int(rng.integers(1, 300))
+            x = 2.0 * rng.standard_normal((n, 2))
+            y = rng.integers(0, 3, size=n)
+            t = rng.integers(1, 1001, size=n)
+            perm = rng.permutation(n)
+            batch = eps(trained_model, x, y, t, omega)
+            shuffled = eps(trained_model, x[perm], y[perm], t[perm], omega)
+            assert shuffled.tobytes() == batch[perm].tobytes()
 
     def test_single_row_equals_batch_one_forward(self, random_model):
         from distill_lab.denoiser import _forward

@@ -17,8 +17,8 @@ from distill_lab.distill import (
     optimize_batch,
     pds_grad_latent_form,
     resolve_weight,
-    write_trajectory_csv,
 )
+from distill_lab.experiments import write_trajectory_csv
 from distill_lab.latentops import draw_shared_noise
 from distill_lab.denoiser import Denoiser, cfg_predict, eps, _layer_views
 from distill_lab.errors import DivergenceError

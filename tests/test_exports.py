@@ -61,3 +61,39 @@ def test_perfbench_reimports_are_the_denoiser_function():
 
     assert distill.cfg_predict is denoiser.cfg_predict
     assert latentops.cfg_predict is denoiser.cfg_predict
+
+
+def _functions_opening_for_writing(tree):
+    """Names of the functions in ``tree`` that open a file for writing."""
+    names = set()
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for call in ast.walk(fn):
+            if not isinstance(call, ast.Call):
+                continue
+            name = getattr(call.func, "id", getattr(call.func, "attr", None))
+            modes = [kw.value for kw in call.keywords if kw.arg == "mode"] + call.args[1:2]
+            if name in ("write_text", "write_bytes") or name == "open" and any(
+                isinstance(m, ast.Constant) and set(str(m.value)) & set("wax+") for m in modes
+            ):
+                names.add(fn.name)
+    return names
+
+
+def test_only_the_writers_open_files_for_writing():
+    # one CSV writer (experiments.write_csv) and one flat-file writer; a new
+    # output file goes through one of them
+    opens = {}
+    for name in MODULES:
+        tree = ast.parse(inspect.getsource(importlib.import_module(name)))
+        if writers := _functions_opening_for_writing(tree):
+            opens[name] = writers
+        imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                    for alias in node.names}
+        imported |= {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+        assert "csv" not in imported, name
+    assert opens == {
+        "distill_lab.experiments": {"write_csv"},
+        "distill_lab.flatfile": {"write_flat_file"},
+    }

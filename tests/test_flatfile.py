@@ -15,6 +15,24 @@ def test_round_trip(tmp_path):
     assert np.array_equal(loaded, payload)
 
 
+def test_round_trip_keeps_payload_bytes(tmp_path):
+    # NaNs (with payload bits), signed zeros, infinities and subnormals come
+    # back with the bytes that went in
+    special = np.array([np.nan, -np.nan, 0.0, -0.0, np.inf, -np.inf, 5e-324, -2.5e-310,
+                        np.finfo(float).max, np.finfo(float).tiny])
+    quiet_nan_bits = np.array([0x7FF8000000000001, 0xFFF8DEADBEEF0000], dtype=np.uint64)
+    special = np.concatenate([special, quiet_nan_bits.view(np.float64)])
+    rng = np.random.default_rng(3)
+    path = tmp_path / "blob.bin"
+    for _ in range(50):
+        n = int(rng.integers(0, 40))
+        payload = np.where(rng.random(n) < 0.5, rng.choice(special, size=n),
+                           rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, size=n))
+        write_flat_file(path, "x", {"k": "v"}, payload)
+        _, _, loaded = read_flat_file(path)
+        assert loaded.tobytes() == payload.astype("<f8").tobytes()
+
+
 def test_payload_is_little_endian_float64(tmp_path):
     path = tmp_path / "blob.bin"
     payload = np.array([1.5, -2.25])

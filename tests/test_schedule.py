@@ -124,6 +124,17 @@ class TestPosteriorCoeffs:
                 assert np.array_equal(est[k - 1], back)
                 assert np.array_equal(s.x0_estimate(x_t[k], k, noise[k]), back)
 
+    @pytest.mark.parametrize("method", ["noised", "x0_estimate"])
+    @pytest.mark.parametrize("t", [-1, "T + 1"])
+    @pytest.mark.parametrize("per_row", [False, True], ids=["scalar", "per_row"])
+    def test_noising_methods_reject_timesteps_outside_range(self, schedule, method, t, per_row):
+        # -1 must not wrap to the T state, and T + 1 must not be a bare IndexError
+        t = schedule.T + 1 if t == "T + 1" else t
+        x = np.zeros((3, 2))
+        ts = np.array([5, t, 0]) if per_row else t
+        with pytest.raises(ValueError, match=f"timestep {t} outside"):
+            getattr(schedule, method)(x, ts, x)
+
     def test_pair_form_reduces_to_consecutive(self, schedule):
         for t in (2, 100, 500, 1000):
             one = posterior_coeffs(schedule, t)
@@ -193,6 +204,26 @@ class TestPdsCoeffs:
             c = pds_coeffs(schedule, sub, i)
             assert c.psi == 0.0
             assert c.chi == 0.0
+
+    def test_stride_one_coefficients_vanish_on_random_schedules(self):
+        # up to T = 2000 and beta = 0.2, alpha_bar stays above 1e-194
+        rng = np.random.default_rng(17)
+        for _ in range(200):
+            T = int(rng.integers(3, 2001))
+            beta_start, beta_end = np.sort(rng.uniform(1e-5, 0.2, size=2))
+            s = build_linear_schedule(T, beta_start, beta_end)
+            sub = build_subsequence(s, 1, 0.0, 1.0)
+            # index 1 is t = 1, where sigma is zero and the tables hold NaN
+            assert np.isnan(sub.psi[1]) and np.isnan(sub.chi[1])
+            assert np.all(sub.psi[2:] == 0.0) and np.all(sub.chi[2:] == 0.0)
+
+    @pytest.mark.xfail(strict=True,
+                       reason="1 / alpha_bar overflows once alpha_bar is subnormal, "
+                              "so chi is inf or NaN instead of 0")
+    def test_stride_one_coefficients_vanish_when_alpha_bar_underflows(self):
+        s = build_linear_schedule(2000, 0.45, 0.5)
+        sub = build_subsequence(s, 1, 0.0, 1.0)
+        assert np.all(sub.chi[2:] == 0.0)
 
     def test_stride_two_psi_positive(self, schedule, subsequence):
         c = pds_coeffs(schedule, subsequence, 250)

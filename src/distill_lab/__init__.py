@@ -40,13 +40,9 @@ from .latentops import (
 )
 from .schedule import (
     NoiseSchedule,
-    PdsCoeffs,
-    PosteriorCoeffs,
     TimestepSubsequence,
     build_linear_schedule,
     build_subsequence,
-    pds_coeffs,
-    posterior_coeffs,
 )
 
 __version__ = "0.1.0"
@@ -78,12 +74,8 @@ __all__ = [
     "sdedit_batch",
     "stochastic_latents",
     "NoiseSchedule",
-    "PdsCoeffs",
-    "PosteriorCoeffs",
     "TimestepSubsequence",
     "build_linear_schedule",
     "build_subsequence",
-    "pds_coeffs",
-    "posterior_coeffs",
     "__version__",
 ]

@@ -33,7 +33,7 @@ from .denoiser import cfg_predict  # noqa: F401  perfbench/selftest.py reads dis
 from .errors import DivergenceError
 from .latentops import draw_shared_noise, stochastic_latents
 from .optim import AdamState, adam_step
-from .schedule import NoiseSchedule, TimestepSubsequence, pds_coeffs
+from .schedule import NoiseSchedule, TimestepSubsequence
 
 __all__ = [
     "OBJECTIVES",
@@ -236,8 +236,7 @@ def objective_grad(prob: EditProblem, objective: str, draw: tuple[int, np.ndarra
         raise ValueError(f"unknown objective {objective!r}; expected one of {OBJECTIVES}")
     i, noise = draw
     sub = prob.sub
-    if not sub.lo_index <= i <= sub.hi_index:
-        raise ValueError(f"index {i} outside the sampling range [{sub.lo_index}, {sub.hi_index}]")
+    _check_sampled(sub, i)
     t = int(sub.tau[i])
     w = resolve_weight(w_mode, s, t)  # read for every objective, so a bad mode always fails
     scale = sub.chi[i] if objective == "pds" else w
@@ -253,14 +252,20 @@ def objective_grad(prob: EditProblem, objective: str, draw: tuple[int, np.ndarra
 def pds_grad_latent_form(prob: EditProblem, draw: tuple[int, np.ndarray], d: Denoiser,
                          s: NoiseSchedule) -> np.ndarray:
     """Latent-matching gradient as w(t) * (z_tgt - z_src) for one draw
-    ``(i, noise)``; the verification form of pds's :func:`objective_grad`."""
+    ``(i, noise)``; the verification form of pds's :func:`objective_grad`.
+    ValueError for an index outside the sampling range."""
     i, noise = draw
+    _check_sampled(prob.sub, i)
     z_tgt, z_src = (
         stochastic_latents(x0, y, np.array([i]), noise[:1], noise[1:], d, prob.omega, s, prob.sub)[0]
         for x0, y in ((prob.gen.render(), prob.y_tgt), (prob.x0_src, prob.y_src))
     )
-    w = pds_coeffs(s, prob.sub, i).latent_weight
-    return prob.gen.pullback(w * (z_tgt - z_src))
+    return prob.gen.pullback(prob.sub.latent_weight[i] * (z_tgt - z_src))
+
+
+def _check_sampled(sub: TimestepSubsequence, i: int) -> None:
+    if not sub.lo_index <= i <= sub.hi_index:
+        raise ValueError(f"index {i} outside the sampling range [{sub.lo_index}, {sub.hi_index}]")
 
 
 @dataclass

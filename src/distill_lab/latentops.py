@@ -110,10 +110,17 @@ def stochastic_latents(
     """Latents of x0 at grid indices ``idx`` given each index's two level
     noises (rows of ``eps_prev`` / ``eps_cur``), from one ``eps`` call; a
     draw ``(i, noise)`` is ``[i], noise[:1], noise[1:]``. Each row is bitwise
-    its batch-1 value. ValueError for an index outside [1, S],
-    DivergenceError when a latent is non-finite.
+    its batch-1 value. ValueError for an ``idx`` that is not a 1-D integer
+    array, noise arrays that are not (len(idx), 2) or an index outside
+    [1, S]; DivergenceError when a latent is non-finite.
     """
     idx, x0 = np.asarray(idx), np.asarray(x0, dtype=float)
+    if idx.ndim != 1 or not np.issubdtype(idx.dtype, np.integer):
+        raise ValueError(f"idx must be a 1-D integer array, got {idx.dtype} of shape {idx.shape}")
+    for name, noise in (("eps_prev", eps_prev), ("eps_cur", eps_cur)):
+        if np.shape(noise) != (len(idx), POINT_DIM):
+            raise ValueError(f"{name} must have shape ({len(idx)}, {POINT_DIM}), "
+                             f"got {np.shape(noise)}")
     outside = (idx < 1) | (idx > sub.S)
     if outside.any():
         raise ValueError(f"draw index {int(idx[outside][0])} outside the grid [1, {sub.S}]")
@@ -264,7 +271,6 @@ def sdedit_batch(
         return x0.copy()
     down = levels[k0::-1].tolist()
     x = s.noised(x0, down[0], rng.standard_normal(x0.shape))
-    pairs = [(t, posterior_coeffs_pair(s, t_prev, t)) for t, t_prev in zip(down, down[1:])]
-    steps = [(t, pc.gamma, pc.delta, pc.sigma) for t, pc in pairs]
+    steps = [(t, *posterior_coeffs_pair(s, t_prev, t)) for t, t_prev in zip(down, down[1:])]
     return _generate(cfg_predict_batch, d, x, y, omega, s, steps,
                      lambda k: rng.standard_normal(x0.shape))

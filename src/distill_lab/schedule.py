@@ -17,6 +17,10 @@ These satisfy the consecutive-step identity
 
 which is why the latent-matching coefficients (psi, chi) vanish on
 consecutive timesteps and are only non-trivial on strided subsequences.
+
+Every coefficient is read from a table built once: ``s.gamma[t]``,
+``s.delta[t]``, ``s.sigma[t]`` per timestep and ``sub.psi[i]``,
+``sub.chi[i]``, ``sub.latent_weight[i]`` per grid index.
 """
 
 from __future__ import annotations
@@ -26,18 +30,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateTimestepError
-
 __all__ = [
     "NoiseSchedule",
-    "PosteriorCoeffs",
     "TimestepSubsequence",
-    "PdsCoeffs",
     "build_linear_schedule",
-    "posterior_coeffs",
     "posterior_coeffs_pair",
     "build_subsequence",
-    "pds_coeffs",
 ]
 
 
@@ -86,12 +84,6 @@ class NoiseSchedule:
         for name, table in tables.items():
             object.__setattr__(self, name, _readonly(table))
 
-    def check_t(self, t: int) -> int:
-        t = int(t)
-        if not 1 <= t <= self.T:
-            raise ValueError(f"timestep {t} outside [1, {self.T}]")
-        return t
-
     def noised(self, x0: np.ndarray, t, noise: np.ndarray) -> np.ndarray:
         """Forward-process state sqrt(alpha_bar_t) * x0 + sqrt(1 - alpha_bar_t) * noise;
         ``t`` is one timestep in [0, T], or one per row of ``x0``."""
@@ -117,15 +109,6 @@ class NoiseSchedule:
 
 
 @dataclass(frozen=True)
-class PosteriorCoeffs:
-    """Posterior mean weights (gamma, delta) and noise scale sigma for one step."""
-
-    gamma: float
-    delta: float
-    sigma: float
-
-
-@dataclass(frozen=True)
 class TimestepSubsequence:
     """Strided timestep grid tau_1 < ... < tau_S with a sampling index range.
 
@@ -134,10 +117,22 @@ class TimestepSubsequence:
     sampling is restricted to [lo_index, hi_index]; lo_index >= 2 so the
     in-grid predecessor tau[i-1] always has sigma > 0.
 
-    ``psi``, ``chi`` and ``latent_weight`` hold the latent-matching
-    coefficients of :func:`pds_coeffs` for every grid index, computed once
-    from the schedule the grid was built on. They are NaN where undefined:
-    at the sentinel and where sigma_t = 0.
+    ``psi``, ``chi`` and ``latent_weight`` are the latent-matching
+    coefficients at every grid index i, computed once by
+    :func:`build_subsequence` from the schedule the grid was built on. With
+    t = tau[i], the common factor
+
+        f = sqrt(alpha_bar[tau[i-1]]) - gamma_t - delta_t * sqrt(alpha_bar[t])
+
+    gives psi = 2 f^2 / sigma_t^2 and
+    chi = 2 f * gamma_t * sqrt(1/alpha_bar[t] - 1) / sigma_t^2, where gamma,
+    delta, sigma are the fine-schedule coefficients at t and only the
+    leading alpha_bar term reads the strided predecessor. ``latent_weight``
+    = 2 f / sigma_t is the scale that makes
+    latent_weight * (z_tgt - z_src) equal the expanded residual.
+
+    The tables hold NaN where a coefficient is undefined: at the sentinel
+    i = 0 and wherever sigma_t = 0 (t = 1, index 1 of a stride-1 grid).
     """
 
     tau: np.ndarray
@@ -150,19 +145,6 @@ class TimestepSubsequence:
     @property
     def S(self) -> int:
         return len(self.tau) - 1
-
-
-@dataclass(frozen=True)
-class PdsCoeffs:
-    """Latent-matching gradient coefficients for one subsequence index.
-
-    ``latent_weight`` = 2 f / sigma_t is the scale that makes
-    latent_weight * (z_tgt - z_src) equal the expanded residual.
-    """
-
-    psi: float
-    chi: float
-    latent_weight: float
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -184,6 +166,12 @@ def build_linear_schedule(T: int, beta_start: float, beta_end: float) -> NoiseSc
     beta[1:] = np.linspace(beta_start, beta_end, T)
     alpha = 1.0 - beta
     alpha_bar = np.cumprod(alpha)
+    # the chi table reads 1 / alpha_bar, which overflows once alpha_bar is subnormal
+    if alpha_bar[T] < np.finfo(float).tiny:
+        raise ValueError(
+            f"alpha_bar[T] = {alpha_bar[T]:.3g} underflows below the smallest normal float; "
+            f"lower T, beta_start or beta_end"
+        )
     return NoiseSchedule(
         T=T,
         beta=_readonly(beta),
@@ -192,17 +180,11 @@ def build_linear_schedule(T: int, beta_start: float, beta_end: float) -> NoiseSc
     )
 
 
-def posterior_coeffs(s: NoiseSchedule, t: int) -> PosteriorCoeffs:
-    """Posterior coefficients (gamma_t, delta_t, sigma_t) on the fine schedule."""
-    t = s.check_t(t)
-    return PosteriorCoeffs(gamma=float(s.gamma[t]), delta=float(s.delta[t]), sigma=float(s.sigma[t]))
+def posterior_coeffs_pair(s: NoiseSchedule, t_prev: int, t_cur: int) -> tuple[float, float, float]:
+    """Posterior coefficients (gamma, delta, sigma) for a single jump t_cur -> t_prev.
 
-
-def posterior_coeffs_pair(s: NoiseSchedule, t_prev: int, t_cur: int) -> PosteriorCoeffs:
-    """Posterior coefficients for a single jump t_cur -> t_prev.
-
-    Generalizes :func:`posterior_coeffs` to non-consecutive levels by
-    replacing alpha[t] with the effective step factor
+    Generalizes the schedule's ``gamma``/``delta``/``sigma`` tables to
+    non-consecutive levels by replacing alpha[t] with the effective step factor
     alpha_bar[t_cur] / alpha_bar[t_prev]. ``t_prev`` may be 0 (the clean
     level), in which case the jump is deterministic (gamma=1, sigma=0).
 
@@ -211,10 +193,9 @@ def posterior_coeffs_pair(s: NoiseSchedule, t_prev: int, t_cur: int) -> Posterio
     re-derived chain, since on a re-derived chain the consecutive-step
     identity would zero them out again.
     """
-    t_cur = s.check_t(t_cur)
-    t_prev = int(t_prev)
-    if not 0 <= t_prev < t_cur:
-        raise ValueError(f"need 0 <= t_prev < t_cur, got ({t_prev}, {t_cur})")
+    t_prev, t_cur = int(t_prev), int(t_cur)
+    if not 0 <= t_prev < t_cur <= s.T:
+        raise ValueError(f"need 0 <= t_prev < t_cur <= {s.T}, got ({t_prev}, {t_cur})")
     ab_prev = float(s.alpha_bar[t_prev])
     ab_cur = float(s.alpha_bar[t_cur])
     eff_alpha = ab_cur / ab_prev
@@ -222,7 +203,7 @@ def posterior_coeffs_pair(s: NoiseSchedule, t_prev: int, t_cur: int) -> Posterio
     gamma = math.sqrt(ab_prev) * (1.0 - eff_alpha) / den
     delta = math.sqrt(eff_alpha) * (1.0 - ab_prev) / den
     sigma = (1.0 - ab_prev) / den * (1.0 - eff_alpha)
-    return PosteriorCoeffs(gamma=gamma, delta=delta, sigma=sigma)
+    return gamma, delta, sigma
 
 
 def _grid_index(x: float, rounder) -> int:
@@ -237,9 +218,14 @@ def _grid_index(x: float, rounder) -> int:
 def build_subsequence(
     s: NoiseSchedule, stride: int, lo_ratio: float, hi_ratio: float
 ) -> TimestepSubsequence:
-    """Build the strided grid tau_i = floor(stride * i) and its sampling range.
+    """Build the strided grid tau_i = floor(stride * i), its sampling range
+    and its coefficient tables (see :class:`TimestepSubsequence`).
 
     The sampling range is [max(2, ceil(lo_ratio * S)), floor(hi_ratio * S)].
+    The common factor f is computed through the consecutive-step identity as
+    sqrt(alpha_bar[tau[i-1]]) - sqrt(alpha_bar[t - 1]); this is equal to the
+    literal expression but cancellation-free, and makes the stride-1
+    degeneracy (psi = chi = 0) exact.
     """
     stride = int(stride)
     if stride < 1:
@@ -261,7 +247,6 @@ def build_subsequence(
     t_cur = tau[1:]
     sigma = s.sigma[t_cur]
     sigma_sq = sigma * sigma
-    # pds_coeffs' common factor, through the consecutive-step identity
     f = s.sqrt_ab[tau[:-1]] - s.sqrt_ab[t_cur - 1]
     with np.errstate(divide="ignore", invalid="ignore"):
         psi = 2.0 * f * f / sigma_sq
@@ -282,36 +267,3 @@ def _grid_table(values: np.ndarray, sigma: np.ndarray) -> np.ndarray:
     table = np.full(len(values) + 1, np.nan)
     table[1:] = np.where(sigma == 0.0, np.nan, values)
     return _readonly(table)
-
-
-def pds_coeffs(s: NoiseSchedule, sub: TimestepSubsequence, i: int) -> PdsCoeffs:
-    """Latent-matching coefficients (psi, chi) at subsequence index i.
-
-    With t = tau[i] and the common factor
-
-        f = sqrt(alpha_bar[tau[i-1]]) - gamma_t - delta_t * sqrt(alpha_bar[t]),
-
-    the coefficients are psi = 2 f^2 / sigma_t^2 and
-    chi = 2 f * gamma_t * sqrt(1/alpha_bar[t] - 1) / sigma_t^2, where gamma,
-    delta, sigma are the fine-schedule coefficients at t and only the
-    leading alpha_bar term reads the strided predecessor.
-
-    The common factor is computed through the consecutive-step identity as
-    sqrt(alpha_bar[tau[i-1]]) - sqrt(alpha_bar[t - 1]); this is equal to the
-    literal expression but cancellation-free, and makes the stride-1
-    degeneracy (psi = chi = 0) exact. :func:`build_subsequence` evaluates
-    these formulas for every grid index; this function reads those arrays.
-    """
-    i = int(i)
-    if not sub.lo_index <= i <= sub.hi_index:
-        raise ValueError(
-            f"index {i} outside the sampling range [{sub.lo_index}, {sub.hi_index}]"
-        )
-    t_cur = int(sub.tau[i])
-    if s.sigma[t_cur] == 0.0:
-        raise DegenerateTimestepError(
-            f"sigma is zero at timestep {t_cur}; latent-matching coefficients undefined"
-        )
-    return PdsCoeffs(
-        psi=float(sub.psi[i]), chi=float(sub.chi[i]), latent_weight=float(sub.latent_weight[i])
-    )

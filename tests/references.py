@@ -1,7 +1,7 @@
 """Reference evaluations that only the tests call.
 
 ``tweedie_estimate`` and ``posterior_mean_pred`` are written with
-``math.sqrt`` and ``posterior_coeffs`` rather than the schedule's
+``math.sqrt`` and the schedule's ``gamma``/``delta`` tables rather than its
 ``x0_estimate`` and the samplers' step mean, so the tests compare the
 package against arithmetic it does not share.
 """
@@ -12,12 +12,11 @@ import numpy as np
 
 from distill_lab.denoiser import cfg_predict
 from distill_lab.latentops import stochastic_latents
-from distill_lab.schedule import posterior_coeffs
 
 
 def tweedie_estimate(x_t, y, t, d, omega, s):
     """One-step denoised estimate (x_t - sqrt(1 - alpha_bar_t) * eps_hat) / sqrt(alpha_bar_t)."""
-    t = s.check_t(t)
+    assert 1 <= t <= s.T, f"timestep {t} outside [1, {s.T}]"
     eps_hat = cfg_predict(d, x_t, y, t, omega)
     ab = s.alpha_bar[t]
     return (np.asarray(x_t, dtype=float) - math.sqrt(1.0 - ab) * eps_hat) / math.sqrt(ab)
@@ -25,8 +24,8 @@ def tweedie_estimate(x_t, y, t, d, omega, s):
 
 def posterior_mean_pred(x_t, y, t, d, omega, s):
     """Model posterior mean gamma_t * x0_estimate + delta_t * x_t."""
-    pc = posterior_coeffs(s, t)
-    return pc.gamma * tweedie_estimate(x_t, y, t, d, omega, s) + pc.delta * np.asarray(
+    assert 1 <= t <= s.T, f"timestep {t} outside [1, {s.T}]"
+    return s.gamma[t] * tweedie_estimate(x_t, y, t, d, omega, s) + s.delta[t] * np.asarray(
         x_t, dtype=float
     )
 

@@ -544,6 +544,8 @@ class TestMalformedInput:
             ("distill", "optimizer = sgd"),
             ("distill", "base_seed = -3"),
             ("distill", "objectives = sds, sds"),
+            # a schedule whose alpha_bar[T] underflows to 0.0
+            ("schedule", "t = 2000\nbeta_start = 0.45\nbeta_end = 0.5"),
         ],
     )
     def test_non_finite_float_rejected(self, section, line, tmp_path, capsys):

@@ -32,7 +32,6 @@ from distill_lab.denoiser import (
 )
 from distill_lab.errors import DivergenceError, MismatchError
 from distill_lab.latentops import ancestral_sample_batch
-from distill_lab.schedule import posterior_coeffs
 
 
 class TestDataset:
@@ -587,23 +586,23 @@ class TestAncestralSample:
 
     @pytest.mark.parametrize("omega", [0.0, 1.0, 2.0])
     def test_equals_per_level_reference(self, trained_model, schedule, omega):
-        # the sampler reads the schedule's tables; the reference rebuilds each
-        # level's coefficients with posterior_coeffs and math.sqrt
+        # the sampler runs the shared chain loop; the reference writes each
+        # level out with the coefficient tables and math.sqrt
         def reference(rng):
             x = rng.standard_normal((16, 2))
             for t in range(schedule.T, 0, -1):
-                pc = posterior_coeffs(schedule, t)
                 eps_hat = cfg_predict_batch(trained_model, x, 1, t, omega)
                 ab = schedule.alpha_bar[t]
                 x_tilde = (x - math.sqrt(1.0 - ab) * eps_hat) / math.sqrt(ab)
-                x = pc.gamma * x_tilde + pc.delta * x + pc.sigma * rng.standard_normal((16, 2))
+                x = (schedule.gamma[t] * x_tilde + schedule.delta[t] * x
+                     + schedule.sigma[t] * rng.standard_normal((16, 2)))
             return x
 
         got = ancestral_sample_batch(trained_model, 1, 16, schedule, omega, np.random.default_rng(6))
         assert np.array_equal(got, reference(np.random.default_rng(6)))
 
     def test_final_step_noise_scale_is_zero(self, schedule):
-        assert posterior_coeffs(schedule, 1).sigma == 0.0
+        assert schedule.sigma[1] == 0.0
 
     def test_conditional_samples_classify_correctly(self, trained_model, schedule, dataset):
         rng = np.random.default_rng(17)

@@ -23,7 +23,7 @@ from distill_lab.latentops import draw_shared_noise
 from distill_lab.denoiser import Denoiser, cfg_predict, eps, _layer_views
 from distill_lab.errors import DivergenceError
 from distill_lab.optim import AdamState, adam_step
-from distill_lab.schedule import build_subsequence, pds_coeffs, posterior_coeffs
+from distill_lab.schedule import build_subsequence
 from references import one_latent, pds_objective, posterior_mean_pred
 
 
@@ -182,8 +182,7 @@ class TestPdsGrad:
         d = constant_model(np.array([0.2, -0.4]))
         prob = make_problem(rng, subsequence)
         draw = draw_shared_noise(subsequence, rng)
-        coeffs = pds_coeffs(schedule, prob.sub, draw[0])
-        expected = coeffs.psi * (prob.gen.render() - prob.x0_src)
+        expected = prob.sub.psi[draw[0]] * (prob.gen.render() - prob.x0_src)
         assert objective_grad(prob, "pds", draw, d, schedule) == pytest.approx(expected, rel=1e-12)
 
     @pytest.mark.parametrize("stride", [2, 5, 10])
@@ -257,7 +256,6 @@ class TestPdsObjective:
         i, noise = draw = draw_shared_noise(subsequence, rng)
         t_cur = int(subsequence.tau[i])
         t_prev = int(subsequence.tau[i - 1])
-        pc = posterior_coeffs(schedule, t_cur)
         x_tgt = prob.gen.render()
         xp_t = schedule.noised(x_tgt, t_prev, noise[0])
         xp_s = schedule.noised(prob.x0_src, t_prev, noise[0])
@@ -266,7 +264,7 @@ class TestPdsObjective:
         mu_t = posterior_mean_pred(xc_t, prob.y_tgt, t_cur, d, 3.0, schedule)
         mu_s = posterior_mean_pred(xc_s, prob.y_src, t_cur, d, 3.0, schedule)
         diff = (xp_t - xp_s) - (mu_t - mu_s)
-        expected = float(diff @ diff) / pc.sigma**2
+        expected = float(diff @ diff) / schedule.sigma[t_cur] ** 2
         assert pds_objective(prob, draw, d, schedule) == pytest.approx(expected, rel=1e-9)
 
     def test_frozen_prediction_gradient_matches_residual(self, schedule, subsequence, rng):
@@ -277,7 +275,7 @@ class TestPdsObjective:
         residual = objective_grad(prob, "pds", draw, d, schedule)
         t_cur = int(subsequence.tau[i])
         t_prev = int(subsequence.tau[i - 1])
-        pc = posterior_coeffs(schedule, t_cur)
+        gamma, delta, sigma = schedule.gamma[t_cur], schedule.delta[t_cur], schedule.sigma[t_cur]
         x_t_base = schedule.noised(x_tgt, t_cur, noise[1])
         eps_frozen = cfg_predict(d, x_t_base, prob.y_tgt, t_cur, 2.0)
         z_src = one_latent(prob.x0_src, prob.y_src, draw, d, 2.0, schedule, subsequence)
@@ -287,7 +285,7 @@ class TestPdsObjective:
             x_cur = schedule.noised(x, t_cur, noise[1])
             ab = schedule.alpha_bar[t_cur]
             est = (x_cur - np.sqrt(1 - ab) * eps_frozen) / np.sqrt(ab)
-            z_tgt = (x_prev - (pc.gamma * est + pc.delta * x_cur)) / pc.sigma
+            z_tgt = (x_prev - (gamma * est + delta * x_cur)) / sigma
             diff = z_tgt - z_src
             return float(diff @ diff)
 
@@ -321,13 +319,18 @@ class TestObjectiveGrad:
         assert rec.theta[1].tobytes() == (rec.theta[0] - lr * grad).tobytes()
         assert rec.grad_norm[1] == np.linalg.norm(grad)
 
-    @pytest.mark.parametrize("objective", OBJECTIVES)
+    @pytest.mark.parametrize("objective", [*OBJECTIVES, "pds latent form"])
     def test_rejects_index_outside_sampling_range(self, schedule, subsequence, rng, objective):
+        # criterion 2 compares pds's two forms, so both accept the same indices
         d = rough_model(rng)
         prob = make_problem(rng, subsequence)
         for i in (subsequence.lo_index - 1, subsequence.hi_index + 1):
+            draw = (i, np.zeros((2, 2)))
             with pytest.raises(ValueError, match="sampling range"):
-                objective_grad(prob, objective, (i, np.zeros((2, 2))), d, schedule)
+                if objective in OBJECTIVES:
+                    objective_grad(prob, objective, draw, d, schedule)
+                else:
+                    pds_grad_latent_form(prob, draw, d, schedule)
 
     def test_rejects_unknown_objective_and_weight_mode(self, schedule, subsequence, rng):
         d = rough_model(rng)
@@ -419,8 +422,7 @@ def reference_optimize(prob, objective, steps, lr, seed, d, s, w_mode="const", o
             diverged = True
             break
         if objective == "pds":
-            c = pds_coeffs(s, prob.sub, i)
-            residual = c.psi * (x0 - prob.x0_src) + c.chi * (e_tgt - e_ref)
+            residual = prob.sub.psi[i] * (x0 - prob.x0_src) + prob.sub.chi[i] * (e_tgt - e_ref)
         else:
             residual = w_t * (e_tgt - e_ref)
         grad = gen.pullback(residual)

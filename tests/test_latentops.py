@@ -15,7 +15,7 @@ from distill_lab.latentops import (
     sdedit_batch,
     stochastic_latents,
 )
-from distill_lab.schedule import build_subsequence, posterior_coeffs, posterior_coeffs_pair
+from distill_lab.schedule import build_subsequence, posterior_coeffs_pair
 from references import one_latent, posterior_mean_pred, tweedie_estimate
 
 
@@ -36,13 +36,13 @@ def reference_invert(x0, y, d, omega, s, sub, rng):
     latents = []
     for i in range(n, 0, -1):
         t_cur, t_prev = int(sub.tau[i]), int(sub.tau[i - 1])
-        pc = posterior_coeffs(s, t_cur)
         x_prev = x0 if t_prev == 0 else s.noised(x0, t_prev, eps_levels[i - 1])
         x_cur = s.noised(x0, t_cur, eps_levels[i])
         e = cfg_predict(d, x_cur, y, t_cur, omega)
         ab = s.alpha_bar[t_cur]
         x0_est = (x_cur - math.sqrt(1.0 - ab) * e) / math.sqrt(ab)
-        latents.append((x_prev - (pc.gamma * x0_est + pc.delta * x_cur)) / pc.sigma)
+        mu = s.gamma[t_cur] * x0_est + s.delta[t_cur] * x_cur
+        latents.append((x_prev - mu) / s.sigma[t_cur])
     return np.array(latents), s.noised(x0, int(sub.tau[n]), eps_levels[n])
 
 
@@ -51,11 +51,10 @@ def reference_replay(x_top, latents, y, d, omega, s, sub):
     x = np.array(x_top, dtype=float)
     for k, i in enumerate(range(sub.S, 0, -1)):
         t = int(sub.tau[i])
-        pc = posterior_coeffs(s, t)
         e = cfg_predict(d, x, y, t, omega)
         ab = s.alpha_bar[t]
         x0_est = (x - math.sqrt(1.0 - ab) * e) / math.sqrt(ab)
-        x = pc.gamma * x0_est + pc.delta * x + pc.sigma * latents[k]
+        x = s.gamma[t] * x0_est + s.delta[t] * x + s.sigma[t] * latents[k]
     return x
 
 
@@ -135,10 +134,9 @@ class TestPosteriorMeanPred:
             d = constant_model(eps)
             x_t = schedule.noised(x0, t, eps)
             mu = posterior_mean_pred(x_t, 1, t, d, 1.0, schedule)
-            pc = posterior_coeffs(schedule, t)
             expected = (
                 math.sqrt(schedule.alpha_bar[t - 1]) * x0
-                + pc.delta * math.sqrt(1.0 - schedule.alpha_bar[t]) * eps
+                + schedule.delta[t] * math.sqrt(1.0 - schedule.alpha_bar[t]) * eps
             )
             assert mu == pytest.approx(expected, abs=1e-11)
 
@@ -158,9 +156,8 @@ class TestStochasticLatent:
         z = one_latent(x0, 1, (250, np.zeros((2, 2))), d, 1.0, schedule, subsequence)
         t_cur = int(subsequence.tau[250])
         t_prev = int(subsequence.tau[249])
-        pc = posterior_coeffs(schedule, t_cur)
         factor = math.sqrt(schedule.alpha_bar[t_prev]) - math.sqrt(schedule.alpha_bar[t_cur - 1])
-        assert z == pytest.approx(factor * x0 / pc.sigma, rel=1e-9)
+        assert z == pytest.approx(factor * x0 / schedule.sigma[t_cur], rel=1e-9)
 
     def test_stride_one_zero_noise_latent_vanishes(self, schedule):
         sub1 = build_subsequence(schedule, 1, 0.02, 0.98)
@@ -207,6 +204,26 @@ class TestStochasticLatent:
                 stochastic_latents(np.zeros(2), 1, np.array([3, bad]), noise, noise,
                                    random_model, 1.0, schedule, subsequence)
 
+    @pytest.mark.parametrize(
+        "idx, prev_shape, cur_shape",
+        [
+            (np.array([3.0]), (1, 2), (1, 2)),
+            (np.array([[3]]), (1, 2), (1, 2)),
+            (np.array(3), (1, 2), (1, 2)),
+            (np.array([3, 4]), (1, 2), (1, 2)),
+            (np.array([3]), (1, 2), (1, 3)),
+            (np.array([3]), (2,), (2,)),
+        ],
+        ids=["float idx", "2-D idx", "0-D idx", "one noise row for two indices",
+             "eps_cur of wrong width", "unbatched noise"],
+    )
+    def test_rejects_malformed_indices_and_noise(self, random_model, schedule, subsequence,
+                                                 idx, prev_shape, cur_shape):
+        # neither a bare IndexError nor one noise row silently broadcast over indices
+        with pytest.raises(ValueError, match="idx must be|must have shape"):
+            stochastic_latents(np.zeros(2), 1, idx, np.zeros(prev_shape), np.zeros(cur_shape),
+                               random_model, 1.0, schedule, subsequence)
+
     def test_indices_share_one_batch_bitwise(self, trained_model, schedule, subsequence, rng):
         # several draws of one point in one call: each row is its draw alone
         draws = [draw_shared_noise(subsequence, rng) for _ in range(6)]
@@ -229,12 +246,11 @@ class TestStochasticLatent:
             i, noise = draw = draw_shared_noise(subsequence, rng)
             t_cur = int(subsequence.tau[i])
             t_prev = int(subsequence.tau[i - 1])
-            pc = posterior_coeffs(schedule, t_cur)
             x_prev = schedule.noised(x0, t_prev, noise[0])
             x_cur = schedule.noised(x0, t_cur, noise[1])
             z = one_latent(x0, 1, draw, trained_model, 7.5, schedule, subsequence)
             mu = posterior_mean_pred(x_cur, 1, t_cur, trained_model, 7.5, schedule)
-            assert np.max(np.abs(mu + pc.sigma * z - x_prev)) < 1e-12
+            assert np.max(np.abs(mu + schedule.sigma[t_cur] * z - x_prev)) < 1e-12
 
 
 class TestInvert:
@@ -392,11 +408,11 @@ class TestSdedit:
             x = math.sqrt(ab) * x0 + math.sqrt(1.0 - ab) * rng.standard_normal(x0.shape)
             for k in range(k0, 0, -1):
                 t = levels[k]
-                pc = posterior_coeffs_pair(schedule, levels[k - 1], t)
+                gamma, delta, sigma = posterior_coeffs_pair(schedule, levels[k - 1], t)
                 eps_hat = cfg_predict_batch(trained_model, x, 1, t, omega)
                 ab = schedule.alpha_bar[t]
                 x_tilde = (x - math.sqrt(1.0 - ab) * eps_hat) / math.sqrt(ab)
-                x = pc.gamma * x_tilde + pc.delta * x + pc.sigma * rng.standard_normal(x.shape)
+                x = gamma * x_tilde + delta * x + sigma * rng.standard_normal(x.shape)
             return x
 
         x0 = np.random.default_rng(3).standard_normal((16, 2))

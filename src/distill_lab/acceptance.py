@@ -1,28 +1,31 @@
 """Executable acceptance suite: every release criterion as a timed check.
 
-Each criterion function takes the shared fixtures (schedule, grid, dataset,
-one trained model) and returns a result with a pass flag and a one-line
-detail. ``run_all`` evaluates everything with a single master seed; the
-CLI ``check`` subcommand prints one line per criterion and the pytest
-suite asserts each result.
+Each criterion is a function of the shared fixtures (schedule, grids, one
+trained model) that returns its verdict and a one-line detail; the
+:func:`_criterion` registration times it, fails it past its time budget and
+builds its :class:`CriterionResult`. ``run_all`` evaluates everything with
+a single master seed; the CLI ``check`` subcommand prints one line per
+criterion and the pytest suite asserts each result.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 import time
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import distill, experiments, latentops
-from .config import ExperimentConfig
-from .denoiser import Denoiser, TwoMarginalDataset, cfg_predict, loss_and_grad, train
+from .config import DEFAULT_MASTER_SEED, ExperimentConfig
+from .denoiser import Denoiser, cfg_predict, loss_and_grad, train
 from .errors import ConfigError
 from .schedule import NoiseSchedule, TimestepSubsequence, build_subsequence
 
 __all__ = ["CriterionResult", "Fixtures", "check_config", "build_fixtures", "run_all", "CRITERIA"]
 
-MASTER_SEED = 7
 FORM_STRIDES = (2, 5, 10)  # criterion 2's grids, beside criterion 1's stride-1 grid
 
 
@@ -44,30 +47,36 @@ class Fixtures:
     cfg: ExperimentConfig
     schedule: NoiseSchedule
     sub: TimestepSubsequence
-    dataset: TwoMarginalDataset
+    grids: dict[int, TimestepSubsequence]  # stride -> grid over [0.02, 0.98] of the schedule
     trained: Denoiser
     train_seconds: float
 
 
-def check_config(cfg: ExperimentConfig) -> None:
-    """ConfigError when cfg's schedule cannot hold the grids and the sdedit
-    chain that the criteria fix, or when cfg's grid cannot be inverted;
+def check_config(cfg: ExperimentConfig) -> dict[int, TimestepSubsequence]:
+    """The stride-1, 2, 5 and 10 grids that criteria 1 and 2 read, keyed by
+    stride. ConfigError when cfg's schedule cannot hold them or the sdedit
+    chain that the criteria fix, when cfg's grid cannot be inverted, or when
+    cfg leaves out one of the objectives criterion 7 compares;
     :func:`build_fixtures` calls it before it trains."""
+    missing = [name for name in distill.OBJECTIVES if name not in cfg.distill.objectives]
+    if missing:
+        raise ConfigError(f"check compares all of {', '.join(distill.OBJECTIVES)}; "
+                          f"distill.objectives leaves out {', '.join(missing)}")
     s = cfg.build_schedule()
+    grids = {}
     try:
         for stride in (1, *FORM_STRIDES):
-            build_subsequence(s, stride, 0.02, 0.98)
+            grids[stride] = build_subsequence(s, stride, 0.02, 0.98)
     except ValueError:
         raise ConfigError(f"check builds grids of stride 1, 2, 5 and 10; the stride-{stride} "
                           f"grid does not fit in schedule.t = {s.T}") from None
     experiments.check_sdedit_schedule(cfg)
     experiments.check_roundtrip_grid(cfg)
+    return grids
 
 
-def build_fixtures(cfg: ExperimentConfig | None = None) -> Fixtures:
-    if cfg is None:
-        cfg = ExperimentConfig()
-    check_config(cfg)
+def build_fixtures(cfg: ExperimentConfig) -> Fixtures:
+    grids = check_config(cfg)
     s = cfg.build_schedule()
     sub = cfg.build_subsequence(s)
     dataset, d = cfg.build_dataset(), cfg.build_model()
@@ -75,8 +84,30 @@ def build_fixtures(cfg: ExperimentConfig | None = None) -> Fixtures:
     train(d, dataset, s, cfg.training)
     train_seconds = time.perf_counter() - t0
     return Fixtures(
-        cfg=cfg, schedule=s, sub=sub, dataset=dataset, trained=d, train_seconds=train_seconds
+        cfg=cfg, schedule=s, sub=sub, grids=grids, trained=d, train_seconds=train_seconds
     )
+
+
+CRITERIA: list[Callable[[Fixtures], CriterionResult]] = []
+
+
+def _criterion(number: int, name: str, budget: float = math.inf):
+    """Register ``fn(fx) -> (passed, detail)`` as criterion ``number``. The
+    registered function times ``fn``, fails it when it runs ``budget``
+    seconds or longer, and returns its :class:`CriterionResult`."""
+
+    def register(fn: Callable[[Fixtures], tuple[bool, str]]):
+        @functools.wraps(fn)
+        def run(fx: Fixtures) -> CriterionResult:
+            t0 = time.perf_counter()
+            passed, detail = fn(fx)
+            seconds = time.perf_counter() - t0
+            return CriterionResult(number, name, passed and seconds < budget, detail, seconds)
+
+        CRITERIA.append(run)
+        return run
+
+    return register
 
 
 def _random_denoiser(rng: np.random.Generator, hidden=(16, 16), scale=0.8) -> Denoiser:
@@ -99,56 +130,41 @@ def _rel_err(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.linalg.norm(a - b)) / denom
 
 
-def criterion_1_coefficient_identity(fx: Fixtures) -> CriterionResult:
+@_criterion(1, "posterior coefficient identity and stride-1 degeneracy", budget=1.0)
+def criterion_1_coefficient_identity(fx: Fixtures) -> tuple[bool, str]:
     """|gamma_t + delta_t sqrt(ab_t) - sqrt(ab_{t-1})| < 1e-10 for t in [2, T],
     and psi = chi = 0 across a stride-1 grid."""
-    t0 = time.perf_counter()
-    s = fx.schedule
+    s, sub1 = fx.schedule, fx.grids[1]
     worst = float(np.abs(s.gamma[2:] + s.delta[2:] * s.sqrt_ab[2:] - s.sqrt_ab[1:-1]).max())
-    sub1 = build_subsequence(s, 1, 0.02, 0.98)
     sampled = slice(sub1.lo_index, sub1.hi_index + 1)
     worst_coeff = float(np.abs([sub1.psi[sampled], sub1.chi[sampled]]).max())
-    seconds = time.perf_counter() - t0
-    passed = worst < 1e-10 and worst_coeff < 1e-10 and seconds < 1.0
-    return CriterionResult(
-        1,
-        "posterior coefficient identity and stride-1 degeneracy",
-        passed,
-        f"max identity gap {worst:.2e}, max stride-1 coeff {worst_coeff:.2e}",
-        seconds,
-    )
+    return (worst < 1e-10 and worst_coeff < 1e-10,
+            f"max identity gap {worst:.2e}, max stride-1 coeff {worst_coeff:.2e}")
 
 
-def criterion_2_form_equivalence(fx: Fixtures) -> CriterionResult:
+@_criterion(2, "expanded vs latent-difference gradient forms", budget=5.0)
+def criterion_2_form_equivalence(fx: Fixtures) -> tuple[bool, str]:
     """Expanded and latent-difference gradients agree to rel err < 1e-8
     over 100 random (model, draw, stride) configurations."""
-    t0 = time.perf_counter()
-    rng = np.random.default_rng(MASTER_SEED + 20)
+    rng = np.random.default_rng(DEFAULT_MASTER_SEED + 20)
     s = fx.schedule
     worst = 0.0
     for _ in range(100):
-        stride = int(rng.choice(FORM_STRIDES))
-        sub = build_subsequence(s, stride, 0.02, 0.98)
+        sub = fx.grids[int(rng.choice(FORM_STRIDES))]
         d = _random_denoiser(rng)
         prob = _random_problem(rng, sub)
         draw = latentops.draw_shared_noise(sub, rng)
         g1 = distill.objective_grad(prob, "pds", draw, d, s)
         g2 = distill.pds_grad_latent_form(prob, draw, d, s)
         worst = max(worst, _rel_err(g1, g2))
-    seconds = time.perf_counter() - t0
-    passed = worst < 1e-8 and seconds < 5.0
-    return CriterionResult(
-        2, "expanded vs latent-difference gradient forms", passed,
-        f"max rel err {worst:.2e}", seconds,
-    )
+    return worst < 1e-8, f"max rel err {worst:.2e}"
 
 
-def criterion_3_zero_at_identity(fx: Fixtures) -> CriterionResult:
+@_criterion(3, "exact zero gradients at source == target")
+def criterion_3_zero_at_identity(fx: Fixtures) -> tuple[bool, str]:
     """DDS and PDS gradients are exactly zero when source equals target."""
-    t0 = time.perf_counter()
-    rng = np.random.default_rng(MASTER_SEED + 30)
+    rng = np.random.default_rng(DEFAULT_MASTER_SEED + 30)
     s, sub = fx.schedule, fx.sub
-    all_zero = True
     for _ in range(100):
         d = _random_denoiser(rng)
         x0 = rng.standard_normal(2)
@@ -165,39 +181,29 @@ def criterion_3_zero_at_identity(fx: Fixtures) -> CriterionResult:
         g_dds = distill.objective_grad(prob, "dds", draw, d, s)
         g_pds = distill.objective_grad(prob, "pds", draw, d, s)
         if not (np.all(g_dds == 0.0) and np.all(g_pds == 0.0)):
-            all_zero = False
-            break
-    seconds = time.perf_counter() - t0
-    return CriterionResult(
-        3, "exact zero gradients at source == target", all_zero,
-        "bitwise zero over 100 draws" if all_zero else "nonzero gradient found",
-        seconds,
-    )
+            return False, "nonzero gradient found"
+    return True, "bitwise zero over 100 draws"
 
 
-def criterion_4_inversion_roundtrip(fx: Fixtures) -> CriterionResult:
+@_criterion(4, "inversion round-trip", budget=30.0)
+def criterion_4_inversion_roundtrip(fx: Fixtures) -> tuple[bool, str]:
     """invert -> replay reconstructs 50 random points to < 1e-8 under both
     the trained model and a random-weight model."""
-    t0 = time.perf_counter()
-    rng = np.random.default_rng(MASTER_SEED + 40)
-    random_model = Denoiser.create(seed=MASTER_SEED + 41, random_head=True)
+    rng = np.random.default_rng(DEFAULT_MASTER_SEED + 40)
+    random_model = Denoiser.create(seed=DEFAULT_MASTER_SEED + 41, random_head=True)
     worst = max(
         err
         for d in (fx.trained, random_model)
         for _, _, err in experiments.run_roundtrip_report(fx.cfg, d, rng, 50)
     )
-    seconds = time.perf_counter() - t0
-    passed = worst < 1e-8 and seconds < 30.0
-    return CriterionResult(
-        4, "inversion round-trip", passed, f"max abs err {worst:.2e}", seconds
-    )
+    return worst < 1e-8, f"max abs err {worst:.2e}"
 
 
-def criterion_5_gradient_oracles(fx: Fixtures) -> CriterionResult:
+@_criterion(5, "gradient oracles")
+def criterion_5_gradient_oracles(fx: Fixtures) -> tuple[bool, str]:
     """(a) backprop vs central differences; (b) frozen-prediction objective
     gradient vs the expanded residual; (c) generator pullbacks vs render."""
-    t0 = time.perf_counter()
-    rng = np.random.default_rng(MASTER_SEED + 50)
+    rng = np.random.default_rng(DEFAULT_MASTER_SEED + 50)
     s, sub = fx.schedule, fx.sub
     h = 1e-5
 
@@ -277,22 +283,15 @@ def criterion_5_gradient_oracles(fx: Fixtures) -> CriterionResult:
         analytic = np.vstack([gen.pullback(np.eye(2)[k]) for k in range(2)])
         err_c = max(err_c, _rel_err(analytic, jac))
 
-    seconds = time.perf_counter() - t0
-    passed = err_a < 1e-4 and err_b < 1e-4 and err_c < 1e-6
-    return CriterionResult(
-        5, "gradient oracles",
-        passed,
-        f"backprop {err_a:.2e}, frozen-objective {err_b:.2e}, pullback {err_c:.2e}",
-        seconds,
-    )
+    return (err_a < 1e-4 and err_b < 1e-4 and err_c < 1e-6,
+            f"backprop {err_a:.2e}, frozen-objective {err_b:.2e}, pullback {err_c:.2e}")
 
 
-def criterion_6_eps_prev_invariance(fx: Fixtures) -> CriterionResult:
+@_criterion(6, "predecessor-noise invariance")
+def criterion_6_eps_prev_invariance(fx: Fixtures) -> tuple[bool, str]:
     """The expanded gradient is bitwise invariant to the predecessor noise."""
-    t0 = time.perf_counter()
-    rng = np.random.default_rng(MASTER_SEED + 60)
+    rng = np.random.default_rng(DEFAULT_MASTER_SEED + 60)
     s, sub = fx.schedule, fx.sub
-    exact = True
     for _ in range(100):
         d = _random_denoiser(rng)
         prob = _random_problem(rng, sub)
@@ -302,17 +301,12 @@ def criterion_6_eps_prev_invariance(fx: Fixtures) -> CriterionResult:
             noise = np.stack([rng.standard_normal(2), base[1]])
             grads.append(distill.objective_grad(prob, "pds", (i, noise), d, s))
         if not (np.array_equal(grads[0], grads[1]) and np.array_equal(grads[0], grads[2])):
-            exact = False
-            break
-    seconds = time.perf_counter() - t0
-    return CriterionResult(
-        6, "predecessor-noise invariance", exact,
-        "bitwise equal across 3 noises x 100 draws" if exact else "gradient changed",
-        seconds,
-    )
+            return False, "gradient changed"
+    return True, "bitwise equal across 3 noises x 100 draws"
 
 
-def criterion_7_figure2_ordering(fx: Fixtures) -> CriterionResult:
+@_criterion(7, "trajectory-comparison ordering")
+def criterion_7_figure2_ordering(fx: Fixtures) -> tuple[bool, str]:
     """Latent matching ends closest to its start and to the boundary,
     within the time budget including training."""
     t0 = time.perf_counter()
@@ -326,32 +320,26 @@ def criterion_7_figure2_ordering(fx: Fixtures) -> CriterionResult:
         and summary.checks["pds_nearest_boundary"]
         and total < 300.0
     )
-    return CriterionResult(
-        7, "trajectory-comparison ordering",
+    return (
         passed,
         f"displacement pds {pds.mean_displacement:.2f} vs sds {sds.mean_displacement:.2f} / "
         f"dds {dds.mean_displacement:.2f}; |boundary dist| pds {pds.mean_abs_dist:.2f} vs "
         f"sds {sds.mean_abs_dist:.2f} / dds {dds.mean_abs_dist:.2f}; "
         f"total {total:.1f}s incl. training",
-        seconds,
     )
 
 
-def criterion_8_generative_sanity(fx: Fixtures) -> CriterionResult:
+@_criterion(8, "generative sanity")
+def criterion_8_generative_sanity(fx: Fixtures) -> tuple[bool, str]:
     """At least 90% of 200 class-1 samples land nearer the class-1 mean."""
-    t0 = time.perf_counter()
-    rng = np.random.default_rng(MASTER_SEED + 80)
+    rng = np.random.default_rng(DEFAULT_MASTER_SEED + 80)
     samples = latentops.ancestral_sample_batch(
         fx.trained, 1, 200, fx.schedule, fx.cfg.training.sample_omega, rng
     )
-    m1 = np.asarray(fx.dataset.class_params[0].mean)
-    m2 = np.asarray(fx.dataset.class_params[1].mean)
+    m1, m2 = (np.asarray(spec.mean) for spec in fx.cfg.class_params())
     nearer = np.linalg.norm(samples - m1, axis=1) < np.linalg.norm(samples - m2, axis=1)
     frac = float(np.mean(nearer))
-    seconds = time.perf_counter() - t0
-    return CriterionResult(
-        8, "generative sanity", frac >= 0.9, f"class-1 fraction {frac:.3f}", seconds
-    )
+    return frac >= 0.9, f"class-1 fraction {frac:.3f}"
 
 
 def rank_correlation(a: np.ndarray, b: np.ndarray) -> float:
@@ -361,10 +349,10 @@ def rank_correlation(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.corrcoef(rank_a, rank_b)[0, 1])
 
 
-def criterion_9_sdedit_limits(fx: Fixtures) -> CriterionResult:
+@_criterion(9, "partial-noising limits")
+def criterion_9_sdedit_limits(fx: Fixtures) -> tuple[bool, str]:
     """Ratio 0 is an exact identity; displacement grows with the ratio."""
-    t0 = time.perf_counter()
-    rng = np.random.default_rng(MASTER_SEED + 90)
+    rng = np.random.default_rng(DEFAULT_MASTER_SEED + 90)
     x0 = rng.standard_normal((1, 2))
     out = latentops.sdedit_batch(
         x0, 1, 0.0, fx.trained, fx.cfg.training.sample_omega, fx.schedule, rng
@@ -374,27 +362,9 @@ def criterion_9_sdedit_limits(fx: Fixtures) -> CriterionResult:
     ratios = np.array([r for r, _ in rows])
     means = np.array([m for _, m in rows])
     rho = rank_correlation(ratios, means)
-    seconds = time.perf_counter() - t0
-    passed = identity_exact and rho > 0.9
-    return CriterionResult(
-        9, "partial-noising limits", passed,
-        f"identity exact: {identity_exact}, Spearman rho {rho:.3f}", seconds,
-    )
+    return identity_exact and rho > 0.9, f"identity exact: {identity_exact}, Spearman rho {rho:.3f}"
 
 
-CRITERIA = [
-    criterion_1_coefficient_identity,
-    criterion_2_form_equivalence,
-    criterion_3_zero_at_identity,
-    criterion_4_inversion_roundtrip,
-    criterion_5_gradient_oracles,
-    criterion_6_eps_prev_invariance,
-    criterion_7_figure2_ordering,
-    criterion_8_generative_sanity,
-    criterion_9_sdedit_limits,
-]
-
-
-def run_all(cfg: ExperimentConfig | None = None) -> list[CriterionResult]:
+def run_all(cfg: ExperimentConfig) -> list[CriterionResult]:
     fx = build_fixtures(cfg)
     return [criterion(fx) for criterion in CRITERIA]

@@ -21,7 +21,7 @@ from .config import ExperimentConfig
 from .denoiser import POINT_DIM, ClassSpec, Denoiser
 from .distill import EditProblem, TrajectoryRecord, identity_generator, optimize_batch
 from .errors import ConfigError
-from .latentops import generate_with_latents_batch, invert, sdedit_batch
+from .latentops import SDEDIT_STEPS, generate_with_latents_batch, invert, sdedit_batch
 
 __all__ = [
     "ObjectiveAggregate",
@@ -37,7 +37,6 @@ __all__ = [
     "run_roundtrip_report",
 ]
 
-SDEDIT_STEPS = 20
 SDEDIT_OMEGA = 0.0
 
 
@@ -308,7 +307,7 @@ def run_sdedit_sweep(
     points = cfg.class_params()[0].sample(rng, n_points)
     rows = []
     for ratio in grid:
-        edited = sdedit_batch(points, 1, float(ratio), d, SDEDIT_OMEGA, s, rng, SDEDIT_STEPS)
+        edited = sdedit_batch(points, 1, float(ratio), d, SDEDIT_OMEGA, s, rng)
         rows.append((float(ratio), float(np.mean(np.linalg.norm(edited - points, axis=1)))))
     return rows
 

@@ -44,7 +44,10 @@ __all__ = [
     "generate_with_latents_batch",
     "ancestral_sample_batch",
     "sdedit_batch",
+    "SDEDIT_STEPS",
 ]
+
+SDEDIT_STEPS = 20  # steps of sdedit_batch's coarse denoising grid over the whole schedule
 
 
 @dataclass
@@ -235,15 +238,6 @@ def ancestral_sample_batch(
                      lambda k: rng.standard_normal((n, POINT_DIM)))
 
 
-def _denoise_grid(T: int, n_steps: int) -> np.ndarray:
-    if n_steps < 1:
-        raise ValueError(f"n_steps must be >= 1, got {n_steps}")
-    levels = np.round(np.arange(n_steps + 1) * (T / n_steps)).astype(np.int64)
-    if np.any(np.diff(levels) < 1):
-        raise ValueError(f"n_steps={n_steps} is too fine for T={T}")
-    return levels
-
-
 def sdedit_batch(
     x0: np.ndarray,
     y: int,
@@ -252,12 +246,12 @@ def sdedit_batch(
     omega: float,
     s: NoiseSchedule,
     rng: np.random.Generator,
-    n_steps: int = 20,
 ) -> np.ndarray:
     """Partially noise a batch of points to level t0 and denoise back down.
 
-    The denoising runs over an ``n_steps``-point coarse grid spanning the
-    whole schedule; ``t0_ratio`` selects the starting position on that grid,
+    The denoising runs over a coarse grid of SDEDIT_STEPS + 1 evenly spaced
+    levels from 0 to T, so the schedule needs T >= SDEDIT_STEPS (ValueError
+    otherwise); ``t0_ratio`` selects the starting position on that grid,
     so 0 is an exact identity and 1 is a full resampling that forgets the
     input almost entirely. A step that turns non-finite raises
     DivergenceError, as in every chain of :func:`_generate`.
@@ -265,8 +259,11 @@ def sdedit_batch(
     if not 0.0 <= t0_ratio <= 1.0:
         raise ValueError(f"t0_ratio must be in [0, 1], got {t0_ratio}")
     x0 = np.atleast_2d(np.asarray(x0, dtype=float))
-    levels = _denoise_grid(s.T, int(n_steps))
-    k0 = int(round(t0_ratio * n_steps))
+    if s.T < SDEDIT_STEPS:
+        raise ValueError(f"sdedit denoises in {SDEDIT_STEPS} steps, "
+                         f"so it needs T >= {SDEDIT_STEPS}, got T={s.T}")
+    levels = np.round(np.arange(SDEDIT_STEPS + 1) * (s.T / SDEDIT_STEPS)).astype(np.int64)
+    k0 = int(round(t0_ratio * SDEDIT_STEPS))
     if k0 == 0:
         return x0.copy()
     down = levels[k0::-1].tolist()

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from distill_lab import acceptance
+from distill_lab.config import DEFAULT_MASTER_SEED, ExperimentConfig
 from distill_lab.denoiser import Denoiser
 from distill_lab.experiments import run_roundtrip_report
 from distill_lab.latentops import generate_with_latents_batch, invert
@@ -16,7 +17,7 @@ from distill_lab.latentops import generate_with_latents_batch, invert
 
 @pytest.fixture(scope="module")
 def fixtures():
-    return acceptance.build_fixtures()
+    return acceptance.build_fixtures(ExperimentConfig())
 
 
 @pytest.mark.parametrize("criterion", acceptance.CRITERIA, ids=lambda c: c.__name__)
@@ -30,23 +31,39 @@ def test_criterion_4_is_the_roundtrip_report_worst_error(fixtures):
     # the inline draw/invert/replay loop criterion 4 used before it called
     # run_roundtrip_report, on the same stream
     fx = fixtures
-    rng = np.random.default_rng(acceptance.MASTER_SEED + 40)
-    models = (fx.trained, Denoiser.create(seed=acceptance.MASTER_SEED + 41, random_head=True))
+    rng = np.random.default_rng(DEFAULT_MASTER_SEED + 40)
+    models = (fx.trained, Denoiser.create(seed=DEFAULT_MASTER_SEED + 41, random_head=True))
     labels = [1 + idx % 2 for idx in range(50)]
     omega, worst = fx.cfg.distill.omega, 0.0
     for d in models:
         points, seqs = [], []
         for label in labels:
-            spec = fx.dataset.class_params[label - 1]
+            spec = fx.cfg.class_params()[label - 1]
             points.append(np.asarray(spec.mean) + spec.std * rng.standard_normal(2))
             seqs.append(invert(points[-1], label, d, omega, fx.schedule, fx.sub, rng))
         backs = generate_with_latents_batch(seqs, labels, d, omega, fx.schedule, fx.sub)
         worst = max(worst, float(np.max(np.abs(backs - np.array(points)))))
-    rng = np.random.default_rng(acceptance.MASTER_SEED + 40)
+    rng = np.random.default_rng(DEFAULT_MASTER_SEED + 40)
     rows = [row for d in models for row in run_roundtrip_report(fx.cfg, d, rng, 50)]
     assert max(err for _, _, err in rows) == worst
     result = acceptance.criterion_4_inversion_roundtrip(fx)
     assert result.detail == f"max abs err {worst:.2e}"
+
+
+@pytest.mark.parametrize("criterion, seconds, passed", [
+    (acceptance.criterion_1_coefficient_identity, 10.0, False),  # budget 1 s
+    (acceptance.criterion_3_zero_at_identity, 1e6, True),  # no budget
+])
+def test_time_budget_fails_a_criterion_and_keeps_its_detail(criterion, seconds, passed, fixtures,
+                                                            monkeypatch):
+    on_time = criterion(fixtures)
+    clock = iter([0.0, seconds])
+    monkeypatch.setattr(acceptance.time, "perf_counter", lambda: next(clock))
+    timed = criterion(fixtures)
+    monkeypatch.undo()
+    assert on_time.passed
+    assert (timed.passed, timed.seconds, timed.detail) == (passed, seconds, on_time.detail)
+    assert timed.line().startswith("[PASS]" if passed else "[FAIL]")
 
 
 def test_rank_correlation_against_hand_value():

@@ -312,6 +312,17 @@ class TestSdeditDemoCommand:
         assert len(err.strip().splitlines()) == 1
 
 
+class TestCheckCommand:
+    def test_runs_to_completion_and_counts_its_lines(self, fast_config_file, tmp_path, capsys):
+        code = main(["check", "--config", fast_config_file, "--out", str(tmp_path / "c")])
+        *results, summary = capsys.readouterr().out.strip().splitlines()
+        numbers = [re.match(r"\[(PASS|FAIL)\] criterion (\d): ", line) for line in results]
+        assert [int(m.group(2)) for m in numbers] == list(range(1, 10))
+        passed = sum(m.group(1) == "PASS" for m in numbers)
+        assert summary == f"{passed}/9 criteria passed"
+        assert code == (EXIT_OK if passed == 9 else EXIT_CHECK_FAILED)
+
+
 # SHA-256 of every file that train, figure2, invert-roundtrip --k 3 and
 # sdedit-demo write at the fast config above (master seed 7). The inference
 # outputs must not change by a byte when their evaluation is reorganised.
@@ -489,6 +500,7 @@ class TestMalformedInput:
         err = capsys.readouterr().err
         assert err.startswith("config error: ")
         assert len(err.strip().splitlines()) == 1
+        return err
 
     @staticmethod
     def rewrite_checkpoint(src, dst, drop=(), **changes):
@@ -629,6 +641,21 @@ class TestMalformedInput:
         monkeypatch.setattr(acceptance, "train", None)
         self.assert_config_error(["check", "--config", stride_one_config,
                                   "--out", str(tmp_path / "o")], capsys)
+
+    @pytest.mark.parametrize("objectives, missing", [("pds", "sds, dds"), ("sds, dds", "pds")])
+    def test_check_without_all_three_objectives(self, objectives, missing, trained_dir, tmp_path,
+                                                capsys, monkeypatch):
+        # criterion 7 compares pds against sds and dds; the command stops
+        # before it trains, while figure2 runs any subset
+        path = tmp_path / "objectives.ini"
+        path.write_text(f"[distill]\nobjectives = {objectives}\nn_runs = 1\nsteps = 5\n")
+        monkeypatch.setattr(acceptance, "train", None)
+        err = self.assert_config_error(["check", "--config", str(path),
+                                        "--out", str(tmp_path / "o")], capsys)
+        assert f"leaves out {missing}" in err
+        code = main(["figure2", str(trained_dir / "model.ckpt"), "--config", str(path),
+                     "--out", str(tmp_path / "f")])
+        assert code == EXIT_OK
 
     def test_figure2_and_sdedit_accept_a_stride_one_grid(self, stride_one_config, trained_dir,
                                                          tmp_path):

@@ -1,4 +1,5 @@
 import ast
+import functools
 import importlib
 import inspect
 import pkgutil
@@ -32,8 +33,9 @@ def test_package_exports_what_it_imports():
 
 
 # Names the benchmark under perfbench/ binds by name rather than through
-# the package's exports, each with the perfbench file that reads it;
-# deleting or rebinding one breaks the benchmark without failing any other test.
+# the package's exports, each with the perfbench file that reads it (a
+# dotted name is a method of a class); deleting or rebinding one breaks the
+# benchmark without failing any other test.
 PERFBENCH_BINDINGS = [
     ("denoiser", "predict", "selftest.py RowCounter.RULES"),
     ("denoiser", "cfg_predict", "selftest.py RowCounter.RULES"),
@@ -43,6 +45,12 @@ PERFBENCH_BINDINGS = [
     ("latentops", "cfg_predict", "selftest.py check_tracer"),
     ("latentops", "invert", "worker.py probe_roundtrip"),
     ("latentops", "generate_with_latents", "worker.py probe_roundtrip"),
+    ("config", "load_config", "worker.py Bench, record.py, selftest.py, setup_probe.py"),
+    ("cli", "main", "workloads.py run_pass through worker.py Bench"),
+    ("denoiser", "load_checkpoint", "worker.py probes, workloads.py _check_train, setup_probe.py"),
+    ("config", "ExperimentConfig.build_schedule", "worker.py probes, setup_probe.py"),
+    ("config", "ExperimentConfig.build_subsequence", "worker.py probe_roundtrip, setup_probe.py"),
+    ("config", "ExperimentConfig.class_params", "worker.py probe_roundtrip"),
 ]
 
 
@@ -50,7 +58,8 @@ PERFBENCH_BINDINGS = [
     "module, name, reader", PERFBENCH_BINDINGS, ids=[f"{m}.{n}" for m, n, _ in PERFBENCH_BINDINGS]
 )
 def test_names_perfbench_binds_still_resolve(module, name, reader):
-    fn = getattr(importlib.import_module(f"distill_lab.{module}"), name, None)
+    mod = importlib.import_module(f"distill_lab.{module}")
+    fn = functools.reduce(lambda obj, attr: getattr(obj, attr, None), name.split("."), mod)
     assert callable(fn), f"perfbench/{reader} reads distill_lab.{module}.{name}"
 
 

@@ -15,7 +15,7 @@ from distill_lab.latentops import (
     sdedit_batch,
     stochastic_latents,
 )
-from distill_lab.schedule import build_subsequence, posterior_coeffs_pair
+from distill_lab.schedule import build_linear_schedule, build_subsequence, posterior_coeffs_pair
 from references import one_latent, posterior_mean_pred, tweedie_estimate
 
 
@@ -381,7 +381,7 @@ class TestSdedit:
         # small starting ratios perturb without losing the point's identity
         m1 = np.asarray(dataset.class_params[0].mean)
         points = m1 + dataset.class_params[0].std * rng.standard_normal((50, 2))
-        edited = sdedit_batch(points, 1, 0.2, trained_model, 2.0, schedule, rng, n_steps=20)
+        edited = sdedit_batch(points, 1, 0.2, trained_model, 2.0, schedule, rng)
         displacement = np.linalg.norm(edited - points, axis=1)
         assert np.mean(displacement) < 1.0
 
@@ -416,19 +416,20 @@ class TestSdedit:
             return x
 
         x0 = np.random.default_rng(3).standard_normal((16, 2))
-        got = sdedit_batch(
-            x0, 1, ratio, trained_model, omega, schedule, np.random.default_rng(9), n_steps
-        )
+        got = sdedit_batch(x0, 1, ratio, trained_model, omega, schedule, np.random.default_rng(9))
         assert np.array_equal(got, reference(x0, np.random.default_rng(9)))
 
     def test_rejects_bad_ratio(self, trained_model, schedule, rng):
         with pytest.raises(ValueError):
             sdedit_batch(np.zeros((1, 2)), 1, 1.5, trained_model, 2.0, schedule, rng)
 
-    @pytest.mark.parametrize("n_steps", [0, -3])
-    def test_rejects_step_count_below_one(self, trained_model, schedule, rng, n_steps):
-        with pytest.raises(ValueError, match="n_steps"):
-            sdedit_batch(np.zeros((1, 2)), 1, 0.5, trained_model, 2.0, schedule, rng, n_steps=n_steps)
+    @pytest.mark.parametrize("T", [10, 19])
+    def test_rejects_a_schedule_with_fewer_levels_than_steps(self, trained_model, rng, T):
+        # the 20-step grid needs a distinct level per step, at ratio 0 too
+        short = build_linear_schedule(T, 1e-4, 0.02)
+        for ratio in (0.0, 0.5):
+            with pytest.raises(ValueError, match="T >= 20"):
+                sdedit_batch(np.zeros((1, 2)), 1, ratio, trained_model, 2.0, short, rng)
 
 
 class TestDivergence:

@@ -12,7 +12,6 @@ from .config import ExperimentConfig, load_config
 from .denoiser import (
     Denoiser,
     TrainConfig,
-    TwoMarginalDataset,
     cfg_predict,
     eps,
     predict,
@@ -52,7 +51,6 @@ __all__ = [
     "load_config",
     "Denoiser",
     "TrainConfig",
-    "TwoMarginalDataset",
     "cfg_predict",
     "eps",
     "predict",

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import distill, experiments, latentops
 from .config import DEFAULT_MASTER_SEED, ExperimentConfig
-from .denoiser import Denoiser, cfg_predict, loss_and_grad, train
+from .denoiser import Denoiser, eps, loss_and_grad, train
 from .errors import ConfigError
 from .schedule import NoiseSchedule, TimestepSubsequence, build_subsequence
 
@@ -111,7 +111,7 @@ def _criterion(number: int, name: str, budget: float = math.inf):
 
 
 def _random_denoiser(rng: np.random.Generator, hidden=(16, 16), scale=0.8) -> Denoiser:
-    d = Denoiser.create(num_classes=2, t_embed_dim=4, hidden=hidden, seed=0)
+    d = Denoiser.create(t_embed_dim=4, hidden=hidden, seed=0)
     d.params[:] = scale * rng.standard_normal(d.params.size)
     return d
 
@@ -212,14 +212,14 @@ def criterion_5_gradient_oracles(fx: Fixtures) -> tuple[bool, str]:
     x0 = rng.standard_normal((3, 2))
     y = rng.integers(0, 3, size=3)
     t = rng.integers(1, s.T + 1, size=3)
-    eps = rng.standard_normal((3, 2))
-    _, grad = loss_and_grad(d, s, x0, y, t, eps)
+    true_noise = rng.standard_normal((3, 2))
+    _, grad = loss_and_grad(d, s, x0, y, t, true_noise)
     fd = np.empty_like(grad)
     for j in range(d.params.size):
         d.params[j] += h
-        up, _ = loss_and_grad(d, s, x0, y, t, eps)
+        up, _ = loss_and_grad(d, s, x0, y, t, true_noise)
         d.params[j] -= 2 * h
-        dn, _ = loss_and_grad(d, s, x0, y, t, eps)
+        dn, _ = loss_and_grad(d, s, x0, y, t, true_noise)
         d.params[j] += h
         fd[j] = (up - dn) / (2 * h)
     err_a = _rel_err(grad, fd)
@@ -242,7 +242,7 @@ def criterion_5_gradient_oracles(fx: Fixtures) -> tuple[bool, str]:
         t_prev = int(sub.tau[i - 1])
         gamma, delta, sigma = s.gamma[t_cur], s.delta[t_cur], s.sigma[t_cur]
         x_t_base = s.noised(x_tgt, t_cur, noise[1])
-        eps_frozen = cfg_predict(d2, x_t_base, y_tgt, t_cur, omega)
+        eps_frozen = eps(d2, x_t_base, y_tgt, t_cur, omega)[0]
         z_src = latentops.stochastic_latents(x_src, y_src, np.array([i]), noise[:1], noise[1:],
                                              d2, omega, s, sub)[0]
 

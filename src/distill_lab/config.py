@@ -19,7 +19,6 @@ from .denoiser import (
     ClassSpec,
     Denoiser,
     TrainConfig,
-    TwoMarginalDataset,
     check_class_separation,
     check_dataset_size,
     denoiser_arch,
@@ -100,12 +99,12 @@ class ExperimentConfig:
             s, self.subsequence.stride, self.subsequence.lo_ratio, self.subsequence.hi_ratio
         )
 
-    def build_dataset(self) -> TwoMarginalDataset:
+    def build_dataset(self) -> tuple[np.ndarray, np.ndarray]:
         return sample_two_marginal_dataset(self.dataset.n, self.class_params(), self.dataset.seed)
 
     def build_model(self) -> Denoiser:
         """The untrained denoiser that ``train`` fits to :meth:`build_dataset`."""
-        return Denoiser.create(2, self.training.t_embed_dim, self.training.hidden, self.training.seed)
+        return Denoiser.create(self.training.t_embed_dim, self.training.hidden, self.training.seed)
 
     def class_params(self) -> tuple[ClassSpec, ClassSpec]:
         return (
@@ -182,7 +181,10 @@ def load_config(
     """
     cfg = ExperimentConfig()
     if path is not None:
-        parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+        # no % interpolation; [DEFAULT] is an ordinary section, so load_config rejects it
+        parser = configparser.ConfigParser(
+            inline_comment_prefixes=("#", ";"), interpolation=None, default_section=""
+        )
         try:
             read = parser.read(path)
         except (configparser.Error, UnicodeDecodeError) as exc:
@@ -214,7 +216,7 @@ def _validate(cfg: ExperimentConfig) -> None:
         cfg.build_subsequence(s)
         check_dataset_size(cfg.dataset.n)
         check_class_separation(cfg.class_params())
-        denoiser_arch(2, cfg.training.t_embed_dim, cfg.training.hidden)
+        denoiser_arch(cfg.training.t_embed_dim, cfg.training.hidden)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     seeds = {

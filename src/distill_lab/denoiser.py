@@ -25,15 +25,14 @@ from .schedule import NoiseSchedule
 
 __all__ = [
     "NULL_LABEL",
+    "NUM_CLASSES",
     "POINT_DIM",
     "ClassSpec",
-    "TwoMarginalDataset",
     "TrainConfig",
     "check_class_separation",
     "check_dataset_size",
     "Denoiser",
     "denoiser_arch",
-    "default_class_params",
     "sample_two_marginal_dataset",
     "eps",
     "predict",
@@ -48,6 +47,7 @@ __all__ = [
 ]
 
 NULL_LABEL = 0
+NUM_CLASSES = 2  # class labels are 1 .. NUM_CLASSES, beside the null label
 POINT_DIM = 2
 
 # Tail mass of either class beyond the midpoint plane must stay below this
@@ -66,15 +66,6 @@ class ClassSpec:
         """n points of the class, shape (n, 2): mean + std * standard normal.
         ``sample(rng, 1)[0]`` has the bits of a ``(2,)`` draw."""
         return np.asarray(self.mean) + self.std * rng.standard_normal((n, POINT_DIM))
-
-
-@dataclass(frozen=True)
-class TwoMarginalDataset:
-    """Labeled 2D samples from two separated class-conditional Gaussians."""
-
-    points: np.ndarray
-    labels: np.ndarray
-    class_params: tuple[ClassSpec, ClassSpec]
 
 
 @dataclass(frozen=True)
@@ -98,13 +89,6 @@ class TrainConfig:
             raise ValueError(f"null_cond_prob must be in [0, 1), got {self.null_cond_prob}")
 
 
-def default_class_params() -> tuple[ClassSpec, ClassSpec]:
-    return (
-        ClassSpec(mean=np.array([-2.0, 0.0]), std=0.5),
-        ClassSpec(mean=np.array([2.0, 0.0]), std=0.5),
-    )
-
-
 def check_class_separation(class_params: tuple[ClassSpec, ClassSpec]) -> None:
     for k, spec in enumerate(class_params):
         if spec.std <= 0.0 or not np.isfinite(spec.std):
@@ -126,15 +110,11 @@ def check_dataset_size(n: int) -> None:
 
 
 def sample_two_marginal_dataset(
-    n: int,
-    class_params: tuple[ClassSpec, ClassSpec] | None = None,
-    seed: int = 0,
-) -> TwoMarginalDataset:
-    """Draw n/2 points per class; deterministic for a fixed seed."""
+    n: int, class_params: tuple[ClassSpec, ClassSpec], seed: int = 0
+) -> tuple[np.ndarray, np.ndarray]:
+    """Points (n, 2) and labels (n,), n/2 of each class in order; seeded."""
     n = int(n)
     check_dataset_size(n)
-    if class_params is None:
-        class_params = default_class_params()
     check_class_separation(class_params)
     rng = np.random.default_rng(seed)
     half = n // 2
@@ -144,7 +124,7 @@ def sample_two_marginal_dataset(
         block = slice(k * half, (k + 1) * half)
         points[block] = spec.sample(rng, half)
         labels[block] = k + 1
-    return TwoMarginalDataset(points=points, labels=labels, class_params=class_params)
+    return points, labels
 
 
 @dataclass
@@ -163,17 +143,16 @@ class Denoiser:
 
     params: np.ndarray
     arch: tuple[int, ...]
-    num_classes: int
     t_embed_dim: int
     opt_state: AdamState | None = field(default=None, repr=False)
     _views: tuple = field(default=(None, None), init=False, repr=False, compare=False)
     _t_table: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
     _scratch: tuple = field(default=(), init=False, repr=False, compare=False)
+    num_classes = NUM_CLASSES  # a class attribute, not a field: every model has two classes
 
     @classmethod
     def create(
         cls,
-        num_classes: int = 2,
         t_embed_dim: int = 8,
         hidden: tuple[int, ...] = (64, 64),
         seed: int = 0,
@@ -186,13 +165,13 @@ class Denoiser:
         initialization scale instead, producing a non-degenerate
         random-weight model.
         """
-        arch = denoiser_arch(num_classes, t_embed_dim, hidden)
+        arch = denoiser_arch(t_embed_dim, hidden)
         rng = np.random.default_rng(seed)
         params = np.zeros(param_count(arch))
-        for (w, b), is_last in zip(_layer_views(params, arch), _last_flags(arch)):
-            if not is_last or random_head:
-                w[:] = rng.standard_normal(w.shape) / math.sqrt(w.shape[0])
-        return cls(params=params, arch=arch, num_classes=num_classes, t_embed_dim=t_embed_dim)
+        layers = _layer_views(params, arch)
+        for w, _ in layers if random_head else layers[:-1]:
+            w[:] = rng.standard_normal(w.shape) / math.sqrt(w.shape[0])
+        return cls(params=params, arch=arch, t_embed_dim=t_embed_dim)
 
     def layers(self) -> list[tuple[np.ndarray, np.ndarray]]:
         """(W, b) views into ``params``, rebuilt only when ``params`` is replaced."""
@@ -220,25 +199,18 @@ class Denoiser:
         return self._scratch
 
 
-def denoiser_arch(num_classes: int, t_embed_dim: int, hidden: tuple[int, ...]) -> tuple[int, ...]:
+def denoiser_arch(t_embed_dim: int, hidden: tuple[int, ...]) -> tuple[int, ...]:
     """Every layer width, input and output included, of a denoiser with
     these sizes; ValueError for sizes no denoiser can have."""
     if t_embed_dim % 2 != 0 or t_embed_dim <= 0:
         raise ValueError(f"t_embed_dim must be a positive even integer, got {t_embed_dim}")
-    if num_classes < 1:
-        raise ValueError(f"need num_classes >= 1, got {num_classes}")
     if any(w < 1 for w in hidden):
         raise ValueError(f"hidden widths must be >= 1, got {tuple(hidden)}")
-    return (POINT_DIM + t_embed_dim + num_classes + 1, *hidden, POINT_DIM)
+    return (POINT_DIM + t_embed_dim + NUM_CLASSES + 1, *hidden, POINT_DIM)
 
 
 def param_count(arch: tuple[int, ...]) -> int:
     return sum(a * b + b for a, b in zip(arch[:-1], arch[1:]))
-
-
-def _last_flags(arch: tuple[int, ...]):
-    n = len(arch) - 1
-    return [k == n - 1 for k in range(n)]
 
 
 def _layer_views(params: np.ndarray, arch: tuple[int, ...]):
@@ -327,17 +299,17 @@ def _per_row(v, n: int, what: str) -> np.ndarray:
     return v
 
 
-def _check_rows(d: Denoiser, x: np.ndarray, y, t) -> tuple[np.ndarray, np.ndarray]:
+def _check_rows(x: np.ndarray, y, t) -> tuple[np.ndarray, np.ndarray]:
     """Labels and timesteps of the n rows of ``x``, broadcast to length n;
     ValueError unless x is (n, 2), both are integers, labels lie in
-    0 (null) .. num_classes and timesteps are >= 1."""
+    0 (null) .. NUM_CLASSES and timesteps are >= 1."""
     if x.ndim != 2 or x.shape[1] != POINT_DIM:
         raise ValueError(f"x has shape {x.shape}, expected (n, {POINT_DIM})")
     n = x.shape[0]
     y = _per_row(y, n, "labels")
     t = _per_row(t, n, "timesteps")
-    if y.min(initial=0) < 0 or y.max(initial=0) > d.num_classes:
-        raise ValueError(f"labels must lie in 0 (null) .. {d.num_classes}")
+    if y.min(initial=0) < 0 or y.max(initial=0) > NUM_CLASSES:
+        raise ValueError(f"labels must lie in 0 (null) .. {NUM_CLASSES}")
     if t.min(initial=1) < 1:
         raise ValueError(f"timesteps must be >= 1, got {int(t.min())}")
     return y, t
@@ -346,7 +318,7 @@ def _check_rows(d: Denoiser, x: np.ndarray, y, t) -> tuple[np.ndarray, np.ndarra
 def _guided(d: Denoiser, x: np.ndarray, y, t, omega: float, per_row: bool) -> np.ndarray:
     """e_null + omega * (e_y - e_null) from a null and a conditional forward
     of n rows each; omega = 1 and omega = 0 run only the forward they return."""
-    y, t = _check_rows(d, x, y, t)
+    y, t = _check_rows(x, y, t)
     if omega == 1.0:
         return _forward(d, x, y, t, per_row)[0]
     e_null = _forward(d, x, np.full(x.shape[0], NULL_LABEL), t, per_row)[0]
@@ -401,7 +373,7 @@ def loss_and_grad(
     checks of the gradient possible. Bad rows raise ValueError as in eps,
     and so do timesteps above the schedule's T (through ``s.noised``).
     """
-    y, t = _check_rows(d, x0, y, t)
+    y, t = _check_rows(x0, y, t)
     out, cache = _forward(d, s.noised(x0, t, eps), y, t)
     resid = out - eps
     loss = float(np.mean(np.sum(resid**2, axis=1)))
@@ -489,24 +461,26 @@ def _one_blas_thread():
 
 def train(
     d: Denoiser,
-    dataset: TwoMarginalDataset,
+    dataset: tuple[np.ndarray, np.ndarray],
     s: NoiseSchedule,
     cfg: TrainConfig,
 ) -> list[float]:
-    """Run ``cfg.steps`` training steps; returns the per-step loss history.
+    """Run ``cfg.steps`` training steps on minibatches drawn from the
+    ``(points, labels)`` dataset; returns the per-step loss history.
 
     The steps run with numpy's OpenBLAS held at one thread, process-wide,
     and the caller's thread count is restored when ``train`` returns or
     raises; BLAS calls other threads make meanwhile run single-threaded.
     The parameters therefore do not depend on the caller's thread count.
     """
+    points, labels = dataset
     rng = np.random.default_rng(cfg.seed)
-    n = dataset.points.shape[0]
+    n = points.shape[0]
     losses = []
     with _one_blas_thread():
         for _ in range(cfg.steps):
             idx = rng.integers(0, n, size=min(cfg.batch_size, n))
-            losses.append(train_step(d, (dataset.points[idx], dataset.labels[idx]), s, cfg, rng))
+            losses.append(train_step(d, (points[idx], labels[idx]), s, cfg, rng))
     return losses
 
 
@@ -532,24 +506,18 @@ def load_checkpoint(path) -> tuple[Denoiser, int]:
     num_classes = header_field(path, header, "num_classes")
     t_embed_dim = header_field(path, header, "t_embed_dim")
     T = header_field(path, header, "T")
+    if num_classes != NUM_CLASSES:
+        raise MismatchError(f"{path}: checkpoint has {num_classes} classes, "
+                            f"the lab has {NUM_CLASSES}")
     try:
-        fits = arch == denoiser_arch(num_classes, t_embed_dim, arch[1:-1])
+        fits = arch == denoiser_arch(t_embed_dim, arch[1:-1])
     except ValueError:
         fits = False
     if not fits:
-        raise MismatchError(
-            f"{path}: arch {arch} does not fit {num_classes} classes and a "
-            f"{t_embed_dim}-dim time embedding"
-        )
+        raise MismatchError(f"{path}: arch {arch} does not fit a {t_embed_dim}-dim time embedding")
     if payload.size != param_count(arch):
         raise MismatchError(
             f"{path}: parameter payload has {payload.size} floats, arch {arch} "
             f"needs {param_count(arch)}"
         )
-    d = Denoiser(
-        params=payload.copy(),
-        arch=arch,
-        num_classes=num_classes,
-        t_embed_dim=t_embed_dim,
-    )
-    return d, T
+    return Denoiser(params=payload.copy(), arch=arch, t_embed_dim=t_embed_dim), T

@@ -39,6 +39,7 @@ __all__ = [
     "OBJECTIVES",
     "WEIGHT_MODES",
     "OPTIMIZERS",
+    "GENERATOR_KINDS",
     "Generator",
     "identity_generator",
     "affine_generator",
@@ -53,6 +54,7 @@ __all__ = [
 OBJECTIVES = ("sds", "dds", "pds")
 WEIGHT_MODES = ("const", "one_minus_alpha_bar")
 OPTIMIZERS = ("gd", "adam")
+GENERATOR_KINDS = ("identity", "affine")
 
 
 def render_rows(kind: str, theta: np.ndarray, latent: np.ndarray | None) -> np.ndarray:
@@ -85,6 +87,15 @@ class Generator:
     theta: np.ndarray
     latent: np.ndarray | None = None
 
+    def __post_init__(self):
+        shape, latent = np.shape(self.theta), np.shape(self.latent)
+        if self.kind not in GENERATOR_KINDS:
+            raise ValueError(f"unknown generator kind {self.kind!r}; known: {GENERATOR_KINDS}")
+        if self.kind == "identity" and shape != (POINT_DIM,):
+            raise ValueError(f"identity generator needs a 2-vector theta, got shape {shape}")
+        if self.kind == "affine" and (shape != (6,) or latent != (POINT_DIM,)):
+            raise ValueError("affine generator needs a 6-vector theta and a 2-vector latent u")
+
     def render(self) -> np.ndarray:
         return render_rows(self.kind, self.theta[None], self.latent)[0]
 
@@ -100,10 +111,7 @@ def identity_generator(x0: np.ndarray) -> Generator:
 
 def affine_generator(a: np.ndarray, b: np.ndarray, u: np.ndarray) -> Generator:
     theta = np.concatenate([np.asarray(a, dtype=float).ravel(), np.asarray(b, dtype=float)])
-    latent = np.array(u, dtype=float)
-    if theta.shape != (6,) or latent.shape != (POINT_DIM,):
-        raise ValueError("affine generator needs a 2x2 matrix, a 2-vector and a 2-vector latent u")
-    return Generator(kind="affine", theta=theta, latent=latent)
+    return Generator(kind="affine", theta=theta, latent=np.array(u, dtype=float))
 
 
 @dataclass

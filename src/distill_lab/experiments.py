@@ -21,7 +21,7 @@ from .config import ExperimentConfig
 from .denoiser import POINT_DIM, ClassSpec, Denoiser
 from .distill import EditProblem, TrajectoryRecord, identity_generator, optimize_batch
 from .errors import ConfigError
-from .latentops import SDEDIT_STEPS, generate_with_latents_batch, invert, sdedit_batch
+from .latentops import check_sdedit_levels, generate_with_latents_batch, invert, sdedit_batch
 
 __all__ = [
     "ObjectiveAggregate",
@@ -274,11 +274,11 @@ def _emit_figure2_files(out_dir, cfg, summary, records, class_params) -> None:
 
 
 def check_sdedit_schedule(cfg: ExperimentConfig) -> None:
-    """ConfigError unless the schedule has a distinct level for each of the
-    sweep's SDEDIT_STEPS denoising steps."""
-    if cfg.schedule.t < SDEDIT_STEPS:
-        raise ConfigError(f"the sdedit sweep denoises in {SDEDIT_STEPS} steps, "
-                          f"so it needs schedule.t >= {SDEDIT_STEPS}, got {cfg.schedule.t}")
+    """ConfigError unless cfg's schedule holds the sweep's chain (check_sdedit_levels)."""
+    try:
+        check_sdedit_levels(cfg.schedule.t)
+    except ValueError as exc:
+        raise ConfigError(f"schedule.t: {exc}") from None
 
 
 def check_roundtrip_grid(cfg: ExperimentConfig) -> None:

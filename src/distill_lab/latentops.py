@@ -44,6 +44,7 @@ __all__ = [
     "generate_with_latents_batch",
     "ancestral_sample_batch",
     "sdedit_batch",
+    "check_sdedit_levels",
     "SDEDIT_STEPS",
 ]
 
@@ -238,6 +239,13 @@ def ancestral_sample_batch(
                      lambda k: rng.standard_normal((n, POINT_DIM)))
 
 
+def check_sdedit_levels(T: int) -> None:
+    """ValueError unless T levels hold sdedit_batch's SDEDIT_STEPS distinct steps."""
+    if T < SDEDIT_STEPS:
+        raise ValueError(f"sdedit denoises in {SDEDIT_STEPS} steps, "
+                         f"so it needs T >= {SDEDIT_STEPS}, got T={T}")
+
+
 def sdedit_batch(
     x0: np.ndarray,
     y: int,
@@ -259,9 +267,7 @@ def sdedit_batch(
     if not 0.0 <= t0_ratio <= 1.0:
         raise ValueError(f"t0_ratio must be in [0, 1], got {t0_ratio}")
     x0 = np.atleast_2d(np.asarray(x0, dtype=float))
-    if s.T < SDEDIT_STEPS:
-        raise ValueError(f"sdedit denoises in {SDEDIT_STEPS} steps, "
-                         f"so it needs T >= {SDEDIT_STEPS}, got T={s.T}")
+    check_sdedit_levels(s.T)
     levels = np.round(np.arange(SDEDIT_STEPS + 1) * (s.T / SDEDIT_STEPS)).astype(np.int64)
     k0 = int(round(t0_ratio * SDEDIT_STEPS))
     if k0 == 0:

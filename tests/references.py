@@ -10,14 +10,14 @@ import math
 
 import numpy as np
 
-from distill_lab.denoiser import cfg_predict
+from distill_lab.denoiser import eps
 from distill_lab.latentops import stochastic_latents
 
 
 def tweedie_estimate(x_t, y, t, d, omega, s):
     """One-step denoised estimate (x_t - sqrt(1 - alpha_bar_t) * eps_hat) / sqrt(alpha_bar_t)."""
     assert 1 <= t <= s.T, f"timestep {t} outside [1, {s.T}]"
-    eps_hat = cfg_predict(d, x_t, y, t, omega)
+    eps_hat = eps(d, x_t, y, t, omega)[0]
     ab = s.alpha_bar[t]
     return (np.asarray(x_t, dtype=float) - math.sqrt(1.0 - ab) * eps_hat) / math.sqrt(ab)
 

@@ -110,6 +110,12 @@ class TestConfig:
         cfg = load_config(str(path))
         assert cfg.dataset.class1_mean == (-3.0, 1.0)
 
+    @pytest.mark.parametrize("value", ["run%1", "%(x)s", "100%%"])
+    def test_percent_read_literally(self, value, tmp_path):
+        path = tmp_path / "pct.ini"
+        path.write_text(f"[output]\ndir = {value}\n")
+        assert load_config(str(path)).output.dir == value
+
 
 class TestTrainCommand:
     def test_writes_checkpoint_and_log(self, trained_dir):
@@ -668,6 +674,32 @@ class TestMalformedInput:
         path = tmp_path / "flat.ini"
         path.write_text("steps = 10\n")
         self.assert_config_error(["train", "--config", str(path), "--out", str(tmp_path)], capsys)
+
+    @pytest.mark.parametrize("text", [
+        "[DEFAULT]\nt = 10\n",
+        # a [DEFAULT] key would otherwise set distill.steps through [distill]
+        "[DEFAULT]\nsteps = 5\n[distill]\nlr = 0.01\n",
+    ])
+    def test_default_section_rejected_by_name(self, text, tmp_path, capsys):
+        path = tmp_path / "default.ini"
+        path.write_text(text)
+        err = self.assert_config_error(["train", "--config", str(path),
+                                        "--out", str(tmp_path / "o")], capsys)
+        assert "[DEFAULT]" in err
+
+    @pytest.mark.parametrize("num_classes, arch", [("1", "12,64,64,2"), ("3", "14,64,64,2")])
+    @pytest.mark.parametrize("command", [["figure2"], ["invert-roundtrip", "--k", "1"]])
+    def test_checkpoint_with_another_class_count(self, num_classes, arch, command, tmp_path,
+                                                 capsys):
+        # a well-formed checkpoint whose arch fits its header, for a class
+        # count other than the lab's two
+        ckpt = tmp_path / "classes.ckpt"
+        header = {"arch": arch, "num_classes": num_classes, "t_embed_dim": "8", "T": "1000"}
+        size = denoiser.param_count(tuple(int(w) for w in arch.split(",")))
+        write_flat_file(ckpt, "checkpoint", header, np.zeros(size))
+        err = self.assert_config_error([command[0], str(ckpt), *command[1:],
+                                        "--out", str(tmp_path / "o")], capsys)
+        assert f"{num_classes} classes" in err
 
 
 def checkpoint_mutants(raw, seed):

@@ -13,13 +13,11 @@ from distill_lab.denoiser import (
     ClassSpec,
     Denoiser,
     TrainConfig,
-    TwoMarginalDataset,
     _backward,
     _features,
     _forward,
     cfg_predict,
     cfg_predict_batch,
-    default_class_params,
     eps,
     load_checkpoint,
     loss_and_grad,
@@ -35,19 +33,21 @@ from distill_lab.latentops import ancestral_sample_batch
 
 
 class TestDataset:
-    def test_deterministic_under_seed(self):
-        a = sample_two_marginal_dataset(1000, seed=7)
-        b = sample_two_marginal_dataset(1000, seed=7)
-        assert np.array_equal(a.points, b.points)
-        assert np.array_equal(a.labels, b.labels)
+    def test_deterministic_under_seed(self, default_config):
+        a = sample_two_marginal_dataset(1000, default_config.class_params(), seed=7)
+        b = sample_two_marginal_dataset(1000, default_config.class_params(), seed=7)
+        assert np.array_equal(a[0], b[0])
+        assert np.array_equal(a[1], b[1])
 
     def test_balanced_labels(self, dataset):
-        assert np.sum(dataset.labels == 1) == np.sum(dataset.labels == 2)
-        assert set(np.unique(dataset.labels)) == {1, 2}
+        _, labels = dataset
+        assert np.sum(labels == 1) == np.sum(labels == 2)
+        assert set(np.unique(labels)) == {1, 2}
 
-    def test_class_means_within_monte_carlo_error(self, dataset):
-        for label, spec in zip((1, 2), dataset.class_params):
-            pts = dataset.points[dataset.labels == label]
+    def test_class_means_within_monte_carlo_error(self, dataset, default_config):
+        points, labels = dataset
+        for label, spec in zip((1, 2), default_config.class_params()):
+            pts = points[labels == label]
             tol = 3.0 * spec.std / math.sqrt(len(pts))
             assert np.all(np.abs(pts.mean(axis=0) - spec.mean) < tol)
 
@@ -76,9 +76,9 @@ class TestDataset:
         with pytest.raises(ValueError):
             sample_two_marginal_dataset(100, bad, seed=0)
 
-    def test_rejects_odd_n(self):
+    def test_rejects_odd_n(self, default_config):
         with pytest.raises(ValueError):
-            sample_two_marginal_dataset(101, seed=0)
+            sample_two_marginal_dataset(101, default_config.class_params(), seed=0)
 
 
 class TestTrainConfig:
@@ -458,8 +458,9 @@ class TestTrainStep:
         d.params[:] = np.nan
         cfg = TrainConfig(steps=1, batch_size=8, seed=0)
         rng = np.random.default_rng(0)
+        points, labels = dataset
         with pytest.raises(DivergenceError):
-            train_step(d, (dataset.points[:8], dataset.labels[:8]), schedule, cfg, rng)
+            train_step(d, (points[:8], labels[:8]), schedule, cfg, rng)
 
     def test_rejects_empty_batch(self, schedule):
         d = Denoiser.create(seed=3)
@@ -508,11 +509,7 @@ class TestTrainBlasThreads:
         assert blas_threads() == 2
 
     def test_caller_count_restored_on_divergence(self, blas_threads, schedule):
-        nan_points = TwoMarginalDataset(
-            points=np.full((4, 2), np.nan),
-            labels=np.array([1, 1, 2, 2]),
-            class_params=default_class_params(),
-        )
+        nan_points = (np.full((4, 2), np.nan), np.array([1, 1, 2, 2]))
         with pytest.raises(DivergenceError):
             train(Denoiser.create(seed=4), nan_points, schedule, self.CFG)
         assert blas_threads() == 2
@@ -604,11 +601,10 @@ class TestAncestralSample:
     def test_final_step_noise_scale_is_zero(self, schedule):
         assert schedule.sigma[1] == 0.0
 
-    def test_conditional_samples_classify_correctly(self, trained_model, schedule, dataset):
+    def test_conditional_samples_classify_correctly(self, trained_model, schedule, default_config):
         rng = np.random.default_rng(17)
         samples = ancestral_sample_batch(trained_model, 1, 200, schedule, 2.0, rng)
-        m1 = np.asarray(dataset.class_params[0].mean)
-        m2 = np.asarray(dataset.class_params[1].mean)
+        m1, m2 = (np.asarray(spec.mean) for spec in default_config.class_params())
         nearer = np.linalg.norm(samples - m1, axis=1) < np.linalg.norm(samples - m2, axis=1)
         assert np.mean(nearer) >= 0.9
 
@@ -620,7 +616,6 @@ class TestCheckpoint:
         loaded, t = load_checkpoint(path)
         assert t == 1000
         assert loaded.arch == trained_model.arch
-        assert loaded.num_classes == trained_model.num_classes
         assert loaded.t_embed_dim == trained_model.t_embed_dim
         assert np.array_equal(loaded.params, trained_model.params)
 

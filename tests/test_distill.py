@@ -10,6 +10,7 @@ from distill_lab.distill import (
     OPTIMIZERS,
     WEIGHT_MODES,
     EditProblem,
+    Generator,
     TrajectoryRecord,
     affine_generator,
     identity_generator,
@@ -36,7 +37,7 @@ def constant_model(eps: np.ndarray) -> Denoiser:
 
 
 def rough_model(rng, hidden=(16, 16)) -> Denoiser:
-    d = Denoiser.create(num_classes=2, t_embed_dim=4, hidden=hidden, seed=0)
+    d = Denoiser.create(t_embed_dim=4, hidden=hidden, seed=0)
     d.params[:] = 0.7 * rng.standard_normal(d.params.size)
     return d
 
@@ -67,6 +68,19 @@ class TestGenerators:
     def test_affine_rejects_latent_of_wrong_shape(self, u):
         with pytest.raises(ValueError, match="latent u"):
             affine_generator(np.eye(2), np.zeros(2), np.array(u))
+
+    @pytest.mark.parametrize("kind, theta, latent", [
+        ("Identity", np.zeros(2), None),
+        ("quadratic", np.zeros(2), None),
+        ("identity", np.zeros(6), None),
+        ("identity", np.zeros((1, 2)), None),
+        ("affine", np.zeros(6), None),
+        ("affine", np.zeros(2), np.zeros(2)),
+        ("affine", np.zeros(6), np.zeros(3)),
+    ])
+    def test_rejects_unknown_kind_or_wrong_shape(self, kind, theta, latent):
+        with pytest.raises(ValueError, match="generator"):
+            Generator(kind, theta, latent)
 
     @pytest.mark.parametrize("kind", ["identity", "affine"])
     def test_pullback_matches_render_finite_differences(self, kind, rng):
@@ -119,9 +133,11 @@ class TestSdsGrad:
         got = objective_grad(prob, "sds", draw, d, schedule, "one_minus_alpha_bar")
         assert np.array_equal(got, expected)
 
-    def test_on_distribution_residuals_shrink(self, trained_model, schedule, subsequence, dataset):
+    def test_on_distribution_residuals_shrink(
+        self, trained_model, schedule, subsequence, default_config
+    ):
         rng = np.random.default_rng(44)
-        m2 = np.asarray(dataset.class_params[1].mean)
+        m2 = np.asarray(default_config.class_params()[1].mean)
 
         def mean_norm(point):
             prob = make_problem(None, subsequence, gen_point=point, src_point=point, omega=1.0)

@@ -63,6 +63,16 @@ def test_names_perfbench_binds_still_resolve(module, name, reader):
     assert callable(fn), f"perfbench/{reader} reads distill_lab.{module}.{name}"
 
 
+def test_loaded_checkpoint_reads_two_classes(trained_model, tmp_path):
+    # perfbench/worker.py probe_denoiser draws labels 1 .. model.num_classes
+    # from the model load_checkpoint returns
+    from distill_lab.denoiser import load_checkpoint, save_checkpoint
+
+    save_checkpoint(trained_model, tmp_path / "model.ckpt", 1000)
+    loaded, _ = load_checkpoint(tmp_path / "model.ckpt")
+    assert loaded.num_classes == 2
+
+
 def test_perfbench_reimports_are_the_denoiser_function():
     # perfbench/selftest.py (RowCounter, check_tracer) finds the re-imports
     # by identity with denoiser.cfg_predict

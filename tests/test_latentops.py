@@ -314,14 +314,14 @@ class TestGenerateWithLatents:
         assert got.shape == (0, 2)
 
     def test_new_condition_moves_toward_target_class(
-        self, trained_model, schedule, subsequence, dataset, rng
+        self, trained_model, schedule, subsequence, default_config, rng
     ):
-        m1 = np.asarray(dataset.class_params[0].mean)
-        m2 = np.asarray(dataset.class_params[1].mean)
+        class1, class2 = default_config.class_params()
+        m1, m2 = np.asarray(class1.mean), np.asarray(class2.mean)
         direction = (m2 - m1) / np.linalg.norm(m2 - m1)
         shifts = []
         for _ in range(20):
-            x0 = m1 + dataset.class_params[0].std * rng.standard_normal(2)
+            x0 = m1 + class1.std * rng.standard_normal(2)
             seq = invert(x0, 1, trained_model, 7.5, schedule, subsequence, rng)
             edited = generate_with_latents(seq, 2, trained_model, 7.5, schedule, subsequence)
             shifts.append(float((edited - x0) @ direction))
@@ -377,10 +377,11 @@ class TestSdedit:
         b = sdedit_batch(x0, 1, 0.15, trained_model, 2.0, schedule, np.random.default_rng(8))
         assert np.array_equal(a, b)
 
-    def test_default_operating_range_stays_close(self, trained_model, schedule, dataset, rng):
+    def test_default_operating_range_stays_close(self, trained_model, schedule, default_config,
+                                                 rng):
         # small starting ratios perturb without losing the point's identity
-        m1 = np.asarray(dataset.class_params[0].mean)
-        points = m1 + dataset.class_params[0].std * rng.standard_normal((50, 2))
+        class1 = default_config.class_params()[0]
+        points = np.asarray(class1.mean) + class1.std * rng.standard_normal((50, 2))
         edited = sdedit_batch(points, 1, 0.2, trained_model, 2.0, schedule, rng)
         displacement = np.linalg.norm(edited - points, axis=1)
         assert np.mean(displacement) < 1.0
@@ -443,7 +444,6 @@ class TestDivergence:
         d = Denoiser(
             params=trained_model.params.copy(),
             arch=trained_model.arch,
-            num_classes=trained_model.num_classes,
             t_embed_dim=trained_model.t_embed_dim,
         )
         d.layers()[-1][1][-1] = np.nan

@@ -27,6 +27,7 @@ from .schedule import NoiseSchedule, TimestepSubsequence, build_subsequence
 __all__ = ["CriterionResult", "Fixtures", "check_config", "build_fixtures", "run_all", "CRITERIA"]
 
 FORM_STRIDES = (2, 5, 10)  # criterion 2's grids, beside criterion 1's stride-1 grid
+SAMPLE_OMEGA = 2.0  # guidance weight of criteria 8 and 9's sampling
 
 
 @dataclass
@@ -196,7 +197,7 @@ def criterion_4_inversion_roundtrip(fx: Fixtures) -> tuple[bool, str]:
         for d in (fx.trained, random_model)
         for _, _, err in experiments.run_roundtrip_report(fx.cfg, d, rng, 50)
     )
-    return worst < 1e-8, f"max abs err {worst:.2e}"
+    return worst < experiments.ROUNDTRIP_TOLERANCE, f"max abs err {worst:.2e}"
 
 
 @_criterion(5, "gradient oracles")
@@ -334,7 +335,7 @@ def criterion_8_generative_sanity(fx: Fixtures) -> tuple[bool, str]:
     """At least 90% of 200 class-1 samples land nearer the class-1 mean."""
     rng = np.random.default_rng(DEFAULT_MASTER_SEED + 80)
     samples = latentops.ancestral_sample_batch(
-        fx.trained, 1, 200, fx.schedule, fx.cfg.training.sample_omega, rng
+        fx.trained, 1, 200, fx.schedule, SAMPLE_OMEGA, rng
     )
     m1, m2 = (np.asarray(spec.mean) for spec in fx.cfg.class_params())
     nearer = np.linalg.norm(samples - m1, axis=1) < np.linalg.norm(samples - m2, axis=1)
@@ -354,9 +355,7 @@ def criterion_9_sdedit_limits(fx: Fixtures) -> tuple[bool, str]:
     """Ratio 0 is an exact identity; displacement grows with the ratio."""
     rng = np.random.default_rng(DEFAULT_MASTER_SEED + 90)
     x0 = rng.standard_normal((1, 2))
-    out = latentops.sdedit_batch(
-        x0, 1, 0.0, fx.trained, fx.cfg.training.sample_omega, fx.schedule, rng
-    )
+    out = latentops.sdedit_batch(x0, 1, 0.0, fx.trained, SAMPLE_OMEGA, fx.schedule, rng)
     identity_exact = np.array_equal(out, x0)
     rows = experiments.run_sdedit_sweep(fx.cfg, fx.trained, 200, 10)
     ratios = np.array([r for r, _ in rows])

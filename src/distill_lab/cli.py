@@ -29,8 +29,6 @@ from .errors import (
 
 __all__ = ["main"]
 
-ROUNDTRIP_TOLERANCE = 1e-8
-
 
 def _out_dir(cfg: ExperimentConfig) -> Path:
     path = Path(cfg.output.dir)
@@ -75,8 +73,6 @@ def cmd_train(cfg: ExperimentConfig, args) -> int:
 
 def cmd_invert_roundtrip(cfg: ExperimentConfig, args) -> int:
     _check_count("--k", args.k, 0)
-    if not (args.tolerance > 0.0 and np.isfinite(args.tolerance)):
-        raise ConfigError(f"--tolerance must be finite and > 0, got {args.tolerance}")
     experiments.check_roundtrip_grid(cfg)
     out = _out_dir(cfg)
     d = _load_model(cfg, args.checkpoint)
@@ -89,9 +85,9 @@ def cmd_invert_roundtrip(cfg: ExperimentConfig, args) -> int:
         print("empty report (k = 0)")
         return EXIT_OK
     worst = max(err for _, _, err in rows)
-    ok = worst < args.tolerance
+    ok = worst < experiments.ROUNDTRIP_TOLERANCE
     print(f"round-trip over {len(rows)} points: max abs err {worst:.3e} "
-          f"({'PASS' if ok else 'FAIL'} at {args.tolerance:.0e})")
+          f"({'PASS' if ok else 'FAIL'} at {experiments.ROUNDTRIP_TOLERANCE:.0e})")
     print(f"report: {report_path}")
     if args.check and not ok:
         return EXIT_CHECK_FAILED
@@ -164,8 +160,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="invert and replay random points; report errors")
     p.add_argument("checkpoint", help="model checkpoint path")
     p.add_argument("--k", type=int, default=50, help="number of points")
-    p.add_argument("--tolerance", type=float, default=ROUNDTRIP_TOLERANCE,
-                   help="pass threshold on the max abs reconstruction error")
 
     p = sp.add_parser("figure2", parents=[common],
                       help="run the three-objective trajectory comparison")

@@ -21,10 +21,9 @@ from .denoiser import (
     TrainConfig,
     check_class_separation,
     check_dataset_size,
-    denoiser_arch,
     sample_two_marginal_dataset,
 )
-from .distill import OBJECTIVES, OPTIMIZERS, WEIGHT_MODES
+from .distill import OBJECTIVES, check_settings
 from .errors import ConfigError
 from .schedule import NoiseSchedule, TimestepSubsequence, build_linear_schedule, build_subsequence
 
@@ -58,14 +57,6 @@ class DatasetConfig:
 
 
 @dataclass(frozen=True)
-class TrainingConfig(TrainConfig):
-    seed: int = DEFAULT_MASTER_SEED + 2
-    hidden: tuple[int, ...] = (64, 64)
-    t_embed_dim: int = 8
-    sample_omega: float = 2.0
-
-
-@dataclass(frozen=True)
 class DistillConfig:
     objectives: tuple[str, ...] = OBJECTIVES
     omega: float = 7.5
@@ -87,7 +78,7 @@ class ExperimentConfig:
     schedule: ScheduleConfig = field(default_factory=ScheduleConfig)
     subsequence: SubsequenceConfig = field(default_factory=SubsequenceConfig)
     dataset: DatasetConfig = field(default_factory=DatasetConfig)
-    training: TrainingConfig = field(default_factory=TrainingConfig)
+    training: TrainConfig = TrainConfig(seed=DEFAULT_MASTER_SEED + 2)
     distill: DistillConfig = field(default_factory=DistillConfig)
     output: OutputConfig = field(default_factory=OutputConfig)
 
@@ -117,7 +108,7 @@ _SECTIONS = {
     "schedule": ScheduleConfig,
     "subsequence": SubsequenceConfig,
     "dataset": DatasetConfig,
-    "training": TrainingConfig,
+    "training": TrainConfig,
     "distill": DistillConfig,
     "output": OutputConfig,
 }
@@ -151,20 +142,22 @@ def _parse_value(raw: str, kind, key: str):
         raise ConfigError(f"bad value for key '{key}': {raw!r} ({exc})") from exc
 
 
-def _coerce_section(name: str, cls, items: dict[str, str]):
-    known = _ANNOTATIONS[cls]
+def _coerce_section(cfg: ExperimentConfig, name: str, items: dict[str, str]):
+    """cfg's section ``name`` with the file's ``items`` set; keys the file
+    leaves out keep their experiment defaults."""
+    known = _ANNOTATIONS[name]
     values = {}
     for key, raw in items.items():
         if key not in known:
             raise ConfigError(f"unknown key '{key}' in section [{name}]")
         values[key] = _parse_value(raw, known[key], f"{name}.{key}")
     try:
-        return cls(**values)
+        return replace(getattr(cfg, name), **values)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
 
-_ANNOTATIONS = {cls: typing.get_type_hints(cls) for cls in _SECTIONS.values()}
+_ANNOTATIONS = {name: typing.get_type_hints(cls) for name, cls in _SECTIONS.items()}
 
 
 def load_config(
@@ -195,7 +188,7 @@ def load_config(
         for section in parser.sections():
             if section not in _SECTIONS:
                 raise ConfigError(f"unknown section [{section}]")
-            coerced = _coerce_section(section, _SECTIONS[section], dict(parser.items(section)))
+            coerced = _coerce_section(cfg, section, dict(parser.items(section)))
             cfg = replace(cfg, **{section: coerced})
     if master_seed is not None:
         cfg = replace(
@@ -216,7 +209,6 @@ def _validate(cfg: ExperimentConfig) -> None:
         cfg.build_subsequence(s)
         check_dataset_size(cfg.dataset.n)
         check_class_separation(cfg.class_params())
-        denoiser_arch(cfg.training.t_embed_dim, cfg.training.hidden)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     seeds = {
@@ -227,20 +219,15 @@ def _validate(cfg: ExperimentConfig) -> None:
     for key, seed in seeds.items():
         if seed < 0:
             raise ConfigError(f"{key} must be >= 0, got {seed}")
-    if not cfg.distill.objectives:
+    dist = cfg.distill
+    if not dist.objectives:
         raise ConfigError("distill.objectives must name at least one objective")
-    for k, objective in enumerate(cfg.distill.objectives):
-        if objective not in OBJECTIVES:
-            raise ConfigError(f"unknown objective '{objective}' in distill.objectives")
-        if objective in cfg.distill.objectives[:k]:
+    try:
+        check_settings(dist.objectives, dist.steps, dist.lr, dist.w_mode, dist.optimizer)
+    except ValueError as exc:
+        raise ConfigError(f"distill: {exc}") from exc
+    for k, objective in enumerate(dist.objectives):
+        if objective in dist.objectives[:k]:
             raise ConfigError(f"objective '{objective}' repeats in distill.objectives")
-    if cfg.distill.w_mode not in WEIGHT_MODES:
-        raise ConfigError(f"unknown distill.w_mode '{cfg.distill.w_mode}'")
-    if cfg.distill.optimizer not in OPTIMIZERS:
-        raise ConfigError(f"unknown distill.optimizer '{cfg.distill.optimizer}'")
-    if cfg.distill.n_runs < 1:
-        raise ConfigError(f"distill.n_runs must be >= 1, got {cfg.distill.n_runs}")
-    if cfg.distill.steps < 0:
-        raise ConfigError(f"distill.steps must be >= 0, got {cfg.distill.steps}")
-    if cfg.distill.lr <= 0:
-        raise ConfigError(f"distill.lr must be positive, got {cfg.distill.lr}")
+    if dist.n_runs < 1:
+        raise ConfigError(f"distill.n_runs must be >= 1, got {dist.n_runs}")

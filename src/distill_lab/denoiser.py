@@ -70,13 +70,16 @@ class ClassSpec:
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Denoiser training hyperparameters."""
+    """Denoiser training hyperparameters and the model's sizes: the
+    ``[training]`` section of the experiment config."""
 
     steps: int = 4000
     batch_size: int = 128
     learning_rate: float = 1e-3
     null_cond_prob: float = 0.1
     seed: int = 0
+    hidden: tuple[int, ...] = (64, 64)
+    t_embed_dim: int = 8
 
     def __post_init__(self):
         if self.steps < 1:
@@ -87,6 +90,7 @@ class TrainConfig:
             raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
         if not 0.0 <= self.null_cond_prob < 1.0:
             raise ValueError(f"null_cond_prob must be in [0, 1), got {self.null_cond_prob}")
+        denoiser_arch(self.t_embed_dim, self.hidden)
 
 
 def check_class_separation(class_params: tuple[ClassSpec, ClassSpec]) -> None:
@@ -153,8 +157,8 @@ class Denoiser:
     @classmethod
     def create(
         cls,
-        t_embed_dim: int = 8,
-        hidden: tuple[int, ...] = (64, 64),
+        t_embed_dim: int = TrainConfig.t_embed_dim,
+        hidden: tuple[int, ...] = TrainConfig.hidden,
         seed: int = 0,
         random_head: bool = False,
     ) -> "Denoiser":

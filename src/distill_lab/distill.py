@@ -46,6 +46,7 @@ __all__ = [
     "EditProblem",
     "TrajectoryRecord",
     "resolve_weight",
+    "check_settings",
     "objective_grad",
     "pds_grad_latent_form",
     "optimize_batch",
@@ -145,10 +146,6 @@ class TrajectoryRecord:
     @property
     def endpoint(self) -> np.ndarray:
         return self.x0_tgt[-1]
-
-    @property
-    def start(self) -> np.ndarray:
-        return self.x0_tgt[0]
 
 
 def resolve_weight(mode: str, s: NoiseSchedule, t: int | np.ndarray) -> float | np.ndarray:
@@ -276,6 +273,25 @@ def _check_sampled(sub: TimestepSubsequence, i: int) -> None:
         raise ValueError(f"index {i} outside the sampling range [{sub.lo_index}, {sub.hi_index}]")
 
 
+def check_settings(
+    objectives: Iterable[str], steps: int, lr: float, w_mode: str, optimizer: str
+) -> None:
+    """ValueError unless every objective, the weight mode and the optimizer
+    are known, ``steps`` is an integer >= 0 and ``lr`` is positive and finite:
+    the settings every :func:`optimize_batch` run must have."""
+    for objective in objectives:
+        if objective not in OBJECTIVES:
+            raise ValueError(f"unknown objective {objective!r}; expected one of {OBJECTIVES}")
+    if optimizer not in OPTIMIZERS:
+        raise ValueError(f"unknown optimizer {optimizer!r}; expected one of {OPTIMIZERS}")
+    if w_mode not in WEIGHT_MODES:
+        raise ValueError(f"unknown w_mode {w_mode!r}; expected one of {WEIGHT_MODES}")
+    if not isinstance(steps, numbers.Integral) or steps < 0:
+        raise ValueError(f"steps must be a non-negative integer, got {steps!r}")
+    if not (lr > 0 and math.isfinite(lr)):
+        raise ValueError(f"lr must be positive and finite, got {lr!r}")
+
+
 @dataclass
 class _KindBlock:
     """Live jobs of one generator kind: indices, thetas (n, p), latents, Adam moments."""
@@ -323,17 +339,7 @@ def optimize_batch(
     omega.
     """
     jobs = list(jobs)
-    for _, objective, _ in jobs:
-        if objective not in OBJECTIVES:
-            raise ValueError(f"unknown objective {objective!r}; expected one of {OBJECTIVES}")
-    if optimizer not in OPTIMIZERS:
-        raise ValueError(f"unknown optimizer {optimizer!r}; expected one of {OPTIMIZERS}")
-    if w_mode not in WEIGHT_MODES:
-        raise ValueError(f"unknown w_mode {w_mode!r}; expected one of {WEIGHT_MODES}")
-    if not isinstance(steps, numbers.Integral) or steps < 0:
-        raise ValueError(f"steps must be a non-negative integer, got {steps!r}")
-    if not (lr > 0 and math.isfinite(lr)):
-        raise ValueError(f"lr must be positive and finite, got {lr!r}")
+    check_settings([objective for _, objective, _ in jobs], steps, lr, w_mode, optimizer)
     omegas = {prob.omega for prob, _, _ in jobs}
     if len(omegas) > 1:
         raise ValueError(f"jobs must share one omega, got {sorted(omegas)}")

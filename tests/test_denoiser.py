@@ -92,6 +92,11 @@ class TestTrainConfig:
         with pytest.raises(ValueError):
             TrainConfig(null_cond_prob=-0.1)
 
+    @pytest.mark.parametrize("sizes", [{"t_embed_dim": 3}, {"hidden": (0,)}])
+    def test_rejects_sizes_no_denoiser_has(self, sizes):
+        with pytest.raises(ValueError):
+            TrainConfig(**sizes)
+
 
 class TestPredict:
     def test_zero_initialized_head_outputs_zero(self):

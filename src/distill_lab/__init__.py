@@ -17,7 +17,6 @@ from .denoiser import (
     predict,
     sample_two_marginal_dataset,
     train,
-    train_step,
 )
 from .distill import (
     EditProblem,
@@ -56,7 +55,6 @@ __all__ = [
     "predict",
     "sample_two_marginal_dataset",
     "train",
-    "train_step",
     "EditProblem",
     "Generator",
     "TrajectoryRecord",

@@ -40,7 +40,6 @@ __all__ = [
     "cfg_predict_batch",
     "time_embedding",
     "loss_and_grad",
-    "train_step",
     "train",
     "save_checkpoint",
     "load_checkpoint",
@@ -53,6 +52,9 @@ POINT_DIM = 2
 # Tail mass of either class beyond the midpoint plane must stay below this
 # for the two marginals to count as separated.
 _MAX_OVERLAP_TAIL = 1e-3
+
+# Minibatch rows train builds in one pass; 4,096 ran no faster and held more memory.
+_BLOCK_ROWS = 1024
 
 
 @dataclass(frozen=True)
@@ -140,7 +142,7 @@ class Denoiser:
     part of checkpoints. Every forward pass, batch-invariant (:func:`eps`)
     or gemm (training and ``cfg_predict_batch``, which the samplers in
     ``latentops`` call), writes the model's activation scratch, and
-    ``train_step`` mutates ``params``: serialize all calls on one model.
+    :func:`train` mutates ``params``: serialize all calls on one model.
     :func:`train` holds the process-wide BLAS thread count at 1 while it
     runs; the samplers run on the caller's BLAS threads.
     """
@@ -249,20 +251,13 @@ def _features(d: Denoiser, x: np.ndarray, y: np.ndarray, t: np.ndarray, out=None
     return feats
 
 
-def _forward(d: Denoiser, x: np.ndarray, y: np.ndarray, t: np.ndarray, per_row: bool = False):
-    """Forward pass; returns (output, activation cache).
-
-    The features and hidden layers are written into the model's scratch, so
-    the cache holds only until the next ``_forward`` on that model. The gemm
-    kernel is fastest for large batches, but a row's bits may depend on the
-    batch it sits in. With ``per_row`` each layer is a stack of (1, k) @ (k, m)
-    products, so every output row is bitwise equal to its batch-1 value.
-    """
-    feats, *hidden = d.scratch(x.shape[0])
-    h = _features(d, x, y, t, out=feats)
+def _hidden(d: Denoiser, h: np.ndarray, bufs, per_row: bool = False) -> list[np.ndarray]:
+    """Activations [h, *hidden layers] of the feature rows ``h``, each hidden
+    layer written into its buffer in ``bufs``. The gemm kernel is fastest for
+    large batches, but a row's bits may depend on the batch it sits in; with
+    ``per_row`` every row is bitwise equal to its batch-1 value."""
     cache = [h]
-    layers = d.layers()
-    for (w, b), buf in zip(layers[:-1], hidden):
+    for (w, b), buf in zip(d.layers()[:-1], bufs):
         if per_row:
             h = np.matmul(h[:, None, :], w, out=buf[:, None, :])[:, 0, :]
         else:
@@ -270,25 +265,60 @@ def _forward(d: Denoiser, x: np.ndarray, y: np.ndarray, t: np.ndarray, per_row: 
         h += b
         np.tanh(h, out=h)
         cache.append(h)
-    w, b = layers[-1]
+    return cache
+
+
+def _forward(d: Denoiser, x: np.ndarray, y: np.ndarray, t: np.ndarray, per_row: bool = False):
+    """Forward pass; returns (output, activation cache). The cache is the model's
+    scratch, so it holds until the next ``_forward`` on it; see :func:`_hidden`."""
+    feats, *hidden = d.scratch(x.shape[0])
+    cache = _hidden(d, _features(d, x, y, t, out=feats), hidden, per_row)
+    h, (w, b) = cache[-1], d.layers()[-1]
     out = (h[:, None, :] @ w)[:, 0, :] if per_row else h @ w
     return out + b, cache
 
 
-def _backward(d: Denoiser, cache: list[np.ndarray], cotangent: np.ndarray) -> np.ndarray:
-    """Vector-Jacobian product of the forward pass w.r.t. the flat params."""
-    grad = np.zeros_like(d.params)
-    layers = d.layers()
-    gviews = _layer_views(grad, d.arch)
-    g = cotangent
-    for k in range(len(layers) - 1, -1, -1):
-        w, _ = layers[k]
-        gw, gb = gviews[k]
-        gw[:] = cache[k].T @ g
-        gb[:] = g.sum(axis=0)
-        if k > 0:
-            g = (g @ w.T) * (1.0 - cache[k] ** 2)
-    return grad
+class _Fit:
+    """Loss and parameter gradient of n training rows on buffers allocated
+    once: activations, residual, cotangents, and the flat gradient (with its
+    layer views), which the next call overwrites."""
+
+    def __init__(self, d: Denoiser, n: int):
+        self.hidden = [np.empty((n, w)) for w in d.arch[1:-1]]
+        self.back = [np.empty((n, w)) for w in d.arch[1:-1]]
+        self.resid, self.sq = np.empty((n, POINT_DIM)), np.empty((n, POINT_DIM))
+        self.grad = np.empty_like(d.params)
+        self.grad_layers = _layer_views(self.grad, d.arch)
+
+    def loss(self, d: Denoiser, feats: np.ndarray, eps: np.ndarray) -> float:
+        """mean_i ||eps_hat_i - eps_i||^2 over the feature rows ``feats``;
+        leaves its gradient in ``self.grad``."""
+        cache = _hidden(d, feats, self.hidden)
+        w, b = d.layers()[-1]
+        resid = np.matmul(cache[-1], w, out=self.resid)
+        resid += b
+        resid -= eps
+        row_sq = np.add.reduce(np.square(resid, out=self.sq), axis=1)
+        loss = float(np.add.reduce(row_sq) / len(feats))
+        resid *= 2.0
+        resid /= len(feats)
+        self.backward(d, cache, resid)
+        return loss
+
+    def backward(self, d: Denoiser, cache: list[np.ndarray], g: np.ndarray) -> np.ndarray:
+        """Vector-Jacobian product of the forward pass w.r.t. the flat params,
+        written into ``self.grad``; overwrites the hidden layers of ``cache``."""
+        layers = d.layers()
+        for k in range(len(layers) - 1, -1, -1):
+            gw, gb = self.grad_layers[k]
+            np.matmul(cache[k].T, g, out=gw)
+            np.add.reduce(g, axis=0, out=gb)
+            if k > 0:
+                back, slope = self.back[k - 1], cache[k]
+                np.matmul(g, layers[k][0].T, out=back)
+                np.subtract(1.0, np.square(slope, out=slope), out=slope)
+                g = np.multiply(back, slope, out=back)
+        return self.grad
 
 
 def _per_row(v, n: int, what: str) -> np.ndarray:
@@ -378,39 +408,20 @@ def loss_and_grad(
     and so do timesteps above the schedule's T (through ``s.noised``).
     """
     y, t = _check_rows(x0, y, t)
-    out, cache = _forward(d, s.noised(x0, t, eps), y, t)
-    resid = out - eps
-    loss = float(np.mean(np.sum(resid**2, axis=1)))
-    grad = _backward(d, cache, 2.0 * resid / x0.shape[0])
-    return loss, grad
+    fit = _Fit(d, x0.shape[0])
+    loss = fit.loss(d, _features(d, s.noised(x0, t, eps), y, t), eps)
+    return loss, fit.grad
 
 
-def train_step(
-    d: Denoiser,
-    batch: tuple[np.ndarray, np.ndarray],
-    s: NoiseSchedule,
-    cfg: TrainConfig,
-    rng: np.random.Generator,
-) -> float:
-    """One noise-prediction training step; returns the pre-update loss.
-
-    Samples per-example timesteps and noises, drops the condition to the
-    null label with probability ``null_cond_prob``, and applies one Adam
-    update. Mutates ``d.params`` (single-writer contract).
-    """
-    x0, labels = batch
-    n = x0.shape[0]
-    if n == 0:
-        raise ValueError("empty batch")
-    t = rng.integers(1, s.T + 1, size=n)
-    eps = rng.standard_normal((n, POINT_DIM))
-    y = np.where(rng.random(n) < cfg.null_cond_prob, NULL_LABEL, labels)
-    loss, grad = loss_and_grad(d, s, x0, y, t, eps)
+def _train_step(d: Denoiser, fit: _Fit, feats: np.ndarray, eps: np.ndarray, lr: float) -> float:
+    """One Adam update from the loss of the feature rows ``feats``; returns that
+    pre-update loss, or raises DivergenceError, updating nothing, if non-finite."""
+    loss = fit.loss(d, feats, eps)
     if not math.isfinite(loss):
         raise DivergenceError(f"training loss is non-finite ({loss})")
     if d.opt_state is None:
         d.opt_state = AdamState.for_params(d.params)
-    adam_step(d.params, grad, d.opt_state, cfg.learning_rate)
+    adam_step(d.params, fit.grad, d.opt_state, lr)
     return loss
 
 
@@ -469,22 +480,43 @@ def train(
     s: NoiseSchedule,
     cfg: TrainConfig,
 ) -> list[float]:
-    """Run ``cfg.steps`` training steps on minibatches drawn from the
-    ``(points, labels)`` dataset; returns the per-step loss history.
+    """Run ``cfg.steps`` Adam steps on minibatches drawn from the ``(points,
+    labels)`` dataset; returns the per-step pre-update losses.
 
-    The steps run with numpy's OpenBLAS held at one thread, process-wide,
-    and the caller's thread count is restored when ``train`` returns or
-    raises; BLAS calls other threads make meanwhile run single-threaded.
+    A block of steps draws each step's indices, timesteps, noises and
+    null-label mask in turn, then checks, noises and featurizes its rows in
+    one pass. The steps run with numpy's OpenBLAS held at one thread,
+    process-wide, and the caller's count is restored when ``train`` returns
+    or raises; BLAS calls other threads make meanwhile run single-threaded.
     The parameters therefore do not depend on the caller's thread count.
     """
     points, labels = dataset
-    rng = np.random.default_rng(cfg.seed)
     n = points.shape[0]
+    if n == 0:
+        raise ValueError("cannot train on an empty dataset")
+    rng = np.random.default_rng(cfg.seed)
+    batch = min(cfg.batch_size, n)
+    per_block = max(1, _BLOCK_ROWS // batch)
+    fit = _Fit(d, batch)
+    rows = per_block * batch
+    idx, t = np.empty((2, rows), dtype=np.int64)
+    noise, drop, feats = np.empty((rows, POINT_DIM)), np.empty(rows), np.empty((rows, d.arch[0]))
+    block = [slice(r, r + batch) for r in range(0, rows, batch)]
     losses = []
     with _one_blas_thread():
-        for _ in range(cfg.steps):
-            idx = rng.integers(0, n, size=min(cfg.batch_size, n))
-            losses.append(train_step(d, (points[idx], labels[idx]), s, cfg, rng))
+        for first in range(0, cfg.steps, per_block):
+            steps = block[: cfg.steps - first]
+            for step in steps:
+                idx[step] = rng.integers(0, n, size=batch)
+                t[step] = rng.integers(1, s.T + 1, size=batch)
+                rng.standard_normal(out=noise[step])
+                rng.random(out=drop[step])
+            drawn = slice(0, steps[-1].stop)
+            x0 = points[idx[drawn]]
+            y = np.where(drop[drawn] < cfg.null_cond_prob, NULL_LABEL, labels[idx[drawn]])
+            y, t_drawn = _check_rows(x0, y, t[drawn])
+            _features(d, s.noised(x0, t_drawn, noise[drawn]), y, t_drawn, out=feats[drawn])
+            losses += [_train_step(d, fit, feats[st], noise[st], cfg.learning_rate) for st in steps]
     return losses
 
 

@@ -3,15 +3,18 @@
 ``tweedie_estimate`` and ``posterior_mean_pred`` are written with
 ``math.sqrt`` and the schedule's ``gamma``/``delta`` tables rather than its
 ``x0_estimate`` and the samplers' step mean, so the tests compare the
-package against arithmetic it does not share.
+package against arithmetic it does not share. ``backward`` allocates a fresh
+array per layer, and ``train_by_steps`` trains one step at a time.
 """
 
 import math
 
 import numpy as np
 
-from distill_lab.denoiser import eps
+from distill_lab.denoiser import NULL_LABEL, POINT_DIM, _layer_views, eps, loss_and_grad
+from distill_lab.errors import DivergenceError
 from distill_lab.latentops import stochastic_latents
+from distill_lab.optim import AdamState, adam_step
 
 
 def tweedie_estimate(x_t, y, t, d, omega, s):
@@ -42,3 +45,39 @@ def pds_objective(prob, draw, d, s):
     z_src = one_latent(prob.x0_src, prob.y_src, draw, d, prob.omega, s, prob.sub)
     diff = z_tgt - z_src
     return float(diff @ diff)
+
+
+def backward(d, cache, cotangent):
+    """Vector-Jacobian product of the gemm forward w.r.t. the flat params,
+    with a fresh array per layer."""
+    grad = np.zeros_like(d.params)
+    layers = d.layers()
+    g = cotangent
+    for k, (gw, gb) in reversed(list(enumerate(_layer_views(grad, d.arch)))):
+        gw[:] = cache[k].T @ g
+        gb[:] = g.sum(axis=0)
+        if k > 0:
+            g = (g @ layers[k][0].T) * (1.0 - cache[k] ** 2)
+    return grad
+
+
+def train_by_steps(d, dataset, s, cfg):
+    """Yield the pre-update loss of each training step, run one at a time:
+    the step's four draws (indices, timesteps, noises, null-label mask), then
+    ``loss_and_grad``, then ``adam_step``; DivergenceError at a non-finite
+    loss, before that step's update."""
+    points, labels = dataset
+    rng = np.random.default_rng(cfg.seed)
+    n = points.shape[0]
+    for _ in range(cfg.steps):
+        idx = rng.integers(0, n, size=min(cfg.batch_size, n))
+        t = rng.integers(1, s.T + 1, size=idx.size)
+        noise = rng.standard_normal((idx.size, POINT_DIM))
+        y = np.where(rng.random(idx.size) < cfg.null_cond_prob, NULL_LABEL, labels[idx])
+        loss, grad = loss_and_grad(d, s, points[idx], y, t, noise)
+        if not math.isfinite(loss):
+            raise DivergenceError(f"training loss is non-finite ({loss})")
+        if d.opt_state is None:
+            d.opt_state = AdamState.for_params(d.params)
+        adam_step(d.params, grad, d.opt_state, cfg.learning_rate)
+        yield loss

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from references import backward, train_by_steps
 
 from distill_lab import denoiser
 from distill_lab.denoiser import (
@@ -13,7 +14,6 @@ from distill_lab.denoiser import (
     ClassSpec,
     Denoiser,
     TrainConfig,
-    _backward,
     _features,
     _forward,
     cfg_predict,
@@ -26,7 +26,6 @@ from distill_lab.denoiser import (
     save_checkpoint,
     time_embedding,
     train,
-    train_step,
 )
 from distill_lab.errors import DivergenceError, MismatchError
 from distill_lab.latentops import ancestral_sample_batch
@@ -119,7 +118,7 @@ class TestPredict:
     def test_single_weight_jacobian_matches_finite_difference(self, schedule, rng):
         # perturb individual weights; the analytic jacobian entry is the
         # backward pass seeded with a one-hot cotangent
-        from distill_lab.denoiser import _backward, _forward
+        from distill_lab.denoiser import _Fit, _forward
 
         d = Denoiser.create(t_embed_dim=4, hidden=(8, 8), seed=2, random_head=True)
         x = rng.standard_normal((1, 2))
@@ -130,7 +129,7 @@ class TestPredict:
             cot = np.zeros((1, 2))
             cot[0, out_dim] = 1.0
             _, cache = _forward(d, x, y, t)
-            analytic = _backward(d, cache, cot)
+            analytic = _Fit(d, 1).backward(d, cache, cot)
             for j in rng.integers(0, d.params.size, size=25):
                 d.params[j] += h
                 up = _forward(d, x, y, t)[0][0, out_dim]
@@ -369,7 +368,7 @@ class TestGemmForward:
         out, cache = reference_forward(random_model, x_t, y, t)
         resid = out - noise
         assert loss == float(np.mean(np.sum(resid**2, axis=1)))
-        assert np.array_equal(grad, _backward(random_model, cache, 2.0 * resid / 128))
+        assert np.array_equal(grad, backward(random_model, cache, 2.0 * resid / 128))
 
     def test_scratch_reused_only_at_the_same_row_count(self, random_model):
         for per_row in (False, True):
@@ -462,21 +461,86 @@ class TestTrainStep:
         d = Denoiser.create(seed=3)
         d.params[:] = np.nan
         cfg = TrainConfig(steps=1, batch_size=8, seed=0)
-        rng = np.random.default_rng(0)
         points, labels = dataset
         with pytest.raises(DivergenceError):
-            train_step(d, (points[:8], labels[:8]), schedule, cfg, rng)
+            train(d, (points[:8], labels[:8]), schedule, cfg)
 
     def test_rejects_empty_batch(self, schedule):
         d = Denoiser.create(seed=3)
-        with pytest.raises(ValueError):
-            train_step(
-                d,
-                (np.empty((0, 2)), np.empty(0, dtype=int)),
-                schedule,
-                TrainConfig(),
-                np.random.default_rng(0),
-            )
+        with pytest.raises(ValueError, match="empty dataset"):
+            train(d, (np.empty((0, 2)), np.empty(0, dtype=int)), schedule, TrainConfig())
+
+    def test_gradient_is_not_reused_across_calls(self, random_model, schedule):
+        # acceptance criterion 5 holds one call's gradient across later calls
+        x0, y, t = gemm_rows(16, seed=8)
+        noise = np.random.default_rng(9).standard_normal((16, 2))
+        _, first = loss_and_grad(random_model, schedule, x0, y, t, noise)
+        kept = first.copy()
+        _, second = loss_and_grad(random_model, schedule, x0[::-1].copy(), y, t, 2.0 * noise)
+        assert not np.shares_memory(first, second)
+        assert first.tobytes() == kept.tobytes()
+
+
+# Steps per block of train at batch 128
+BLOCK = denoiser._BLOCK_ROWS // 128
+
+
+class TestTrainBlocks:
+    """train builds a block of steps' inputs at once; its params and losses
+    equal those of training one step at a time, to the bit."""
+
+    @staticmethod
+    def both(dataset, schedule, cfg):
+        blocked, stepped = Denoiser.create(seed=cfg.seed), Denoiser.create(seed=cfg.seed)
+        losses = train(blocked, dataset, schedule, cfg)
+        want = list(train_by_steps(stepped, dataset, schedule, cfg))
+        assert np.array(losses).tobytes() == np.array(want).tobytes()
+        assert blocked.params.tobytes() == stepped.params.tobytes()
+
+    @pytest.mark.parametrize("steps", [1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3])
+    @pytest.mark.parametrize("null_cond_prob", [0.0, TrainConfig.null_cond_prob])
+    def test_equals_training_by_steps(self, schedule, dataset, steps, null_cond_prob):
+        cfg = TrainConfig(steps=steps, batch_size=128, null_cond_prob=null_cond_prob, seed=6)
+        self.both(dataset, schedule, cfg)
+
+    @pytest.mark.parametrize("null_cond_prob", [0.0, TrainConfig.null_cond_prob])
+    def test_batch_at_least_the_dataset(self, schedule, dataset, null_cond_prob):
+        points, labels = dataset
+        small = (points[::50], labels[::50])
+        cfg = TrainConfig(steps=70, batch_size=len(labels), null_cond_prob=null_cond_prob, seed=6)
+        self.both(small, schedule, cfg)
+
+    def test_divergence_inside_a_block(self, schedule, dataset, monkeypatch):
+        points, labels = dataset
+        points = points[:200].copy()
+        points[77] = np.nan
+        nan_data = (points, labels[:200])
+        cfg = TrainConfig(steps=40, batch_size=8, seed=2)  # one block at batch 8
+        stepped, blocked = Denoiser.create(seed=2), Denoiser.create(seed=2)
+        done = []
+        with pytest.raises(DivergenceError):
+            for loss in train_by_steps(stepped, nan_data, schedule, cfg):
+                done.append(loss)
+        # the NaN point is first drawn by a later step, inside the first block
+        assert 1 < len(done) + 1 < cfg.steps
+
+        calls = []
+        step = denoiser._train_step
+
+        def counted(*args):
+            calls.append(1)
+            return step(*args)
+
+        monkeypatch.setattr(denoiser, "_train_step", counted)
+        fns = denoiser._blas_thread_fns()
+        threads = fns[0]() if fns else None
+        with pytest.raises(DivergenceError):
+            train(blocked, nan_data, schedule, cfg)
+        assert (fns[0]() if fns else None) == threads
+        # same step diverges, and its update is not applied
+        assert len(calls) == len(done) + 1
+        assert blocked.opt_state.step == stepped.opt_state.step == len(done)
+        assert blocked.params.tobytes() == stepped.params.tobytes()
 
 
 @pytest.fixture()
@@ -500,12 +564,13 @@ class TestTrainBlasThreads:
 
     def test_steps_see_one_thread(self, blas_threads, schedule, dataset, monkeypatch):
         seen = []
+        train_step = denoiser._train_step
 
         def recording_step(*args):
             seen.append(blas_threads())
             return train_step(*args)
 
-        monkeypatch.setattr(denoiser, "train_step", recording_step)
+        monkeypatch.setattr(denoiser, "_train_step", recording_step)
         train(Denoiser.create(seed=4), dataset, schedule, self.CFG)
         assert seen == [1] * self.CFG.steps
 
@@ -524,6 +589,7 @@ class TestTrainBlasThreads:
         # after "a" returns, and the count goes back to 2 when "b" returns
         a_in, b_in, a_done = threading.Event(), threading.Event(), threading.Event()
         waited, seen_after_a = [], []
+        train_step = denoiser._train_step
 
         def step(*args):
             name = threading.current_thread().name
@@ -544,7 +610,7 @@ class TestTrainBlasThreads:
             waited.append(a_in.wait(10))
             train(Denoiser.create(seed=5), dataset, schedule, self.CFG)
 
-        monkeypatch.setattr(denoiser, "train_step", step)
+        monkeypatch.setattr(denoiser, "_train_step", step)
         threads = [threading.Thread(target=run_a, name="a"), threading.Thread(target=run_b, name="b")]
         for th in threads:
             th.start()

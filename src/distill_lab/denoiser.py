@@ -139,9 +139,10 @@ class Denoiser:
 
     ``arch`` lists every layer width including input and output, e.g.
     (13, 64, 64, 2). ``opt_state`` is training-only bookkeeping and is not
-    part of checkpoints. Every forward pass, batch-invariant (:func:`eps`)
-    or gemm (training and ``cfg_predict_batch``, which the samplers in
-    ``latentops`` call), writes the model's activation scratch, and
+    part of checkpoints. The forward passes of :func:`eps` (batch-invariant)
+    and ``cfg_predict_batch`` (gemm; the samplers in ``latentops`` call it)
+    write the model's activation scratch; training runs on buffers of its
+    own, allocated per :func:`train` or :func:`loss_and_grad` call, and
     :func:`train` mutates ``params``: serialize all calls on one model.
     :func:`train` holds the process-wide BLAS thread count at 1 while it
     runs; the samplers run on the caller's BLAS threads.

@@ -292,23 +292,6 @@ def check_settings(
         raise ValueError(f"lr must be positive and finite, got {lr!r}")
 
 
-@dataclass
-class _KindBlock:
-    """Live jobs of one generator kind: indices, thetas (n, p), latents, Adam moments."""
-
-    kind: str
-    ids: np.ndarray
-    theta: np.ndarray
-    latent: np.ndarray | None
-    adam: AdamState | None
-
-    def keep(self, ok: np.ndarray) -> None:
-        self.ids, self.theta = self.ids[ok], self.theta[ok]
-        self.latent = None if self.latent is None else self.latent[ok]
-        if self.adam is not None:
-            self.adam.m, self.adam.v = self.adam.m[ok], self.adam.v[ok]
-
-
 def optimize_batch(
     jobs: Iterable[tuple[EditProblem, str, int]],
     steps: int,
@@ -321,22 +304,21 @@ def optimize_batch(
     """Run seeded optimizations in lockstep; one record per job, in order.
 
     Each job is ``(EditProblem, objective, seed)`` and advances exactly as
-    it would alone, in a batch of one: every step draws each live job's
+    it would alone, in a batch of one: every step draws each job's
     shared-noise sample from a generator seeded with its seed, then one
     batch-invariant ``eps`` call evaluates the target and source rows of all
-    live jobs; a job's update is lr times its :func:`objective_grad` for
-    that draw (or its Adam step). A draw reads only the seed's stream and the grid's sampling
-    range, so jobs with the same seed and range share one generator, which
-    draws once per step while any of them is live. A source prediction
-    reads only the draw, the grid, the source point and its label, so dds
-    and pds jobs that agree on all four share one source row. Thetas and
-    Adam moments are stacked per generator kind and updated with one array
-    operation per kind and step. A job whose predictions or parameters go
-    non-finite is dropped from the stacks and flagged, and its record (a
-    slice of a shared history block) is cut to its last finite row; the
-    other jobs' bits do not change. What a step gathers of the live jobs is
-    rebuilt only when one drops. The jobs must share one guidance weight
-    omega.
+    jobs; a job's update is lr times its :func:`objective_grad` for that
+    draw (or its Adam step). Jobs with the same seed and sampling range
+    share one generator, which draws once per step; dds and pds jobs that
+    also share the grid, the source point and its label share one source
+    row. Thetas and Adam moments are stacked per generator kind and updated
+    with one array operation per kind and step. Every row is computed on its
+    own, so the step's plan of rows and gathers is built once. A job whose
+    predictions or parameters go non-finite is flagged and its record (a
+    slice of a shared history block) is cut to its last finite row; its row
+    stays in the batch, held at NaN (which raises no floating-point signal),
+    until every job is flagged or the run ends, and the other jobs' bits do
+    not change. The jobs must share one guidance weight omega.
     """
     jobs = list(jobs)
     check_settings([objective for _, objective, _ in jobs], steps, lr, w_mode, optimizer)
@@ -352,13 +334,15 @@ def optimize_batch(
     norm_hist = np.zeros((len(jobs), n_rows))
     kept = np.full(len(jobs), n_rows)  # rows each record keeps
     gen_kind = np.array([prob.gen.kind for prob, _, _ in jobs])
-    theta_hist, blocks = {}, []  # per kind, (jobs, steps + 1, p); its jobs' rows are written
+    # per kind: (kind, job indices, thetas (n, p), latents, Adam moments), and
+    # a (jobs, steps + 1, p) history whose rows of the kind's jobs are written
+    theta_hist, blocks = {}, []
     for g in dict.fromkeys(gen_kind.tolist()):
         ids = np.flatnonzero(gen_kind == g)
         theta = np.array([jobs[j][0].gen.theta for j in ids], dtype=float)
         latent = None if g == "identity" else np.array([jobs[j][0].gen.latent for j in ids])
         adam = AdamState.for_params(theta) if optimizer == "adam" else None
-        blocks.append(_KindBlock(g, ids, theta, latent, adam))
+        blocks.append((g, ids, theta, latent, adam))
         theta_hist[g] = np.empty((len(jobs), n_rows, theta.shape[1]))
         theta_hist[g][ids, 0] = theta
         x0_hist[ids, 0] = render_rows(g, theta, latent)
@@ -368,10 +352,9 @@ def optimize_batch(
     subs = {key: prob.sub for key, (prob, _, _) in zip(job_keys, jobs)}  # draws read lo/hi only
     number = {key: g for g, key in enumerate(subs)}
     stream = np.array([number[key] for key in job_keys])
-    stream_subs = list(subs.values())
-    rngs = [np.random.default_rng(seed) for seed, _, _ in subs]
+    draws = [(sub, np.random.default_rng(seed)) for (seed, _, _), sub in subs.items()]
 
-    # every job's grid tables end to end, so one gather reads all live jobs
+    # every job's grid tables end to end, so one gather reads all jobs
     grids = {id(prob.sub): prob.sub for prob, _, _ in jobs}
     starts = np.cumsum([0] + [len(sub.tau) for sub in grids.values()])
     base = dict(zip(grids, starts.tolist()))
@@ -390,43 +373,37 @@ def optimize_batch(
     keys = zip(stream.tolist(), offset.tolist(), (x.tobytes() for x in x0_src), y_src.tolist())
     group = np.array([first.setdefault(key, j) for j, key in enumerate(keys)])
 
-    plan = None  # with the gathers built beside it, rebuilt only when a job drops
+    # rows grouped by generator kind; eps is batch-invariant, so row order is free
+    order = np.concatenate([ids for _, ids, *_ in blocks])
+    row_stream, row_offset, is_pds = stream[order], offset[order], kind[order] == "pds"
+    plan = _row_plan(kind[order], y_tgt[order], group[order], x0_src, y_src)
+    splits = np.cumsum([ids.size for _, ids, *_ in blocks])[:-1]
     for k in range(1, n_rows):
-        if plan is None:
-            blocks = [block for block in blocks if block.ids.size]
-            if not blocks:
-                break
-            # rows grouped by generator kind; eps is batch-invariant, so row order is free
-            live = np.concatenate([block.ids for block in blocks])
-            live_streams, row_stream = np.unique(stream[live], return_inverse=True)
-            draws = [(stream_subs[g], rngs[g]) for g in live_streams.tolist()]
-            row_offset, is_pds = offset[live], kind[live] == "pds"
-            plan = _row_plan(kind[live], y_tgt[live], group[live], x0_src, y_src)
-            splits = np.cumsum([block.ids.size for block in blocks])[:-1]
         drawn = [draw_shared_noise(sub, rng) for sub, rng in draws]
         at = row_offset + np.array([i for i, _ in drawn])[row_stream]
         t = tau[at]
         res = _residuals(
             d, s, omega, plan, t, np.array([noise[1] for _, noise in drawn])[row_stream],
-            x0_hist[live, k - 1], psi[at], np.where(is_pds, chi[at], resolve_weight(w_mode, s, t)),
+            x0_hist[order, k - 1], psi[at], np.where(is_pds, chi[at], resolve_weight(w_mode, s, t)),
         )
-        for block, part in zip(blocks, np.split(res, splits)):
-            grad = pullback_rows(block.kind, block.latent, part)
-            if block.adam is not None:
-                adam_step(block.theta, grad, block.adam, lr)
+        for (g, ids, theta, latent, adam), part in zip(blocks, np.split(res, splits)):
+            grad = pullback_rows(g, latent, part)
+            if adam is not None:
+                adam_step(theta, grad, adam, lr)
             else:
-                block.theta -= lr * grad
-            # a non-finite residual always leaves theta non-finite
-            ok = np.isfinite(block.theta).all(axis=1)
+                theta -= lr * grad
+            # a non-finite residual always leaves theta non-finite; a flagged
+            # row is held at NaN, whose arithmetic raises no signal
+            ok = np.isfinite(theta).all(axis=1)
             if not ok.all():
-                kept[block.ids[~ok]] = k
-                block.keep(ok)
-                grad = grad[ok]
-                plan = None
-            theta_hist[block.kind][block.ids, k] = block.theta
-            x0_hist[block.ids, k] = render_rows(block.kind, block.theta, block.latent)
+                kept[ids[~ok]] = np.minimum(kept[ids[~ok]], k)
+                theta[~ok] = grad[~ok] = np.nan
+            theta_hist[g][ids, k] = theta
+            x0_hist[ids, k] = render_rows(g, theta, latent)
             # np.linalg.norm's own arithmetic, one dot product per row
-            norm_hist[block.ids, k] = np.sqrt((grad[:, None, :] @ grad[:, :, None])[:, 0, 0])
+            norm_hist[ids, k] = np.sqrt((grad[:, None, :] @ grad[:, :, None])[:, 0, 0])
+        if kept.max() < n_rows:
+            break
     return [
         TrajectoryRecord(objective, int(seed), theta_hist[gen_kind[j]][j, :m],
                          x0_hist[j, :m], norm_hist[j, :m], diverged=bool(m < n_rows))

@@ -63,14 +63,8 @@ class NoiseSchedule:
 
     def __post_init__(self):
         ab = self.alpha_bar
-        ab_prev = ab[:-1]
-        den = 1.0 - ab[1:]
-        gamma = np.zeros(self.T + 1)
-        delta = np.zeros(self.T + 1)
-        sigma = np.zeros(self.T + 1)
-        gamma[1:] = np.sqrt(ab_prev) * (1.0 - self.alpha[1:]) / den
-        delta[1:] = np.sqrt(self.alpha[1:]) * (1.0 - ab_prev) / den
-        sigma[1:] = (1.0 - ab_prev) / den * self.beta[1:]
+        gamma, delta, sigma = np.zeros((3, self.T + 1))
+        gamma[1:], delta[1:], sigma[1:] = _posterior(ab[:-1], ab[1:], self.alpha[1:], self.beta[1:])
         # alpha_bar[0] = 1 forces the t = 1 values exactly; evaluating the
         # formulas would only add rounding noise to the degenerate step.
         gamma[1], delta[1], sigma[1] = 1.0, 0.0, 0.0
@@ -196,13 +190,19 @@ def posterior_coeffs_pair(s: NoiseSchedule, t_prev: int, t_cur: int) -> tuple[fl
     t_prev, t_cur = int(t_prev), int(t_cur)
     if not 0 <= t_prev < t_cur <= s.T:
         raise ValueError(f"need 0 <= t_prev < t_cur <= {s.T}, got ({t_prev}, {t_cur})")
-    ab_prev = float(s.alpha_bar[t_prev])
-    ab_cur = float(s.alpha_bar[t_cur])
-    eff_alpha = ab_cur / ab_prev
+    ab_prev, ab_cur = float(s.alpha_bar[t_prev]), float(s.alpha_bar[t_cur])
+    eff = ab_cur / ab_prev
+    return tuple(map(float, _posterior(ab_prev, ab_cur, eff, 1.0 - eff)))
+
+
+def _posterior(ab_prev, ab_cur, alpha, beta):
+    """(gamma, delta, sigma) of the jump from alpha_bar ``ab_cur`` to
+    ``ab_prev`` with step factor ``alpha`` and step variance ``beta``: the
+    module docstring's formulas, elementwise over arrays or on floats."""
     den = 1.0 - ab_cur
-    gamma = math.sqrt(ab_prev) * (1.0 - eff_alpha) / den
-    delta = math.sqrt(eff_alpha) * (1.0 - ab_prev) / den
-    sigma = (1.0 - ab_prev) / den * (1.0 - eff_alpha)
+    gamma = np.sqrt(ab_prev) * (1.0 - alpha) / den
+    delta = np.sqrt(alpha) * (1.0 - ab_prev) / den
+    sigma = (1.0 - ab_prev) / den * beta
     return gamma, delta, sigma
 
 

@@ -594,11 +594,18 @@ class TestOptimizeBatch:
         for rec, ref in zip(got, refs):
             assert record_bits(rec) == record_bits(ref)
 
-    def test_jobs_diverging_at_different_steps(self, trained_model, schedule, subsequence):
-        jobs = mixed_jobs(subsequence, np.random.default_rng(14))
+    @staticmethod
+    def jobs_diverging_at_steps_3_and_9(sub):
+        """The mixed jobs with two pds jobs inserted at 2 and 3 that meet an
+        infinite spring at steps 3 and 9."""
+        jobs = mixed_jobs(sub, np.random.default_rng(14))
         prob, _, _ = jobs[0]
-        bad = replace(prob, sub=spring_blowup(subsequence, 0.8))
+        bad = replace(prob, sub=spring_blowup(sub, 0.8))
         jobs[2:2] = [(bad, "pds", 21), (bad, "pds", 22)]
+        return jobs
+
+    def test_jobs_diverging_at_different_steps(self, trained_model, schedule, subsequence):
+        jobs = self.jobs_diverging_at_steps_3_and_9(subsequence)
         with np.errstate(invalid="ignore", over="ignore"):
             got = optimize_batch(jobs, 30, 0.01, trained_model, schedule)
             refs = [
@@ -609,6 +616,43 @@ class TestOptimizeBatch:
         assert (len(got[2].theta), len(got[3].theta)) == (3, 9)
         for rec, ref in zip(got, refs):
             assert record_bits(rec) == record_bits(ref)
+
+    def test_one_row_plan_per_call(self, trained_model, schedule, subsequence, monkeypatch):
+        # jobs flagged at steps 3 and 9 stay in the batch: the plan is not rebuilt
+        jobs = self.jobs_diverging_at_steps_3_and_9(subsequence)
+        plans, real = [], distill._row_plan
+
+        def counted(*args):
+            plans.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(distill, "_row_plan", counted)
+        for optimizer in OPTIMIZERS:
+            plans.clear()
+            with np.errstate(invalid="ignore", over="ignore"):
+                got = optimize_batch(jobs, 30, 0.01, trained_model, schedule, optimizer=optimizer)
+            assert [rec.diverged for rec in got] == [k in (2, 3) for k in range(len(jobs))]
+            assert len(plans) == 1
+
+    @pytest.mark.parametrize("optimizer", OPTIMIZERS)
+    def test_nan_start_is_flagged_without_a_signal(
+        self, trained_model, schedule, subsequence, optimizer
+    ):
+        # no errstate: a floating-point signal from the NaN row would raise.
+        # The NaN job shares its seed, grid and source with the dds jobs at 2, 3.
+        jobs = mixed_jobs(subsequence, np.random.default_rng(20))
+        prob, _, seed = jobs[2]
+        nan_job = (replace(prob, gen=identity_generator(np.array([np.nan, 0.0]))), "pds", seed)
+        jobs.insert(4, nan_job)
+        lr = 0.05 if optimizer == "adam" else 0.01
+        got = optimize_batch(jobs, 30, lr, trained_model, schedule, optimizer=optimizer)
+        assert got[4].diverged and len(got[4].theta) == 1
+        assert [rec.diverged for rec in got] == [k == 4 for k in range(len(jobs))]
+        for k, ((prob, objective, seed), rec) in enumerate(zip(jobs, got)):
+            if k != 4:
+                ref = reference_optimize(prob, objective, 30, lr, seed, trained_model, schedule,
+                                         optimizer=optimizer)
+                assert record_bits(rec) == record_bits(ref)
 
     def test_every_job_diverged_stops_the_loop(
         self, schedule, subsequence, monkeypatch
@@ -715,8 +759,8 @@ class TestOptimizeBatch:
         self, trained_model, schedule, subsequence, monkeypatch
     ):
         # an affine dds job whose latent input is huge: its first update
-        # sends A @ u to infinity, so it drops at step 2; the pds job on its
-        # seed, grid and source then reads the source row alone
+        # sends A @ u to infinity, so it is flagged at step 2; the pds job on
+        # its seed, grid and source keeps reading the shared source row
         src = np.array([-2.0, 0.2])
         a, u = np.eye(2), np.array([1e300, 0.0])
         blowup = EditProblem(x0_src=src, y_src=1, gen=affine_generator(a, src - a @ u, u),
@@ -728,8 +772,38 @@ class TestOptimizeBatch:
             got = self.assert_matches_reference(jobs, 10, trained_model, schedule)
         assert got[0].diverged and len(got[0].theta) == 2
         assert not got[1].diverged and len(got[1].theta) == 11
-        # two target rows and one source row per step while both are live
-        assert rows[0] == 2 * 3 + 8 * 2
+        # two target rows and one source row on every step: the flagged job
+        # stays in the batch, held at NaN
+        assert rows[0] == 10 * 3
+
+    @pytest.mark.parametrize("optimizer", OPTIMIZERS)
+    def test_flagged_job_signals_as_its_reference(
+        self, trained_model, schedule, subsequence, optimizer
+    ):
+        # at lr 1e308 these jobs overflow on step 2 (identity pds) and step 1
+        # (affine sds on a huge latent); held at NaN, a flagged job raises no
+        # floating-point signal that the reference loop, which stops, does not
+        src = np.array([-2.0, 0.2])
+        a, u = np.eye(2), np.array([1e300, 0.0])
+        point = make_problem(None, subsequence, gen_point=[-2.0, 0.0], src_point=[-2.0, 0.0])
+        affine = EditProblem(x0_src=src, y_src=1, gen=affine_generator(a, src - a @ u, u),
+                             y_tgt=2, omega=7.5, sub=subsequence)
+        jobs = [(point, "pds", 3), (affine, "sds", 3)]
+
+        def signals(run):
+            log = []
+            with np.errstate(all="call", call=lambda kind, flag: log.append(kind)):
+                return run(), log
+
+        for job, length in zip(jobs, (2, 1)):
+            (got,), got_log = signals(lambda: optimize_batch(
+                [job], 20, 1e308, trained_model, schedule, optimizer=optimizer))
+            prob, objective, seed = job
+            ref, ref_log = signals(lambda: reference_optimize(
+                prob, objective, 20, 1e308, seed, trained_model, schedule, optimizer=optimizer))
+            assert got.diverged and len(got.theta) == length
+            assert record_bits(got) == record_bits(ref)
+            assert got_log and got_log == ref_log
 
     @pytest.mark.parametrize(
         "arg, kwargs",

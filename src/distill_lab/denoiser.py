@@ -144,8 +144,8 @@ class Denoiser:
     write the model's activation scratch; training runs on buffers of its
     own, allocated per :func:`train` or :func:`loss_and_grad` call, and
     :func:`train` mutates ``params``: serialize all calls on one model.
-    :func:`train` holds the process-wide BLAS thread count at 1 while it
-    runs; the samplers run on the caller's BLAS threads.
+    :func:`train` and every reverse chain in ``latentops`` hold the
+    process-wide BLAS thread count at 1 while they run.
     """
 
     params: np.ndarray
@@ -242,13 +242,13 @@ def time_embedding(t: np.ndarray, dim: int) -> np.ndarray:
 
 
 def _features(d: Denoiser, x: np.ndarray, y: np.ndarray, t: np.ndarray, out=None) -> np.ndarray:
-    """Input rows [x, time embedding, one-hot label], written into ``out`` if given."""
-    n = x.shape[0]
-    feats = np.zeros((n, d.arch[0])) if out is None else out
+    """Input rows [x, time embedding, one-hot label], written into ``out`` if
+    given. ``y`` and ``t`` are one per row, or one 0-d value for every row,
+    whose embedding and one-hot row are then built once and broadcast."""
+    feats = np.empty((x.shape[0], d.arch[0])) if out is None else out
     feats[:, :POINT_DIM] = x
     feats[:, POINT_DIM : POINT_DIM + d.t_embed_dim] = d.time_rows(t)
-    feats[:, POINT_DIM + d.t_embed_dim :] = 0.0
-    feats[np.arange(n), POINT_DIM + d.t_embed_dim + y] = 1.0
+    feats[:, POINT_DIM + d.t_embed_dim :] = np.equal.outer(y, np.arange(NUM_CLASSES + 1))
     return feats
 
 
@@ -322,27 +322,26 @@ class _Fit:
         return self.grad
 
 
-def _per_row(v, n: int, what: str) -> np.ndarray:
+def _one_or_per_row(v, n: int, what: str) -> np.ndarray:
     v = np.asarray(v)
     if v.dtype.kind not in "iu":
         raise ValueError(f"{what} must have an integer dtype, got {v.dtype}")
     v = v.astype(np.int64, copy=False)
-    if v.ndim == 0:
-        return np.full(n, v)
-    if v.shape != (n,):
+    if v.ndim != 0 and v.shape != (n,):
         raise ValueError(f"{what} have shape {v.shape}, expected ({n},)")
     return v
 
 
 def _check_rows(x: np.ndarray, y, t) -> tuple[np.ndarray, np.ndarray]:
-    """Labels and timesteps of the n rows of ``x``, broadcast to length n;
-    ValueError unless x is (n, 2), both are integers, labels lie in
-    0 (null) .. NUM_CLASSES and timesteps are >= 1."""
+    """Labels and timesteps of the n rows of ``x`` as int64 arrays, each of
+    length n or 0-d (one value for every row); ValueError unless x is (n, 2),
+    both are integers, labels lie in 0 (null) .. NUM_CLASSES and timesteps
+    are >= 1."""
     if x.ndim != 2 or x.shape[1] != POINT_DIM:
         raise ValueError(f"x has shape {x.shape}, expected (n, {POINT_DIM})")
     n = x.shape[0]
-    y = _per_row(y, n, "labels")
-    t = _per_row(t, n, "timesteps")
+    y = _one_or_per_row(y, n, "labels")
+    t = _one_or_per_row(t, n, "timesteps")
     if y.min(initial=0) < 0 or y.max(initial=0) > NUM_CLASSES:
         raise ValueError(f"labels must lie in 0 (null) .. {NUM_CLASSES}")
     if t.min(initial=1) < 1:
@@ -356,7 +355,7 @@ def _guided(d: Denoiser, x: np.ndarray, y, t, omega: float, per_row: bool) -> np
     y, t = _check_rows(x, y, t)
     if omega == 1.0:
         return _forward(d, x, y, t, per_row)[0]
-    e_null = _forward(d, x, np.full(x.shape[0], NULL_LABEL), t, per_row)[0]
+    e_null = _forward(d, x, np.int64(NULL_LABEL), t, per_row)[0]
     if omega == 0.0:
         return e_null
     e_cond = _forward(d, x, y, t, per_row)[0]
@@ -366,14 +365,18 @@ def _guided(d: Denoiser, x: np.ndarray, y, t, omega: float, per_row: bool) -> np
 def eps(d: Denoiser, x: np.ndarray, y, t, omega: float) -> np.ndarray:
     """Guided noise predictions e_null + omega * (e_y - e_null) for n rows.
 
-    ``x`` is (n, 2); ``y`` and ``t`` are length-n label and timestep arrays
-    (scalars broadcast). Every output row is bitwise equal to the same row
-    evaluated alone, whatever the batch holds. The null and conditional
-    predictions are two per-row forwards of n rows; omega = 1 returns the
-    conditional prediction and omega = 0 the unconditional one from one
-    forward, with no arithmetic on the endpoints.
+    ``x`` is (n, 2), or (2,) for one point; ``y`` and ``t`` are length-n
+    label and timestep arrays (scalars broadcast). Every output row is
+    bitwise equal to the same row evaluated alone, whatever the batch holds.
+    The null and conditional predictions are two per-row forwards of n rows;
+    omega = 1 returns the conditional prediction and omega = 0 the
+    unconditional one from one forward, with no arithmetic on the endpoints.
+    ValueError for any other shape of ``x``, for labels or timesteps of a
+    non-integer dtype, and for labels outside 0 (null) .. NUM_CLASSES or
+    timesteps below 1.
     """
-    return _guided(d, np.asarray(x, dtype=float).reshape(-1, POINT_DIM), y, t, omega, True)
+    x = np.asarray(x, dtype=float)
+    return _guided(d, x[None] if x.shape == (POINT_DIM,) else x, y, t, omega, True)
 
 
 def predict(d: Denoiser, x_t: np.ndarray, y: int, t: int) -> np.ndarray:
@@ -387,9 +390,11 @@ def cfg_predict(d: Denoiser, x_t: np.ndarray, y: int, t: int, omega: float) -> n
 
 
 def cfg_predict_batch(d: Denoiser, x_t: np.ndarray, y: int, t: int, omega: float) -> np.ndarray:
-    """Guided prediction for a batch of points sharing one label and timestep,
-    on the gemm forward (faster for large batches, not batch-invariant)."""
-    return _guided(d, x_t, y, t, omega, False)
+    """Guided prediction for an (n, 2) batch of points sharing one label and
+    timestep, on the gemm forward (faster for large batches, not
+    batch-invariant). Each forward builds one feature row's time embedding
+    and one-hot label and broadcasts them over the batch."""
+    return _guided(d, np.asarray(x_t, dtype=float), y, t, omega, False)
 
 
 def loss_and_grad(
@@ -453,8 +458,9 @@ _blas_restore = 0
 def _one_blas_thread():
     """Hold the process-wide BLAS thread count at 1 and restore the caller's
     count when the last concurrent hold ends; a no-op when no OpenBLAS is
-    found. The training gemms are too small for a second thread to return
-    the CPU it burns."""
+    found. The training and sampling gemms sit between single-threaded tanh
+    and bias work, through which a second thread spins: it returns far less
+    wall time than the CPU it burns."""
     global _blas_holds, _blas_restore
     fns = _blas_thread_fns()
     if fns is None:
@@ -510,8 +516,8 @@ def train(
             for step in steps:
                 idx[step] = rng.integers(0, n, size=batch)
                 t[step] = rng.integers(1, s.T + 1, size=batch)
-                rng.standard_normal(out=noise[step])
-                rng.random(out=drop[step])
+                noise[step] = rng.standard_normal((batch, POINT_DIM))
+                drop[step] = rng.random(batch)
             drawn = slice(0, steps[-1].stop)
             x0 = points[idx[drawn]]
             y = np.where(drop[drawn] < cfg.null_cond_prob, NULL_LABEL, labels[idx[drawn]])

@@ -21,7 +21,11 @@ chain through one function, ``_generate``, whose step mean is the one the
 latents are taken against. The three differ only in their steps, their
 noise (fresh draws or recorded latents) and their predictor: the replay
 uses the batch-invariant ``eps``, the two samplers the gemm
-``cfg_predict_batch``.
+``cfg_predict_batch``. Each chain runs with numpy's OpenBLAS held at one
+thread, process-wide, as ``train`` does, and the caller's count is restored
+when the chain returns or raises; so the samplers' bits do not depend on the
+host's thread count, and no second thread spins through the chain's
+single-threaded tanh and step arithmetic.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .denoiser import POINT_DIM, Denoiser, cfg_predict_batch, eps
+from .denoiser import POINT_DIM, Denoiser, _one_blas_thread, cfg_predict_batch, eps
 from .denoiser import cfg_predict  # noqa: F401  perfbench/selftest.py reads latentops.cfg_predict
 from .errors import DegenerateTimestepError, DivergenceError, MismatchError
 from .schedule import NoiseSchedule, TimestepSubsequence, posterior_coeffs_pair
@@ -85,13 +89,14 @@ def _generate(predict, d: Denoiser, x: np.ndarray, y, omega: float, s: NoiseSche
               steps, noise) -> np.ndarray:
     """Run the generative chain from x, one step per (t, gamma, delta, sigma)
     of ``steps``: the k-th step sets x to its :func:`_step_mean` plus
-    sigma * noise(k), with the prediction ``predict(d, x, y, t, omega)``.
-    DivergenceError when a step leaves x non-finite."""
-    for k, (t, gamma, delta, sigma) in enumerate(steps):
-        eps_hat = predict(d, x, y, t, omega)
-        x = _step_mean(s, x, t, eps_hat, gamma, delta) + sigma * noise(k)
-        if not np.all(np.isfinite(x)):
-            raise DivergenceError(f"non-finite state in the generative chain at t={t}")
+    sigma * noise(k), with the prediction ``predict(d, x, y, t, omega)``, on
+    one BLAS thread. DivergenceError when a step leaves x non-finite."""
+    with _one_blas_thread():
+        for k, (t, gamma, delta, sigma) in enumerate(steps):
+            eps_hat = predict(d, x, y, t, omega)
+            x = _step_mean(s, x, t, eps_hat, gamma, delta) + sigma * noise(k)
+            if not np.all(np.isfinite(x)):
+                raise DivergenceError(f"non-finite state in the generative chain at t={t}")
     return x
 
 

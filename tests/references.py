@@ -4,14 +4,23 @@
 ``math.sqrt`` and the schedule's ``gamma``/``delta`` tables rather than its
 ``x0_estimate`` and the samplers' step mean, so the tests compare the
 package against arithmetic it does not share. ``backward`` allocates a fresh
-array per layer, and ``train_by_steps`` trains one step at a time.
+array per layer, ``gathered_guided`` builds every feature row on its own,
+and ``train_by_steps`` trains one step at a time.
 """
 
 import math
 
 import numpy as np
 
-from distill_lab.denoiser import NULL_LABEL, POINT_DIM, _layer_views, eps, loss_and_grad
+from distill_lab.denoiser import (
+    NULL_LABEL,
+    NUM_CLASSES,
+    POINT_DIM,
+    _layer_views,
+    eps,
+    loss_and_grad,
+    time_embedding,
+)
 from distill_lab.errors import DivergenceError
 from distill_lab.latentops import stochastic_latents
 from distill_lab.optim import AdamState, adam_step
@@ -59,6 +68,30 @@ def backward(d, cache, cotangent):
         if k > 0:
             g = (g @ layers[k][0].T) * (1.0 - cache[k] ** 2)
     return grad
+
+
+def gathered_guided(d, x, y, t, omega):
+    """Guidance e_null + omega * (e_y - e_null) for the (n, 2) points ``x``
+    sharing label ``y`` and timestep ``t``, on the gemm forward with a fresh
+    array per layer. Each forward's feature rows gather n time-embedding rows
+    and scatter n one-hot entries; omega = 1 and omega = 0 return one forward."""
+    n = len(x)
+
+    def forward(label):
+        onehot = np.zeros((n, NUM_CLASSES + 1))
+        onehot[np.arange(n), np.full(n, label)] = 1.0
+        h = np.concatenate([x, time_embedding(np.full(n, t), d.t_embed_dim), onehot], axis=1)
+        for w, b in d.layers()[:-1]:
+            h = np.tanh(h @ w + b)
+        w, b = d.layers()[-1]
+        return h @ w + b
+
+    if omega == 1.0:
+        return forward(y)
+    e_null = forward(NULL_LABEL)
+    if omega == 0.0:
+        return e_null
+    return e_null + omega * (forward(y) - e_null)
 
 
 def train_by_steps(d, dataset, s, cfg):

@@ -1,14 +1,15 @@
 import hashlib
 import math
+import re
 import sys
 import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
-from references import backward, train_by_steps
+from references import backward, gathered_guided, train_by_steps
 
-from distill_lab import denoiser
+from distill_lab import denoiser, latentops
 from distill_lab.denoiser import (
     NULL_LABEL,
     ClassSpec,
@@ -28,7 +29,7 @@ from distill_lab.denoiser import (
     train,
 )
 from distill_lab.errors import DivergenceError, MismatchError
-from distill_lab.latentops import ancestral_sample_batch
+from distill_lab.latentops import ancestral_sample_batch, invert, sdedit_batch
 
 
 class TestDataset:
@@ -248,6 +249,18 @@ class TestEps:
     def test_empty_batch(self, random_model):
         assert eps(random_model, np.empty((0, 2)), 1, 10, 2.0).shape == (0, 2)
 
+    @pytest.mark.parametrize("x", [[0.3, -0.8], np.array([0.3, -0.8])], ids=["list", "array"])
+    def test_one_point_is_one_row(self, random_model, x):
+        got = eps(random_model, x, 1, 10, 2.0)
+        assert got.tobytes() == eps(random_model, np.array([[0.3, -0.8]]), 1, 10, 2.0).tobytes()
+
+    @pytest.mark.parametrize("shape", [(4,), (2, 1, 2), (3, 3), (1,), (0,)])
+    def test_rejects_x_that_is_neither_a_point_nor_rows(self, random_model, shape):
+        # a flat (4,) or a (2, 1, 2) array must not be read as two points
+        want = re.escape(f"x has shape {shape}, expected (n, 2)")
+        with pytest.raises(ValueError, match=want):
+            eps(random_model, np.zeros(shape), 1, 10, 2.0)
+
 
 def reference_forward(d, x, y, t):
     """The gemm forward with a fresh array per layer: tanh(h @ w + b)."""
@@ -383,6 +396,22 @@ class TestGemmForward:
     def test_guided_batch_rejects_wrong_shape(self, random_model, shape):
         with pytest.raises(ValueError, match="shape"):
             cfg_predict_batch(random_model, np.zeros(shape), 1, 10, 2.0)
+        with pytest.raises(ValueError, match=re.escape(f"x has shape {shape}, expected (n, 2)")):
+            cfg_predict_batch(random_model, np.zeros(shape).tolist(), 1, 10, 2.0)
+
+    def test_guided_batch_takes_a_list(self, random_model):
+        x = [[0.3, -0.8], [1.5, 2.0], [-1.0, 0.0]]
+        got = cfg_predict_batch(random_model, x, 2, 300, 2.0)
+        assert got.tobytes() == cfg_predict_batch(random_model, np.array(x), 2, 300, 2.0).tobytes()
+
+    @pytest.mark.parametrize("omega", [0.0, 1.0, 2.0])
+    def test_guided_batch_equals_gathered_feature_forward(self, trained_model, omega):
+        # cfg_predict_batch builds one feature row's embedding and one-hot
+        # label and broadcasts them; the bits are those of n gathered rows
+        x, _, _ = gemm_rows(4000, seed=8)
+        for y, t in ((1, 1), (2, 500), (1, 1000)):
+            got = cfg_predict_batch(trained_model, x, y, t, omega)
+            assert got.tobytes() == gathered_guided(trained_model, x, y, t, omega).tobytes()
 
     @pytest.mark.skipif(
         not sys.platform.startswith("linux"), reason="minor-fault counts are Linux-specific"
@@ -644,6 +673,67 @@ class TestTrainBlasThreads:
             assert blas_threads() == count
             params.append(d.params.tobytes())
         assert params[0] == params[1]
+
+
+class TestSamplerBlasThreads:
+    """Every reverse chain runs its steps on one BLAS thread and restores the
+    caller's count."""
+
+    @staticmethod
+    def chain(name, d, s, sub):
+        """A run of the named chain on fixed inputs, and the predictor name
+        that latentops calls at each of its steps."""
+        rng = np.random.default_rng(8)
+        if name == "ancestral":
+            return (lambda: ancestral_sample_batch(d, 1, 8, s, 2.0, rng)), "cfg_predict_batch"
+        if name == "sdedit":
+            x0 = rng.standard_normal((8, 2))
+            return (lambda: sdedit_batch(x0, 2, 0.5, d, 2.0, s, rng)), "cfg_predict_batch"
+        seq = invert(np.array([-2.0, 0.3]), 1, d, 2.0, s, sub, rng)
+        return (lambda: latentops.generate_with_latents(seq, 2, d, 2.0, s, sub)), "eps"
+
+    @pytest.mark.parametrize("name", ["ancestral", "sdedit", "replay"])
+    def test_chain_steps_see_one_thread(self, blas_threads, trained_model, schedule, subsequence,
+                                        monkeypatch, name):
+        run, predictor = self.chain(name, trained_model, schedule, subsequence)
+        seen = []
+        predict = getattr(latentops, predictor)
+
+        def recording(*args):
+            seen.append(blas_threads())
+            return predict(*args)
+
+        monkeypatch.setattr(latentops, predictor, recording)
+        run()
+        assert seen and seen == [1] * len(seen)
+        assert blas_threads() == 2
+
+    @pytest.mark.parametrize("name", ["ancestral", "sdedit"])
+    def test_caller_count_restored_on_divergence(self, blas_threads, trained_model, schedule,
+                                                 subsequence, name):
+        nan_bias = Denoiser(params=trained_model.params.copy(), arch=trained_model.arch,
+                            t_embed_dim=trained_model.t_embed_dim)
+        nan_bias.layers()[-1][1][-1] = np.nan
+        run, _ = self.chain(name, nan_bias, schedule, subsequence)
+        with pytest.raises(DivergenceError, match="generative chain"):
+            run()
+        assert blas_threads() == 2
+
+    @pytest.mark.parametrize("name, rows", [("sdedit", 4000), ("ancestral", 200)])
+    def test_output_does_not_depend_on_caller_count(self, blas_threads, trained_model, schedule,
+                                                    name, rows):
+        outs = []
+        for count in (2, 1):
+            denoiser._blas_thread_fns()[1](count)
+            rng = np.random.default_rng(11)
+            if name == "sdedit":
+                x0 = 2.0 * rng.standard_normal((rows, 2))
+                outs.append(sdedit_batch(x0, 2, 1.0, trained_model, 0.0, schedule, rng))
+            else:
+                outs.append(ancestral_sample_batch(trained_model, 1, rows, schedule, 2.0, rng))
+            assert blas_threads() == count
+        assert outs[0].shape == (rows, 2)
+        assert outs[0].tobytes() == outs[1].tobytes()
 
 
 class TestAncestralSample:

@@ -62,7 +62,7 @@ def cmd_train(cfg: ExperimentConfig, args) -> int:
     elapsed = time.perf_counter() - t0
     ckpt_path = out / "model.ckpt"
     save_checkpoint(d, ckpt_path, cfg.schedule.t)
-    lines = ["%d,%.17g" % row for row in enumerate(losses)]
+    lines = ("%d,%.17g" % row for row in enumerate(losses))
     experiments.write_csv(out / "train_log.csv", ["step", "loss"], lines)
     print(f"trained {cfg.training.steps} steps in {elapsed:.1f}s "
           f"(loss {losses[0]:.4f} -> {losses[-1]:.4f})")
@@ -79,7 +79,7 @@ def cmd_invert_roundtrip(cfg: ExperimentConfig, args) -> int:
     rng = np.random.default_rng(cfg.dataset.seed + 202)
     rows = experiments.run_roundtrip_report(cfg, d, rng, args.k)
     report_path = out / "roundtrip.csv"
-    lines = ["%d,%d,%.17g" % row for row in rows]
+    lines = ("%d,%d,%.17g" % row for row in rows)
     experiments.write_csv(report_path, ["index", "label", "max_abs_error"], lines)
     if not rows:
         print("empty report (k = 0)")
@@ -119,7 +119,7 @@ def cmd_sdedit_demo(cfg: ExperimentConfig, args) -> int:
     d = _load_model(cfg, args.checkpoint)
     rows = experiments.run_sdedit_sweep(cfg, d, args.points, args.grid_points)
     path = out / "sdedit_sweep.csv"
-    lines = ["%.17g,%.17g" % row for row in rows]
+    lines = ("%.17g,%.17g" % row for row in rows)
     experiments.write_csv(path, ["t0_ratio", "mean_displacement"], lines)
     for ratio, mean in rows:
         print(f"t0_ratio {ratio:4.2f}: mean displacement {mean:.4f}")

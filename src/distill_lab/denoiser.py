@@ -189,12 +189,14 @@ class Denoiser:
         return views
 
     def time_rows(self, t: np.ndarray) -> np.ndarray:
-        """Embedding rows of integer timesteps >= 0, read from a table over
-        0..max(t) that is rebuilt when a larger timestep arrives."""
+        """Embedding rows of integer timesteps >= 0, read from a table that a
+        larger timestep rebuilds up to the next power of two above max(t), so
+        rising timesteps rebuild it once per doubling, not once per rise."""
         try:
             return self._t_table[t]
         except (IndexError, TypeError):
-            table = time_embedding(np.arange(int(np.max(t, initial=0)) + 1), self.t_embed_dim)
+            size = 1 << int(np.max(t, initial=0)).bit_length()
+            table = time_embedding(np.arange(size), self.t_embed_dim)
             self._t_table = table
             return table[t]
 

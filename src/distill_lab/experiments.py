@@ -12,7 +12,9 @@ through :func:`write_csv`, every float as ``%.17g``.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
+from itertools import count, islice
 from pathlib import Path
 
 import numpy as np
@@ -39,6 +41,7 @@ __all__ = [
 
 SDEDIT_OMEGA = 0.0
 ROUNDTRIP_TOLERANCE = 1e-8  # a round trip passes when every max abs error is below this
+CSV_BLOCK_ROWS = 512  # rows per write: few writes, and a block's text stays small
 
 
 def boundary_frame(class_params: tuple[ClassSpec, ClassSpec]) -> tuple[np.ndarray, np.ndarray]:
@@ -119,31 +122,42 @@ def _evaluate_checks(summary: Figure2Summary) -> None:
     summary.checks["no_divergence"] = all(a.diverged_runs == 0 for a in agg.values())
 
 
-def write_csv(path, header: list[str], lines: list[str]) -> None:
-    """Write the header row and ``lines`` (each a row's comma-joined text) in
-    one write: UTF-8, CRLF line ends, no field quoted. That is ``csv.writer``'s
-    output, because no field the lab writes holds a comma, quote or line break."""
+def write_csv(path, header: list[str], lines: Iterable[str]) -> None:
+    """Write the header row, then ``lines`` (any iterable of each row's
+    comma-joined text) in blocks of ``CSV_BLOCK_ROWS`` rows, one write per
+    block, so a generator's rows are never all alive at once: UTF-8, CRLF
+    line ends, no field quoted. That is ``csv.writer``'s output, because no
+    field the lab writes holds a comma, quote or line break."""
+    rows = iter(lines)
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write("\r\n".join([",".join(header), *lines, ""]))
+        fh.write(",".join(header) + "\r\n")
+        while block := list(islice(rows, CSV_BLOCK_ROWS)):
+            block.append("")
+            fh.write("\r\n".join(block))
+
+
+def _column_text(template: str, values: np.ndarray) -> list[str]:
+    """Each row of ``values`` rendered by ``template``, formatted in one pass."""
+    return ((template + "\n") * len(values) % tuple(values.ravel().tolist())).splitlines()
 
 
 def write_trajectory_csv(record: TrajectoryRecord, path) -> list[str]:
     """One row per step: step, theta components, rendered point, grad norm.
 
-    Every float is formatted once. When theta holds the rendered point's
-    bytes (an identity generator), the point text fills the theta columns
-    too. Returns each row's rendered point as its ``"x,y"`` text, for
-    callers that write the points again.
+    Every float is formatted once, a column at a time. When theta holds the
+    rendered point's bytes (an identity generator), the point text fills the
+    theta columns too. Returns each row's rendered point as its ``"x,y"``
+    text, for callers that write the points again.
     """
     n_theta = record.theta.shape[1]
     header = ["step", *[f"theta{j}" for j in range(n_theta)], "x0_tgt_x", "x0_tgt_y", "grad_norm"]
-    points = ["%.17g,%.17g" % (x, y) for x, y in record.x0_tgt.tolist()]
+    points = _column_text("%.17g,%.17g", record.x0_tgt)
     thetas = points  # an identity generator's theta is its point, bit for bit
     if n_theta != POINT_DIM or record.theta.tobytes() != record.x0_tgt.tobytes():
-        template = ",".join(["%.17g"] * n_theta)
-        thetas = [template % tuple(theta) for theta in record.theta.tolist()]
-    rows = zip(range(len(points)), thetas, points, record.grad_norm.tolist())
-    write_csv(path, header, ["%d,%s,%s,%.17g" % row for row in rows])
+        thetas = _column_text(",".join(["%.17g"] * n_theta), record.theta)
+    grad_norms = _column_text("%.17g", record.grad_norm)
+    rows = zip(count(), thetas, points, grad_norms)
+    write_csv(path, header, (f"{step},{theta},{point},{g}" for step, theta, point, g in rows))
     return points
 
 
@@ -209,56 +223,39 @@ def run_figure2(
 
 def _emit_figure2_files(out_dir, cfg, summary, records, class_params) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
-    points = {}
-    for objective, recs in records.items():
-        for run, rec in enumerate(recs):
-            path = out_dir / f"fig2_traj_{objective}_{run:03d}.csv"
-            points[objective, run] = write_trajectory_csv(rec, path)
-
     starts = summary.starts.tolist()
     write_csv(
         out_dir / "fig2_endpoints.csv",
         ["objective", "run", "seed", "start_x", "start_y", "endpoint_x", "endpoint_y",
          "displacement", "signed_boundary_dist", "diverged"],
-        [
+        (
             "%s,%d,%d,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%d" % (
                 objective, run, rec.seed, *starts[run], *agg.endpoints[run].tolist(),
                 agg.displacements[run], agg.signed_dists[run], rec.diverged,
             )
             for objective, agg in summary.aggregates.items()
             for run, rec in enumerate(records[objective])
-        ],
+        ),
     )
 
     write_csv(
         out_dir / "fig2_summary.csv",
         ["objective", "n_runs", "mean_displacement", "mean_signed_boundary_dist",
          "mean_abs_boundary_dist", "frac_class2_side", "diverged_runs"],
-        [
+        (
             "%s,%d,%.17g,%.17g,%.17g,%.17g,%d" % (
                 objective, summary.n_runs, agg.mean_displacement, agg.mean_signed_dist,
                 agg.mean_abs_dist, agg.frac_class2_side, agg.diverged_runs,
             )
             for objective, agg in summary.aggregates.items()
-        ],
+        ),
     )
 
-    center, normal = boundary_frame(class_params)
-    tangent = np.array([-normal[1], normal[0]])
-    span = 1.5 * np.linalg.norm(
-        np.asarray(class_params[1].mean) - np.asarray(class_params[0].mean)
+    write_csv(
+        out_dir / "fig2_plotdata.csv",
+        ["kind", "objective", "run", "step", "x", "y"],
+        _plot_rows(out_dir, records, starts, class_params),
     )
-    lines = [
-        "boundary,,,,%.17g,%.17g" % tuple(center + endpoint_sign * span * tangent)
-        for endpoint_sign in (-1.0, 1.0)
-    ]
-    lines += ["start,,%d,,%.17g,%.17g" % (run, *starts[run]) for run in range(summary.n_runs)]
-    # the trajectory rows reuse the point text of the trajectory files
-    for (objective, run), xy in points.items():
-        prefix = f"trajectory,{objective},{run},"
-        lines += [f"{prefix}{step},{point}" for step, point in enumerate(xy)]
-        lines.append(f"endpoint,{objective},{run},{len(xy) - 1},{xy[-1]}")
-    write_csv(out_dir / "fig2_plotdata.csv", ["kind", "objective", "run", "step", "x", "y"], lines)
 
     dist = cfg.distill
     meta = [
@@ -272,6 +269,27 @@ def _emit_figure2_files(out_dir, cfg, summary, records, class_params) -> None:
     ]
     meta += [f"check_{name},{'pass' if ok else 'fail'}" for name, ok in summary.checks.items()]
     write_csv(out_dir / "fig2_meta.csv", ["key", "value"], meta)
+
+
+def _plot_rows(out_dir, records, starts, class_params) -> Iterator[str]:
+    """The ``fig2_plotdata.csv`` rows. Each ``fig2_traj_*`` file is written
+    when its trajectory's rows come up, and its point text is reused for
+    them, so one trajectory's text is alive at a time."""
+    center, normal = boundary_frame(class_params)
+    tangent = np.array([-normal[1], normal[0]])
+    span = 1.5 * np.linalg.norm(
+        np.asarray(class_params[1].mean) - np.asarray(class_params[0].mean)
+    )
+    for endpoint_sign in (-1.0, 1.0):
+        yield "boundary,,,,%.17g,%.17g" % tuple(center + endpoint_sign * span * tangent)
+    for run, xy in enumerate(starts):
+        yield "start,,%d,,%.17g,%.17g" % (run, *xy)
+    for objective, recs in records.items():
+        for run, rec in enumerate(recs):
+            points = write_trajectory_csv(rec, out_dir / f"fig2_traj_{objective}_{run:03d}.csv")
+            prefix = f"trajectory,{objective},{run},"
+            yield from (f"{prefix}{step},{point}" for step, point in enumerate(points))
+            yield f"endpoint,{objective},{run},{len(points) - 1},{points[-1]}"
 
 
 def check_sdedit_schedule(cfg: ExperimentConfig) -> None:

@@ -230,6 +230,20 @@ class TestEps:
         for t in range(1001):
             assert np.array_equal(table[t], time_embedding(np.array([t]), random_model.t_embed_dim)[0])
 
+    def test_time_table_rebuilds_once_per_doubling(self, random_model, monkeypatch):
+        builds = []
+
+        def counted(t, dim):
+            builds.append(len(t))
+            return time_embedding(t, dim)
+
+        monkeypatch.setattr(denoiser, "time_embedding", counted)
+        for t in range(1, 1001):
+            rows = random_model.time_rows(np.array([t]))
+            assert np.array_equal(rows, time_embedding(np.array([t]), random_model.t_embed_dim))
+        assert len(builds) <= 11
+        assert builds[-1] == 1024
+
     def test_layer_cache_follows_replaced_params(self):
         d = Denoiser.create(seed=5, random_head=True)
         x = np.array([[0.3, -0.2]])

@@ -1,4 +1,6 @@
 import csv
+import io
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -19,7 +21,8 @@ from distill_lab.distill import (
     pds_grad_latent_form,
     resolve_weight,
 )
-from distill_lab.experiments import write_trajectory_csv
+from distill_lab import experiments
+from distill_lab.experiments import CSV_BLOCK_ROWS, run_figure2, write_csv, write_trajectory_csv
 from distill_lab.latentops import draw_shared_noise
 from distill_lab.denoiser import Denoiser, cfg_predict, eps, _layer_views
 from distill_lab.errors import DivergenceError
@@ -936,3 +939,60 @@ class TestWeightsAndCsv:
         # 17-significant-digit floats reparse exactly
         for text, value in zip(rows[3][1:3], rec.theta[2]):
             assert float(text) == value
+
+
+def csv_writer_bytes(rows) -> bytes:
+    buffer = io.StringIO(newline="")
+    csv.writer(buffer).writerows(rows)
+    return buffer.getvalue().encode("utf-8")
+
+
+class TestBlockWriter:
+    @pytest.mark.parametrize("n_rows", [0, CSV_BLOCK_ROWS, CSV_BLOCK_ROWS + 1, 3 * CSV_BLOCK_ROWS])
+    @pytest.mark.parametrize("as_generator", [False, True])
+    def test_bytes_match_csv_writer(self, n_rows, as_generator, tmp_path, monkeypatch):
+        rows = [[str(k), f"{k / 7:.17g}", f"{-k * 1e-300:.17g}"] for k in range(n_rows)]
+        lines = [",".join(row) for row in rows]
+        writes = []
+
+        def recording_open(*args, **kwargs):
+            fh = open(*args, **kwargs)
+            write = fh.write
+            fh.write = lambda text: writes.append(text) or write(text)
+            return fh
+
+        monkeypatch.setattr(experiments, "open", recording_open, raising=False)
+        write_csv(tmp_path / "new.csv", ["a", "b", "c"], iter(lines) if as_generator else lines)
+        assert (tmp_path / "new.csv").read_bytes() == csv_writer_bytes([["a", "b", "c"], *rows])
+        # the header, then one write per block of rows
+        assert len(writes) == 1 + -(-n_rows // CSV_BLOCK_ROWS)
+
+    @pytest.mark.parametrize("n_theta", [2, 6])
+    def test_trajectory_longer_than_a_block(self, n_theta, tmp_path):
+        rng = np.random.default_rng(21)
+        m = CSV_BLOCK_ROWS + 2
+        x0 = rng.standard_normal((m, 2)) * 10.0 ** rng.integers(-300, 300, (m, 2))
+        theta = x0.copy() if n_theta == 2 else rng.standard_normal((m, n_theta))
+        rec = TrajectoryRecord(objective_kind="dds", seed=0, theta=theta, x0_tgt=x0,
+                               grad_norm=np.abs(rng.standard_normal(m)))
+        points = write_trajectory_csv(rec, tmp_path / "new.csv")
+        reference_trajectory_csv(rec, tmp_path / "ref.csv")
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+        assert points == [f"{x:.17g},{y:.17g}" for x, y in x0]
+
+
+def test_figure2_files_stream(default_config, trained_model, tmp_path):
+    # the default figure2: 3 objectives x 20 runs x 300 steps, about 3 MB of
+    # CSV. Holding every file's text until it is written peaks near 7.1 MB of
+    # traced memory; streaming one trajectory at a time peaks near 1.3 MB. The
+    # bound sits more than 2x from each.
+    dist = default_config.distill
+    assert (dist.objectives, dist.n_runs, dist.steps) == (("sds", "dds", "pds"), 20, 300)
+    tracemalloc.start()
+    try:
+        run_figure2(default_config, trained_model, out_dir=tmp_path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(list(tmp_path.glob("fig2_traj_*.csv"))) == 60
+    assert peak < 3.25e6

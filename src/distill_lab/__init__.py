@@ -11,6 +11,7 @@ the ``(i, noise)`` pair that ``objective_grad`` and ``stochastic_latents`` read.
 from .config import ExperimentConfig, load_config
 from .denoiser import (
     Denoiser,
+    LabelPlan,
     TrainConfig,
     cfg_predict,
     eps,
@@ -49,6 +50,7 @@ __all__ = [
     "ExperimentConfig",
     "load_config",
     "Denoiser",
+    "LabelPlan",
     "TrainConfig",
     "cfg_predict",
     "eps",

@@ -32,6 +32,7 @@ __all__ = [
     "check_class_separation",
     "check_dataset_size",
     "Denoiser",
+    "LabelPlan",
     "denoiser_arch",
     "sample_two_marginal_dataset",
     "eps",
@@ -55,6 +56,11 @@ _MAX_OVERLAP_TAIL = 1e-3
 
 # Minibatch rows train builds in one pass; 4,096 ran no faster and held more memory.
 _BLOCK_ROWS = 1024
+
+# Row k is the one-hot label column block of label k; read-only, since
+# scalar labels read a view of it.
+_ONE_HOT = np.eye(NUM_CLASSES + 1)
+_ONE_HOT.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -139,13 +145,19 @@ class Denoiser:
 
     ``arch`` lists every layer width including input and output, e.g.
     (13, 64, 64, 2). ``opt_state`` is training-only bookkeeping and is not
-    part of checkpoints. The forward passes of :func:`eps` (batch-invariant)
-    and ``cfg_predict_batch`` (gemm; the samplers in ``latentops`` call it)
-    write the model's activation scratch; training runs on buffers of its
-    own, allocated per :func:`train` or :func:`loss_and_grad` call, and
-    :func:`train` mutates ``params``: serialize all calls on one model.
-    :func:`train` and every reverse chain in ``latentops`` hold the
-    process-wide BLAS thread count at 1 while they run.
+    part of checkpoints. The model owns a time-embedding table and one
+    activation scratch, an (n, width) buffer per layer input for the last
+    row count n; the scratch and the parameters of ``create`` and
+    :func:`load_checkpoint` start on a cache line. :func:`eps`
+    (batch-invariant) and ``cfg_predict_batch`` (gemm; the samplers in
+    ``latentops`` call it) write their feature rows, x and the time rows
+    once for both guidance halves, and hidden layers there, and return
+    fresh arrays; a :class:`LabelPlan` owns its labels and one-hot columns.
+    Training runs on buffers of its own, allocated per :func:`train` or
+    :func:`loss_and_grad` call, and :func:`train` mutates ``params``:
+    serialize all calls on one model. :func:`train` and every reverse
+    chain in ``latentops`` hold the process-wide BLAS thread count at 1
+    while they run.
     """
 
     params: np.ndarray
@@ -174,7 +186,8 @@ class Denoiser:
         """
         arch = denoiser_arch(t_embed_dim, hidden)
         rng = np.random.default_rng(seed)
-        params = np.zeros(param_count(arch))
+        params = _line_aligned(param_count(arch))
+        params[:] = 0.0
         layers = _layer_views(params, arch)
         for w, _ in layers if random_head else layers[:-1]:
             w[:] = rng.standard_normal(w.shape) / math.sqrt(w.shape[0])
@@ -204,8 +217,19 @@ class Denoiser:
         """An (n, width) buffer per layer input, rebuilt whole when n changes;
         reusing them keeps repeated large batches from faulting pages in."""
         if not self._scratch or self._scratch[0].shape[0] != n:
-            self._scratch = tuple(np.empty((n, width)) for width in self.arch[:-1])
+            self._scratch = tuple(_line_aligned(n, width) for width in self.arch[:-1])
         return self._scratch
+
+
+def _line_aligned(*shape: int) -> np.ndarray:
+    """An uninitialized float64 array whose data starts on a 64-byte cache
+    line. The per-row products run up to a third slower when the weights or
+    rows start elsewhere, and a malloc'd buffer starts wherever the heap
+    puts it; the bits do not depend on where it starts."""
+    size = math.prod(shape)
+    raw = np.empty(size + 7)
+    start = -raw.ctypes.data % 64 // 8
+    return raw[start : start + size].reshape(shape)
 
 
 def denoiser_arch(t_embed_dim: int, hidden: tuple[int, ...]) -> tuple[int, ...]:
@@ -250,7 +274,7 @@ def _features(d: Denoiser, x: np.ndarray, y: np.ndarray, t: np.ndarray, out=None
     feats = np.empty((x.shape[0], d.arch[0])) if out is None else out
     feats[:, :POINT_DIM] = x
     feats[:, POINT_DIM : POINT_DIM + d.t_embed_dim] = d.time_rows(t)
-    feats[:, POINT_DIM + d.t_embed_dim :] = np.equal.outer(y, np.arange(NUM_CLASSES + 1))
+    feats[:, POINT_DIM + d.t_embed_dim :] = _ONE_HOT[y]
     return feats
 
 
@@ -271,14 +295,27 @@ def _hidden(d: Denoiser, h: np.ndarray, bufs, per_row: bool = False) -> list[np.
     return cache
 
 
-def _forward(d: Denoiser, x: np.ndarray, y: np.ndarray, t: np.ndarray, per_row: bool = False):
-    """Forward pass; returns (output, activation cache). The cache is the model's
-    scratch, so it holds until the next ``_forward`` on it; see :func:`_hidden`."""
+def _forwards(d: Denoiser, x: np.ndarray, t: np.ndarray, onehots, per_row: bool):
+    """Yield (output, activation cache) of one forward of the n rows ``x`` at
+    timesteps ``t`` per block of one-hot label columns in ``onehots``. The
+    rows are the model's scratch: ``x`` and the time rows are written once,
+    each forward rewrites only the label columns, and each cache holds until
+    the next forward on the model; see :func:`_hidden`."""
     feats, *hidden = d.scratch(x.shape[0])
-    cache = _hidden(d, _features(d, x, y, t, out=feats), hidden, per_row)
-    h, (w, b) = cache[-1], d.layers()[-1]
-    out = (h[:, None, :] @ w)[:, 0, :] if per_row else h @ w
-    return out + b, cache
+    feats[:, :POINT_DIM] = x
+    feats[:, POINT_DIM : POINT_DIM + d.t_embed_dim] = d.time_rows(t)
+    w, b = d.layers()[-1]
+    for onehot in onehots:
+        feats[:, POINT_DIM + d.t_embed_dim :] = onehot
+        cache = _hidden(d, feats, hidden, per_row)
+        h = cache[-1]
+        out = (h[:, None, :] @ w)[:, 0, :] if per_row else h @ w
+        yield out + b, cache
+
+
+def _forward(d: Denoiser, x: np.ndarray, y: np.ndarray, t: np.ndarray, per_row: bool = False):
+    """One forward of n rows with checked labels ``y``: (output, activation cache)."""
+    return next(_forwards(d, x, t, (_ONE_HOT[y],), per_row))
 
 
 class _Fit:
@@ -334,33 +371,56 @@ def _one_or_per_row(v, n: int, what: str) -> np.ndarray:
     return v
 
 
-def _check_rows(x: np.ndarray, y, t) -> tuple[np.ndarray, np.ndarray]:
-    """Labels and timesteps of the n rows of ``x`` as int64 arrays, each of
-    length n or 0-d (one value for every row); ValueError unless x is (n, 2),
-    both are integers, labels lie in 0 (null) .. NUM_CLASSES and timesteps
-    are >= 1."""
+def _labels(y, n: int) -> np.ndarray:
+    """Labels of n rows as int64, length n or 0-d (one for every row);
+    ValueError unless they are integers in 0 (null) .. NUM_CLASSES."""
+    y = _one_or_per_row(y, n, "labels")
+    if y.min(initial=0) < 0 or y.max(initial=0) > NUM_CLASSES:
+        raise ValueError(f"labels must lie in 0 (null) .. {NUM_CLASSES}")
+    return y
+
+
+class LabelPlan:
+    """The labels of n rows, checked once, with the one-hot label columns
+    of their conditional forward laid out once (the null forward reads one
+    shared row). :func:`eps` and :func:`cfg_predict_batch` take a plan as
+    ``y`` and build a throwaway one from raw labels, so a caller that
+    evaluates the same labels at many steps builds it once. The plan holds
+    read-only copies: changing the caller's labels later does not change it.
+    """
+
+    __slots__ = ("labels", "cond")
+
+    def __init__(self, y, n: int):
+        self.labels = _labels(y, n).copy()
+        self.cond = _ONE_HOT[self.labels]
+        self.labels.flags.writeable = self.cond.flags.writeable = False
+
+
+def _check_rows(x: np.ndarray, y, t) -> tuple[LabelPlan, np.ndarray]:
+    """The label plan of the n rows of ``x`` (``y`` is one, or raw labels)
+    and their timesteps as int64, length n or 0-d; ValueError unless x is
+    (n, 2), the plan fits n rows and the timesteps are integers >= 1."""
     if x.ndim != 2 or x.shape[1] != POINT_DIM:
         raise ValueError(f"x has shape {x.shape}, expected (n, {POINT_DIM})")
     n = x.shape[0]
-    y = _one_or_per_row(y, n, "labels")
+    plan = y if isinstance(y, LabelPlan) else LabelPlan(y, n)
+    if plan.labels.ndim != 0 and plan.labels.shape != (n,):
+        raise ValueError(f"labels have shape {plan.labels.shape}, expected ({n},)")
     t = _one_or_per_row(t, n, "timesteps")
-    if y.min(initial=0) < 0 or y.max(initial=0) > NUM_CLASSES:
-        raise ValueError(f"labels must lie in 0 (null) .. {NUM_CLASSES}")
     if t.min(initial=1) < 1:
         raise ValueError(f"timesteps must be >= 1, got {int(t.min())}")
-    return y, t
+    return plan, t
 
 
 def _guided(d: Denoiser, x: np.ndarray, y, t, omega: float, per_row: bool) -> np.ndarray:
     """e_null + omega * (e_y - e_null) from a null and a conditional forward
     of n rows each; omega = 1 and omega = 0 run only the forward they return."""
-    y, t = _check_rows(x, y, t)
-    if omega == 1.0:
-        return _forward(d, x, y, t, per_row)[0]
-    e_null = _forward(d, x, np.int64(NULL_LABEL), t, per_row)[0]
-    if omega == 0.0:
-        return e_null
-    e_cond = _forward(d, x, y, t, per_row)[0]
+    plan, t = _check_rows(x, y, t)
+    null = _ONE_HOT[NULL_LABEL]
+    if omega in (0.0, 1.0):
+        return next(_forwards(d, x, t, (plan.cond if omega else null,), per_row))[0]
+    (e_null, _), (e_cond, _) = _forwards(d, x, t, (null, plan.cond), per_row)
     return e_null + omega * (e_cond - e_null)
 
 
@@ -368,14 +428,16 @@ def eps(d: Denoiser, x: np.ndarray, y, t, omega: float) -> np.ndarray:
     """Guided noise predictions e_null + omega * (e_y - e_null) for n rows.
 
     ``x`` is (n, 2), or (2,) for one point; ``y`` and ``t`` are length-n
-    label and timestep arrays (scalars broadcast). Every output row is
-    bitwise equal to the same row evaluated alone, whatever the batch holds.
-    The null and conditional predictions are two per-row forwards of n rows;
+    label and timestep arrays (scalars broadcast), and ``y`` may be a
+    :class:`LabelPlan` of the labels instead. Every output row is bitwise
+    equal to the same row evaluated alone, whatever the batch holds. The
+    null and conditional predictions are two per-row forwards of n rows
+    over one set of feature rows, of which only the label columns change;
     omega = 1 returns the conditional prediction and omega = 0 the
     unconditional one from one forward, with no arithmetic on the endpoints.
     ValueError for any other shape of ``x``, for labels or timesteps of a
-    non-integer dtype, and for labels outside 0 (null) .. NUM_CLASSES or
-    timesteps below 1.
+    non-integer dtype or of the wrong length, and for labels outside
+    0 (null) .. NUM_CLASSES or timesteps below 1.
     """
     x = np.asarray(x, dtype=float)
     return _guided(d, x[None] if x.shape == (POINT_DIM,) else x, y, t, omega, True)
@@ -394,8 +456,8 @@ def cfg_predict(d: Denoiser, x_t: np.ndarray, y: int, t: int, omega: float) -> n
 def cfg_predict_batch(d: Denoiser, x_t: np.ndarray, y: int, t: int, omega: float) -> np.ndarray:
     """Guided prediction for an (n, 2) batch of points sharing one label and
     timestep, on the gemm forward (faster for large batches, not
-    batch-invariant). Each forward builds one feature row's time embedding
-    and one-hot label and broadcasts them over the batch."""
+    batch-invariant). The time embedding and one-hot label of one feature
+    row are broadcast over the batch; ``y`` may be a :class:`LabelPlan`."""
     return _guided(d, np.asarray(x_t, dtype=float), y, t, omega, False)
 
 
@@ -415,9 +477,9 @@ def loss_and_grad(
     checks of the gradient possible. Bad rows raise ValueError as in eps,
     and so do timesteps above the schedule's T (through ``s.noised``).
     """
-    y, t = _check_rows(x0, y, t)
+    plan, t = _check_rows(x0, y, t)
     fit = _Fit(d, x0.shape[0])
-    loss = fit.loss(d, _features(d, s.noised(x0, t, eps), y, t), eps)
+    loss = fit.loss(d, _features(d, s.noised(x0, t, eps), plan.labels, t), eps)
     return loss, fit.grad
 
 
@@ -524,7 +586,7 @@ def train(
             x0 = points[idx[drawn]]
             y = np.where(drop[drawn] < cfg.null_cond_prob, NULL_LABEL, labels[idx[drawn]])
             y, t_drawn = _check_rows(x0, y, t[drawn])
-            _features(d, s.noised(x0, t_drawn, noise[drawn]), y, t_drawn, out=feats[drawn])
+            _features(d, s.noised(x0, t_drawn, noise[drawn]), y.labels, t_drawn, out=feats[drawn])
             losses += [_train_step(d, fit, feats[st], noise[st], cfg.learning_rate) for st in steps]
     return losses
 
@@ -565,4 +627,6 @@ def load_checkpoint(path) -> tuple[Denoiser, int]:
             f"{path}: parameter payload has {payload.size} floats, arch {arch} "
             f"needs {param_count(arch)}"
         )
-    return Denoiser(params=payload.copy(), arch=arch, t_embed_dim=t_embed_dim), T
+    params = _line_aligned(payload.size)
+    params[:] = payload
+    return Denoiser(params=params, arch=arch, t_embed_dim=t_embed_dim), T

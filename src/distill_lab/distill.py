@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .denoiser import POINT_DIM, Denoiser, eps
+from .denoiser import POINT_DIM, Denoiser, LabelPlan, eps
 from .denoiser import cfg_predict  # noqa: F401  perfbench/selftest.py reads distill.cfg_predict
 from .errors import DivergenceError
 from .latentops import draw_shared_noise, stochastic_latents
@@ -161,39 +161,49 @@ def resolve_weight(mode: str, s: NoiseSchedule, t: int | np.ndarray) -> float | 
 @dataclass
 class _RowPlan:
     """The rows of one ``eps`` call for n objective rows: the n targets, then
-    one row per source group at the group's point ``x0_src``. ``rows`` names
-    the objective row each call row takes its timestep and noise from.
-    Residual k subtracts row ``ref[k]`` of [eps_cur; source predictions];
-    ``pds`` lists the latent-matching rows, whose sources are ``pds_x0_src``.
+    one row per source group at the group's point. ``x0`` holds the call
+    rows' clean points; the caller writes the targets into ``x0[:n]``, the
+    sources are written once. Call row r reads its timestep and noise from
+    the draw of stream ``stream[r]``, at offset ``offset[r]`` in the grid
+    tables ``tau``, ``psi`` and ``chi``. Residual k subtracts row ``ref[k]``
+    of [eps_cur; source predictions]; ``is_pds`` marks the latent-matching
+    rows, ``pds`` lists them, and ``pds_x0_src`` are their sources.
     """
 
-    rows: np.ndarray
-    y: np.ndarray
-    x0_src: np.ndarray
+    labels: LabelPlan
+    x0: np.ndarray
+    stream: np.ndarray
+    offset: np.ndarray
+    tau: np.ndarray
+    psi: np.ndarray
+    chi: np.ndarray
     ref: np.ndarray
+    is_pds: np.ndarray
     pds: np.ndarray
     pds_x0_src: np.ndarray
 
 
-def _row_plan(
-    kind: np.ndarray, y_tgt: np.ndarray, group: np.ndarray, x0_src: np.ndarray, y_src: np.ndarray
-) -> _RowPlan:
-    """The plan of n rows with objectives ``kind`` and target labels
-    ``y_tgt``; ``group[k]`` indexes row k's source in ``x0_src`` and
-    ``y_src`` and is not read for sds rows, which have no source side."""
+def _row_plan(kind: np.ndarray, y_tgt: np.ndarray, group: np.ndarray, x0_src: np.ndarray,
+              y_src: np.ndarray, stream: np.ndarray, offset: np.ndarray, tables) -> _RowPlan:
+    """The plan of n rows with objectives ``kind``, target labels ``y_tgt``,
+    draw streams ``stream`` and grid offsets ``offset`` into the grid tables
+    ``(tau, psi, chi)``; ``group[k]`` indexes row k's source in ``x0_src`` and
+    ``y_src`` and is not read for sds rows, which have no source side. Rows
+    of one source group must share their stream and offset."""
     n = len(kind)
     two = np.flatnonzero(kind != "sds")
     groups, first, src = np.unique(group[two], return_index=True, return_inverse=True)
+    rows = np.concatenate([np.arange(n), two[first]])
     ref = np.arange(n)
     ref[two] = n + src
     pds = np.flatnonzero(kind == "pds")
+    x0 = np.empty((len(rows), POINT_DIM))
+    x0[n:] = x0_src[groups]
+    tau, psi, chi = tables
     return _RowPlan(
-        rows=np.concatenate([np.arange(n), two[first]]),
-        y=np.concatenate([y_tgt, y_src[groups]]),
-        x0_src=x0_src[groups],
-        ref=ref,
-        pds=pds,
-        pds_x0_src=x0_src[group[pds]],
+        labels=LabelPlan(np.concatenate([y_tgt, y_src[groups]]), len(rows)),
+        x0=x0, stream=stream[rows], offset=offset[rows], tau=tau, psi=psi, chi=chi,
+        ref=ref, is_pds=kind == "pds", pds=pds, pds_x0_src=x0_src[group[pds]],
     )
 
 
@@ -201,30 +211,33 @@ def _residuals(
     d: Denoiser,
     s: NoiseSchedule,
     omega: float,
+    w_mode: str,
     plan: _RowPlan,
-    t: np.ndarray,
-    eps_cur: np.ndarray,
-    x0_tgt: np.ndarray,
-    spring: np.ndarray,
-    scale: np.ndarray,
+    i: np.ndarray,
+    noise: np.ndarray,
 ) -> np.ndarray:
-    """Residuals of n objectives from one batch-invariant ``eps`` call.
+    """Residuals of the plan's n objective rows from one batch-invariant
+    ``eps`` call, stream g drawing grid index ``i[g]`` and noise eps_cur
+    ``noise[g]``; the targets are the rows ``plan.x0[:n]``.
 
     Row k is scale[k] * (eps_hat_tgt - ref) with ref = eps_cur for sds and
-    its group's source prediction under the same noise otherwise; pds rows
-    add spring[k] * (x0_tgt - x0_src). Since each prediction row is bitwise
-    its batch-1 value, a row's residual does not depend on what else is in
-    the batch or on which rows share its source row, and source == target
-    gives exactly zero. A non-finite prediction makes its row's residual
-    non-finite.
+    its group's source prediction under the same noise otherwise; scale is
+    chi(i) for pds and ``resolve_weight(w_mode)`` otherwise, and pds rows add
+    psi(i) * (x0_tgt - x0_src). Since each prediction row is bitwise its
+    batch-1 value, a row's residual does not depend on what else is in the
+    batch or on which rows share its source row, and source == target gives
+    exactly zero. A non-finite prediction makes its row's residual non-finite.
     """
-    tt = t[plan.rows]
-    x0 = np.concatenate([x0_tgt, plan.x0_src])
-    out = eps(d, s.noised(x0, tt, eps_cur[plan.rows]), plan.y, tt, omega)
-    n = len(t)
-    ref = np.concatenate([eps_cur, out[n:]])[plan.ref]
-    res = scale[:, None] * (out[:n] - ref)
-    res[plan.pds] += spring[plan.pds, None] * (x0_tgt[plan.pds] - plan.pds_x0_src)
+    n = len(plan.ref)
+    at = plan.offset + i[plan.stream]
+    t = plan.tau[at]
+    refs = noise[plan.stream]
+    out = eps(d, s.noised(plan.x0, t, refs), plan.labels, t, omega)
+    refs[n:] = out[n:]  # [eps_cur; source predictions], the rows ref reads
+    at, t = at[:n], t[:n]
+    scale = np.where(plan.is_pds, plan.chi[at], resolve_weight(w_mode, s, t))
+    res = scale[:, None] * (out[:n] - refs[plan.ref])
+    res[plan.pds] += plan.psi[at[plan.pds], None] * (plan.x0[plan.pds] - plan.pds_x0_src)
     return res
 
 
@@ -242,13 +255,12 @@ def objective_grad(prob: EditProblem, objective: str, draw: tuple[int, np.ndarra
     i, noise = draw
     sub = prob.sub
     _check_sampled(sub, i)
-    t = int(sub.tau[i])
-    w = resolve_weight(w_mode, s, t)  # read for every objective, so a bad mode always fails
-    scale = sub.chi[i] if objective == "pds" else w
-    plan = _row_plan(np.array([objective]), np.array([prob.y_tgt]), np.zeros(1, dtype=int),
-                     np.asarray(prob.x0_src, dtype=float)[None, :], np.array([prob.y_src]))
-    (res,) = _residuals(d, s, prob.omega, plan, np.array([t]), noise[1:],
-                        prob.gen.render()[None, :], sub.psi[i : i + 1], np.array([scale]))
+    one = np.zeros(1, dtype=int)
+    plan = _row_plan(np.array([objective]), np.array([prob.y_tgt]), one,
+                     np.asarray(prob.x0_src, dtype=float)[None, :], np.array([prob.y_src]),
+                     one, one, (sub.tau, sub.psi, sub.chi))
+    plan.x0[0] = prob.gen.render()
+    (res,) = _residuals(d, s, prob.omega, w_mode, plan, np.array([i]), noise[1:])
     if not np.isfinite(res).all():
         raise DivergenceError("non-finite residual")
     return prob.gen.pullback(res)
@@ -313,7 +325,9 @@ def optimize_batch(
     also share the grid, the source point and its label share one source
     row. Thetas and Adam moments are stacked per generator kind and updated
     with one array operation per kind and step. Every row is computed on its
-    own, so the step's plan of rows and gathers is built once. A job whose
+    own, so the step's plan of rows, labels, source points and gathers is
+    built once per call, and each step writes its draws and new targets into
+    the plan's arrays. A job whose
     predictions or parameters go non-finite is flagged and its record (a
     slice of a shared history block) is cut to its last finite row; its row
     stays in the batch, held at NaN (which raises no floating-point signal),
@@ -375,19 +389,19 @@ def optimize_batch(
 
     # rows grouped by generator kind; eps is batch-invariant, so row order is free
     order = np.concatenate([ids for _, ids, *_ in blocks])
-    row_stream, row_offset, is_pds = stream[order], offset[order], kind[order] == "pds"
-    plan = _row_plan(kind[order], y_tgt[order], group[order], x0_src, y_src)
-    splits = np.cumsum([ids.size for _, ids, *_ in blocks])[:-1]
+    plan = _row_plan(kind[order], y_tgt[order], group[order], x0_src, y_src,
+                     stream[order], offset[order], (tau, psi, chi))
+    plan.x0[: len(jobs)] = x0_hist[order, 0]
+    ends = np.cumsum([ids.size for _, ids, *_ in blocks]).tolist()
+    parts = [slice(end - ids.size, end) for end, (_, ids, *_) in zip(ends, blocks)]
+    i, noise = np.empty(len(draws), dtype=np.int64), np.empty((len(draws), POINT_DIM))
     for k in range(1, n_rows):
-        drawn = [draw_shared_noise(sub, rng) for sub, rng in draws]
-        at = row_offset + np.array([i for i, _ in drawn])[row_stream]
-        t = tau[at]
-        res = _residuals(
-            d, s, omega, plan, t, np.array([noise[1] for _, noise in drawn])[row_stream],
-            x0_hist[order, k - 1], psi[at], np.where(is_pds, chi[at], resolve_weight(w_mode, s, t)),
-        )
-        for (g, ids, theta, latent, adam), part in zip(blocks, np.split(res, splits)):
-            grad = pullback_rows(g, latent, part)
+        for g, (sub, rng) in enumerate(draws):
+            i[g], pair = draw_shared_noise(sub, rng)
+            noise[g] = pair[1]  # eps_cur; no residual reads eps_prev
+        res = _residuals(d, s, omega, w_mode, plan, i, noise)
+        for (g, ids, theta, latent, adam), part in zip(blocks, parts):
+            grad = pullback_rows(g, latent, res[part])
             if adam is not None:
                 adam_step(theta, grad, adam, lr)
             else:
@@ -399,7 +413,7 @@ def optimize_batch(
                 kept[ids[~ok]] = np.minimum(kept[ids[~ok]], k)
                 theta[~ok] = grad[~ok] = np.nan
             theta_hist[g][ids, k] = theta
-            x0_hist[ids, k] = render_rows(g, theta, latent)
+            x0_hist[ids, k] = plan.x0[part] = render_rows(g, theta, latent)
             # np.linalg.norm's own arithmetic, one dot product per row
             norm_hist[ids, k] = np.sqrt((grad[:, None, :] @ grad[:, :, None])[:, 0, 0])
         if kept.max() < n_rows:

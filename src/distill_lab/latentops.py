@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .denoiser import POINT_DIM, Denoiser, _one_blas_thread, cfg_predict_batch, eps
+from .denoiser import POINT_DIM, Denoiser, LabelPlan, _one_blas_thread, cfg_predict_batch, eps
 from .denoiser import cfg_predict  # noqa: F401  perfbench/selftest.py reads latentops.cfg_predict
 from .errors import DegenerateTimestepError, DivergenceError, MismatchError
 from .schedule import NoiseSchedule, TimestepSubsequence, posterior_coeffs_pair
@@ -206,9 +206,10 @@ def generate_with_latents_batch(
 ) -> np.ndarray:
     """Replay k latent sequences together, shape (k, 2).
 
-    ``y_new`` is one condition for all or one per sequence. The traversal
-    stays sequential over levels; each level is one ``eps`` call over the
-    k points, and every point's result equals its own replay bitwise.
+    ``y_new`` is one condition for all or one per sequence, checked once
+    into a :class:`LabelPlan` that every level reads. The traversal stays
+    sequential over levels; each level is one ``eps`` call over the k
+    points, and every point's result equals its own replay bitwise.
     """
     for seq in seqs:
         if s.T != seq.T or not np.array_equal(np.asarray(sub.tau), np.asarray(seq.tau)):
@@ -220,9 +221,10 @@ def generate_with_latents_batch(
     if not seqs:
         return np.empty((0, POINT_DIM))
     x = np.array([seq.x_top for seq in seqs], dtype=float)
+    labels = LabelPlan(y_new, len(seqs))
     latents = np.stack([seq.latents for seq in seqs], axis=1)
     steps = _fine_steps(s, sub.tau[sub.S : 0 : -1])
-    return _generate(eps, d, x, y_new, omega, s, steps, lambda k: latents[k])
+    return _generate(eps, d, x, labels, omega, s, steps, lambda k: latents[k])
 
 
 def ancestral_sample_batch(

@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import inspect
 import io
+import json
 import os
 import re
 import subprocess
@@ -429,6 +430,31 @@ class TestGoldenOutputs:
             assert code == EXIT_OK
             got[command] = sha256_files(out)
         assert got == GOLDEN_SHA256
+
+
+BENCH_FIXTURES = Path(__file__).resolve().parents[1] / "perfbench" / "fixtures"
+
+
+class TestBenchmarkBytes:
+    """At the benchmark's seed and default config, the files its gated
+    commands write have the digests in ``perfbench/fixtures/expected.json``,
+    which this test only reads."""
+
+    RUNS = {
+        "edit": ("figure2",),
+        "invert": ("invert-roundtrip", "--k", "50"),
+        "batch": ("sdedit-demo", "--points", "4000", "--grid-points", "20"),
+    }
+
+    @pytest.mark.parametrize("workload", sorted(RUNS))
+    def test_gated_files_equal_the_recorded_digests(self, workload, tmp_path):
+        recorded = json.loads((BENCH_FIXTURES / "expected.json").read_text())["outputs"][workload]
+        command, *flags = self.RUNS[workload]
+        code = main([command, str(BENCH_FIXTURES / "model.ckpt"), *flags,
+                     "--seed", "7", "--out", str(tmp_path)])
+        assert code == EXIT_OK
+        # keys are "<pass step>-<command>/<file name>"
+        assert sha256_files(tmp_path) == {key.split("/", 1)[1]: v for key, v in recorded.items()}
 
 
 class TestCsvWriter:

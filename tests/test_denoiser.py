@@ -14,6 +14,7 @@ from distill_lab.denoiser import (
     NULL_LABEL,
     ClassSpec,
     Denoiser,
+    LabelPlan,
     TrainConfig,
     _features,
     _forward,
@@ -343,6 +344,104 @@ class TestPerRowForward:
         cfg_predict_batch(random_model, x, 2, 300, 7.5)
         assert np.array_equal(batch, batch_copy)
         assert np.array_equal(rows, reference_eps(random_model, x, y, t, 7.5))
+
+
+class TestLabelPlan:
+    """A label plan is the labels checked once; eps reads it as the raw labels."""
+
+    @staticmethod
+    def rows(n, seed):
+        rng = np.random.default_rng(seed)
+        y = rng.integers(0, 3, size=n)
+        y[: min(n, 3)] = [0, 1, 2][: min(n, 3)]  # null, 1 and 2 in every batch of 3 or more
+        return 2.0 * rng.standard_normal((n, 2)), y, rng.integers(1, 1001, size=n)
+
+    @pytest.mark.parametrize("n", [1, 2, 50, 500])
+    @pytest.mark.parametrize("omega", [0.0, 1.0, 2.0, 7.5])
+    def test_plan_equals_per_call_evaluation(self, trained_model, n, omega):
+        x, y, t = self.rows(n, seed=n)
+        plan = LabelPlan(y, n)
+        for tt in (t, np.int64(t[0]), int(t[-1])):
+            got = eps(trained_model, x, plan, tt, omega)
+            assert got.tobytes() == eps(trained_model, x, y, tt, omega).tobytes()
+            want = reference_eps(trained_model, x, y, np.broadcast_to(tt, (n,)), omega)
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("omega", [0.0, 1.0, 2.0, 7.5])
+    def test_scalar_label_plan_on_both_forwards(self, trained_model, omega):
+        x, _, t = self.rows(50, seed=5)
+        plan = LabelPlan(2, 50)
+        assert eps(trained_model, x, plan, t, omega).tobytes() == \
+            eps(trained_model, x, 2, t, omega).tobytes()
+        assert cfg_predict_batch(trained_model, x, plan, 300, omega).tobytes() == \
+            cfg_predict_batch(trained_model, x, 2, 300, omega).tobytes()
+
+    @pytest.mark.parametrize(
+        "y, want",
+        [
+            ([1, 3], "labels must lie in 0 (null) .. 2"),
+            ([-1, 1], "labels must lie in 0 (null) .. 2"),
+            ([1.0, 2.0], "labels must have an integer dtype, got float64"),
+            ([1, 2, 1], "labels have shape (3,), expected (2,)"),
+            ([[1], [2]], "labels have shape (2, 1), expected (2,)"),
+        ],
+    )
+    def test_bad_labels_raise_when_the_plan_is_built(self, random_model, y, want):
+        with pytest.raises(ValueError, match=re.escape(want)):
+            LabelPlan(y, 2)
+        with pytest.raises(ValueError, match=re.escape(want)):
+            eps(random_model, np.zeros((2, 2)), y, 10, 2.0)
+
+    def test_plan_for_other_rows_is_rejected(self, random_model):
+        plan = LabelPlan([1, 2], 2)
+        with pytest.raises(ValueError, match=re.escape("labels have shape (2,), expected (3,)")):
+            eps(random_model, np.zeros((3, 2)), plan, 10, 2.0)
+
+    def test_no_stale_rows(self, trained_model):
+        x, y, t = self.rows(50, seed=9)
+        other = np.where(y == 2, 1, 2)
+        want = {k: eps(trained_model, x, labels, t, 7.5).tobytes()
+                for k, labels in (("y", y.copy()), ("other", other))}
+        plan, other_plan = LabelPlan(y, 50), LabelPlan(other, 50)
+        for _ in range(2):  # alternate two plans over one model's scratch
+            assert eps(trained_model, x, plan, t, 7.5).tobytes() == want["y"]
+            assert eps(trained_model, x, other_plan, t, 7.5).tobytes() == want["other"]
+        # the plan keeps the labels it was built with; raw labels are read anew
+        y[:] = other
+        assert eps(trained_model, x, plan, t, 7.5).tobytes() == want["y"]
+        assert eps(trained_model, x, y, t, 7.5).tobytes() == want["other"]
+        with pytest.raises(ValueError):
+            plan.labels[0] = 1
+        with pytest.raises(ValueError):
+            plan.cond[0] = 0.0
+
+
+class TestLineAlignment:
+    """Weights and scratch start on a 64-byte cache line, which only moves time."""
+
+    def test_parameters_and_scratch_start_on_a_cache_line(self, tmp_path):
+        d = Denoiser.create(seed=3, random_head=True)
+        save_checkpoint(d, tmp_path / "m.ckpt", T=1000)
+        loaded, _ = load_checkpoint(tmp_path / "m.ckpt")
+        assert np.array_equal(loaded.params, d.params)
+        for params in (d.params, loaded.params):
+            assert params.ctypes.data % 64 == 0
+        for n in (1, 7, 80, 1000):
+            assert [buf.ctypes.data % 64 for buf in d.scratch(n)] == [0] * (len(d.arch) - 1)
+
+    def test_bits_do_not_depend_on_where_the_weights_start(self, trained_model):
+        x, y, t = gemm_rows(200, seed=11)
+        want = (eps(trained_model, x, y, t, 7.5).tobytes(),
+                cfg_predict_batch(trained_model, x, 1, 500, 2.0).tobytes())
+        size = trained_model.params.size
+        for offset in range(1, 8):  # 8 to 56 bytes past a cache line
+            raw = np.empty(size + 15)
+            start = -raw.ctypes.data % 64 // 8 + offset
+            d = Denoiser(params=raw[start : start + size], arch=trained_model.arch,
+                         t_embed_dim=trained_model.t_embed_dim)
+            d.params[:] = trained_model.params
+            assert (eps(d, x, y, t, 7.5).tobytes(),
+                    cfg_predict_batch(d, x, 1, 500, 2.0).tobytes()) == want
 
 
 class TestGemmForward:

@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from distill_lab import distill
+from distill_lab import denoiser, distill
 from distill_lab.distill import (
     OBJECTIVES,
     OPTIMIZERS,
@@ -636,6 +636,20 @@ class TestOptimizeBatch:
                 got = optimize_batch(jobs, 30, 0.01, trained_model, schedule, optimizer=optimizer)
             assert [rec.diverged for rec in got] == [k in (2, 3) for k in range(len(jobs))]
             assert len(plans) == 1
+
+    def test_labels_are_checked_once_per_call(
+        self, trained_model, schedule, subsequence, monkeypatch
+    ):
+        # every step's eps call reads one label plan, checked when it is built
+        checks, evals, real_labels, real_eps = [], [], denoiser._labels, distill.eps
+        monkeypatch.setattr(denoiser, "_labels", lambda *a: checks.append(a) or real_labels(*a))
+        monkeypatch.setattr(distill, "eps", lambda *a: evals.append(a) or real_eps(*a))
+        jobs = mixed_jobs(subsequence, np.random.default_rng(15))
+        for optimizer in OPTIMIZERS:
+            checks.clear()
+            evals.clear()
+            optimize_batch(jobs, 12, 0.01, trained_model, schedule, optimizer=optimizer)
+            assert (len(checks), len(evals)) == (1, 12)
 
     @pytest.mark.parametrize("optimizer", OPTIMIZERS)
     def test_nan_start_is_flagged_without_a_signal(

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from distill_lab import denoiser, latentops
 from distill_lab.denoiser import Denoiser, _layer_views, cfg_predict, cfg_predict_batch
 from distill_lab.errors import DegenerateTimestepError, DivergenceError, MismatchError
 from distill_lab.latentops import (
@@ -308,6 +309,22 @@ class TestGenerateWithLatents:
                 ref = reference_replay(seq.x_top, seq.latents, y, d, 7.5, schedule, subsequence)
                 assert np.array_equal(got, ref)
                 assert np.array_equal(got, generate_with_latents(seq, y, d, 7.5, schedule, subsequence))
+
+    def test_labels_are_checked_once_per_replay(
+        self, trained_model, schedule, subsequence, rng, monkeypatch
+    ):
+        # every level's eps call reads one label plan, checked when it is built
+        labels = [1, 2, 2, 1]
+        seqs = [invert(rng.standard_normal(2), y, trained_model, 7.5, schedule, subsequence, rng)
+                for y in labels]
+        checks, evals, real_labels, real_eps = [], [], denoiser._labels, latentops.eps
+        monkeypatch.setattr(denoiser, "_labels", lambda *a: checks.append(a) or real_labels(*a))
+        monkeypatch.setattr(latentops, "eps", lambda *a: evals.append(a) or real_eps(*a))
+        for y_new in (labels, 2):
+            checks.clear()
+            evals.clear()
+            generate_with_latents_batch(seqs, y_new, trained_model, 7.5, schedule, subsequence)
+            assert (len(checks), len(evals)) == (1, subsequence.S)
 
     def test_batch_of_none(self, random_model, schedule, subsequence):
         got = generate_with_latents_batch([], 1, random_model, 7.5, schedule, subsequence)

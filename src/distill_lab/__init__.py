@@ -13,9 +13,7 @@ from .denoiser import (
     Denoiser,
     LabelPlan,
     TrainConfig,
-    cfg_predict,
     eps,
-    predict,
     sample_two_marginal_dataset,
     train,
 )
@@ -31,7 +29,6 @@ from .latentops import (
     StochasticLatentSequence,
     ancestral_sample_batch,
     draw_shared_noise,
-    generate_with_latents,
     generate_with_latents_batch,
     invert,
     sdedit_batch,
@@ -52,9 +49,7 @@ __all__ = [
     "Denoiser",
     "LabelPlan",
     "TrainConfig",
-    "cfg_predict",
     "eps",
-    "predict",
     "sample_two_marginal_dataset",
     "train",
     "EditProblem",
@@ -66,7 +61,6 @@ __all__ = [
     "StochasticLatentSequence",
     "ancestral_sample_batch",
     "draw_shared_noise",
-    "generate_with_latents",
     "generate_with_latents_batch",
     "invert",
     "sdedit_batch",

@@ -2,7 +2,8 @@
 
 Subcommands: train, invert-roundtrip, figure2, sdedit-demo, check.
 Shared flags: --config PATH, --seed N, --out DIR, --check. Exit codes:
-0 success, 2 configuration error, 3 numerical divergence, 4 failed check.
+0 success, 2 configuration error or an output file that cannot be written,
+3 numerical divergence, 4 failed check.
 """
 
 from __future__ import annotations
@@ -195,6 +196,11 @@ def main(argv: list[str] | None = None) -> int:
     except DivergenceError as exc:
         print(f"numerical divergence: {exc}", file=sys.stderr)
         return EXIT_DIVERGENCE
+    except OSError as exc:
+        # the readers raise ConfigError or MismatchError, so an OSError is a failed write
+        print(f"config error: cannot write {exc.filename or 'an output file'}: "
+              f"{exc.strerror or exc}", file=sys.stderr)
+        return EXIT_CONFIG_ERROR
 
 
 if __name__ == "__main__":

@@ -36,9 +36,6 @@ __all__ = [
     "denoiser_arch",
     "sample_two_marginal_dataset",
     "eps",
-    "predict",
-    "cfg_predict",
-    "cfg_predict_batch",
     "time_embedding",
     "loss_and_grad",
     "train",
@@ -148,9 +145,8 @@ class Denoiser:
     part of checkpoints. The model owns a time-embedding table and one
     activation scratch, an (n, width) buffer per layer input for the last
     row count n; the scratch and the parameters of ``create`` and
-    :func:`load_checkpoint` start on a cache line. :func:`eps`
-    (batch-invariant) and ``cfg_predict_batch`` (gemm; the samplers in
-    ``latentops`` call it) write their feature rows, x and the time rows
+    :func:`load_checkpoint` start on a cache line. :func:`eps` and the
+    samplers' gemm forward write their feature rows, x and the time rows
     once for both guidance halves, and hidden layers there, and return
     fresh arrays; a :class:`LabelPlan` owns its labels and one-hot columns.
     Training runs on buffers of its own, allocated per :func:`train` or
@@ -278,17 +274,21 @@ def _features(d: Denoiser, x: np.ndarray, y: np.ndarray, t: np.ndarray, out=None
     return feats
 
 
+def _matmul(h: np.ndarray, w: np.ndarray, per_row: bool, out=None) -> np.ndarray:
+    """h @ w, written into ``out`` if given. The gemm kernel is fastest for
+    large batches, but a row's bits may depend on the batch it sits in; with
+    ``per_row`` each row is its own product, bitwise equal to its batch-1 value."""
+    if per_row:
+        return np.matmul(h[:, None, :], w, out=None if out is None else out[:, None, :])[:, 0, :]
+    return np.matmul(h, w, out=out)
+
+
 def _hidden(d: Denoiser, h: np.ndarray, bufs, per_row: bool = False) -> list[np.ndarray]:
     """Activations [h, *hidden layers] of the feature rows ``h``, each hidden
-    layer written into its buffer in ``bufs``. The gemm kernel is fastest for
-    large batches, but a row's bits may depend on the batch it sits in; with
-    ``per_row`` every row is bitwise equal to its batch-1 value."""
+    layer written into its buffer in ``bufs``; see :func:`_matmul`."""
     cache = [h]
     for (w, b), buf in zip(d.layers()[:-1], bufs):
-        if per_row:
-            h = np.matmul(h[:, None, :], w, out=buf[:, None, :])[:, 0, :]
-        else:
-            h = np.matmul(h, w, out=buf)
+        h = _matmul(h, w, per_row, out=buf)
         h += b
         np.tanh(h, out=h)
         cache.append(h)
@@ -308,9 +308,7 @@ def _forwards(d: Denoiser, x: np.ndarray, t: np.ndarray, onehots, per_row: bool)
     for onehot in onehots:
         feats[:, POINT_DIM + d.t_embed_dim :] = onehot
         cache = _hidden(d, feats, hidden, per_row)
-        h = cache[-1]
-        out = (h[:, None, :] @ w)[:, 0, :] if per_row else h @ w
-        yield out + b, cache
+        yield _matmul(cache[-1], w, per_row) + b, cache
 
 
 def _forward(d: Denoiser, x: np.ndarray, y: np.ndarray, t: np.ndarray, per_row: bool = False):
@@ -335,7 +333,7 @@ class _Fit:
         leaves its gradient in ``self.grad``."""
         cache = _hidden(d, feats, self.hidden)
         w, b = d.layers()[-1]
-        resid = np.matmul(cache[-1], w, out=self.resid)
+        resid = _matmul(cache[-1], w, False, out=self.resid)
         resid += b
         resid -= eps
         row_sq = np.add.reduce(np.square(resid, out=self.sq), axis=1)
@@ -371,20 +369,12 @@ def _one_or_per_row(v, n: int, what: str) -> np.ndarray:
     return v
 
 
-def _labels(y, n: int) -> np.ndarray:
-    """Labels of n rows as int64, length n or 0-d (one for every row);
-    ValueError unless they are integers in 0 (null) .. NUM_CLASSES."""
-    y = _one_or_per_row(y, n, "labels")
-    if y.min(initial=0) < 0 or y.max(initial=0) > NUM_CLASSES:
-        raise ValueError(f"labels must lie in 0 (null) .. {NUM_CLASSES}")
-    return y
-
-
 class LabelPlan:
-    """The labels of n rows, checked once, with the one-hot label columns
-    of their conditional forward laid out once (the null forward reads one
-    shared row). :func:`eps` and :func:`cfg_predict_batch` take a plan as
-    ``y`` and build a throwaway one from raw labels, so a caller that
+    """The labels of n rows as int64, length n or 0-d (one for every row),
+    checked once, with the one-hot label columns of their conditional
+    forward laid out once (the null forward reads one shared row); ValueError
+    unless they are integers in 0 (null) .. NUM_CLASSES. :func:`eps` takes a
+    plan as ``y`` and builds a throwaway one from raw labels, so a caller that
     evaluates the same labels at many steps builds it once. The plan holds
     read-only copies: changing the caller's labels later does not change it.
     """
@@ -392,7 +382,10 @@ class LabelPlan:
     __slots__ = ("labels", "cond")
 
     def __init__(self, y, n: int):
-        self.labels = _labels(y, n).copy()
+        y = _one_or_per_row(y, n, "labels")
+        if y.min(initial=0) < 0 or y.max(initial=0) > NUM_CLASSES:
+            raise ValueError(f"labels must lie in 0 (null) .. {NUM_CLASSES}")
+        self.labels = y.copy()
         self.cond = _ONE_HOT[self.labels]
         self.labels.flags.writeable = self.cond.flags.writeable = False
 
@@ -404,13 +397,14 @@ def _check_rows(x: np.ndarray, y, t) -> tuple[LabelPlan, np.ndarray]:
     if x.ndim != 2 or x.shape[1] != POINT_DIM:
         raise ValueError(f"x has shape {x.shape}, expected (n, {POINT_DIM})")
     n = x.shape[0]
-    plan = y if isinstance(y, LabelPlan) else LabelPlan(y, n)
-    if plan.labels.ndim != 0 and plan.labels.shape != (n,):
-        raise ValueError(f"labels have shape {plan.labels.shape}, expected ({n},)")
+    if not isinstance(y, LabelPlan):
+        y = LabelPlan(y, n)
+    elif y.labels.ndim != 0 and y.labels.shape != (n,):
+        raise ValueError(f"labels have shape {y.labels.shape}, expected ({n},)")
     t = _one_or_per_row(t, n, "timesteps")
     if t.min(initial=1) < 1:
         raise ValueError(f"timesteps must be >= 1, got {int(t.min())}")
-    return plan, t
+    return y, t
 
 
 def _guided(d: Denoiser, x: np.ndarray, y, t, omega: float, per_row: bool) -> np.ndarray:
@@ -443,16 +437,19 @@ def eps(d: Denoiser, x: np.ndarray, y, t, omega: float) -> np.ndarray:
     return _guided(d, x[None] if x.shape == (POINT_DIM,) else x, y, t, omega, True)
 
 
+# Not exported; perfbench/selftest.py RowCounter.RULES still reads it.
 def predict(d: Denoiser, x_t: np.ndarray, y: int, t: int) -> np.ndarray:
     """Conditional noise prediction for a single point; pure in all arguments."""
     return cfg_predict(d, x_t, y, t, 1.0)
 
 
+# Not exported; perfbench/selftest.py reads it here and as the distill and latentops re-imports.
 def cfg_predict(d: Denoiser, x_t: np.ndarray, y: int, t: int, omega: float) -> np.ndarray:
     """Guided prediction for a single point; see :func:`eps`."""
     return eps(d, x_t, y, t, omega)[0]
 
 
+# Not exported; the samplers in latentops, perfbench/selftest.py and perfbench/worker.py read it.
 def cfg_predict_batch(d: Denoiser, x_t: np.ndarray, y: int, t: int, omega: float) -> np.ndarray:
     """Guided prediction for an (n, 2) batch of points sharing one label and
     timestep, on the gemm forward (faster for large batches, not

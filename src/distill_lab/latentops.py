@@ -44,7 +44,6 @@ __all__ = [
     "draw_shared_noise",
     "stochastic_latents",
     "invert",
-    "generate_with_latents",
     "generate_with_latents_batch",
     "ancestral_sample_batch",
     "sdedit_batch",
@@ -183,6 +182,7 @@ def invert(
     return StochasticLatentSequence(latents=latents, x_top=x_top, T=s.T, tau=np.array(sub.tau))
 
 
+# Not exported; perfbench/worker.py probe_roundtrip still reads it.
 def generate_with_latents(
     seq: StochasticLatentSequence,
     y_new: int,

@@ -677,6 +677,23 @@ class TestMalformedInput:
         self.assert_config_error(["train", "--out", str(afile / "sub")], capsys)
         assert afile.read_text() == ""
 
+    @pytest.mark.parametrize("command, name", [
+        (["train"], "model.ckpt"),
+        (["figure2", "CKPT"], "fig2_summary.csv"),
+        (["invert-roundtrip", "CKPT", "--k", "1"], "roundtrip.csv"),
+        (["sdedit-demo", "CKPT", "--points", "2", "--grid-points", "1"], "sdedit_sweep.csv"),
+    ], ids=["train", "figure2", "invert-roundtrip", "sdedit-demo"])
+    def test_output_file_that_cannot_be_written(self, command, name, trained_dir,
+                                                fast_config_file, tmp_path, capsys):
+        # a directory where the command writes the file: one line, exit 2, no traceback
+        out = tmp_path / "o"
+        (out / name).mkdir(parents=True)
+        argv = [str(trained_dir / "model.ckpt") if a == "CKPT" else a for a in command]
+        err = self.assert_config_error(
+            [*argv, "--config", fast_config_file, "--out", str(out)], capsys
+        )
+        assert err.startswith(f"config error: cannot write {out / name}: ")
+
     @pytest.fixture()
     def short_schedule(self, tmp_path, capsys):
         """A config with T = 10, which load_config accepts, and a model trained under it."""

@@ -641,8 +641,9 @@ class TestOptimizeBatch:
         self, trained_model, schedule, subsequence, monkeypatch
     ):
         # every step's eps call reads one label plan, checked when it is built
-        checks, evals, real_labels, real_eps = [], [], denoiser._labels, distill.eps
-        monkeypatch.setattr(denoiser, "_labels", lambda *a: checks.append(a) or real_labels(*a))
+        checks, evals, real_plan, real_eps = [], [], denoiser.LabelPlan.__init__, distill.eps
+        monkeypatch.setattr(denoiser.LabelPlan, "__init__",
+                            lambda *a: checks.append(a) or real_plan(*a))
         monkeypatch.setattr(distill, "eps", lambda *a: evals.append(a) or real_eps(*a))
         jobs = mixed_jobs(subsequence, np.random.default_rng(15))
         for optimizer in OPTIMIZERS:

@@ -63,6 +63,29 @@ def test_names_perfbench_binds_still_resolve(module, name, reader):
     assert callable(fn), f"perfbench/{reader} reads distill_lab.{module}.{name}"
 
 
+# Kept defined, out of every __all__, until perfbench stops binding them.
+COMPATIBILITY_NAMES = [
+    ("denoiser", "predict"),
+    ("denoiser", "cfg_predict"),
+    ("denoiser", "cfg_predict_batch"),
+    ("latentops", "generate_with_latents"),
+]
+
+
+def test_public_inference_api_is_eps_and_the_batch_replay():
+    from distill_lab import denoiser, latentops
+
+    assert {"eps", "LabelPlan", "loss_and_grad", "train"} <= set(denoiser.__all__)
+    assert "generate_with_latents_batch" in latentops.__all__
+    assert {"eps", "LabelPlan", "train", "generate_with_latents_batch"} <= set(distill_lab.__all__)
+    for module, name in COMPATIBILITY_NAMES:
+        mod = importlib.import_module(f"distill_lab.{module}")
+        assert name not in mod.__all__, f"{module}.{name}"
+        assert name not in distill_lab.__all__ and not hasattr(distill_lab, name), name
+        assert (module, name) in [(m, n) for m, n, _ in PERFBENCH_BINDINGS]
+        assert callable(getattr(mod, name))
+
+
 def test_loaded_checkpoint_reads_two_classes(trained_model, tmp_path):
     # perfbench/worker.py probe_denoiser draws labels 1 .. model.num_classes
     # from the model load_checkpoint returns

@@ -317,8 +317,9 @@ class TestGenerateWithLatents:
         labels = [1, 2, 2, 1]
         seqs = [invert(rng.standard_normal(2), y, trained_model, 7.5, schedule, subsequence, rng)
                 for y in labels]
-        checks, evals, real_labels, real_eps = [], [], denoiser._labels, latentops.eps
-        monkeypatch.setattr(denoiser, "_labels", lambda *a: checks.append(a) or real_labels(*a))
+        checks, evals, real_plan, real_eps = [], [], denoiser.LabelPlan.__init__, latentops.eps
+        monkeypatch.setattr(denoiser.LabelPlan, "__init__",
+                            lambda *a: checks.append(a) or real_plan(*a))
         monkeypatch.setattr(latentops, "eps", lambda *a: evals.append(a) or real_eps(*a))
         for y_new in (labels, 2):
             checks.clear()

@@ -549,7 +549,9 @@ def train(
     cfg: TrainConfig,
 ) -> list[float]:
     """Run ``cfg.steps`` Adam steps on minibatches drawn from the ``(points,
-    labels)`` dataset; returns the per-step pre-update losses.
+    labels)`` dataset; returns the per-step pre-update losses. ValueError
+    before any draw for an empty dataset or one of fewer or more labels than
+    points.
 
     A block of steps draws each step's indices, timesteps, noises and
     null-label mask in turn, then checks, noises and featurizes its rows in
@@ -562,6 +564,8 @@ def train(
     n = points.shape[0]
     if n == 0:
         raise ValueError("cannot train on an empty dataset")
+    if len(labels) != n:
+        raise ValueError(f"dataset has {n} points but {len(labels)} labels")
     rng = np.random.default_rng(cfg.seed)
     batch = min(cfg.batch_size, n)
     per_block = max(1, _BLOCK_ROWS // batch)

@@ -89,7 +89,9 @@ class Generator:
     latent: np.ndarray | None = None
 
     def __post_init__(self):
-        shape, latent = np.shape(self.theta), np.shape(self.latent)
+        self.theta = np.asarray(self.theta, dtype=float)
+        self.latent = None if self.latent is None else np.asarray(self.latent, dtype=float)
+        shape, latent = self.theta.shape, np.shape(self.latent)
         if self.kind not in GENERATOR_KINDS:
             raise ValueError(f"unknown generator kind {self.kind!r}; known: {GENERATOR_KINDS}")
         if self.kind == "identity" and shape != (POINT_DIM,):
@@ -160,14 +162,15 @@ def resolve_weight(mode: str, s: NoiseSchedule, t: int | np.ndarray) -> float | 
 
 @dataclass
 class _RowPlan:
-    """The rows of one ``eps`` call for n objective rows: the n targets, then
-    one row per source group at the group's point. ``x0`` holds the call
-    rows' clean points; the caller writes the targets into ``x0[:n]``, the
-    sources are written once. Call row r reads its timestep and noise from
-    the draw of stream ``stream[r]``, at offset ``offset[r]`` in the grid
-    tables ``tau``, ``psi`` and ``chi``. Residual k subtracts row ``ref[k]``
-    of [eps_cur; source predictions]; ``is_pds`` marks the latent-matching
-    rows, ``pds`` lists them, and ``pds_x0_src`` are their sources.
+    """The rows of one ``eps`` call for n jobs: the n targets, then one row
+    per source group at the group's point. ``x0`` holds the call rows' clean
+    points; the caller writes the targets into ``x0[:n]``, the sources are
+    written once. Call row r reads its timestep and noise from the draw of
+    stream ``stream[r]``, at offset ``offset[r]`` in the grid tables ``tau``,
+    ``psi`` and ``chi``; stream g draws from the grid and seed ``draws[g]``.
+    Residual k subtracts row ``ref[k]`` of [eps_cur; source predictions];
+    ``pds`` lists the latent-matching rows, whose source point is
+    ``x0[ref[k]]``.
     """
 
     labels: LabelPlan
@@ -178,32 +181,45 @@ class _RowPlan:
     psi: np.ndarray
     chi: np.ndarray
     ref: np.ndarray
-    is_pds: np.ndarray
     pds: np.ndarray
-    pds_x0_src: np.ndarray
+    draws: list[tuple[TimestepSubsequence, int]]
 
 
-def _row_plan(kind: np.ndarray, y_tgt: np.ndarray, group: np.ndarray, x0_src: np.ndarray,
-              y_src: np.ndarray, stream: np.ndarray, offset: np.ndarray, tables) -> _RowPlan:
-    """The plan of n rows with objectives ``kind``, target labels ``y_tgt``,
-    draw streams ``stream`` and grid offsets ``offset`` into the grid tables
-    ``(tau, psi, chi)``; ``group[k]`` indexes row k's source in ``x0_src`` and
-    ``y_src`` and is not read for sds rows, which have no source side. Rows
-    of one source group must share their stream and offset."""
-    n = len(kind)
+def _row_plan(jobs: list[tuple[EditProblem, str, int]]) -> _RowPlan:
+    """The plan of the jobs ``(EditProblem, objective, seed)``, job k on
+    target row k. Jobs with the same seed and sampling range read one draw
+    stream; dds and pds jobs that also share the grid, the source point and
+    its label read one source row. sds jobs have no source side."""
+    n, probs = len(jobs), [prob for prob, _, _ in jobs]
+    keys = [(int(seed), prob.sub.lo_index, prob.sub.hi_index) for prob, _, seed in jobs]
+    streams = {key: prob.sub for key, prob in zip(keys, probs)}  # draws read lo/hi only
+    number = {key: g for g, key in enumerate(streams)}
+    stream = np.array([number[key] for key in keys])
+    # every job's grid tables end to end, so one gather reads all jobs
+    grids = {id(prob.sub): prob.sub for prob in probs}
+    starts = np.cumsum([0] + [len(sub.tau) for sub in grids.values()])
+    base = dict(zip(grids, starts.tolist()))
+    offset = np.array([base[id(prob.sub)] for prob in probs])
+    tau, psi, chi = (np.concatenate([getattr(sub, name) for sub in grids.values()])
+                     for name in ("tau", "psi", "chi"))
+    kind = np.array([objective for _, objective, _ in jobs])
+    y_src = np.array([prob.y_src for prob in probs])
+    x0_src = np.array([prob.x0_src for prob in probs], dtype=float)
     two = np.flatnonzero(kind != "sds")
-    groups, first, src = np.unique(group[two], return_index=True, return_inverse=True)
-    rows = np.concatenate([np.arange(n), two[first]])
+    lead = {}  # source key -> the first job of its group, which numbers the group
+    src_keys = zip(stream[two].tolist(), offset[two].tolist(),
+                   (x.tobytes() for x in x0_src[two]), y_src[two].tolist())
+    group = [lead.setdefault(key, j) for j, key in zip(two.tolist(), src_keys)]
+    sources = np.array(list(lead.values()), dtype=int)
     ref = np.arange(n)
-    ref[two] = n + src
-    pds = np.flatnonzero(kind == "pds")
-    x0 = np.empty((len(rows), POINT_DIM))
-    x0[n:] = x0_src[groups]
-    tau, psi, chi = tables
+    ref[two] = n + np.searchsorted(sources, group)
+    rows = np.concatenate([np.arange(n), sources])
+    y = np.concatenate([[prob.y_tgt for prob in probs], y_src[sources]])
+    x0 = np.concatenate([np.empty((n, POINT_DIM)), x0_src[sources]])
     return _RowPlan(
-        labels=LabelPlan(np.concatenate([y_tgt, y_src[groups]]), len(rows)),
-        x0=x0, stream=stream[rows], offset=offset[rows], tau=tau, psi=psi, chi=chi,
-        ref=ref, is_pds=kind == "pds", pds=pds, pds_x0_src=x0_src[group[pds]],
+        labels=LabelPlan(y, len(rows)), x0=x0, stream=stream[rows], offset=offset[rows],
+        tau=tau, psi=psi, chi=chi, ref=ref, pds=np.flatnonzero(kind == "pds"),
+        draws=[(sub, seed) for (seed, _, _), sub in streams.items()],
     )
 
 
@@ -235,9 +251,11 @@ def _residuals(
     out = eps(d, s.noised(plan.x0, t, refs), plan.labels, t, omega)
     refs[n:] = out[n:]  # [eps_cur; source predictions], the rows ref reads
     at, t = at[:n], t[:n]
-    scale = np.where(plan.is_pds, plan.chi[at], resolve_weight(w_mode, s, t))
+    pds = plan.pds
+    scale = np.full(n, resolve_weight(w_mode, s, t))
+    scale[pds] = plan.chi[at[pds]]
     res = scale[:, None] * (out[:n] - refs[plan.ref])
-    res[plan.pds] += plan.psi[at[plan.pds], None] * (plan.x0[plan.pds] - plan.pds_x0_src)
+    res[pds] += plan.psi[at[pds], None] * (plan.x0[pds] - plan.x0[plan.ref[pds]])
     return res
 
 
@@ -247,18 +265,13 @@ def objective_grad(prob: EditProblem, objective: str, draw: tuple[int, np.ndarra
     residual :func:`optimize_batch` applies (weight ``resolve_weight(w_mode)``
     for sds and dds, the grid's psi(i) and chi(i) for pds), pulled back. No
     residual reads eps_prev (``noise[0]``): for pds it cancels identically in
-    z_tgt - z_src. ValueError for an unknown objective or weight mode or an
-    index outside the sampling range; DivergenceError for a non-finite residual.
+    z_tgt - z_src. ValueError for an unknown objective or weight mode or a
+    draw :func:`_check_draw` rejects; DivergenceError for a non-finite residual.
     """
     if objective not in OBJECTIVES:
         raise ValueError(f"unknown objective {objective!r}; expected one of {OBJECTIVES}")
-    i, noise = draw
-    sub = prob.sub
-    _check_sampled(sub, i)
-    one = np.zeros(1, dtype=int)
-    plan = _row_plan(np.array([objective]), np.array([prob.y_tgt]), one,
-                     np.asarray(prob.x0_src, dtype=float)[None, :], np.array([prob.y_src]),
-                     one, one, (sub.tau, sub.psi, sub.chi))
+    i, noise = _check_draw(prob.sub, draw)
+    plan = _row_plan([(prob, objective, 0)])  # the draw is given: seed 0 is not read
     plan.x0[0] = prob.gen.render()
     (res,) = _residuals(d, s, prob.omega, w_mode, plan, np.array([i]), noise[1:])
     if not np.isfinite(res).all():
@@ -270,9 +283,8 @@ def pds_grad_latent_form(prob: EditProblem, draw: tuple[int, np.ndarray], d: Den
                          s: NoiseSchedule) -> np.ndarray:
     """Latent-matching gradient as w(t) * (z_tgt - z_src) for one draw
     ``(i, noise)``; the verification form of pds's :func:`objective_grad`.
-    ValueError for an index outside the sampling range."""
-    i, noise = draw
-    _check_sampled(prob.sub, i)
+    ValueError for a draw :func:`_check_draw` rejects."""
+    i, noise = _check_draw(prob.sub, draw)
     z_tgt, z_src = (
         stochastic_latents(x0, y, np.array([i]), noise[:1], noise[1:], d, prob.omega, s, prob.sub)[0]
         for x0, y in ((prob.gen.render(), prob.y_tgt), (prob.x0_src, prob.y_src))
@@ -280,9 +292,18 @@ def pds_grad_latent_form(prob: EditProblem, draw: tuple[int, np.ndarray], d: Den
     return prob.gen.pullback(prob.sub.latent_weight[i] * (z_tgt - z_src))
 
 
-def _check_sampled(sub: TimestepSubsequence, i: int) -> None:
+def _check_draw(sub: TimestepSubsequence, draw) -> tuple[int, np.ndarray]:
+    """The draw ``(i, noise)`` with noise as floats; ValueError unless i is an
+    integer in the sampling range and noise has shape (2, 2)."""
+    i, noise = draw
+    noise = np.asarray(noise, dtype=float)
+    if not isinstance(i, numbers.Integral):
+        raise ValueError(f"draw index must be an integer, got {i!r}")
     if not sub.lo_index <= i <= sub.hi_index:
         raise ValueError(f"index {i} outside the sampling range [{sub.lo_index}, {sub.hi_index}]")
+    if noise.shape != (2, POINT_DIM):
+        raise ValueError(f"draw noise has shape {noise.shape}, expected (2, {POINT_DIM})")
+    return i, noise
 
 
 def check_settings(
@@ -320,14 +341,14 @@ def optimize_batch(
     shared-noise sample from a generator seeded with its seed, then one
     batch-invariant ``eps`` call evaluates the target and source rows of all
     jobs; a job's update is lr times its :func:`objective_grad` for that
-    draw (or its Adam step). Jobs with the same seed and sampling range
-    share one generator, which draws once per step; dds and pds jobs that
-    also share the grid, the source point and its label share one source
-    row. Thetas and Adam moments are stacked per generator kind and updated
-    with one array operation per kind and step. Every row is computed on its
-    own, so the step's plan of rows, labels, source points and gathers is
-    built once per call, and each step writes its draws and new targets into
-    the plan's arrays. A job whose
+    draw (or its Adam step), since both plan their rows with one planner.
+    Jobs with the same seed and sampling range share one generator, which
+    draws once per step; dds and pds jobs that also share the grid, the
+    source point and its label share one source row. Thetas and Adam moments
+    are stacked per generator kind and updated with one array operation per
+    kind and step. Every row is computed on its own, so the plan of rows,
+    labels, source points and gathers is built once per call, and each step
+    writes its draws and new targets into the plan's arrays. A job whose
     predictions or parameters go non-finite is flagged and its record (a
     slice of a shared history block) is cut to its last finite row; its row
     stays in the batch, held at NaN (which raises no floating-point signal),
@@ -348,59 +369,31 @@ def optimize_batch(
     norm_hist = np.zeros((len(jobs), n_rows))
     kept = np.full(len(jobs), n_rows)  # rows each record keeps
     gen_kind = np.array([prob.gen.kind for prob, _, _ in jobs])
-    # per kind: (kind, job indices, thetas (n, p), latents, Adam moments), and
-    # a (jobs, steps + 1, p) history whose rows of the kind's jobs are written
+    # rows grouped by generator kind; eps is batch-invariant, so row order is free
+    order = np.argsort(gen_kind, kind="stable")
+    plan = _row_plan([jobs[j] for j in order])
+    # per kind: (kind, job indices, its rows in the plan, thetas (n, p), latents,
+    # Adam moments), and a (jobs, steps + 1, p) history of the kind's jobs' rows
     theta_hist, blocks = {}, []
-    for g in dict.fromkeys(gen_kind.tolist()):
-        ids = np.flatnonzero(gen_kind == g)
+    for g, start, size in zip(*np.unique(gen_kind[order], return_index=True, return_counts=True)):
+        part = slice(start, start + size)
+        ids = order[part]
         theta = np.array([jobs[j][0].gen.theta for j in ids], dtype=float)
         latent = None if g == "identity" else np.array([jobs[j][0].gen.latent for j in ids])
         adam = AdamState.for_params(theta) if optimizer == "adam" else None
-        blocks.append((g, ids, theta, latent, adam))
+        blocks.append((g, ids, part, theta, latent, adam))
         theta_hist[g] = np.empty((len(jobs), n_rows, theta.shape[1]))
         theta_hist[g][ids, 0] = theta
-        x0_hist[ids, 0] = render_rows(g, theta, latent)
+        x0_hist[ids, 0] = plan.x0[part] = render_rows(g, theta, latent)
 
-    # one generator per distinct (seed, sampling range); its draw serves every job on it
-    job_keys = [(int(seed), prob.sub.lo_index, prob.sub.hi_index) for prob, _, seed in jobs]
-    subs = {key: prob.sub for key, (prob, _, _) in zip(job_keys, jobs)}  # draws read lo/hi only
-    number = {key: g for g, key in enumerate(subs)}
-    stream = np.array([number[key] for key in job_keys])
-    draws = [(sub, np.random.default_rng(seed)) for (seed, _, _), sub in subs.items()]
-
-    # every job's grid tables end to end, so one gather reads all jobs
-    grids = {id(prob.sub): prob.sub for prob, _, _ in jobs}
-    starts = np.cumsum([0] + [len(sub.tau) for sub in grids.values()])
-    base = dict(zip(grids, starts.tolist()))
-    offset = np.array([base[id(prob.sub)] for prob, _, _ in jobs])
-    tau = np.concatenate([sub.tau for sub in grids.values()])
-    psi = np.concatenate([sub.psi for sub in grids.values()])
-    chi = np.concatenate([sub.chi for sub in grids.values()])
-
-    kind = np.array([objective for _, objective, _ in jobs])
-    y_tgt = np.array([prob.y_tgt for prob, _, _ in jobs])
-    y_src = np.array([prob.y_src for prob, _, _ in jobs])
-    x0_src = np.array([prob.x0_src for prob, _, _ in jobs], dtype=float)
-    # jobs with one stream, grid, source point and source label read one
-    # source prediction; the first such job numbers their group
-    first = {}
-    keys = zip(stream.tolist(), offset.tolist(), (x.tobytes() for x in x0_src), y_src.tolist())
-    group = np.array([first.setdefault(key, j) for j, key in enumerate(keys)])
-
-    # rows grouped by generator kind; eps is batch-invariant, so row order is free
-    order = np.concatenate([ids for _, ids, *_ in blocks])
-    plan = _row_plan(kind[order], y_tgt[order], group[order], x0_src, y_src,
-                     stream[order], offset[order], (tau, psi, chi))
-    plan.x0[: len(jobs)] = x0_hist[order, 0]
-    ends = np.cumsum([ids.size for _, ids, *_ in blocks]).tolist()
-    parts = [slice(end - ids.size, end) for end, (_, ids, *_) in zip(ends, blocks)]
+    draws = [(sub, np.random.default_rng(seed)) for sub, seed in plan.draws]
     i, noise = np.empty(len(draws), dtype=np.int64), np.empty((len(draws), POINT_DIM))
     for k in range(1, n_rows):
         for g, (sub, rng) in enumerate(draws):
             i[g], pair = draw_shared_noise(sub, rng)
             noise[g] = pair[1]  # eps_cur; no residual reads eps_prev
         res = _residuals(d, s, omega, w_mode, plan, i, noise)
-        for (g, ids, theta, latent, adam), part in zip(blocks, parts):
+        for g, ids, part, theta, latent, adam in blocks:
             grad = pullback_rows(g, latent, res[part])
             if adam is not None:
                 adam_step(theta, grad, adam, lr)

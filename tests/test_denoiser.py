@@ -612,6 +612,17 @@ class TestTrainStep:
         with pytest.raises(ValueError, match="empty dataset"):
             train(d, (np.empty((0, 2)), np.empty(0, dtype=int)), schedule, TrainConfig())
 
+    @pytest.mark.parametrize("n_labels", [5, 12])
+    def test_rejects_labels_of_another_length(self, schedule, dataset, monkeypatch, n_labels):
+        # caught before the first draw, so no step trains on a part of the data
+        points, labels = dataset
+        d = Denoiser.create(seed=3)
+        before = d.params.copy()
+        monkeypatch.setattr(np.random, "default_rng", lambda *a: pytest.fail("drew"))
+        with pytest.raises(ValueError, match=f"10 points but {n_labels} labels"):
+            train(d, (points[:10], labels[:n_labels]), schedule, TrainConfig(steps=20))
+        assert d.params.tobytes() == before.tobytes()
+
     def test_gradient_is_not_reused_across_calls(self, random_model, schedule):
         # acceptance criterion 5 holds one call's gradient across later calls
         x0, y, t = gemm_rows(16, seed=8)

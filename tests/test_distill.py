@@ -105,6 +105,24 @@ class TestGenerators:
         analytic = np.vstack([gen.pullback(np.eye(2)[k]) for k in range(2)])
         assert np.linalg.norm(analytic - jac) / np.linalg.norm(jac) < 1e-6
 
+    @pytest.mark.parametrize("kind", ["identity", "affine"])
+    def test_takes_array_likes_as_float_arrays(self, trained_model, schedule, subsequence, kind):
+        # a job with list parameters runs as the same job with arrays does
+        theta = [-2, 0.3] if kind == "identity" else [1.1, 0.2, -0.1, 0.9, 0.4, 0.1]
+        latent = None if kind == "identity" else [-2, 0.3]
+        listed = Generator(kind, theta, latent)
+        arrays = Generator(kind, np.array(theta, dtype=float),
+                           None if latent is None else np.array(latent, dtype=float))
+        assert listed.theta.dtype == float
+        assert listed.render().tobytes() == arrays.render().tobytes()
+        # a float array is kept, so changing it in place moves the generator
+        assert Generator(kind, arrays.theta, arrays.latent).theta is arrays.theta
+        prob = EditProblem(x0_src=np.array([-2.0, 0.3]), y_src=1, gen=listed, y_tgt=2, omega=7.5,
+                           sub=subsequence)
+        draw = draw_shared_noise(subsequence, np.random.default_rng(29))
+        want = objective_grad(replace(prob, gen=arrays), "pds", draw, trained_model, schedule)
+        assert objective_grad(prob, "pds", draw, trained_model, schedule).tobytes() == want.tobytes()
+
     def test_affine_pullback_contracts_cotangent(self, rng):
         # adjoint identity: <J v, w> == <v, J^T w> for random directions
         gen = affine_generator(
@@ -319,7 +337,7 @@ class TestPdsObjective:
 
 
 class TestObjectiveGrad:
-    @pytest.mark.parametrize("kind", ["identity", "affine"])
+    @pytest.mark.parametrize("kind", ["identity", "affine", "mixed batch"])
     @pytest.mark.parametrize("w_mode", WEIGHT_MODES)
     @pytest.mark.parametrize("objective", OBJECTIVES)
     def test_is_the_step_optimize_batch_applies(
@@ -327,29 +345,56 @@ class TestObjectiveGrad:
     ):
         # the gradient the acceptance criteria certify is the one figure2
         # applies: one gd step from the same seed moves theta by lr times it
-        src = np.array([-2.0, 0.3])
-        a = np.array([[1.1, 0.2], [-0.1, 0.9]])
-        gen = identity_generator(src) if kind == "identity" else affine_generator(a, [0.4, 0.1], src)
-        prob = EditProblem(x0_src=src, y_src=1, gen=gen, y_tgt=2, omega=7.5, sub=subsequence)
-        seed, lr = 29, 0.01
-        draw = draw_shared_noise(subsequence, np.random.default_rng(seed))
-        grad = objective_grad(prob, objective, draw, trained_model, schedule, w_mode)
-        (rec,) = optimize_batch([(prob, objective, seed)], 1, lr, trained_model, schedule, w_mode)
-        assert rec.theta[1].tobytes() == (rec.theta[0] - lr * grad).tobytes()
-        assert rec.grad_norm[1] == np.linalg.norm(grad)
+        lr = 0.01
+        if kind == "mixed batch":
+            # both generator kinds, shared and unshared source rows, every
+            # objective, two seeds, and one job on a second grid (stride 1,
+            # where pds's coefficients are zero) with the same sampling range:
+            # it shares the stream of seed 3 and the source point of the pds
+            # job at 4, but not that job's source row
+            jobs = mixed_jobs(subsequence, np.random.default_rng(8))
+            lo, hi = subsequence.lo_index, subsequence.hi_index
+            fine = build_subsequence(schedule, 1, lo / schedule.T, hi / schedule.T)
+            assert (fine.lo_index, fine.hi_index) == (lo, hi)
+            jobs.append((replace(jobs[4][0], sub=fine), objective, 3))
+        else:
+            src = np.array([-2.0, 0.3])
+            a = np.array([[1.1, 0.2], [-0.1, 0.9]])
+            gen = (identity_generator(src) if kind == "identity"
+                   else affine_generator(a, [0.4, 0.1], src))
+            prob = EditProblem(x0_src=src, y_src=1, gen=gen, y_tgt=2, omega=7.5, sub=subsequence)
+            jobs = [(prob, objective, 29)]
+        records = optimize_batch(jobs, 1, lr, trained_model, schedule, w_mode)
+        for (prob, job_objective, seed), rec in zip(jobs, records):
+            draw = draw_shared_noise(prob.sub, np.random.default_rng(seed))
+            grad = objective_grad(prob, job_objective, draw, trained_model, schedule, w_mode)
+            assert rec.theta[1].tobytes() == (rec.theta[0] - lr * grad).tobytes()
+            assert rec.grad_norm[1] == np.linalg.norm(grad)
 
     @pytest.mark.parametrize("objective", [*OBJECTIVES, "pds latent form"])
     def test_rejects_index_outside_sampling_range(self, schedule, subsequence, rng, objective):
-        # criterion 2 compares pds's two forms, so both accept the same indices
+        # criterion 2 compares pds's two forms, so both accept the same draws:
+        # an integer index in the sampling range and a (2, 2) noise
         d = rough_model(rng)
         prob = make_problem(rng, subsequence)
-        for i in (subsequence.lo_index - 1, subsequence.hi_index + 1):
-            draw = (i, np.zeros((2, 2)))
-            with pytest.raises(ValueError, match="sampling range"):
-                if objective in OBJECTIVES:
-                    objective_grad(prob, objective, draw, d, schedule)
-                else:
-                    pds_grad_latent_form(prob, draw, d, schedule)
+        lo, hi = subsequence.lo_index, subsequence.hi_index
+
+        def grad(draw):
+            if objective in OBJECTIVES:
+                return objective_grad(prob, objective, draw, d, schedule)
+            return pds_grad_latent_form(prob, draw, d, schedule)
+
+        for draw, message in [
+            ((lo - 1, np.zeros((2, 2))), "sampling range"),
+            ((hi + 1, np.zeros((2, 2))), "sampling range"),
+            ((lo, np.zeros((3, 2))), r"noise has shape \(3, 2\)"),
+            ((lo, np.zeros((1, 2))), r"noise has shape \(1, 2\)"),
+            ((lo, np.zeros(2)), r"noise has shape \(2,\)"),
+            ((float(hi - 1), np.zeros((2, 2))), "index must be an integer"),
+        ]:
+            with pytest.raises(ValueError, match=message):
+                grad(draw)
+        assert grad((np.int64(hi), np.zeros((2, 2)))).shape == (2,)
 
     def test_rejects_unknown_objective_and_weight_mode(self, schedule, subsequence, rng):
         d = rough_model(rng)

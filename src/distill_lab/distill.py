@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .denoiser import POINT_DIM, Denoiser, LabelPlan, eps
+from .denoiser import NUM_CLASSES, POINT_DIM, Denoiser, LabelPlan, eps
 from .denoiser import cfg_predict  # noqa: F401  perfbench/selftest.py reads distill.cfg_predict
 from .errors import DivergenceError
 from .latentops import draw_shared_noise, stochastic_latents
@@ -39,7 +39,6 @@ __all__ = [
     "OBJECTIVES",
     "WEIGHT_MODES",
     "OPTIMIZERS",
-    "GENERATOR_KINDS",
     "Generator",
     "identity_generator",
     "affine_generator",
@@ -55,71 +54,54 @@ __all__ = [
 OBJECTIVES = ("sds", "dds", "pds")
 WEIGHT_MODES = ("const", "one_minus_alpha_bar")
 OPTIMIZERS = ("gd", "adam")
-GENERATOR_KINDS = ("identity", "affine")
-
-
-def render_rows(kind: str, theta: np.ndarray, latent: np.ndarray | None) -> np.ndarray:
-    """Rendered points (n, 2) of n generators of one kind: theta (n, p) and,
-    read only by the affine kind, latent (n, 2)."""
-    if kind == "identity":
-        return theta.copy()
-    a = theta[:, :4].reshape(-1, POINT_DIM, POINT_DIM)
-    return (a @ latent.reshape(-1, POINT_DIM, 1))[:, :, 0] + theta[:, 4:6]
-
-
-def pullback_rows(kind: str, latent: np.ndarray | None, cotangent: np.ndarray) -> np.ndarray:
-    """Row k contracts the x0-space cotangent[k] to a gradient over theta[k]."""
-    if kind == "identity":
-        return cotangent.copy()
-    outer = cotangent[:, :, None] * latent.reshape(-1, 1, POINT_DIM)
-    return np.concatenate([outer.reshape(len(cotangent), -1), cotangent], axis=1)
 
 
 @dataclass
 class Generator:
-    """Differentiable generator theta -> x0 with its exact adjoint.
+    """Linear generator x0 = matrix @ theta, theta (p,) and matrix (2, p),
+    with its exact adjoint r -> r @ matrix. Both are stored as float arrays;
+    a float array is kept, not copied."""
 
-    ``kind`` is "identity" (theta is the point) or "affine" (x0 = A @ u + b
-    for a fixed latent input u, theta = [A.ravel(), b]). ``render`` and
-    ``pullback`` are the one-row case of :func:`render_rows`/:func:`pullback_rows`.
-    """
-
-    kind: str
     theta: np.ndarray
-    latent: np.ndarray | None = None
+    matrix: np.ndarray
 
     def __post_init__(self):
         self.theta = np.asarray(self.theta, dtype=float)
-        self.latent = None if self.latent is None else np.asarray(self.latent, dtype=float)
-        shape, latent = self.theta.shape, np.shape(self.latent)
-        if self.kind not in GENERATOR_KINDS:
-            raise ValueError(f"unknown generator kind {self.kind!r}; known: {GENERATOR_KINDS}")
-        if self.kind == "identity" and shape != (POINT_DIM,):
-            raise ValueError(f"identity generator needs a 2-vector theta, got shape {shape}")
-        if self.kind == "affine" and (shape != (6,) or latent != (POINT_DIM,)):
-            raise ValueError("affine generator needs a 6-vector theta and a 2-vector latent u")
+        self.matrix = np.asarray(self.matrix, dtype=float)
+        if self.theta.ndim != 1 or self.matrix.shape != (POINT_DIM, self.theta.size):
+            raise ValueError(f"generator needs a (p,) theta and a ({POINT_DIM}, p) matrix, "
+                             f"got {self.theta.shape} and {self.matrix.shape}")
 
     def render(self) -> np.ndarray:
-        return render_rows(self.kind, self.theta[None], self.latent)[0]
+        return self.matrix @ self.theta
 
     def pullback(self, cotangent: np.ndarray) -> np.ndarray:
         """Contract a cotangent in x0-space to a gradient over theta."""
         v = np.asarray(cotangent, dtype=float)
-        return pullback_rows(self.kind, self.latent, v[None])[0]
+        if v.shape != (POINT_DIM,):
+            raise ValueError(f"cotangent has shape {v.shape}, expected ({POINT_DIM},)")
+        return v @ self.matrix
 
 
 def identity_generator(x0: np.ndarray) -> Generator:
-    return Generator(kind="identity", theta=np.asarray(x0, dtype=float).copy())
+    return Generator(np.array(x0, dtype=float), np.eye(POINT_DIM))
 
 
 def affine_generator(a: np.ndarray, b: np.ndarray, u: np.ndarray) -> Generator:
+    """x0 = A @ u + b for a fixed latent input u, theta = [A.ravel(), b]."""
+    u = np.asarray(u, dtype=float)
+    if u.shape != (POINT_DIM,):
+        raise ValueError(f"affine generator needs a 2-vector latent u, got shape {u.shape}")
     theta = np.concatenate([np.asarray(a, dtype=float).ravel(), np.asarray(b, dtype=float)])
-    return Generator(kind="affine", theta=theta, latent=np.array(u, dtype=float))
+    return Generator(theta, np.hstack([np.kron(np.eye(POINT_DIM), u), np.eye(POINT_DIM)]))
 
 
 @dataclass
 class EditProblem:
-    """One editing instance: a source point/condition and a target generator."""
+    """One editing instance: a source point/condition and a target generator.
+    ``x0_src`` is stored as a float array; ValueError unless it is a 2-vector,
+    both labels are integers in 0 (null) .. NUM_CLASSES and omega is a
+    finite real."""
 
     x0_src: np.ndarray
     y_src: int
@@ -127,6 +109,17 @@ class EditProblem:
     y_tgt: int
     omega: float
     sub: TimestepSubsequence
+
+    def __post_init__(self):
+        self.x0_src = np.asarray(self.x0_src, dtype=float)
+        if self.x0_src.shape != (POINT_DIM,):
+            raise ValueError(f"x0_src has shape {self.x0_src.shape}, expected ({POINT_DIM},)")
+        for name, y in (("y_src", self.y_src), ("y_tgt", self.y_tgt)):
+            if np.asarray(y).dtype.kind not in "iu" or np.ndim(y) or not 0 <= y <= NUM_CLASSES:
+                raise ValueError(f"{name} must be an integer in 0 (null) .. {NUM_CLASSES}, "
+                                 f"got {y!r}")
+        if not (isinstance(self.omega, numbers.Real) and math.isfinite(self.omega)):
+            raise ValueError(f"omega must be a finite real, got {self.omega!r}")
 
 
 @dataclass
@@ -337,23 +330,22 @@ def optimize_batch(
     """Run seeded optimizations in lockstep; one record per job, in order.
 
     Each job is ``(EditProblem, objective, seed)`` and advances exactly as
-    it would alone, in a batch of one: every step draws each job's
-    shared-noise sample from a generator seeded with its seed, then one
-    batch-invariant ``eps`` call evaluates the target and source rows of all
-    jobs; a job's update is lr times its :func:`objective_grad` for that
-    draw (or its Adam step), since both plan their rows with one planner.
-    Jobs with the same seed and sampling range share one generator, which
-    draws once per step; dds and pds jobs that also share the grid, the
-    source point and its label share one source row. Thetas and Adam moments
-    are stacked per generator kind and updated with one array operation per
-    kind and step. Every row is computed on its own, so the plan of rows,
-    labels, source points and gathers is built once per call, and each step
-    writes its draws and new targets into the plan's arrays. A job whose
-    predictions or parameters go non-finite is flagged and its record (a
-    slice of a shared history block) is cut to its last finite row; its row
-    stays in the batch, held at NaN (which raises no floating-point signal),
-    until every job is flagged or the run ends, and the other jobs' bits do
-    not change. The jobs must share one guidance weight omega.
+    it would alone: every step draws each job's shared-noise sample from a
+    generator seeded with its seed, then one batch-invariant ``eps`` call
+    evaluates the target and source rows of all jobs, planned once per call
+    by the planner :func:`objective_grad` uses; a job's update is lr times
+    its gradient for that draw (or its Adam step). Jobs with the same seed
+    and sampling range share one generator, which draws once per step; dds
+    and pds jobs that also share the grid, the source point and its label
+    share one source row. The jobs' thetas, matrices and Adam moments form
+    one block, zero-padded to the widest theta (a padded column has zero
+    gradient, so it stays exactly 0), and each step renders, pulls back and
+    updates all jobs with one array operation each; records are slices of
+    one shared history block. A job whose predictions or parameters go
+    non-finite is flagged and its record is cut to its last finite row; its
+    row stays in the batch, held at NaN (which raises no floating-point
+    signal), until every job is flagged or the run ends, and the other
+    jobs' bits do not change. The jobs must share one omega.
     """
     jobs = list(jobs)
     check_settings([objective for _, objective, _ in jobs], steps, lr, w_mode, optimizer)
@@ -364,27 +356,18 @@ def optimize_batch(
         return []
     (omega,) = omegas
 
-    n_rows = int(steps) + 1
-    x0_hist = np.empty((len(jobs), n_rows, POINT_DIM))
-    norm_hist = np.zeros((len(jobs), n_rows))
-    kept = np.full(len(jobs), n_rows)  # rows each record keeps
-    gen_kind = np.array([prob.gen.kind for prob, _, _ in jobs])
-    # rows grouped by generator kind; eps is batch-invariant, so row order is free
-    order = np.argsort(gen_kind, kind="stable")
-    plan = _row_plan([jobs[j] for j in order])
-    # per kind: (kind, job indices, its rows in the plan, thetas (n, p), latents,
-    # Adam moments), and a (jobs, steps + 1, p) history of the kind's jobs' rows
-    theta_hist, blocks = {}, []
-    for g, start, size in zip(*np.unique(gen_kind[order], return_index=True, return_counts=True)):
-        part = slice(start, start + size)
-        ids = order[part]
-        theta = np.array([jobs[j][0].gen.theta for j in ids], dtype=float)
-        latent = None if g == "identity" else np.array([jobs[j][0].gen.latent for j in ids])
-        adam = AdamState.for_params(theta) if optimizer == "adam" else None
-        blocks.append((g, ids, part, theta, latent, adam))
-        theta_hist[g] = np.empty((len(jobs), n_rows, theta.shape[1]))
-        theta_hist[g][ids, 0] = theta
-        x0_hist[ids, 0] = plan.x0[part] = render_rows(g, theta, latent)
+    n, n_rows = len(jobs), int(steps) + 1
+    width = [prob.gen.theta.size for prob, _, _ in jobs]
+    theta, mat = np.zeros((n, max(width))), np.zeros((n, POINT_DIM, max(width)))
+    for j, (prob, _, _) in enumerate(jobs):
+        theta[j, : width[j]], mat[j, :, : width[j]] = prob.gen.theta, prob.gen.matrix
+    adam = AdamState.for_params(theta) if optimizer == "adam" else None
+    plan = _row_plan(jobs)
+    theta_hist, x0_hist = np.empty((n, n_rows, theta.shape[1])), np.empty((n, n_rows, POINT_DIM))
+    norm_hist = np.zeros((n, n_rows))
+    kept = np.full(n, n_rows)  # rows each record keeps
+    theta_hist[:, 0] = theta
+    x0_hist[:, 0] = plan.x0[:n] = (mat @ theta[..., None])[..., 0]
 
     draws = [(sub, np.random.default_rng(seed)) for sub, seed in plan.draws]
     i, noise = np.empty(len(draws), dtype=np.int64), np.empty((len(draws), POINT_DIM))
@@ -393,27 +376,25 @@ def optimize_batch(
             i[g], pair = draw_shared_noise(sub, rng)
             noise[g] = pair[1]  # eps_cur; no residual reads eps_prev
         res = _residuals(d, s, omega, w_mode, plan, i, noise)
-        for g, ids, part, theta, latent, adam in blocks:
-            grad = pullback_rows(g, latent, res[part])
-            if adam is not None:
-                adam_step(theta, grad, adam, lr)
-            else:
-                theta -= lr * grad
-            # a non-finite residual always leaves theta non-finite; a flagged
-            # row is held at NaN, whose arithmetic raises no signal
-            ok = np.isfinite(theta).all(axis=1)
-            if not ok.all():
-                kept[ids[~ok]] = np.minimum(kept[ids[~ok]], k)
-                theta[~ok] = grad[~ok] = np.nan
-            theta_hist[g][ids, k] = theta
-            x0_hist[ids, k] = plan.x0[part] = render_rows(g, theta, latent)
-            # np.linalg.norm's own arithmetic, one dot product per row
-            norm_hist[ids, k] = np.sqrt((grad[:, None, :] @ grad[:, :, None])[:, 0, 0])
+        grad = (res[:, None, :] @ mat)[:, 0, :]
+        if adam is not None:
+            adam_step(theta, grad, adam, lr)
+        else:
+            theta -= lr * grad
+        # a non-finite residual always leaves theta non-finite; a flagged
+        # row is held at NaN, whose arithmetic raises no signal
+        ok = np.isfinite(theta).all(axis=1)
+        if not ok.all():
+            kept[~ok] = np.minimum(kept[~ok], k)
+            theta[~ok] = grad[~ok] = np.nan
+        theta_hist[:, k] = theta
+        x0_hist[:, k] = plan.x0[:n] = (mat @ theta[..., None])[..., 0]
+        # np.linalg.norm's own arithmetic, one dot product per row
+        norm_hist[:, k] = np.sqrt((grad[:, None, :] @ grad[:, :, None])[:, 0, 0])
         if kept.max() < n_rows:
             break
     return [
-        TrajectoryRecord(objective, int(seed), theta_hist[gen_kind[j]][j, :m],
+        TrajectoryRecord(objective, int(seed), theta_hist[j, :m, : width[j]],
                          x0_hist[j, :m], norm_hist[j, :m], diverged=bool(m < n_rows))
         for j, ((_, objective, seed), m) in enumerate(zip(jobs, kept.tolist()))
     ]
-

@@ -118,11 +118,14 @@ def stochastic_latents(
     """Latents of x0 at grid indices ``idx`` given each index's two level
     noises (rows of ``eps_prev`` / ``eps_cur``), from one ``eps`` call; a
     draw ``(i, noise)`` is ``[i], noise[:1], noise[1:]``. Each row is bitwise
-    its batch-1 value. ValueError for an ``idx`` that is not a 1-D integer
-    array, noise arrays that are not (len(idx), 2) or an index outside
-    [1, S]; DivergenceError when a latent is non-finite.
+    its batch-1 value. ValueError for an ``x0`` that is not a 2-vector, an
+    ``idx`` that is not a 1-D integer array, noise arrays that are not
+    (len(idx), 2) or an index outside [1, S]; DivergenceError when a latent
+    is non-finite.
     """
     idx, x0 = np.asarray(idx), np.asarray(x0, dtype=float)
+    if x0.shape != (POINT_DIM,):
+        raise ValueError(f"x0 has shape {x0.shape}, expected ({POINT_DIM},)")
     if idx.ndim != 1 or not np.issubdtype(idx.dtype, np.integer):
         raise ValueError(f"idx must be a 1-D integer array, got {idx.dtype} of shape {idx.shape}")
     for name, noise in (("eps_prev", eps_prev), ("eps_cur", eps_cur)):
@@ -170,15 +173,15 @@ def invert(
     have in common. That sharing is what makes the recorded trajectory
     replayable: feeding the latents back reconstructs x0 exactly. All S
     latents come from one ``eps`` call; a non-finite latent raises
-    DivergenceError.
+    DivergenceError, an ``x0`` that is not a 2-vector ValueError.
     """
     x0 = np.asarray(x0, dtype=float)
     n = sub.S
     eps_levels = np.zeros((n + 1, POINT_DIM))
     eps_levels[1:] = rng.standard_normal((n, POINT_DIM))
-    x_top = s.noised(x0, int(sub.tau[n]), eps_levels[n])
     idx = np.arange(n, 0, -1)
     latents = stochastic_latents(x0, y, idx, eps_levels[idx - 1], eps_levels[idx], d, omega, s, sub)
+    x_top = s.noised(x0, int(sub.tau[n]), eps_levels[n])
     return StochasticLatentSequence(latents=latents, x_top=x_top, T=s.T, tau=np.array(sub.tau))
 
 
@@ -268,12 +271,15 @@ def sdedit_batch(
     levels from 0 to T, so the schedule needs T >= SDEDIT_STEPS (ValueError
     otherwise); ``t0_ratio`` selects the starting position on that grid,
     so 0 is an exact identity and 1 is a full resampling that forgets the
-    input almost entirely. A step that turns non-finite raises
-    DivergenceError, as in every chain of :func:`_generate`.
+    input almost entirely. ValueError for an ``x0`` that is not (n, 2) (a
+    2-vector is one row), at every ratio. A step that turns non-finite
+    raises DivergenceError, as in every chain of :func:`_generate`.
     """
     if not 0.0 <= t0_ratio <= 1.0:
         raise ValueError(f"t0_ratio must be in [0, 1], got {t0_ratio}")
     x0 = np.atleast_2d(np.asarray(x0, dtype=float))
+    if x0.ndim != 2 or x0.shape[1] != POINT_DIM:
+        raise ValueError(f"x0 has shape {x0.shape}, expected (n, {POINT_DIM})")
     check_sdedit_levels(s.T)
     levels = np.round(np.arange(SDEDIT_STEPS + 1) * (s.T / SDEDIT_STEPS)).astype(np.int64)
     k0 = int(round(t0_ratio * SDEDIT_STEPS))

@@ -72,18 +72,21 @@ class TestGenerators:
         with pytest.raises(ValueError, match="latent u"):
             affine_generator(np.eye(2), np.zeros(2), np.array(u))
 
-    @pytest.mark.parametrize("kind, theta, latent", [
-        ("Identity", np.zeros(2), None),
-        ("quadratic", np.zeros(2), None),
-        ("identity", np.zeros(6), None),
-        ("identity", np.zeros((1, 2)), None),
-        ("affine", np.zeros(6), None),
-        ("affine", np.zeros(2), np.zeros(2)),
-        ("affine", np.zeros(6), np.zeros(3)),
-    ])
-    def test_rejects_unknown_kind_or_wrong_shape(self, kind, theta, latent):
+    @pytest.mark.parametrize("theta, matrix", [
+        (np.zeros((1, 2)), np.eye(2)),
+        (np.zeros(2), np.zeros((2, 3))),
+        (np.zeros(3), np.zeros((3, 3))),
+        (np.zeros(2), np.zeros(2)),
+    ], ids=["2-D theta", "matrix wider than theta", "three-row matrix", "1-D matrix"])
+    def test_rejects_wrong_shape(self, theta, matrix):
         with pytest.raises(ValueError, match="generator"):
-            Generator(kind, theta, latent)
+            Generator(theta, matrix)
+
+    @pytest.mark.parametrize("cotangent", [np.zeros(3), np.zeros(1), np.zeros((1, 2))])
+    def test_pullback_rejects_a_cotangent_of_wrong_shape(self, cotangent):
+        gen = Generator(np.zeros(3), [[1.0, 0.0, 0.5], [0.0, 1.0, -0.5]])
+        with pytest.raises(ValueError, match="cotangent"):
+            gen.pullback(cotangent)
 
     @pytest.mark.parametrize("kind", ["identity", "affine"])
     def test_pullback_matches_render_finite_differences(self, kind, rng):
@@ -108,17 +111,22 @@ class TestGenerators:
     @pytest.mark.parametrize("kind", ["identity", "affine"])
     def test_takes_array_likes_as_float_arrays(self, trained_model, schedule, subsequence, kind):
         # a job with list parameters runs as the same job with arrays does
-        theta = [-2, 0.3] if kind == "identity" else [1.1, 0.2, -0.1, 0.9, 0.4, 0.1]
-        latent = None if kind == "identity" else [-2, 0.3]
-        listed = Generator(kind, theta, latent)
-        arrays = Generator(kind, np.array(theta, dtype=float),
-                           None if latent is None else np.array(latent, dtype=float))
-        assert listed.theta.dtype == float
+        if kind == "identity":
+            theta, matrix = [-2, 0.3], [[1, 0], [0, 1]]
+        else:
+            theta = [1.1, 0.2, -0.1, 0.9, 0.4, 0.1]
+            matrix = affine_generator(np.eye(2), np.zeros(2), [-2, 0.3]).matrix.tolist()
+        listed = Generator(theta, matrix)
+        arrays = Generator(np.array(theta, dtype=float), np.array(matrix, dtype=float))
+        assert listed.theta.dtype == listed.matrix.dtype == float
         assert listed.render().tobytes() == arrays.render().tobytes()
         # a float array is kept, so changing it in place moves the generator
-        assert Generator(kind, arrays.theta, arrays.latent).theta is arrays.theta
+        kept = Generator(arrays.theta, arrays.matrix)
+        assert kept.theta is arrays.theta and kept.matrix is arrays.matrix
         prob = EditProblem(x0_src=np.array([-2.0, 0.3]), y_src=1, gen=listed, y_tgt=2, omega=7.5,
                            sub=subsequence)
+        assert replace(prob, x0_src=prob.x0_src).x0_src is prob.x0_src
+        assert replace(prob, x0_src=[-2, 0.3]).x0_src.tobytes() == prob.x0_src.tobytes()
         draw = draw_shared_noise(subsequence, np.random.default_rng(29))
         want = objective_grad(replace(prob, gen=arrays), "pds", draw, trained_model, schedule)
         assert objective_grad(prob, "pds", draw, trained_model, schedule).tobytes() == want.tobytes()
@@ -132,6 +140,25 @@ class TestGenerators:
         v = rng.standard_normal(6)
         jac = np.vstack([gen.pullback(np.eye(2)[k]) for k in range(2)])
         assert (jac @ v) @ w == pytest.approx(v @ gen.pullback(w), rel=1e-12)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("x0_src", np.zeros(3)),
+    ("x0_src", np.zeros((2, 1))),
+    ("x0_src", 1.0),
+    ("y_src", 3),
+    ("y_src", 1.0),
+    ("y_tgt", -1),
+    ("y_tgt", True),
+    ("omega", float("nan")),
+    ("omega", float("inf")),
+    ("omega", "7.5"),
+])
+def test_edit_problem_rejects_a_malformed_field(subsequence, field, value):
+    # caught where the problem is built, not inside the row planner or not at all
+    prob = make_problem(np.random.default_rng(0), subsequence)
+    with pytest.raises(ValueError, match=field):
+        replace(prob, **{field: value})
 
 
 class TestSdsGrad:
@@ -347,16 +374,16 @@ class TestObjectiveGrad:
         # applies: one gd step from the same seed moves theta by lr times it
         lr = 0.01
         if kind == "mixed batch":
-            # both generator kinds, shared and unshared source rows, every
+            # three theta widths, shared and unshared source rows, every
             # objective, two seeds, and one job on a second grid (stride 1,
             # where pds's coefficients are zero) with the same sampling range:
             # it shares the stream of seed 3 and the source point of the pds
-            # job at 4, but not that job's source row
+            # job at 6, but not that job's source row
             jobs = mixed_jobs(subsequence, np.random.default_rng(8))
             lo, hi = subsequence.lo_index, subsequence.hi_index
             fine = build_subsequence(schedule, 1, lo / schedule.T, hi / schedule.T)
             assert (fine.lo_index, fine.hi_index) == (lo, hi)
-            jobs.append((replace(jobs[4][0], sub=fine), objective, 3))
+            jobs.append((replace(jobs[6][0], sub=fine), objective, 3))
         else:
             src = np.array([-2.0, 0.3])
             a = np.array([[1.1, 0.2], [-0.1, 0.9]])
@@ -515,13 +542,15 @@ def record_bits(rec):
 
 
 def mixed_jobs(sub, rng, omega=7.5):
-    """sds, dds and pds on identity and affine generators, two seeds each."""
+    """sds, dds and pds on generators of widths 2 (identity), 6 (affine) and
+    3, two seeds each, so one block pads thetas across three widths."""
     jobs = []
     for seed in (3, 41):
         for objective in ("sds", "dds", "pds"):
             src = np.array([-2.0, 0.0]) + 0.5 * rng.standard_normal(2)
             a = np.eye(2) + 0.1 * rng.standard_normal((2, 2))
-            gens = [identity_generator(src), affine_generator(a, src - a @ src, src)]
+            gens = [identity_generator(src), affine_generator(a, src - a @ src, src),
+                    Generator([*src, 0.0], [[1.0, 0.0, 0.5], [0.0, 1.0, -0.5]])]
             for gen in gens:
                 prob = EditProblem(x0_src=src, y_src=1, gen=gen, y_tgt=2, omega=omega, sub=sub)
                 jobs.append((prob, objective, seed))
@@ -628,7 +657,7 @@ class TestOptimizeBatch:
         # upper-half draw; identity and affine jobs around it keep their bits
         jobs = mixed_jobs(subsequence, np.random.default_rng(13))
         prob, _, _ = jobs[1]
-        assert prob.gen.kind == "affine"
+        assert prob.gen.theta.size == 6
         jobs.insert(5, (replace(prob, sub=spring_blowup(subsequence, 0.5)), "pds", 11))
         with np.errstate(invalid="ignore", over="ignore"):
             got = optimize_batch(jobs, 20, 0.05, trained_model, schedule, optimizer="adam")
@@ -702,17 +731,18 @@ class TestOptimizeBatch:
         self, trained_model, schedule, subsequence, optimizer
     ):
         # no errstate: a floating-point signal from the NaN row would raise.
-        # The NaN job shares its seed, grid and source with the dds jobs at 2, 3.
+        # The NaN job shares its seed, grid and source with the dds jobs at 3, 4, 5.
         jobs = mixed_jobs(subsequence, np.random.default_rng(20))
-        prob, _, seed = jobs[2]
+        prob, objective, seed = jobs[3]
+        assert objective == "dds"
         nan_job = (replace(prob, gen=identity_generator(np.array([np.nan, 0.0]))), "pds", seed)
-        jobs.insert(4, nan_job)
+        jobs.insert(6, nan_job)
         lr = 0.05 if optimizer == "adam" else 0.01
         got = optimize_batch(jobs, 30, lr, trained_model, schedule, optimizer=optimizer)
-        assert got[4].diverged and len(got[4].theta) == 1
-        assert [rec.diverged for rec in got] == [k == 4 for k in range(len(jobs))]
+        assert got[6].diverged and len(got[6].theta) == 1
+        assert [rec.diverged for rec in got] == [k == 6 for k in range(len(jobs))]
         for k, ((prob, objective, seed), rec) in enumerate(zip(jobs, got)):
-            if k != 4:
+            if k != 6:
                 ref = reference_optimize(prob, objective, 30, lr, seed, trained_model, schedule,
                                          optimizer=optimizer)
                 assert record_bits(rec) == record_bits(ref)
@@ -744,26 +774,17 @@ class TestOptimizeBatch:
     def test_array_calls_per_step_do_not_grow_with_jobs(
         self, trained_model, schedule, subsequence, monkeypatch, copies
     ):
-        # 12 (or 24) jobs over two generator kinds: each row function and
-        # adam_step runs at most once per kind and step, never once per job
+        # 18 (or 36) jobs over three theta widths in one block: adam_step
+        # runs exactly once per step, never once per job or per width
         jobs = mixed_jobs(subsequence, np.random.default_rng(16)) * copies
-        kinds = len({prob.gen.kind for prob, _, _ in jobs})
-        calls = dict.fromkeys(["render_rows", "pullback_rows", "adam_step"], 0)
-        for name in calls:
-            fn = getattr(distill, name)
-
-            def counted(*args, _fn=fn, _name=name):
-                calls[_name] += 1
-                return _fn(*args)
-
-            monkeypatch.setattr(distill, name, counted)
+        widths = {prob.gen.theta.size for prob, _, _ in jobs}
+        calls, real = [], distill.adam_step
+        monkeypatch.setattr(distill, "adam_step", lambda *a: calls.append(a) or real(*a))
         steps = 7
-        optimize_batch(jobs, steps, 0.05, trained_model, schedule, optimizer="adam")
-        assert len(jobs) == 12 * copies and kinds == 2
-        # render_rows also draws row 0 of the history, once per kind
-        assert calls["render_rows"] <= kinds * (steps + 1)
-        assert calls["pullback_rows"] <= kinds * steps
-        assert calls["adam_step"] <= kinds * steps
+        got = optimize_batch(jobs, steps, 0.05, trained_model, schedule, optimizer="adam")
+        assert len(jobs) == 18 * copies and widths == {2, 3, 6}
+        assert len(calls) == steps
+        assert not any(rec.diverged for rec in got)
 
     @staticmethod
     def eps_rows(monkeypatch):
@@ -885,7 +906,7 @@ class TestOptimizeBatch:
         def no_work(*args):
             raise AssertionError("optimize_batch started work before validating")
 
-        monkeypatch.setattr(distill, "render_rows", no_work)
+        monkeypatch.setattr(distill, "_row_plan", no_work)
         monkeypatch.setattr(distill, "draw_shared_noise", no_work)
         call = {"steps": 3, "lr": 0.01, "w_mode": "const"} | kwargs
         jobs = mixed_jobs(subsequence, np.random.default_rng(17))

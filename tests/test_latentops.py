@@ -206,24 +206,33 @@ class TestStochasticLatent:
                                    random_model, 1.0, schedule, subsequence)
 
     @pytest.mark.parametrize(
-        "idx, prev_shape, cur_shape",
+        "x0_shape, idx, prev_shape, cur_shape",
         [
-            (np.array([3.0]), (1, 2), (1, 2)),
-            (np.array([[3]]), (1, 2), (1, 2)),
-            (np.array(3), (1, 2), (1, 2)),
-            (np.array([3, 4]), (1, 2), (1, 2)),
-            (np.array([3]), (1, 2), (1, 3)),
-            (np.array([3]), (2,), (2,)),
+            ((2,), np.array([3.0]), (1, 2), (1, 2)),
+            ((2,), np.array([[3]]), (1, 2), (1, 2)),
+            ((2,), np.array(3), (1, 2), (1, 2)),
+            ((2,), np.array([3, 4]), (1, 2), (1, 2)),
+            ((2,), np.array([3]), (1, 2), (1, 3)),
+            ((2,), np.array([3]), (2,), (2,)),
+            ((3,), np.array([3]), (1, 2), (1, 2)),
+            ((1, 2), np.array([3]), (1, 2), (1, 2)),
         ],
         ids=["float idx", "2-D idx", "0-D idx", "one noise row for two indices",
-             "eps_cur of wrong width", "unbatched noise"],
+             "eps_cur of wrong width", "unbatched noise", "3-vector x0", "(1, 2) x0"],
     )
     def test_rejects_malformed_indices_and_noise(self, random_model, schedule, subsequence,
-                                                 idx, prev_shape, cur_shape):
+                                                 x0_shape, idx, prev_shape, cur_shape):
         # neither a bare IndexError nor one noise row silently broadcast over indices
-        with pytest.raises(ValueError, match="idx must be|must have shape"):
-            stochastic_latents(np.zeros(2), 1, idx, np.zeros(prev_shape), np.zeros(cur_shape),
-                               random_model, 1.0, schedule, subsequence)
+        with pytest.raises(ValueError, match="x0 has shape|idx must be|must have shape"):
+            stochastic_latents(np.zeros(x0_shape), 1, idx, np.zeros(prev_shape),
+                               np.zeros(cur_shape), random_model, 1.0, schedule, subsequence)
+
+    @pytest.mark.parametrize("x0_shape", [(3,), (1, 2)])
+    def test_invert_rejects_a_point_that_is_not_a_2_vector(self, random_model, schedule,
+                                                           subsequence, rng, x0_shape):
+        # a (1, 2) point used to invert to a sequence whose replay then failed
+        with pytest.raises(ValueError, match="x0 has shape"):
+            invert(np.zeros(x0_shape), 1, random_model, 1.0, schedule, subsequence, rng)
 
     def test_indices_share_one_batch_bitwise(self, trained_model, schedule, subsequence, rng):
         # several draws of one point in one call: each row is its draw alone
@@ -441,6 +450,14 @@ class TestSdedit:
     def test_rejects_bad_ratio(self, trained_model, schedule, rng):
         with pytest.raises(ValueError):
             sdedit_batch(np.zeros((1, 2)), 1, 1.5, trained_model, 2.0, schedule, rng)
+
+    @pytest.mark.parametrize("ratio", [0.0, 0.5])
+    @pytest.mark.parametrize("x0_shape", [(4, 3), (3,), (2, 2, 2)])
+    def test_rejects_points_that_are_not_n_by_2(self, trained_model, schedule, rng, ratio,
+                                               x0_shape):
+        # at ratio 0 too, where nothing is denoised
+        with pytest.raises(ValueError, match="x0 has shape"):
+            sdedit_batch(np.zeros(x0_shape), 1, ratio, trained_model, 2.0, schedule, rng)
 
     @pytest.mark.parametrize("T", [10, 19])
     def test_rejects_a_schedule_with_fewer_levels_than_steps(self, trained_model, rng, T):

@@ -3,17 +3,19 @@ comparison, the partial-noising sweep, and the inversion round-trip report.
 Each driver takes the config, the model and its own arguments.
 
 The trajectory comparison starts identity generators at samples of class 1
-and optimizes them toward class 2 under each objective with matched seeds,
-then aggregates endpoint displacement and distance to the class boundary
-(the perpendicular bisector of the two configured class means, computed
-from the configuration, never hard-coded). Every CSV the lab writes goes
-through :func:`write_csv`, every float as ``%.17g``.
+and optimizes them toward class 2 under each objective with matched seeds.
+:func:`score` gives every edit, of any arm, its per-run columns:
+displacement and signed distance to the class boundary (the perpendicular
+bisector of the two configured class means, computed from the
+configuration, never hard-coded), with a non-finite score marking the run
+diverged. Every summary is a reduction in :data:`SUMMARY_COLUMNS`. Every
+CSV the lab writes goes through :func:`write_csv`, every float as ``%.17g``.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
-from dataclasses import dataclass, field
+from collections.abc import Callable, Iterable, Iterator
+from dataclasses import dataclass
 from itertools import count, islice
 from pathlib import Path
 
@@ -26,10 +28,10 @@ from .errors import ConfigError
 from .latentops import check_sdedit_levels, generate_with_latents_batch, invert, sdedit_batch
 
 __all__ = [
-    "ObjectiveAggregate",
     "Figure2Summary",
+    "SUMMARY_COLUMNS",
     "boundary_frame",
-    "signed_boundary_distance",
+    "score",
     "write_csv",
     "write_trajectory_csv",
     "run_figure2",
@@ -59,67 +61,53 @@ def boundary_frame(class_params: tuple[ClassSpec, ClassSpec]) -> tuple[np.ndarra
     return (m1 + m2) / 2.0, gap / norm
 
 
-def signed_boundary_distance(points: np.ndarray, class_params) -> np.ndarray:
+def score(starts: np.ndarray, endpoints: np.ndarray, class_params) -> dict[str, np.ndarray]:
+    """Per-run columns of the edits taking ``starts`` to ``endpoints``, both
+    (n, 2): ``displacement``; ``signed_boundary_dist``, positive on the
+    class-2 side (:func:`boundary_frame`); and ``diverged``, set where
+    either is not finite. Every arm is scored here."""
     center, normal = boundary_frame(class_params)
-    return (np.atleast_2d(points) - center) @ normal
+    displacement = np.linalg.norm(endpoints - starts, axis=1)
+    signed = (endpoints - center) @ normal
+    return {"displacement": displacement, "signed_boundary_dist": signed,
+            "diverged": ~(np.isfinite(displacement) & np.isfinite(signed))}
 
 
-@dataclass
-class ObjectiveAggregate:
-    """Endpoint statistics for one objective across seeded runs."""
-
-    objective: str
-    endpoints: np.ndarray
-    displacements: np.ndarray
-    signed_dists: np.ndarray
-    diverged_runs: int
-
-    @property
-    def mean_displacement(self) -> float:
-        return float(np.mean(self.displacements))
-
-    @property
-    def mean_signed_dist(self) -> float:
-        return float(np.mean(self.signed_dists))
-
-    @property
-    def mean_abs_dist(self) -> float:
-        return float(np.mean(np.abs(self.signed_dists)))
-
-    @property
-    def frac_class2_side(self) -> float:
-        return float(np.mean(self.signed_dists > 0))
+# Each fig2_summary.csv column after ``objective``: its reduction over one
+# objective's run columns. All are written as %.17g, which prints a count
+# as its integer.
+SUMMARY_COLUMNS: dict[str, Callable[[dict[str, np.ndarray]], float | int]] = {
+    "n_runs": lambda c: len(c["displacement"]),
+    "mean_displacement": lambda c: float(np.mean(c["displacement"])),
+    "mean_signed_boundary_dist": lambda c: float(np.mean(c["signed_boundary_dist"])),
+    "mean_abs_boundary_dist": lambda c: float(np.mean(np.abs(c["signed_boundary_dist"]))),
+    "frac_class2_side": lambda c: float(np.mean(c["signed_boundary_dist"] > 0)),
+    "diverged_runs": lambda c: int(np.sum(c["diverged"])),
+}
 
 
 @dataclass
 class Figure2Summary:
-    """Aggregates of the trajectory comparison plus its ordering checks."""
+    """Per objective, the runs' :func:`score` columns (a diverged trajectory
+    marks its run diverged) and its summary row, plus the checks."""
 
-    n_runs: int
-    aggregates: dict[str, ObjectiveAggregate]
-    starts: np.ndarray
-    checks: dict[str, bool] = field(default_factory=dict)
-
-    @property
-    def all_checks_pass(self) -> bool:
-        return all(self.checks.values())
+    columns: dict[str, dict[str, np.ndarray]]
+    rows: dict[str, dict[str, float | int]]
+    checks: dict[str, bool]
 
 
-def _evaluate_checks(summary: Figure2Summary) -> None:
+def _figure2_checks(rows: dict[str, dict[str, float | int]]) -> dict[str, bool]:
     """The ordering and crossing checks when all three objectives ran, then
     ``no_divergence`` over whichever objectives ran."""
-    agg = summary.aggregates
-    if {"sds", "dds", "pds"} <= set(agg):
-        pds, sds, dds = agg["pds"], agg["sds"], agg["dds"]
-        summary.checks["pds_smallest_displacement"] = pds.mean_displacement < min(
-            sds.mean_displacement, dds.mean_displacement
-        )
-        summary.checks["pds_nearest_boundary"] = (
-            pds.mean_abs_dist < sds.mean_abs_dist and pds.mean_abs_dist < dds.mean_abs_dist
-        )
-        summary.checks["sds_crosses_boundary"] = sds.frac_class2_side >= 0.8
-        summary.checks["dds_crosses_boundary"] = dds.frac_class2_side >= 0.8
-    summary.checks["no_divergence"] = all(a.diverged_runs == 0 for a in agg.values())
+    checks = {}
+    if {"sds", "dds", "pds"} <= set(rows):
+        for name, key in (("pds_smallest_displacement", "mean_displacement"),
+                          ("pds_nearest_boundary", "mean_abs_boundary_dist")):
+            checks[name] = all(rows["pds"][key] < rows[other][key] for other in ("sds", "dds"))
+        for objective in ("sds", "dds"):
+            checks[f"{objective}_crosses_boundary"] = rows[objective]["frac_class2_side"] >= 0.8
+    checks["no_divergence"] = all(row["diverged_runs"] == 0 for row in rows.values())
+    return checks
 
 
 def write_csv(path, header: list[str], lines: Iterable[str]) -> None:
@@ -202,53 +190,42 @@ def run_figure2(
         for k, objective in enumerate(dist.objectives)
     }
 
-    aggregates = {}
-    for objective in dist.objectives:
-        endpoints = np.array([rec.endpoint for rec in records[objective]])
-        displacements = np.linalg.norm(endpoints - starts, axis=1)
-        aggregates[objective] = ObjectiveAggregate(
-            objective=objective,
-            endpoints=endpoints,
-            displacements=displacements,
-            signed_dists=signed_boundary_distance(endpoints, class_params),
-            diverged_runs=sum(rec.diverged for rec in records[objective]),
-        )
-
-    summary = Figure2Summary(n_runs=dist.n_runs, aggregates=aggregates, starts=starts)
-    _evaluate_checks(summary)
+    columns = {}
+    for objective, recs in records.items():
+        endpoints = np.array([r.endpoint for r in recs])
+        cols = columns[objective] = score(starts, endpoints, class_params)
+        cols["diverged"] |= np.array([r.diverged for r in recs])
+    rows = {
+        objective: {name: reduce(cols) for name, reduce in SUMMARY_COLUMNS.items()}
+        for objective, cols in columns.items()
+    }
+    summary = Figure2Summary(columns, rows, _figure2_checks(rows))
     if out_dir is not None:
-        _emit_figure2_files(Path(out_dir), cfg, summary, records, class_params)
+        _emit_figure2_files(Path(out_dir), cfg, summary, records, starts.tolist(), class_params)
     return summary
 
 
-def _emit_figure2_files(out_dir, cfg, summary, records, class_params) -> None:
+def _emit_figure2_files(out_dir, cfg, summary, records, starts, class_params) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
-    starts = summary.starts.tolist()
+    scored = list(next(iter(summary.columns.values())))  # score's column names
     write_csv(
         out_dir / "fig2_endpoints.csv",
-        ["objective", "run", "seed", "start_x", "start_y", "endpoint_x", "endpoint_y",
-         "displacement", "signed_boundary_dist", "diverged"],
+        ["objective", "run", "seed", "start_x", "start_y", "endpoint_x", "endpoint_y", *scored],
         (
-            "%s,%d,%d,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%d" % (
-                objective, run, rec.seed, *starts[run], *agg.endpoints[run].tolist(),
-                agg.displacements[run], agg.signed_dists[run], rec.diverged,
+            ("%s,%d,%d" + ",%.17g" * (4 + len(scored))) % (
+                objective, run, rec.seed, *starts[run], *rec.endpoint.tolist(), *scores
             )
-            for objective, agg in summary.aggregates.items()
-            for run, rec in enumerate(records[objective])
+            for objective, cols in summary.columns.items()
+            for run, (rec, *scores) in enumerate(
+                zip(records[objective], *(col.tolist() for col in cols.values()))
+            )
         ),
     )
-
     write_csv(
         out_dir / "fig2_summary.csv",
-        ["objective", "n_runs", "mean_displacement", "mean_signed_boundary_dist",
-         "mean_abs_boundary_dist", "frac_class2_side", "diverged_runs"],
-        (
-            "%s,%d,%.17g,%.17g,%.17g,%.17g,%d" % (
-                objective, summary.n_runs, agg.mean_displacement, agg.mean_signed_dist,
-                agg.mean_abs_dist, agg.frac_class2_side, agg.diverged_runs,
-            )
-            for objective, agg in summary.aggregates.items()
-        ),
+        ["objective", *SUMMARY_COLUMNS],
+        (",".join([objective, *("%.17g" % v for v in row.values())])
+         for objective, row in summary.rows.items()),
     )
 
     write_csv(
@@ -323,11 +300,13 @@ def run_sdedit_sweep(
     s = cfg.build_schedule()
     grid = np.arange(grid_points) / max(grid_points, 1)
     rng = np.random.default_rng(cfg.dataset.seed + 101)
-    points = cfg.class_params()[0].sample(rng, n_points)
+    class_params = cfg.class_params()
+    points = class_params[0].sample(rng, n_points)
+    mean_displacement = SUMMARY_COLUMNS["mean_displacement"]
     rows = []
     for ratio in grid:
         edited = sdedit_batch(points, 1, float(ratio), d, SDEDIT_OMEGA, s, rng)
-        rows.append((float(ratio), float(np.mean(np.linalg.norm(edited - points, axis=1)))))
+        rows.append((float(ratio), mean_displacement(score(points, edited, class_params))))
     return rows
 
 

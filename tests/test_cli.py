@@ -257,14 +257,21 @@ class TestFigure2Command:
             "figure2", str(trained_dir / "model.ckpt"),
             "--config", fast_config_file, "--out", str(out),
         ])
-        summary = {r[0]: r for r in read_csv(out / "fig2_summary.csv")[1:]}
-        endpoints = read_csv(out / "fig2_endpoints.csv")[1:]
-        for objective, row in summary.items():
-            disps = [float(e[7]) for e in endpoints if e[0] == objective]
-            assert int(row[1]) == len(disps)
-            assert float(row[2]) == pytest.approx(np.mean(disps), rel=1e-12)
-            dists = [float(e[8]) for e in endpoints if e[0] == objective]
-            assert float(row[4]) == pytest.approx(np.mean(np.abs(dists)), rel=1e-12)
+        summary = read_csv(out / "fig2_summary.csv")
+        header, *endpoints = read_csv(out / "fig2_endpoints.csv")
+        col = {name: k for k, name in enumerate(header)}
+        for row in summary[1:]:
+            got = dict(zip(summary[0], row))
+            runs = [e for e in endpoints if e[0] == got["objective"]]
+            disps = np.array([float(e[col["displacement"]]) for e in runs])
+            dists = np.array([float(e[col["signed_boundary_dist"]]) for e in runs])
+            # %.17g text reads back as the same doubles, so every mean is exact
+            assert int(got["n_runs"]) == len(runs)
+            assert float(got["mean_displacement"]) == np.mean(disps)
+            assert float(got["mean_signed_boundary_dist"]) == np.mean(dists)
+            assert float(got["mean_abs_boundary_dist"]) == np.mean(np.abs(dists))
+            assert float(got["frac_class2_side"]) == np.mean(dists > 0)
+            assert int(got["diverged_runs"]) == sum(e[col["diverged"]] == "1" for e in runs)
         # endpoint rows restate the last row of each trajectory file
         for e in endpoints:
             traj = read_csv(out / f"fig2_traj_{e[0]}_{int(e[1]):03d}.csv")
@@ -294,6 +301,28 @@ class TestFigure2Command:
         ])
         assert code == EXIT_CHECK_FAILED
 
+    def test_overflowing_scores_count_as_diverged(self, tmp_path, capsys):
+        # at lr = 1e300 every sds and dds endpoint is finite but past 1e154,
+        # so its displacement overflows to inf, and every pds trajectory
+        # diverges. Each of those runs counts as diverged, and every line of
+        # the printed table keeps the header's width.
+        config = tmp_path / "huge_lr.ini"
+        config.write_text("[distill]\nlr = 1e300\nsteps = 20\n")
+        out = tmp_path / "out"
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = main(["figure2", str(BENCH_FIXTURES / "model.ckpt"), "--config", str(config),
+                         "--out", str(out), "--check"])
+        assert code == EXIT_CHECK_FAILED
+        header, *table = capsys.readouterr().out.splitlines()[:4]
+        assert [len(line) for line in table] == [len(header)] * 3
+        summary = {r[0]: r[-1] for r in read_csv(out / "fig2_summary.csv")[1:]}
+        assert summary == {"sds": "20", "dds": "20", "pds": "20"}
+        endpoints = read_csv(out / "fig2_endpoints.csv")[1:]
+        assert {e[-1] for e in endpoints} == {"1"}
+        assert {e[7] for e in endpoints if e[0] != "pds"} == {"inf"}
+        meta = dict(r for r in read_csv(out / "fig2_meta.csv")[1:])
+        assert meta["check_no_divergence"] == "fail"
+
     def test_check_flag_sees_divergence_of_an_objective_subset(self, trained_dir, tmp_path):
         # a NaN output bias diverges every run; with one objective there is
         # no ordering to check, but divergence is still a failed check
@@ -310,6 +339,40 @@ class TestFigure2Command:
         assert [row for row in meta if row[0].startswith("check_")] == [
             ["check_no_divergence", "fail"]
         ]
+
+
+class TestScore:
+    def test_figure2_endpoint_columns_are_the_scores(self, default_config, trained_model,
+                                                      tmp_path):
+        summary = experiments.run_figure2(default_config, trained_model, out_dir=tmp_path)
+        header, *rows = read_csv(tmp_path / "fig2_endpoints.csv")
+        class_params = default_config.class_params()
+        for objective in default_config.distill.objectives:
+            runs = np.array([[float(v) for v in r[3:]] for r in rows if r[0] == objective])
+            written = dict(zip(header[3:], runs.T))
+            starts = np.column_stack([written["start_x"], written["start_y"]])
+            ends = np.column_stack([written["endpoint_x"], written["endpoint_y"]])
+            scored = experiments.score(starts, ends, class_params)
+            assert list(scored) == header[7:]
+            for name, column in scored.items():
+                assert written[name].tobytes() == column.astype(float).tobytes(), name
+                assert summary.columns[objective][name].tobytes() == column.tobytes(), name
+
+    def test_sdedit_means_are_score_column_means(self, default_config, trained_model,
+                                                 monkeypatch):
+        original, edits = experiments.sdedit_batch, []
+
+        def recorded(points, *args):
+            edits.append((points, original(points, *args)))
+            return edits[-1][1]
+
+        monkeypatch.setattr(experiments, "sdedit_batch", recorded)
+        rows = experiments.run_sdedit_sweep(default_config, trained_model, 200, 5)
+        assert len(edits) == len(rows) == 5
+        class_params = default_config.class_params()
+        for (_, mean), (points, edited) in zip(rows, edits):
+            scored = experiments.score(points, edited, class_params)
+            assert mean == float(np.mean(scored["displacement"]))
 
 
 class TestSdeditDemoCommand:

@@ -612,11 +612,14 @@ class TestOptimizeBatch:
         for rec, ref in zip(got, refs):
             assert record_bits(rec) == record_bits(ref)
 
-    def test_a_job_alone_equals_its_batch_record(self, trained_model, schedule, subsequence):
+    @pytest.mark.parametrize("model_fixture", ["trained_model", "random_model"])
+    def test_a_job_alone_equals_its_batch_record(self, model_fixture, schedule, subsequence,
+                                                 request):
+        d = request.getfixturevalue(model_fixture)
         jobs = mixed_jobs(subsequence, np.random.default_rng(8))
-        batch = optimize_batch(jobs, 6, 0.01, trained_model, schedule)
+        batch = optimize_batch(jobs, 6, 0.01, d, schedule)
         for job, rec in zip(jobs, batch):
-            (alone,) = optimize_batch([job], 6, 0.01, trained_model, schedule)
+            (alone,) = optimize_batch([job], 6, 0.01, d, schedule)
             assert record_bits(alone) == record_bits(rec)
 
     def test_shared_draw_survives_a_diverging_member(

@@ -54,6 +54,9 @@ _MAX_OVERLAP_TAIL = 1e-3
 # Minibatch rows train builds in one pass; 4,096 ran no faster and held more memory.
 _BLOCK_ROWS = 1024
 
+# Rows of the time-embedding table at most: 4 MB at 8 columns, far above any T.
+_T_TABLE_ROWS = 1 << 16
+
 # Row k is the one-hot label column block of label k; read-only, since
 # scalar labels read a view of it.
 _ONE_HOT = np.eye(NUM_CLASSES + 1)
@@ -145,15 +148,16 @@ class Denoiser:
     part of checkpoints. The model owns a time-embedding table and one
     activation scratch, an (n, width) buffer per layer input for the last
     row count n; the scratch and the parameters of ``create`` and
-    :func:`load_checkpoint` start on a cache line. :func:`eps` and the
-    samplers' gemm forward write their feature rows, x and the time rows
-    once for both guidance halves, and hidden layers there, and return
-    fresh arrays; a :class:`LabelPlan` owns its labels and one-hot columns.
-    Training runs on buffers of its own, allocated per :func:`train` or
-    :func:`loss_and_grad` call, and :func:`train` mutates ``params``:
-    serialize all calls on one model. :func:`train` and every reverse
-    chain in ``latentops`` hold the process-wide BLAS thread count at 1
-    while they run.
+    :func:`load_checkpoint` start on a cache line. Training and inference
+    run one forward, ``_forward``, over feature rows that ``_features``
+    lays out. :func:`eps` and the samplers' gemm forward write the feature
+    rows into the scratch once, swap only their label columns between the
+    conditional and the null forward, and return fresh arrays; a
+    :class:`LabelPlan` owns its labels and one-hot columns. Training runs on
+    buffers of its own, allocated per :func:`train` or :func:`loss_and_grad`
+    call, and :func:`train` mutates ``params``: serialize all calls on one
+    model. :func:`train` and every reverse chain in ``latentops`` hold the
+    process-wide BLAS thread count at 1 while they run.
     """
 
     params: np.ndarray
@@ -200,14 +204,17 @@ class Denoiser:
     def time_rows(self, t: np.ndarray) -> np.ndarray:
         """Embedding rows of integer timesteps >= 0, read from a table that a
         larger timestep rebuilds up to the next power of two above max(t), so
-        rising timesteps rebuild it once per doubling, not once per rise."""
+        rising timesteps rebuild it once per doubling, not once per rise. The
+        table stops at ``_T_TABLE_ROWS``; rows of larger timesteps are computed
+        on each call, with the table's bits."""
         try:
             return self._t_table[t]
         except (IndexError, TypeError):
-            size = 1 << int(np.max(t, initial=0)).bit_length()
-            table = time_embedding(np.arange(size), self.t_embed_dim)
-            self._t_table = table
-            return table[t]
+            top = int(np.max(t, initial=0))
+            if top >= _T_TABLE_ROWS:
+                return time_embedding(t, self.t_embed_dim)
+            self._t_table = time_embedding(np.arange(1 << top.bit_length()), self.t_embed_dim)
+            return self._t_table[t]
 
     def scratch(self, n: int) -> tuple[np.ndarray, ...]:
         """An (n, width) buffer per layer input, rebuilt whole when n changes;
@@ -256,21 +263,21 @@ def _layer_views(params: np.ndarray, arch: tuple[int, ...]):
 
 
 def time_embedding(t: np.ndarray, dim: int) -> np.ndarray:
-    """Sinusoidal embedding of integer timesteps, shape (n, dim)."""
+    """Sinusoidal embedding of integer timesteps, shape (*t.shape, dim)."""
     half = dim // 2
     freqs = 10000.0 ** (-np.arange(half) / half)
-    ang = np.asarray(t, dtype=float)[:, None] * freqs[None, :]
-    return np.concatenate([np.sin(ang), np.cos(ang)], axis=1)
+    ang = np.asarray(t, dtype=float)[..., None] * freqs
+    return np.concatenate([np.sin(ang), np.cos(ang)], axis=-1)
 
 
-def _features(d: Denoiser, x: np.ndarray, y: np.ndarray, t: np.ndarray, out=None) -> np.ndarray:
-    """Input rows [x, time embedding, one-hot label], written into ``out`` if
-    given. ``y`` and ``t`` are one per row, or one 0-d value for every row,
-    whose embedding and one-hot row are then built once and broadcast."""
+def _features(d: Denoiser, x: np.ndarray, t: np.ndarray, labels, out=None) -> np.ndarray:
+    """Input rows [x | time rows | one-hot label columns ``labels``], written
+    into ``out`` if given. ``t`` and ``labels`` are one per row, or one 0-d
+    timestep and one one-hot row, which are then built once and broadcast."""
     feats = np.empty((x.shape[0], d.arch[0])) if out is None else out
     feats[:, :POINT_DIM] = x
     feats[:, POINT_DIM : POINT_DIM + d.t_embed_dim] = d.time_rows(t)
-    feats[:, POINT_DIM + d.t_embed_dim :] = _ONE_HOT[y]
+    feats[:, POINT_DIM + d.t_embed_dim :] = labels
     return feats
 
 
@@ -283,37 +290,19 @@ def _matmul(h: np.ndarray, w: np.ndarray, per_row: bool, out=None) -> np.ndarray
     return np.matmul(h, w, out=out)
 
 
-def _hidden(d: Denoiser, h: np.ndarray, bufs, per_row: bool = False) -> list[np.ndarray]:
-    """Activations [h, *hidden layers] of the feature rows ``h``, each hidden
-    layer written into its buffer in ``bufs``; see :func:`_matmul`."""
-    cache = [h]
-    for (w, b), buf in zip(d.layers()[:-1], bufs):
-        h = _matmul(h, w, per_row, out=buf)
-        h += b
-        np.tanh(h, out=h)
-        cache.append(h)
-    return cache
-
-
-def _forwards(d: Denoiser, x: np.ndarray, t: np.ndarray, onehots, per_row: bool):
-    """Yield (output, activation cache) of one forward of the n rows ``x`` at
-    timesteps ``t`` per block of one-hot label columns in ``onehots``. The
-    rows are the model's scratch: ``x`` and the time rows are written once,
-    each forward rewrites only the label columns, and each cache holds until
-    the next forward on the model; see :func:`_hidden`."""
-    feats, *hidden = d.scratch(x.shape[0])
-    feats[:, :POINT_DIM] = x
-    feats[:, POINT_DIM : POINT_DIM + d.t_embed_dim] = d.time_rows(t)
-    w, b = d.layers()[-1]
-    for onehot in onehots:
-        feats[:, POINT_DIM + d.t_embed_dim :] = onehot
-        cache = _hidden(d, feats, hidden, per_row)
-        yield _matmul(cache[-1], w, per_row) + b, cache
-
-
-def _forward(d: Denoiser, x: np.ndarray, y: np.ndarray, t: np.ndarray, per_row: bool = False):
-    """One forward of n rows with checked labels ``y``: (output, activation cache)."""
-    return next(_forwards(d, x, t, (_ONE_HOT[y],), per_row))
+def _forward(d: Denoiser, feats: np.ndarray, bufs, per_row: bool = False, out=None):
+    """(output, activation cache [feats, *hidden layers]) of the feature rows
+    ``feats``, each hidden layer written into its buffer in ``bufs`` and the
+    output into ``out``, or a fresh array if not given; see :func:`_matmul`."""
+    *hidden, (w, b) = d.layers()
+    cache = [feats]
+    for (wk, bk), buf in zip(hidden, bufs):
+        h = _matmul(cache[-1], wk, per_row, out=buf)
+        h += bk
+        cache.append(np.tanh(h, out=h))
+    out = _matmul(cache[-1], w, per_row, out=out)
+    out += b
+    return out, cache
 
 
 class _Fit:
@@ -331,10 +320,7 @@ class _Fit:
     def loss(self, d: Denoiser, feats: np.ndarray, eps: np.ndarray) -> float:
         """mean_i ||eps_hat_i - eps_i||^2 over the feature rows ``feats``;
         leaves its gradient in ``self.grad``."""
-        cache = _hidden(d, feats, self.hidden)
-        w, b = d.layers()[-1]
-        resid = _matmul(cache[-1], w, False, out=self.resid)
-        resid += b
+        resid, cache = _forward(d, feats, self.hidden, out=self.resid)
         resid -= eps
         row_sq = np.add.reduce(np.square(resid, out=self.sq), axis=1)
         loss = float(np.add.reduce(row_sq) / len(feats))
@@ -408,14 +394,22 @@ def _check_rows(x: np.ndarray, y, t) -> tuple[LabelPlan, np.ndarray]:
 
 
 def _guided(d: Denoiser, x: np.ndarray, y, t, omega: float, per_row: bool) -> np.ndarray:
-    """e_null + omega * (e_y - e_null) from a null and a conditional forward
-    of n rows each; omega = 1 and omega = 0 run only the forward they return."""
+    """e_null + omega * (e_y - e_null) of n rows from a conditional and a null
+    forward on the model's scratch, whose feature rows are written once and
+    only their label columns rewritten for the second; omega = 1 and omega = 0
+    run only the forward they return. ValueError for a non-finite omega."""
+    if not math.isfinite(omega):
+        raise ValueError(f"omega must be a finite real, got {omega!r}")
     plan, t = _check_rows(x, y, t)
     null = _ONE_HOT[NULL_LABEL]
+    feats, *bufs = d.scratch(x.shape[0])
+    _features(d, x, t, plan.cond if omega else null, out=feats)
+    first = _forward(d, feats, bufs, per_row)[0]
     if omega in (0.0, 1.0):
-        return next(_forwards(d, x, t, (plan.cond if omega else null,), per_row))[0]
-    (e_null, _), (e_cond, _) = _forwards(d, x, t, (null, plan.cond), per_row)
-    return e_null + omega * (e_cond - e_null)
+        return first
+    feats[:, POINT_DIM + d.t_embed_dim :] = null
+    e_null = _forward(d, feats, bufs, per_row)[0]
+    return e_null + omega * (first - e_null)
 
 
 def eps(d: Denoiser, x: np.ndarray, y, t, omega: float) -> np.ndarray:
@@ -425,13 +419,14 @@ def eps(d: Denoiser, x: np.ndarray, y, t, omega: float) -> np.ndarray:
     label and timestep arrays (scalars broadcast), and ``y`` may be a
     :class:`LabelPlan` of the labels instead. Every output row is bitwise
     equal to the same row evaluated alone, whatever the batch holds. The
-    null and conditional predictions are two per-row forwards of n rows
-    over one set of feature rows, of which only the label columns change;
-    omega = 1 returns the conditional prediction and omega = 0 the
-    unconditional one from one forward, with no arithmetic on the endpoints.
-    ValueError for any other shape of ``x``, for labels or timesteps of a
-    non-integer dtype or of the wrong length, and for labels outside
-    0 (null) .. NUM_CLASSES or timesteps below 1.
+    conditional and null predictions are two per-row forwards of n rows
+    over feature rows written once, of which only the label columns are
+    swapped between them; omega = 1 returns the conditional prediction and
+    omega = 0 the unconditional one from one forward, with no arithmetic on
+    the endpoints. ValueError for any other shape of ``x``, for labels or
+    timesteps of a non-integer dtype or of the wrong length, for labels
+    outside 0 (null) .. NUM_CLASSES or timesteps below 1, and for a
+    non-finite omega.
     """
     x = np.asarray(x, dtype=float)
     return _guided(d, x[None] if x.shape == (POINT_DIM,) else x, y, t, omega, True)
@@ -476,7 +471,7 @@ def loss_and_grad(
     """
     plan, t = _check_rows(x0, y, t)
     fit = _Fit(d, x0.shape[0])
-    loss = fit.loss(d, _features(d, s.noised(x0, t, eps), plan.labels, t), eps)
+    loss = fit.loss(d, _features(d, s.noised(x0, t, eps), t, plan.cond), eps)
     return loss, fit.grad
 
 
@@ -587,7 +582,7 @@ def train(
             x0 = points[idx[drawn]]
             y = np.where(drop[drawn] < cfg.null_cond_prob, NULL_LABEL, labels[idx[drawn]])
             y, t_drawn = _check_rows(x0, y, t[drawn])
-            _features(d, s.noised(x0, t_drawn, noise[drawn]), y.labels, t_drawn, out=feats[drawn])
+            _features(d, s.noised(x0, t_drawn, noise[drawn]), t_drawn, y.cond, out=feats[drawn])
             losses += [_train_step(d, fit, feats[st], noise[st], cfg.learning_rate) for st in steps]
     return losses
 

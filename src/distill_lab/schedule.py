@@ -92,7 +92,11 @@ class NoiseSchedule:
 
     def _at(self, t) -> tuple:
         """(sqrt_ab[t], sqrt_1m_ab[t]) as scalars, or as columns that scale
-        row k by the value at t[k]; ValueError for a timestep outside [0, T]."""
+        row k by the value at t[k]; ValueError for a non-integer timestep or one outside [0, T]."""
+        dtype = getattr(t, "dtype", None)
+        if type(t) is not int and (dtype is None or dtype.kind not in "iu"):
+            got = type(t).__name__ if dtype is None else dtype
+            raise ValueError(f"timesteps must be integers, got {got}")
         per_row = getattr(t, "ndim", 0) > 0
         lo, hi = (t.min(initial=0), t.max(initial=0)) if per_row else (t, t)
         if lo < 0 or hi > self.T:

@@ -120,7 +120,7 @@ class TestPredict:
     def test_single_weight_jacobian_matches_finite_difference(self, schedule, rng):
         # perturb individual weights; the analytic jacobian entry is the
         # backward pass seeded with a one-hot cotangent
-        from distill_lab.denoiser import _Fit, _forward
+        from distill_lab.denoiser import _Fit
 
         d = Denoiser.create(t_embed_dim=4, hidden=(8, 8), seed=2, random_head=True)
         x = rng.standard_normal((1, 2))
@@ -130,13 +130,13 @@ class TestPredict:
         for out_dim in (0, 1):
             cot = np.zeros((1, 2))
             cot[0, out_dim] = 1.0
-            _, cache = _forward(d, x, y, t)
+            _, cache = scratch_forward(d, x, y, t)
             analytic = _Fit(d, 1).backward(d, cache, cot)
             for j in rng.integers(0, d.params.size, size=25):
                 d.params[j] += h
-                up = _forward(d, x, y, t)[0][0, out_dim]
+                up = scratch_forward(d, x, y, t)[0][0, out_dim]
                 d.params[j] -= 2 * h
-                dn = _forward(d, x, y, t)[0][0, out_dim]
+                dn = scratch_forward(d, x, y, t)[0][0, out_dim]
                 d.params[j] += h
                 fd = (up - dn) / (2 * h)
                 if abs(fd) > 1e-12:
@@ -211,12 +211,11 @@ class TestEps:
             assert shuffled.tobytes() == batch[perm].tobytes()
 
     def test_single_row_equals_batch_one_forward(self, random_model):
-        from distill_lab.denoiser import _forward
-
         x, y, t = self.batch_with_duplicates(50, seed=3)
         for i in range(50):
             row = (x[i : i + 1], y[i : i + 1], t[i : i + 1])
-            assert np.array_equal(eps(random_model, *row, 1.0), _forward(random_model, *row)[0])
+            want = scratch_forward(random_model, *row)[0]
+            assert np.array_equal(eps(random_model, *row, 1.0), want)
 
     def test_guidance_combines_null_and_conditional_rows(self, random_model):
         x, _, t = self.batch_with_duplicates(7, seed=4)
@@ -244,6 +243,25 @@ class TestEps:
             assert np.array_equal(rows, time_embedding(np.array([t]), random_model.t_embed_dim))
         assert len(builds) <= 11
         assert builds[-1] == 1024
+
+    @pytest.mark.parametrize("t", [10**6, 2**40], ids=["1e6", "2^40"])
+    def test_time_table_stops_at_its_cap(self, t):
+        # a timestep far above any schedule's T must not size the table
+        d = Denoiser.create(seed=5, random_head=True)
+        x = np.zeros((3, 2))
+        for tt in (500, t, np.array([5, t, 7])):
+            eps(d, x, 1, tt, 7.5)
+            assert len(d._t_table) == 512 < denoiser._T_TABLE_ROWS  # built at t = 500
+            rows = d.time_rows(tt)
+            assert rows.shape == np.shape(tt) + (d.t_embed_dim,)
+            assert rows.tobytes() == time_embedding(np.ravel(tt), d.t_embed_dim).tobytes()
+
+    @pytest.mark.parametrize("omega", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("predict_rows", [eps, cfg_predict_batch])
+    def test_rejects_non_finite_omega(self, random_model, predict_rows, omega):
+        want = re.escape(f"omega must be a finite real, got {omega!r}")
+        with pytest.raises(ValueError, match=want):
+            predict_rows(random_model, np.zeros((2, 2)), 1, 5, omega)
 
     def test_layer_cache_follows_replaced_params(self):
         d = Denoiser.create(seed=5, random_head=True)
@@ -277,9 +295,21 @@ class TestEps:
             eps(random_model, np.zeros(shape), 1, 10, 2.0)
 
 
+def one_hot(y):
+    """The one-hot label columns of the labels ``y``."""
+    return LabelPlan(y, len(y)).cond
+
+
+def scratch_forward(d, x, y, t, per_row=False):
+    """One forward of the rows (x, y, t) on the model's scratch, as eps and
+    cfg_predict_batch run theirs: (output, activation cache)."""
+    feats, *bufs = d.scratch(x.shape[0])
+    return _forward(d, _features(d, x, t, one_hot(y), out=feats), bufs, per_row)
+
+
 def reference_forward(d, x, y, t):
     """The gemm forward with a fresh array per layer: tanh(h @ w + b)."""
-    h = _features(d, x, y, t)
+    h = _features(d, x, t, one_hot(y))
     cache = [h]
     layers = d.layers()
     for w, b in layers[:-1]:
@@ -292,7 +322,7 @@ def reference_forward(d, x, y, t):
 def reference_rows_forward(d, x, y, t):
     """The per-row forward with a fresh array per layer: each layer is a stack
     of (1, k) @ (k, m) products."""
-    h = _features(d, x, y, t)
+    h = _features(d, x, t, one_hot(y))
     layers = d.layers()
     for w, b in layers[:-1]:
         h = np.tanh((h[:, None, :] @ w)[:, 0, :] + b)
@@ -453,7 +483,7 @@ class TestGemmForward:
             d.params = params
             for n in (0, 1, 3, 128, 4000):
                 x, y, t = gemm_rows(n, seed=n)
-                out, cache = _forward(d, x, y, t)
+                out, cache = scratch_forward(d, x, y, t)
                 ref_out, ref_cache = reference_forward(d, x, y, t)
                 assert np.array_equal(out, ref_out)
                 assert len(cache) == len(ref_cache)
@@ -498,9 +528,9 @@ class TestGemmForward:
 
     def test_scratch_reused_only_at_the_same_row_count(self, random_model):
         for per_row in (False, True):
-            first = _forward(random_model, *gemm_rows(64, seed=4), per_row)[1]
-            same = _forward(random_model, *gemm_rows(64, seed=5), per_row)[1]
-            other = _forward(random_model, *gemm_rows(65, seed=6), per_row)[1]
+            first = scratch_forward(random_model, *gemm_rows(64, seed=4), per_row)[1]
+            same = scratch_forward(random_model, *gemm_rows(64, seed=5), per_row)[1]
+            other = scratch_forward(random_model, *gemm_rows(65, seed=6), per_row)[1]
             for k in range(1, len(first)):
                 assert np.shares_memory(first[k], same[k])
                 assert not np.shares_memory(first[k], other[k])

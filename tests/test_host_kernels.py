@@ -17,6 +17,11 @@ TESTS = Path(__file__).resolve().parent
 INVARIANTS = [
     # batch invariance
     "test_denoiser.py::TestEps::test_single_row_equals_batch_one_forward",
+    # the one forward against its references, and its scratch reuse
+    "test_denoiser.py::TestGemmForward::test_output_and_cache_equal_reference",
+    "test_denoiser.py::TestGemmForward::test_guided_batch_keeps_the_first_forward",
+    "test_denoiser.py::TestPerRowForward::test_eps_equals_reference",
+    "test_denoiser.py::TestPerRowForward::test_eps_and_gemm_results_survive_each_other",
     # zero at identity
     "test_distill.py::TestDdsGrad::test_exact_zero_at_identity",
     "test_distill.py::TestPdsGrad::test_exact_zero_at_identity",

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -122,6 +123,24 @@ class TestPosteriorTables:
         ts = np.array([5, t, 0]) if per_row else t
         with pytest.raises(ValueError, match=f"timestep {t} outside"):
             getattr(schedule, method)(x, ts, x)
+
+    @pytest.mark.parametrize("method", ["noised", "x0_estimate"])
+    @pytest.mark.parametrize(
+        "t, want",
+        [
+            (5.0, "timesteps must be integers, got float"),
+            (np.float64(5.0), "timesteps must be integers, got float64"),
+            (True, "timesteps must be integers, got bool"),
+            (np.array([5.0, 6.0, 7.0]), "timesteps must be integers, got float64"),
+            (np.array([True, False, True]), "timesteps must be integers, got bool"),
+        ],
+        ids=["float", "float64", "bool", "float_rows", "bool_rows"],
+    )
+    def test_noising_methods_reject_non_integer_timesteps(self, schedule, method, t, want):
+        # 5.0 must not be a bare IndexError, nor True a broadcast error
+        x = np.zeros((3, 2))
+        with pytest.raises(ValueError, match=re.escape(want)):
+            getattr(schedule, method)(x, t, x)
 
     def test_pair_form_reduces_to_consecutive(self, schedule):
         for t in (2, 100, 500, 1000):

@@ -2,8 +2,8 @@
 
 Subcommands: train, invert-roundtrip, figure2, sdedit-demo, check.
 Shared flags: --config PATH, --seed N, --out DIR, --check. Exit codes:
-0 success, 2 configuration error or an output file that cannot be written,
-3 numerical divergence, 4 failed check.
+0 success, 2 configuration error (a size too large for memory included) or
+an output file that cannot be written, 3 numerical divergence, 4 failed check.
 """
 
 from __future__ import annotations
@@ -198,6 +198,10 @@ def main(argv: list[str] | None = None) -> int:
         return _COMMANDS[args.command](cfg, args)
     except (ConfigError, MismatchError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG_ERROR
+    except MemoryError as exc:
+        # numpy refuses an array larger than memory outright: a size set too large
+        print(f"config error: {exc or 'out of memory'}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
     except DivergenceError as exc:
         print(f"numerical divergence: {exc}", file=sys.stderr)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import ctypes
 import functools
 import math
+import os
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -53,6 +54,9 @@ _MAX_OVERLAP_TAIL = 1e-3
 
 # Minibatch rows train builds in one pass; 4,096 ran no faster and held more memory.
 _BLOCK_ROWS = 1024
+
+# Rows per part of a guided call that runs on several threads; 256 slowed invert.
+_PART_ROWS = 1024
 
 # Rows of the time-embedding table at most: 4 MB at 8 columns, far above any T.
 _T_TABLE_ROWS = 1 << 16
@@ -145,8 +149,8 @@ class Denoiser:
 
     ``arch`` lists every layer width including input and output, e.g.
     (13, 64, 64, 2). ``opt_state`` is training-only bookkeeping and is not
-    part of checkpoints. The model owns a time-embedding table and one
-    activation scratch, an (n, width) buffer per layer input for the last
+    part of checkpoints. The model owns a time-embedding table and an
+    activation scratch per slot, an (n, width) buffer per layer input for the last
     row count n; the scratch and the parameters of ``create`` and
     :func:`load_checkpoint` start on a cache line. Training and inference
     run one forward, ``_forward``, over feature rows that ``_features``
@@ -157,7 +161,8 @@ class Denoiser:
     buffers of its own, allocated per :func:`train` or :func:`loss_and_grad`
     call, and :func:`train` mutates ``params``: serialize all calls on one
     model. :func:`train` and every reverse chain in ``latentops`` hold the
-    process-wide BLAS thread count at 1 while they run.
+    process-wide BLAS thread count at 1 while they run. A guided call of over
+    ``_PART_ROWS`` rows runs in parts on several threads, one slot each.
     """
 
     params: np.ndarray
@@ -166,7 +171,7 @@ class Denoiser:
     opt_state: AdamState | None = field(default=None, repr=False)
     _views: tuple = field(default=(None, None), init=False, repr=False, compare=False)
     _t_table: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
-    _scratch: tuple = field(default=(), init=False, repr=False, compare=False)
+    _scratch: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     num_classes = NUM_CLASSES  # a class attribute, not a field: every model has two classes
 
     @classmethod
@@ -216,12 +221,14 @@ class Denoiser:
             self._t_table = time_embedding(np.arange(1 << top.bit_length()), self.t_embed_dim)
             return self._t_table[t]
 
-    def scratch(self, n: int) -> tuple[np.ndarray, ...]:
+    def scratch(self, n: int, slot: int = 0) -> tuple[np.ndarray, ...]:
         """An (n, width) buffer per layer input, rebuilt whole when n changes;
-        reusing them keeps repeated large batches from faulting pages in."""
-        if not self._scratch or self._scratch[0].shape[0] != n:
-            self._scratch = tuple(_line_aligned(n, width) for width in self.arch[:-1])
-        return self._scratch
+        reusing them keeps repeated large batches from faulting pages in. Each
+        ``slot`` holds its own."""
+        bufs = self._scratch.get(slot)
+        if bufs is None or bufs[0].shape[0] != n:
+            bufs = self._scratch[slot] = tuple(_line_aligned(n, width) for width in self.arch[:-1])
+        return bufs
 
 
 def _line_aligned(*shape: int) -> np.ndarray:
@@ -393,23 +400,80 @@ def _check_rows(x: np.ndarray, y, t) -> tuple[LabelPlan, np.ndarray]:
     return y, t
 
 
-def _guided(d: Denoiser, x: np.ndarray, y, t, omega: float, per_row: bool) -> np.ndarray:
+def _guided_rows(d: Denoiser, x: np.ndarray, cond, t, omega: float, per_row: bool, scratch):
     """e_null + omega * (e_y - e_null) of n rows from a conditional and a null
-    forward on the model's scratch, whose feature rows are written once and
+    forward on ``scratch``, whose feature rows are written once and
     only their label columns rewritten for the second; omega = 1 and omega = 0
-    run only the forward they return. ValueError for a non-finite omega."""
-    if not math.isfinite(omega):
-        raise ValueError(f"omega must be a finite real, got {omega!r}")
-    plan, t = _check_rows(x, y, t)
+    run only the forward they return. ``cond`` holds the label columns."""
     null = _ONE_HOT[NULL_LABEL]
-    feats, *bufs = d.scratch(x.shape[0])
-    _features(d, x, t, plan.cond if omega else null, out=feats)
+    feats, *bufs = scratch
+    _features(d, x, t, cond if omega else null, out=feats)
     first = _forward(d, feats, bufs, per_row)[0]
     if omega in (0.0, 1.0):
         return first
     feats[:, POINT_DIM + d.t_embed_dim :] = null
     e_null = _forward(d, feats, bufs, per_row)[0]
     return e_null + omega * (first - e_null)
+
+
+def _guided(d: Denoiser, x: np.ndarray, y, t, omega: float, per_row: bool) -> np.ndarray:
+    """:func:`_guided_rows` of n rows, over ``_PART_ROWS`` of them as parts of
+    ``_PART_ROWS`` rows (the last one shorter) that depend on n alone, on one
+    thread and scratch slot per CPU at most. ValueError for a non-finite omega."""
+    if not math.isfinite(omega):
+        raise ValueError(f"omega must be a finite real, got {omega!r}")
+    plan, t = _check_rows(x, y, t)
+    n = x.shape[0]
+    if n <= _PART_ROWS:
+        return _guided_rows(d, x, plan.cond, t, omega, per_row, d.scratch(n))
+    d.layers()  # the threads only read the model: build its views and time table here
+    d.time_rows(t)
+    parts = [slice(r, r + _PART_ROWS) for r in range(0, n, _PART_ROWS)]
+    slots = [d.scratch(_PART_ROWS, k) for k in range(min(_cpus(), len(parts)))]
+    out = np.empty((n, POINT_DIM))
+    todo, taking = iter(parts), threading.Lock()
+
+    def run(k: int) -> None:
+        while True:
+            with taking:  # parts go to whichever thread is free: a stalled thread holds up one
+                part = next(todo, None)
+            if part is None:
+                return
+            rows, cond = x[part], plan.cond[part] if plan.cond.ndim == 2 else plan.cond
+            bufs = [buf[: len(rows)] for buf in slots[k]]
+            out[part] = _guided_rows(d, rows, cond, t[part] if t.ndim else t, omega, per_row, bufs)
+
+    futures = [_part_pool().submit(run, k) for k in range(1, len(slots))]
+    try:
+        run(0)
+    finally:
+        raised = [f.exception() for f in futures]  # waits for every part
+    for exc in filter(None, raised):
+        raise exc
+    return out
+
+
+def _cpus() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+_pool_lock = threading.Lock()
+_pool = (0, None)  # (pid, executor): a forked child builds its own
+
+
+def _part_pool():
+    """The CPUs - 1 threads that run parts beside the caller, from the first split on."""
+    global _pool
+    with _pool_lock:
+        pid, pool = _pool
+        if pid != os.getpid():
+            from concurrent.futures import ThreadPoolExecutor
+            pool = ThreadPoolExecutor(max(1, _cpus() - 1), thread_name_prefix="guided-part")
+            _pool = (os.getpid(), pool)
+    return pool
 
 
 def eps(d: Denoiser, x: np.ndarray, y, t, omega: float) -> np.ndarray:
@@ -448,7 +512,8 @@ def cfg_predict(d: Denoiser, x_t: np.ndarray, y: int, t: int, omega: float) -> n
 def cfg_predict_batch(d: Denoiser, x_t: np.ndarray, y: int, t: int, omega: float) -> np.ndarray:
     """Guided prediction for an (n, 2) batch of points sharing one label and
     timestep, on the gemm forward (faster for large batches, not
-    batch-invariant). The time embedding and one-hot label of one feature
+    batch-invariant: over ``_PART_ROWS`` rows, each part has the bits of its
+    rows evaluated alone). The time embedding and one-hot label of one feature
     row are broadcast over the batch; ``y`` may be a :class:`LabelPlan`."""
     return _guided(d, np.asarray(x_t, dtype=float), y, t, omega, False)
 

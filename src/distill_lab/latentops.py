@@ -148,8 +148,9 @@ def stochastic_latents(
     x_prev[t_prev == 0] = x0
     x_cur = s.noised(x0, t_cur, eps_cur)
     eps_hat = eps(d, x_cur, y, t_cur, omega)
-    mu = _step_mean(s, x_cur, t_cur, eps_hat, s.gamma[t_cur][:, None], s.delta[t_cur][:, None])
-    z = (x_prev - mu) / sigma[:, None]
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # checked just below
+        mu = _step_mean(s, x_cur, t_cur, eps_hat, s.gamma[t_cur][:, None], s.delta[t_cur][:, None])
+        z = (x_prev - mu) / sigma[:, None]
     finite = np.isfinite(z).all(axis=1)
     if not finite.all():
         bad = int(t_cur[np.argmin(finite)])

@@ -226,6 +226,20 @@ class TestInvertRoundtripCommand:
         assert err.startswith("numerical divergence: non-finite stochastic latent")
         assert len(err.strip().splitlines()) == 1
 
+    def test_overflowing_inversion_exits_3_with_one_line(self, trained_dir, tmp_path):
+        # in a subprocess, where numpy's overflow warnings would print, not raise
+        cfg = tmp_path / "omega.ini"
+        cfg.write_text("[distill]\nomega = 1e308\n")
+        proc = subprocess.run(
+            [sys.executable, "-m", "distill_lab.cli", "invert-roundtrip",
+             str(trained_dir / "model.ckpt"), "--k", "2", "--config", str(cfg),
+             "--out", str(tmp_path / "rt")],
+            capture_output=True, text=True, env=child_env(), timeout=60,
+        )
+        assert proc.returncode == EXIT_DIVERGENCE
+        assert proc.stderr.startswith("numerical divergence: non-finite stochastic latent")
+        assert len(proc.stderr.splitlines()) == 1
+
     def test_schedule_mismatch_is_config_error(self, trained_dir, tmp_path):
         cfg = tmp_path / "other.ini"
         cfg.write_text("[schedule]\nt = 500\n")
@@ -539,17 +553,21 @@ class TestCsvWriter:
             assert buffer.getvalue().encode("utf-8") == path.read_bytes(), path.name
 
 
+def child_env():
+    """The environment of a child that imports the package from where the
+    tests imported it."""
+    root = str(Path(distill_lab.__file__).resolve().parents[1])
+    return {**os.environ,
+            "PYTHONPATH": os.pathsep.join(filter(None, [root, os.environ.get("PYTHONPATH")]))}
+
+
 class TestEntryPoint:
     def test_module_invocation(self, tmp_path):
-        # the child imports the package from where this test imported it
-        env = dict(os.environ)
-        root = str(Path(distill_lab.__file__).resolve().parents[1])
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [root, env.get("PYTHONPATH")]))
         bad = tmp_path / "bad.ini"
         bad.write_text("[nope]\nx = 1\n")
         proc = subprocess.run(
             [sys.executable, "-m", "distill_lab.cli", "train", "--config", str(bad)],
-            capture_output=True, text=True, env=env,
+            capture_output=True, text=True, env=child_env(),
         )
         assert proc.returncode == EXIT_CONFIG_ERROR
         assert "nope" in proc.stderr
@@ -730,6 +748,20 @@ class TestMalformedInput:
         self.assert_config_error([command, str(trained_dir / "model.ckpt"), *rest,
                                   "--out", str(out)], capsys)
         assert not out.exists()
+
+    @pytest.mark.parametrize("command, text", [
+        (["train"], "[dataset]\nn = 100000000000\n"),
+        (["sdedit-demo", "CKPT", "--points", "100000000000000"], ""),
+    ], ids=["train", "sdedit-demo"])
+    def test_size_beyond_memory(self, command, text, trained_dir, tmp_path, capsys):
+        # numpy refuses an array of TiB or PiB outright, so nothing is allocated
+        cfg = tmp_path / "big.ini"
+        cfg.write_text(text)
+        argv = [str(trained_dir / "model.ckpt") if a == "CKPT" else a for a in command]
+        err = self.assert_config_error(
+            [*argv, "--config", str(cfg), "--out", str(tmp_path / "o")], capsys
+        )
+        assert "allocate" in err
 
     def test_out_naming_a_file(self, trained_dir, tmp_path, capsys):
         afile = tmp_path / "afile"

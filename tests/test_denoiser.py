@@ -1,5 +1,6 @@
 import hashlib
 import math
+import os
 import re
 import sys
 import threading
@@ -358,7 +359,7 @@ class TestPerRowForward:
         d = Denoiser.create(seed=314, random_head=True)
         for params in (d.params, Denoiser.create(seed=9, random_head=True).params):
             d.params = params
-            for n in (0, 1, 3, 128, 1000):
+            for n in (0, 1, 3, 128, 1000, 2500):
                 x, y, t = gemm_rows(n, seed=n)
                 for omega in (0.0, 1.0, 7.5):
                     want = reference_eps(d, x, y, t, omega)
@@ -575,6 +576,90 @@ class TestGemmForward:
         for _ in range(20):
             predict_batch(trained_model, x)
         assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 2000
+
+
+class TestParts:
+    """A guided call of over _PART_ROWS rows runs as fixed parts on several
+    threads; 2,500 rows are parts of 1,024, 1,024 and 452 rows."""
+
+    N = 2500
+    PARTS = [slice(0, 1024), slice(1024, 2048), slice(2048, 2500)]
+
+    @classmethod
+    def predictors(cls, seed):
+        x, y, t = gemm_rows(cls.N, seed)
+        return {"eps": lambda d, omega: eps(d, x, y, t, omega),
+                "gemm": lambda d, omega: cfg_predict_batch(d, x, 2, 300, omega)}
+
+    def test_parts_do_not_depend_on_the_worker_count(self, random_model, monkeypatch):
+        # with two CPUs the first part waits until a part starts on a second
+        # thread, so both threads run parts
+        ran, second = [], threading.Event()
+        guided_rows = denoiser._guided_rows
+
+        def recording(d, x, *args):
+            ran.append((threading.get_ident(), len(x)))
+            if len({ident for ident, _ in ran}) > 1:
+                second.set()
+            elif denoiser._cpus() > 1:
+                assert second.wait(10)
+            return guided_rows(d, x, *args)
+
+        monkeypatch.setattr(denoiser, "_guided_rows", recording)
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for name, predict in self.predictors(seed=3).items():
+                for omega in (0.0, 1.0, 7.5):
+                    got = {}
+                    for cpus in (1, 2):
+                        monkeypatch.setattr(denoiser, "_cpus", lambda: cpus)
+                        ran.clear()
+                        second.clear()
+                        got[cpus] = predict(random_model, omega).tobytes()
+                        assert sorted(rows for _, rows in ran) == [452, 1024, 1024]
+                        assert len({ident for ident, _ in ran}) == cpus
+                    assert got[1] == got[2], (name, omega)
+        finally:
+            sys.setswitchinterval(switch)
+
+    @pytest.mark.parametrize("omega", [0.0, 1.0, 7.5])
+    def test_each_gemm_part_equals_the_part_alone(self, trained_model, omega):
+        x, _, _ = gemm_rows(self.N, seed=4)
+        whole = cfg_predict_batch(trained_model, x, 1, 500, omega)
+        for part in self.PARTS:
+            alone = cfg_predict_batch(trained_model, x[part], 1, 500, omega)
+            assert whole[part].tobytes() == alone.tobytes()
+
+    def test_a_part_raising_in_a_worker_propagates(self, random_model, monkeypatch):
+        # the caller's first part waits until the worker has raised in one of its own
+        guided_rows, raised = denoiser._guided_rows, threading.Event()
+
+        def failing(*args):
+            if threading.current_thread() is threading.main_thread():
+                assert raised.wait(10)
+                return guided_rows(*args)
+            raised.set()
+            raise RuntimeError("part failed")
+
+        monkeypatch.setattr(denoiser, "_cpus", lambda: 2)
+        monkeypatch.setattr(denoiser, "_guided_rows", failing)
+        x, y, t = gemm_rows(self.N, seed=5)
+        with pytest.raises(RuntimeError, match="part failed"):
+            eps(random_model, x, y, t, 7.5)
+        monkeypatch.setattr(denoiser, "_guided_rows", guided_rows)
+        assert eps(random_model, x, y, t, 7.5).tobytes() == reference_eps(
+            random_model, x, y, t, 7.5).tobytes()
+
+    def test_a_forked_child_builds_its_own_pool(self, monkeypatch):
+        parent = denoiser._part_pool()
+        monkeypatch.setattr(denoiser, "_pool", (os.getpid() + 1, parent))
+        child = denoiser._part_pool()
+        try:
+            assert child is not parent
+            assert denoiser._part_pool() is child
+        finally:
+            child.shutdown()
 
 
 class TestTrainStep:

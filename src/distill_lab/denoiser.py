@@ -658,7 +658,7 @@ def save_checkpoint(d: Denoiser, path, T: int) -> None:
     float64. ``T`` records the schedule length the model was trained on."""
     header = {
         "arch": ",".join(str(v) for v in d.arch),
-        "num_classes": str(d.num_classes),
+        "num_classes": str(NUM_CLASSES),
         "t_embed_dim": str(d.t_embed_dim),
         "T": str(int(T)),
     }

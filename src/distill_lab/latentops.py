@@ -21,11 +21,13 @@ chain through one function, ``_generate``, whose step mean is the one the
 latents are taken against. The three differ only in their steps, their
 noise (fresh draws or recorded latents) and their predictor: the replay
 uses the batch-invariant ``eps``, the two samplers the gemm
-``cfg_predict_batch``. Each chain runs with numpy's OpenBLAS held at one
-thread, process-wide, as ``train`` does, and the caller's count is restored
-when the chain returns or raises; so the samplers' bits do not depend on the
-host's thread count, and no second thread spins through the chain's
-single-threaded tanh and step arithmetic.
+``cfg_predict_batch``. The steps are columns of timesteps and their gamma,
+delta and sigma: the schedule's table entries for the fine chains, and for
+sdedit's coarse jumps the same formulas, computed per call. Each chain runs
+with numpy's OpenBLAS held at one thread, process-wide, as ``train`` does,
+and the caller's count is restored when the chain returns or raises; so the
+samplers' bits do not depend on the host's thread count, and no second
+thread spins through the chain's single-threaded tanh and step arithmetic.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ import numpy as np
 from .denoiser import POINT_DIM, Denoiser, LabelPlan, _one_blas_thread, cfg_predict_batch, eps
 from .denoiser import cfg_predict  # noqa: F401  perfbench/selftest.py reads latentops.cfg_predict
 from .errors import DegenerateTimestepError, DivergenceError, MismatchError
-from .schedule import NoiseSchedule, TimestepSubsequence, posterior_coeffs_pair
+from .schedule import NoiseSchedule, TimestepSubsequence, _posterior
 
 __all__ = [
     "StochasticLatentSequence",
@@ -85,23 +87,21 @@ def _step_mean(s: NoiseSchedule, x: np.ndarray, t, eps_hat: np.ndarray, gamma, d
 
 
 def _generate(predict, d: Denoiser, x: np.ndarray, y, omega: float, s: NoiseSchedule,
-              steps, noise) -> np.ndarray:
-    """Run the generative chain from x, one step per (t, gamma, delta, sigma)
-    of ``steps``: the k-th step sets x to its :func:`_step_mean` plus
-    sigma * noise(k), with the prediction ``predict(d, x, y, t, omega)``, on
-    one BLAS thread. DivergenceError when a step leaves x non-finite."""
+              ts, gamma, delta, sigma, noise) -> np.ndarray:
+    """Run the generative chain from x, one step per entry of the columns
+    ``ts``, ``gamma``, ``delta``, ``sigma``: step k sets x to its
+    :func:`_step_mean` plus sigma[k] * noise(k), with the prediction
+    ``predict(d, x, labels, ts[k], omega)`` on one :class:`LabelPlan` of ``y``,
+    on one BLAS thread. DivergenceError when a step leaves x non-finite."""
+    labels = LabelPlan(y, len(x))
+    columns = zip(*(c.tolist() for c in (ts, gamma, delta, sigma)))
     with _one_blas_thread():
-        for k, (t, gamma, delta, sigma) in enumerate(steps):
-            eps_hat = predict(d, x, y, t, omega)
-            x = _step_mean(s, x, t, eps_hat, gamma, delta) + sigma * noise(k)
+        for k, (t, gamma_t, delta_t, sigma_t) in enumerate(columns):
+            eps_hat = predict(d, x, labels, t, omega)
+            x = _step_mean(s, x, t, eps_hat, gamma_t, delta_t) + sigma_t * noise(k)
             if not np.all(np.isfinite(x)):
                 raise DivergenceError(f"non-finite state in the generative chain at t={t}")
     return x
-
-
-def _fine_steps(s: NoiseSchedule, ts) -> list[tuple]:
-    """Generative steps at timesteps ``ts`` with the fine schedule's coefficients."""
-    return [(int(t), s.gamma[t], s.delta[t], s.sigma[t]) for t in ts]
 
 
 def stochastic_latents(
@@ -225,10 +225,10 @@ def generate_with_latents_batch(
     if not seqs:
         return np.empty((0, POINT_DIM))
     x = np.array([seq.x_top for seq in seqs], dtype=float)
-    labels = LabelPlan(y_new, len(seqs))
     latents = np.stack([seq.latents for seq in seqs], axis=1)
-    steps = _fine_steps(s, sub.tau[sub.S : 0 : -1])
-    return _generate(eps, d, x, labels, omega, s, steps, lambda k: latents[k])
+    ts = sub.tau[sub.S : 0 : -1]
+    return _generate(eps, d, x, y_new, omega, s, ts, s.gamma[ts], s.delta[ts], s.sigma[ts],
+                     lambda k: latents[k])
 
 
 def ancestral_sample_batch(
@@ -245,9 +245,9 @@ def ancestral_sample_batch(
     step has sigma_1 = 0, so the last transition is deterministic.
     """
     x = rng.standard_normal((n, POINT_DIM))
-    steps = _fine_steps(s, range(s.T, 0, -1))
-    return _generate(cfg_predict_batch, d, x, y, omega, s, steps,
-                     lambda k: rng.standard_normal((n, POINT_DIM)))
+    ts = np.arange(s.T, 0, -1)
+    return _generate(cfg_predict_batch, d, x, y, omega, s, ts, s.gamma[ts], s.delta[ts],
+                     s.sigma[ts], lambda k: rng.standard_normal((n, POINT_DIM)))
 
 
 def check_sdedit_levels(T: int) -> None:
@@ -286,8 +286,10 @@ def sdedit_batch(
     k0 = int(round(t0_ratio * SDEDIT_STEPS))
     if k0 == 0:
         return x0.copy()
-    down = levels[k0::-1].tolist()
+    down = levels[k0::-1]
     x = s.noised(x0, down[0], rng.standard_normal(x0.shape))
-    steps = [(t, *posterior_coeffs_pair(s, t_prev, t)) for t, t_prev in zip(down, down[1:])]
-    return _generate(cfg_predict_batch, d, x, y, omega, s, steps,
+    ab_cur, ab_prev = s.alpha_bar[down[:-1]], s.alpha_bar[down[1:]]
+    jump = ab_cur / ab_prev  # the step factor alpha of each coarse jump
+    return _generate(cfg_predict_batch, d, x, y, omega, s, down[:-1],
+                     *_posterior(ab_prev, ab_cur, jump, 1.0 - jump),
                      lambda k: rng.standard_normal(x0.shape))

@@ -20,7 +20,9 @@ consecutive timesteps and are only non-trivial on strided subsequences.
 
 Every coefficient is read from a table built once: ``s.gamma[t]``,
 ``s.delta[t]``, ``s.sigma[t]`` per timestep and ``sub.psi[i]``,
-``sub.chi[i]``, ``sub.latent_weight[i]`` per grid index.
+``sub.chi[i]``, ``sub.latent_weight[i]`` per grid index. Only sdedit's
+coarse jumps, from t_cur down to t_prev, are computed per call: one set of
+columns from ``_posterior`` with alpha[t] = alpha_bar[t_cur] / alpha_bar[t_prev].
 """
 
 from __future__ import annotations
@@ -34,7 +36,6 @@ __all__ = [
     "NoiseSchedule",
     "TimestepSubsequence",
     "build_linear_schedule",
-    "posterior_coeffs_pair",
     "build_subsequence",
 ]
 
@@ -46,9 +47,10 @@ class NoiseSchedule:
     Besides the three defining arrays it carries per-timestep tables, built
     once from them: ``sqrt_ab`` = sqrt(alpha_bar), ``sqrt_1m_ab`` =
     sqrt(1 - alpha_bar), and the posterior coefficients ``gamma``,
-    ``delta``, ``sigma`` (index 0 unused; t = 1 holds the exact degenerate
-    values 1, 0, 0). :meth:`noised` and :meth:`x0_estimate` are the noising
-    arithmetic every sampler, objective and training step uses.
+    ``delta``, ``sigma`` (index 0 unused; t = 1 holds exactly 1, 0, 0, as
+    alpha_bar[0] = 1 and alpha_bar[1] = alpha[1]). :meth:`noised` and
+    :meth:`x0_estimate` are the noising arithmetic every sampler, objective
+    and training step uses.
     """
 
     T: int
@@ -65,9 +67,6 @@ class NoiseSchedule:
         ab = self.alpha_bar
         gamma, delta, sigma = np.zeros((3, self.T + 1))
         gamma[1:], delta[1:], sigma[1:] = _posterior(ab[:-1], ab[1:], self.alpha[1:], self.beta[1:])
-        # alpha_bar[0] = 1 forces the t = 1 values exactly; evaluating the
-        # formulas would only add rounding noise to the degenerate step.
-        gamma[1], delta[1], sigma[1] = 1.0, 0.0, 0.0
         tables = {
             "sqrt_ab": np.sqrt(ab),
             "sqrt_1m_ab": np.sqrt(1.0 - ab),
@@ -176,27 +175,6 @@ def build_linear_schedule(T: int, beta_start: float, beta_end: float) -> NoiseSc
         alpha=_readonly(alpha),
         alpha_bar=_readonly(alpha_bar),
     )
-
-
-def posterior_coeffs_pair(s: NoiseSchedule, t_prev: int, t_cur: int) -> tuple[float, float, float]:
-    """Posterior coefficients (gamma, delta, sigma) for a single jump t_cur -> t_prev.
-
-    Generalizes the schedule's ``gamma``/``delta``/``sigma`` tables to
-    non-consecutive levels by replacing alpha[t] with the effective step factor
-    alpha_bar[t_cur] / alpha_bar[t_prev]. ``t_prev`` may be 0 (the clean
-    level), in which case the jump is deterministic (gamma=1, sigma=0).
-
-    Used by the plain coarse-grid sampler (partial noising / denoising);
-    the latent-matching coefficients deliberately do NOT use this
-    re-derived chain, since on a re-derived chain the consecutive-step
-    identity would zero them out again.
-    """
-    t_prev, t_cur = int(t_prev), int(t_cur)
-    if not 0 <= t_prev < t_cur <= s.T:
-        raise ValueError(f"need 0 <= t_prev < t_cur <= {s.T}, got ({t_prev}, {t_cur})")
-    ab_prev, ab_cur = float(s.alpha_bar[t_prev]), float(s.alpha_bar[t_cur])
-    eff = ab_cur / ab_prev
-    return tuple(map(float, _posterior(ab_prev, ab_cur, eff, 1.0 - eff)))
 
 
 def _posterior(ab_prev, ab_cur, alpha, beta):

@@ -2,10 +2,12 @@
 
 ``tweedie_estimate`` and ``posterior_mean_pred`` are written with
 ``math.sqrt`` and the schedule's ``gamma``/``delta`` tables rather than its
-``x0_estimate`` and the samplers' step mean, so the tests compare the
-package against arithmetic it does not share. ``backward`` allocates a fresh
-array per layer, ``gathered_guided`` builds every feature row on its own,
-and ``train_by_steps`` trains one step at a time.
+``x0_estimate`` and the samplers' step mean, and ``coarse_jump`` with
+``math.sqrt`` on floats rather than the schedule's ``_posterior``, so the
+tests compare the package against arithmetic it does not share.
+``backward`` allocates a fresh array per layer, ``gathered_guided`` builds
+every feature row on its own, and ``train_by_steps`` trains one step at a
+time.
 """
 
 import math
@@ -40,6 +42,19 @@ def posterior_mean_pred(x_t, y, t, d, omega, s):
     return s.gamma[t] * tweedie_estimate(x_t, y, t, d, omega, s) + s.delta[t] * np.asarray(
         x_t, dtype=float
     )
+
+
+def coarse_jump(s, t_prev, t_cur):
+    """(gamma, delta, sigma) of sdedit's jump from level t_cur down to t_prev:
+    the posterior formulas with alpha[t] replaced by the step factor
+    alpha_bar[t_cur] / alpha_bar[t_prev]."""
+    assert 0 <= t_prev < t_cur <= s.T, f"need 0 <= {t_prev} < {t_cur} <= {s.T}"
+    ab_prev, ab_cur = float(s.alpha_bar[t_prev]), float(s.alpha_bar[t_cur])
+    jump = ab_cur / ab_prev
+    den = 1.0 - ab_cur
+    return (math.sqrt(ab_prev) * (1.0 - jump) / den,
+            math.sqrt(jump) * (1.0 - ab_prev) / den,
+            (1.0 - ab_prev) / den * (1.0 - jump))
 
 
 def one_latent(x0, y, draw, d, omega, s, sub):

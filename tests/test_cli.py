@@ -572,6 +572,17 @@ class TestEntryPoint:
         assert proc.returncode == EXIT_CONFIG_ERROR
         assert "nope" in proc.stderr
 
+    def test_import_starts_no_thread(self):
+        # the guided-part pool imports concurrent.futures (and with it
+        # logging) on its first split call, so importing the CLI loads
+        # neither and starts no thread
+        code = ("import sys, threading, distill_lab.cli; "
+                "print(sorted({'concurrent.futures', 'logging'} & set(sys.modules)), "
+                "threading.active_count())")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=child_env(), timeout=60)
+        assert (proc.returncode, proc.stdout) == (0, "[] 1\n"), proc.stderr
+
 
 def _rows_per_prediction(omega):
     return 1 if omega in (0.0, 1.0) else 2

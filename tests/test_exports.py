@@ -96,6 +96,15 @@ def test_loaded_checkpoint_reads_two_classes(trained_model, tmp_path):
     assert loaded.num_classes == 2
 
 
+def test_class_count_attribute_is_the_constant():
+    # perfbench/worker.py probe_denoiser reads the class attribute
+    # Denoiser.num_classes, which test_names_perfbench_binds_still_resolve
+    # cannot pin, since it is not callable
+    from distill_lab.denoiser import NUM_CLASSES, Denoiser
+
+    assert Denoiser.num_classes == NUM_CLASSES
+
+
 def test_perfbench_reimports_are_the_denoiser_function():
     # perfbench/selftest.py (RowCounter, check_tracer) finds the re-imports
     # by identity with denoiser.cfg_predict

@@ -32,6 +32,8 @@ INVARIANTS = [
     # invert -> replay
     "test_latentops.py::TestGenerateWithLatents::test_roundtrip_reconstructs_source"
     "[random_model]",
+    # sdedit's coarse coefficient columns against the scalar per-step reference
+    "test_latentops.py::TestSdedit::test_equals_per_step_reference[0.5-2.0-random_model]",
 ]
 
 SETTINGS = {

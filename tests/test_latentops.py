@@ -16,8 +16,8 @@ from distill_lab.latentops import (
     sdedit_batch,
     stochastic_latents,
 )
-from distill_lab.schedule import build_linear_schedule, build_subsequence, posterior_coeffs_pair
-from references import one_latent, posterior_mean_pred, tweedie_estimate
+from distill_lab.schedule import build_linear_schedule, build_subsequence
+from references import coarse_jump, one_latent, posterior_mean_pred, tweedie_estimate
 
 
 def constant_model(eps: np.ndarray) -> Denoiser:
@@ -422,11 +422,13 @@ class TestSdedit:
         assert gap < 3.0 * spread / math.sqrt(200) * 3  # means agree within MC error
         assert abs(a.std() - b.std()) < 0.2
 
+    @pytest.mark.parametrize("model_fixture", ["trained_model", "random_model"])
     @pytest.mark.parametrize("omega", [0.0, 2.0])
     @pytest.mark.parametrize("ratio", [0.15, 0.5, 1.0])
-    def test_equals_per_step_reference(self, trained_model, schedule, ratio, omega):
-        # the sampler runs the shared chain loop; the reference rebuilds
-        # each step with posterior_coeffs_pair and math.sqrt
+    def test_equals_per_step_reference(self, model_fixture, schedule, ratio, omega, request):
+        # the sampler runs the shared chain loop on coefficient columns; the
+        # reference rebuilds each step with coarse_jump and math.sqrt
+        d = request.getfixturevalue(model_fixture)
         n_steps = 20
         levels = [round(k * schedule.T / n_steps) for k in range(n_steps + 1)]
 
@@ -436,16 +438,38 @@ class TestSdedit:
             x = math.sqrt(ab) * x0 + math.sqrt(1.0 - ab) * rng.standard_normal(x0.shape)
             for k in range(k0, 0, -1):
                 t = levels[k]
-                gamma, delta, sigma = posterior_coeffs_pair(schedule, levels[k - 1], t)
-                eps_hat = cfg_predict_batch(trained_model, x, 1, t, omega)
+                gamma, delta, sigma = coarse_jump(schedule, levels[k - 1], t)
+                eps_hat = cfg_predict_batch(d, x, 1, t, omega)
                 ab = schedule.alpha_bar[t]
                 x_tilde = (x - math.sqrt(1.0 - ab) * eps_hat) / math.sqrt(ab)
                 x = gamma * x_tilde + delta * x + sigma * rng.standard_normal(x.shape)
             return x
 
         x0 = np.random.default_rng(3).standard_normal((16, 2))
-        got = sdedit_batch(x0, 1, ratio, trained_model, omega, schedule, np.random.default_rng(9))
+        got = sdedit_batch(x0, 1, ratio, d, omega, schedule, np.random.default_rng(9))
         assert np.array_equal(got, reference(x0, np.random.default_rng(9)))
+
+    def test_samplers_check_labels_once_per_chain(self, random_model, small_schedule, rng,
+                                                  monkeypatch):
+        # ancestral sampling and sdedit build one label plan before their
+        # steps, as the replay does, not one per step
+        checks, real_plan = [], denoiser.LabelPlan.__init__
+        monkeypatch.setattr(denoiser.LabelPlan, "__init__",
+                            lambda *a: checks.append(a) or real_plan(*a))
+        ancestral_sample_batch(random_model, 1, 4, small_schedule, 2.0, rng)
+        sdedit_batch(np.zeros((4, 2)), 2, 1.0, random_model, 2.0, small_schedule, rng)
+        assert len(checks) == 2
+
+    def test_last_jump_to_the_clean_level_is_deterministic(self, random_model, schedule, rng,
+                                                          monkeypatch):
+        # whatever the ratio, the chain ends with the jump from level 50 to
+        # level 0, whose coefficients are exactly 1, 0, 0
+        columns, real = [], latentops._generate
+        monkeypatch.setattr(latentops, "_generate", lambda *a: columns.append(a[6:10]) or real(*a))
+        for ratio in (0.05, 0.5, 1.0):
+            sdedit_batch(np.zeros((3, 2)), 1, ratio, random_model, 2.0, schedule, rng)
+        assert [(ts[-1], gamma[-1], delta[-1], sigma[-1]) for ts, gamma, delta, sigma in columns] \
+            == [(50, 1.0, 0.0, 0.0)] * 3
 
     def test_rejects_bad_ratio(self, trained_model, schedule, rng):
         with pytest.raises(ValueError):

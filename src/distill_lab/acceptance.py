@@ -3,9 +3,11 @@
 Each criterion is a function of the shared fixtures (schedule, grids, one
 trained model) that returns its verdict and a one-line detail; the
 :func:`_criterion` registration times it, fails it past its time budget and
-builds its :class:`CriterionResult`. ``run_all`` evaluates everything with
-a single master seed; the CLI ``check`` subcommand prints one line per
-criterion and the pytest suite asserts each result.
+builds its :class:`CriterionResult`. ``run_all`` trains one model from cfg,
+so ``check --seed N`` retrains it and reseeds criterion 7's runs and 9's
+sweep; criteria 2-6, 8 and 9's identity point draw from fixed streams at
+DEFAULT_MASTER_SEED + 20 ... + 90. The CLI ``check`` subcommand prints one
+line per criterion and the pytest suite asserts each result.
 """
 
 from __future__ import annotations

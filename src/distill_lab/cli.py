@@ -1,9 +1,10 @@
 """Command-line entry point.
 
-Subcommands: train, invert-roundtrip, figure2, sdedit-demo, check.
-Shared flags: --config PATH, --seed N, --out DIR, --check. Exit codes:
-0 success, 2 configuration error (a size too large for memory included) or
-an output file that cannot be written, 3 numerical divergence, 4 failed check.
+Subcommands, each parser carrying its handler as ``run``: train,
+invert-roundtrip, figure2, sdedit-demo, check. Shared flags: --config PATH,
+--seed N, --out DIR, --check. Exit codes: 0 success, 2 configuration error
+(a size too large for memory included) or an output file that cannot be
+written, 3 numerical divergence, 4 failed check.
 """
 
 from __future__ import annotations
@@ -161,47 +162,43 @@ def build_parser() -> argparse.ArgumentParser:
                         help="exit nonzero when the command's checks fail")
 
     sp = parser.add_subparsers(dest="command", required=True)
-    sp.add_parser("train", parents=[common], help="train the toy denoiser")
+    p = sp.add_parser("train", parents=[common], help="train the toy denoiser")
+    p.set_defaults(run=cmd_train)
 
     p = sp.add_parser("invert-roundtrip", parents=[common],
                       help="invert and replay random points; report errors")
     p.add_argument("checkpoint", help="model checkpoint path")
     p.add_argument("--k", type=int, default=50, help="number of points")
+    p.set_defaults(run=cmd_invert_roundtrip)
 
     p = sp.add_parser("figure2", parents=[common],
                       help="run the three-objective trajectory comparison")
     p.add_argument("checkpoint", help="model checkpoint path")
+    p.set_defaults(run=cmd_figure2)
 
     p = sp.add_parser("sdedit-demo", parents=[common],
                       help="sweep the partial-noising ratio and report displacement")
     p.add_argument("checkpoint", help="model checkpoint path")
     p.add_argument("--grid-points", type=int, default=10)
     p.add_argument("--points", type=int, default=100)
+    p.set_defaults(run=cmd_sdedit_demo)
 
-    sp.add_parser("check", parents=[common], help="run the full acceptance suite")
+    p = sp.add_parser("check", parents=[common], help="run the full acceptance suite")
+    p.set_defaults(run=cmd_check)
     return parser
-
-
-_COMMANDS = {
-    "train": cmd_train,
-    "invert-roundtrip": cmd_invert_roundtrip,
-    "figure2": cmd_figure2,
-    "sdedit-demo": cmd_sdedit_demo,
-    "check": cmd_check,
-}
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config, master_seed=args.seed, out_dir=args.out)
-        return _COMMANDS[args.command](cfg, args)
+        return args.run(cfg, args)
     except (ConfigError, MismatchError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
     except MemoryError as exc:
         # numpy refuses an array larger than memory outright: a size set too large
-        print(f"config error: {exc or 'out of memory'}", file=sys.stderr)
+        print(f"config error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
     except DivergenceError as exc:
         print(f"numerical divergence: {exc}", file=sys.stderr)

@@ -1,9 +1,9 @@
 """Experiment configuration: INI-style sections of key = value pairs.
 
-Grammar (full key list in the README): sections [schedule], [subsequence],
-[dataset], [training], [distill], [output]; values are numbers, comma
--separated pairs/lists, or names. Unknown sections or keys are rejected
-with the offending name. CLI flags override file values.
+Grammar (full key list in the README): one section per ExperimentConfig
+field ([schedule] ... [output]); values are numbers, comma-separated
+pairs/lists, or names. Unknown sections or keys are rejected with the
+offending name. CLI flags override file values; --seed rebases _SEEDS.
 """
 
 from __future__ import annotations
@@ -104,14 +104,9 @@ class ExperimentConfig:
         )
 
 
-_SECTIONS = {
-    "schedule": ScheduleConfig,
-    "subsequence": SubsequenceConfig,
-    "dataset": DatasetConfig,
-    "training": TrainConfig,
-    "distill": DistillConfig,
-    "output": OutputConfig,
-}
+_SECTIONS = typing.get_type_hints(ExperimentConfig)
+# the component seeds: (section, key, offset from the master seed)
+_SEEDS = (("dataset", "seed", 1), ("training", "seed", 2), ("distill", "base_seed", 3))
 
 
 def _finite_float(raw: str) -> float:
@@ -121,23 +116,17 @@ def _finite_float(raw: str) -> float:
     return value
 
 
+_PARSERS = {int: int, float: _finite_float, str: str}
+
+
 def _parse_value(raw: str, kind, key: str):
     raw = raw.strip()
     try:
-        if kind is int:
-            return int(raw)
-        if kind is float:
-            return _finite_float(raw)
-        if kind is str:
-            return raw
+        if kind in _PARSERS:
+            return _PARSERS[kind](raw)
         # tuple-valued keys: comma-separated entries
-        origin = kind.__args__[0] if hasattr(kind, "__args__") else float
-        parts = [p.strip() for p in raw.split(",") if p.strip()]
-        if origin is float:
-            return tuple(_finite_float(p) for p in parts)
-        if origin is int:
-            return tuple(int(p) for p in parts)
-        return tuple(parts)
+        parse = _PARSERS[kind.__args__[0]]
+        return tuple(parse(p.strip()) for p in raw.split(",") if p.strip())
     except ValueError as exc:
         raise ConfigError(f"bad value for key '{key}': {raw!r} ({exc})") from exc
 
@@ -167,10 +156,10 @@ def load_config(
 ) -> ExperimentConfig:
     """Load a config file (or pure defaults) and apply CLI overrides.
 
-    ``master_seed`` rebases every component seed (dataset, training,
-    distillation) so one flag reseeds the whole experiment. Construction
-    of the schedule, subsequence and class parameters is attempted
-    immediately so bad values fail at parse time.
+    ``master_seed`` sets each seed in ``_SEEDS`` to master_seed plus its
+    offset, so one flag reseeds the whole experiment. Construction of the
+    schedule, subsequence and class parameters is attempted immediately so
+    bad values fail at parse time.
     """
     cfg = ExperimentConfig()
     if path is not None:
@@ -191,12 +180,8 @@ def load_config(
             coerced = _coerce_section(cfg, section, dict(parser.items(section)))
             cfg = replace(cfg, **{section: coerced})
     if master_seed is not None:
-        cfg = replace(
-            cfg,
-            dataset=replace(cfg.dataset, seed=master_seed + 1),
-            training=replace(cfg.training, seed=master_seed + 2),
-            distill=replace(cfg.distill, base_seed=master_seed + 3),
-        )
+        for name, key, offset in _SEEDS:
+            cfg = replace(cfg, **{name: replace(getattr(cfg, name), **{key: master_seed + offset})})
     if out_dir is not None:
         cfg = replace(cfg, output=OutputConfig(dir=out_dir))
     _validate(cfg)
@@ -211,14 +196,10 @@ def _validate(cfg: ExperimentConfig) -> None:
         check_class_separation(cfg.class_params())
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    seeds = {
-        "dataset.seed": cfg.dataset.seed,
-        "training.seed": cfg.training.seed,
-        "distill.base_seed": cfg.distill.base_seed,
-    }
-    for key, seed in seeds.items():
+    for name, key, _ in _SEEDS:
+        seed = getattr(getattr(cfg, name), key)
         if seed < 0:
-            raise ConfigError(f"{key} must be >= 0, got {seed}")
+            raise ConfigError(f"{name}.{key} must be >= 0, got {seed}")
     dist = cfg.distill
     if not dist.objectives:
         raise ConfigError("distill.objectives must name at least one objective")

@@ -400,6 +400,11 @@ def _check_rows(x: np.ndarray, y, t) -> tuple[LabelPlan, np.ndarray]:
     return y, t
 
 
+def _check_omega(omega: float) -> None:
+    if not math.isfinite(omega):
+        raise ValueError(f"omega must be a finite real, got {omega!r}")
+
+
 def _guided_rows(d: Denoiser, x: np.ndarray, cond, t, omega: float, per_row: bool, scratch):
     """e_null + omega * (e_y - e_null) of n rows from a conditional and a null
     forward on ``scratch``, whose feature rows are written once and
@@ -420,8 +425,7 @@ def _guided(d: Denoiser, x: np.ndarray, y, t, omega: float, per_row: bool) -> np
     """:func:`_guided_rows` of n rows, over ``_PART_ROWS`` of them as parts of
     ``_PART_ROWS`` rows (the last one shorter) that depend on n alone, on one
     thread and scratch slot per CPU at most. ValueError for a non-finite omega."""
-    if not math.isfinite(omega):
-        raise ValueError(f"omega must be a finite real, got {omega!r}")
+    _check_omega(omega)
     plan, t = _check_rows(x, y, t)
     n = x.shape[0]
     if n <= _PART_ROWS:

@@ -36,7 +36,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .denoiser import POINT_DIM, Denoiser, LabelPlan, _one_blas_thread, cfg_predict_batch, eps
+from .denoiser import (POINT_DIM, Denoiser, LabelPlan, _check_omega, _one_blas_thread,
+                       cfg_predict_batch, eps)
 from .denoiser import cfg_predict  # noqa: F401  perfbench/selftest.py reads latentops.cfg_predict
 from .errors import DegenerateTimestepError, DivergenceError, MismatchError
 from .schedule import NoiseSchedule, TimestepSubsequence, _posterior
@@ -86,14 +87,13 @@ def _step_mean(s: NoiseSchedule, x: np.ndarray, t, eps_hat: np.ndarray, gamma, d
     return gamma * s.x0_estimate(x, t, eps_hat) + delta * x
 
 
-def _generate(predict, d: Denoiser, x: np.ndarray, y, omega: float, s: NoiseSchedule,
-              ts, gamma, delta, sigma, noise) -> np.ndarray:
+def _generate(predict, d: Denoiser, x: np.ndarray, labels: LabelPlan, omega: float,
+              s: NoiseSchedule, ts, gamma, delta, sigma, noise) -> np.ndarray:
     """Run the generative chain from x, one step per entry of the columns
     ``ts``, ``gamma``, ``delta``, ``sigma``: step k sets x to its
     :func:`_step_mean` plus sigma[k] * noise(k), with the prediction
-    ``predict(d, x, labels, ts[k], omega)`` on one :class:`LabelPlan` of ``y``,
+    ``predict(d, x, labels, ts[k], omega)`` on the chain's one :class:`LabelPlan`,
     on one BLAS thread. DivergenceError when a step leaves x non-finite."""
-    labels = LabelPlan(y, len(x))
     columns = zip(*(c.tolist() for c in (ts, gamma, delta, sigma)))
     with _one_blas_thread():
         for k, (t, gamma_t, delta_t, sigma_t) in enumerate(columns):
@@ -227,8 +227,8 @@ def generate_with_latents_batch(
     x = np.array([seq.x_top for seq in seqs], dtype=float)
     latents = np.stack([seq.latents for seq in seqs], axis=1)
     ts = sub.tau[sub.S : 0 : -1]
-    return _generate(eps, d, x, y_new, omega, s, ts, s.gamma[ts], s.delta[ts], s.sigma[ts],
-                     lambda k: latents[k])
+    return _generate(eps, d, x, LabelPlan(y_new, len(x)), omega, s, ts, s.gamma[ts],
+                     s.delta[ts], s.sigma[ts], lambda k: latents[k])
 
 
 def ancestral_sample_batch(
@@ -242,11 +242,14 @@ def ancestral_sample_batch(
     """n independent ancestral samples conditioned on y, shape (n, 2).
 
     Runs the full fine-grained generative chain from pure noise. The final
-    step has sigma_1 = 0, so the last transition is deterministic.
+    step has sigma_1 = 0, so the last transition is deterministic. Bad labels
+    or omega raise ValueError before the first draw, as in :func:`sdedit_batch`.
     """
+    labels = LabelPlan(y, n)
+    _check_omega(omega)
     x = rng.standard_normal((n, POINT_DIM))
     ts = np.arange(s.T, 0, -1)
-    return _generate(cfg_predict_batch, d, x, y, omega, s, ts, s.gamma[ts], s.delta[ts],
+    return _generate(cfg_predict_batch, d, x, labels, omega, s, ts, s.gamma[ts], s.delta[ts],
                      s.sigma[ts], lambda k: rng.standard_normal((n, POINT_DIM)))
 
 
@@ -272,8 +275,9 @@ def sdedit_batch(
     levels from 0 to T, so the schedule needs T >= SDEDIT_STEPS (ValueError
     otherwise); ``t0_ratio`` selects the starting position on that grid,
     so 0 is an exact identity and 1 is a full resampling that forgets the
-    input almost entirely. ValueError for an ``x0`` that is not (n, 2) (a
-    2-vector is one row), at every ratio. A step that turns non-finite
+    input almost entirely. ValueError, at every ratio and before any draw, for
+    an ``x0`` that is not (n, 2) (a 2-vector is one row), labels outside 0
+    (null) .. NUM_CLASSES or a non-finite omega. A step that turns non-finite
     raises DivergenceError, as in every chain of :func:`_generate`.
     """
     if not 0.0 <= t0_ratio <= 1.0:
@@ -282,6 +286,8 @@ def sdedit_batch(
     if x0.ndim != 2 or x0.shape[1] != POINT_DIM:
         raise ValueError(f"x0 has shape {x0.shape}, expected (n, {POINT_DIM})")
     check_sdedit_levels(s.T)
+    labels = LabelPlan(y, len(x0))
+    _check_omega(omega)
     levels = np.round(np.arange(SDEDIT_STEPS + 1) * (s.T / SDEDIT_STEPS)).astype(np.int64)
     k0 = int(round(t0_ratio * SDEDIT_STEPS))
     if k0 == 0:
@@ -290,6 +296,6 @@ def sdedit_batch(
     x = s.noised(x0, down[0], rng.standard_normal(x0.shape))
     ab_cur, ab_prev = s.alpha_bar[down[:-1]], s.alpha_bar[down[1:]]
     jump = ab_cur / ab_prev  # the step factor alpha of each coarse jump
-    return _generate(cfg_predict_batch, d, x, y, omega, s, down[:-1],
+    return _generate(cfg_predict_batch, d, x, labels, omega, s, down[:-1],
                      *_posterior(ab_prev, ab_cur, jump, 1.0 - jump),
                      lambda k: rng.standard_normal(x0.shape))

@@ -1,3 +1,4 @@
+import argparse
 import configparser
 import csv
 import dataclasses
@@ -15,8 +16,8 @@ import numpy as np
 import pytest
 
 import distill_lab
-from distill_lab import acceptance, config, denoiser, distill, experiments
-from distill_lab.cli import main
+from distill_lab import acceptance, cli, config, denoiser, distill, experiments
+from distill_lab.cli import build_parser, main
 from distill_lab.config import load_config
 from distill_lab.flatfile import read_flat_file, write_flat_file
 from distill_lab.latentops import draw_shared_noise
@@ -27,6 +28,9 @@ from distill_lab.errors import (
     EXIT_OK,
     ConfigError,
 )
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def read_csv(path):
@@ -127,6 +131,19 @@ class TestConfig:
         assert cfg.training.steps == 10
         assert cfg.training.seed == 9
 
+    def test_default_master_seed_gives_the_built_in_config(self):
+        # the --seed offsets and the section defaults name the same seeds
+        assert load_config(None, master_seed=config.DEFAULT_MASTER_SEED) == config.ExperimentConfig()
+
+    @pytest.mark.parametrize("section, key", [
+        ("dataset", "seed"), ("training", "seed"), ("distill", "base_seed"),
+    ])
+    def test_negative_seed_named_in_error(self, section, key, tmp_path):
+        path = tmp_path / "seed.ini"
+        path.write_text(f"[{section}]\n{key} = -1\n")
+        with pytest.raises(ConfigError, match=re.escape(f"{section}.{key} must be >= 0, got -1")):
+            load_config(str(path))
+
     def test_retired_knobs_rejected(self, trained_dir, tmp_path, capsys):
         path = tmp_path / "omega.ini"
         path.write_text("[training]\nsample_omega = 2.0\n")
@@ -151,6 +168,28 @@ class TestConfig:
             name: {f.name for f in dataclasses.fields(cls)} for name, cls in config._SECTIONS.items()
         }
         assert load_config(str(path)) == config.ExperimentConfig()
+
+
+def subcommands() -> dict:
+    """The parser's subcommand parsers, by name."""
+    (sp,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    return sp.choices
+
+
+def readme_quick_start() -> str:
+    return README.read_text(encoding="utf-8").split("## Quick start\n", 1)[1].split("\n## ", 1)[0]
+
+
+class TestReadmeCommands:
+    def test_quick_start_lists_every_subcommand_once(self):
+        block = re.findall(r"```\n(.*?)```", readme_quick_start(), flags=re.S)[0]
+        commands = re.findall(r"^distill-lab (\S+)", block, flags=re.M)
+        assert sorted(commands) == sorted(subcommands())
+
+    def test_shared_flags_table_is_the_options_every_subcommand_has(self):
+        rows = re.findall(r"^\| `(--[\w-]+)", readme_quick_start(), flags=re.M)
+        options = ({s for a in p._actions for s in a.option_strings} for p in subcommands().values())
+        assert sorted(rows) == sorted(set.intersection(*options) - {"-h", "--help"})
 
 
 class TestTrainCommand:
@@ -773,6 +812,14 @@ class TestMalformedInput:
             [*argv, "--config", str(cfg), "--out", str(tmp_path / "o")], capsys
         )
         assert "allocate" in err
+
+    def test_bare_memory_error_prints_the_fallback(self, tmp_path, capsys, monkeypatch):
+        def out_of_memory(cfg, args):
+            raise MemoryError()
+
+        monkeypatch.setattr(cli, "cmd_train", out_of_memory)
+        err = self.assert_config_error(["train", "--out", str(tmp_path)], capsys)
+        assert err == "config error: out of memory\n"
 
     def test_out_naming_a_file(self, trained_dir, tmp_path, capsys):
         afile = tmp_path / "afile"

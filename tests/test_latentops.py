@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -459,6 +460,24 @@ class TestSdedit:
         ancestral_sample_batch(random_model, 1, 4, small_schedule, 2.0, rng)
         sdedit_batch(np.zeros((4, 2)), 2, 1.0, random_model, 2.0, small_schedule, rng)
         assert len(checks) == 2
+
+    @pytest.mark.parametrize("y, omega, message", [
+        (7, 2.0, "labels must lie in 0 (null) .. 2"),
+        (1, math.nan, "omega must be a finite real, got nan"),
+    ], ids=["label", "omega"])
+    @pytest.mark.parametrize("sample", [
+        lambda d, y, omega, s, rng: sdedit_batch(np.zeros((4, 2)), y, 0.0, d, omega, s, rng),
+        lambda d, y, omega, s, rng: sdedit_batch(np.zeros((4, 2)), y, 0.5, d, omega, s, rng),
+        lambda d, y, omega, s, rng: ancestral_sample_batch(d, y, 4, s, omega, rng),
+    ], ids=["sdedit-ratio-0", "sdedit-ratio-0.5", "ancestral"])
+    def test_samplers_reject_labels_and_omega_before_drawing(self, random_model, small_schedule,
+                                                            sample, y, omega, message):
+        # at every ratio, and before the start noise, so the caller's rng is untouched
+        rng = np.random.default_rng(5)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match=re.escape(message)):
+            sample(random_model, y, omega, small_schedule, rng)
+        assert rng.bit_generator.state == state
 
     def test_last_jump_to_the_clean_level_is_deterministic(self, random_model, schedule, rng,
                                                           monkeypatch):

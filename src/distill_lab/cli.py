@@ -4,7 +4,8 @@ Subcommands, each parser carrying its handler as ``run``: train,
 invert-roundtrip, figure2, sdedit-demo, check. Shared flags: --config PATH,
 --seed N, --out DIR, --check. Exit codes: 0 success, 2 configuration error
 (a size too large for memory included) or an output file that cannot be
-written, 3 numerical divergence, 4 failed check.
+written, 3 numerical divergence, 4 failed check. A command prints no numpy
+floating-point warnings: each non-finite result is checked and reported.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -190,24 +192,27 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        cfg = load_config(args.config, master_seed=args.seed, out_dir=args.out)
-        return args.run(cfg, args)
-    except (ConfigError, MismatchError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG_ERROR
-    except MemoryError as exc:
-        # numpy refuses an array larger than memory outright: a size set too large
-        print(f"config error: {str(exc) or 'out of memory'}", file=sys.stderr)
-        return EXIT_CONFIG_ERROR
-    except DivergenceError as exc:
-        print(f"numerical divergence: {exc}", file=sys.stderr)
-        return EXIT_DIVERGENCE
-    except OSError as exc:
-        # the readers raise ConfigError or MismatchError, so an OSError is a failed write
-        print(f"config error: cannot write {exc.filename or 'an output file'}: "
-              f"{exc.strerror or exc}", file=sys.stderr)
-        return EXIT_CONFIG_ERROR
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "(overflow|invalid value|divide by zero) encountered",
+                                RuntimeWarning)
+        try:
+            cfg = load_config(args.config, master_seed=args.seed, out_dir=args.out)
+            return args.run(cfg, args)
+        except (ConfigError, MismatchError) as exc:
+            print(f"config error: {exc}", file=sys.stderr)
+            return EXIT_CONFIG_ERROR
+        except MemoryError as exc:
+            # numpy refuses an array larger than memory outright: a size set too large
+            print(f"config error: {str(exc) or 'out of memory'}", file=sys.stderr)
+            return EXIT_CONFIG_ERROR
+        except DivergenceError as exc:
+            print(f"numerical divergence: {exc}", file=sys.stderr)
+            return EXIT_DIVERGENCE
+        except OSError as exc:
+            # the readers raise ConfigError or MismatchError, so an OSError is a failed write
+            print(f"config error: cannot write {exc.filename or 'an output file'}: "
+                  f"{exc.strerror or exc}", file=sys.stderr)
+            return EXIT_CONFIG_ERROR
 
 
 if __name__ == "__main__":

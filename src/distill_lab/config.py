@@ -3,7 +3,8 @@
 Grammar (full key list in the README): one section per ExperimentConfig
 field ([schedule] ... [output]); values are numbers, comma-separated
 pairs/lists, or names. Unknown sections or keys are rejected with the
-offending name. CLI flags override file values; --seed rebases _SEEDS.
+offending name. CLI flags override file values; --seed N sets each ``*seed``
+key to N plus its default's offset from DEFAULT_MASTER_SEED (``_SEEDS``).
 """
 
 from __future__ import annotations
@@ -105,8 +106,10 @@ class ExperimentConfig:
 
 
 _SECTIONS = typing.get_type_hints(ExperimentConfig)
-# the component seeds: (section, key, offset from the master seed)
-_SEEDS = (("dataset", "seed", 1), ("training", "seed", 2), ("distill", "base_seed", 3))
+_ANNOTATIONS = {name: typing.get_type_hints(cls) for name, cls in _SECTIONS.items()}
+# every key named *seed is a component seed: (section, key, default - DEFAULT_MASTER_SEED)
+_SEEDS = tuple((name, key, getattr(getattr(ExperimentConfig(), name), key) - DEFAULT_MASTER_SEED)
+               for name, keys in _ANNOTATIONS.items() for key in keys if key.endswith("seed"))
 
 
 def _finite_float(raw: str) -> float:
@@ -144,9 +147,6 @@ def _coerce_section(cfg: ExperimentConfig, name: str, items: dict[str, str]):
         return replace(getattr(cfg, name), **values)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-
-
-_ANNOTATIONS = {name: typing.get_type_hints(cls) for name, cls in _SECTIONS.items()}
 
 
 def load_config(

@@ -11,9 +11,11 @@ from __future__ import annotations
 import ctypes
 import functools
 import math
+import numbers
 import os
 import threading
 from contextlib import contextmanager
+from contextvars import copy_context
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -109,8 +111,7 @@ def check_class_separation(class_params: tuple[ClassSpec, ClassSpec]) -> None:
     for k, spec in enumerate(class_params):
         if spec.std <= 0.0 or not np.isfinite(spec.std):
             raise ValueError(f"class {k + 1} has degenerate std {spec.std}")
-        if np.asarray(spec.mean).shape != (POINT_DIM,):
-            raise ValueError(f"class {k + 1} mean must be a 2-vector")
+        _as_point(spec.mean, f"class {k + 1} mean")
     gap = float(np.linalg.norm(np.asarray(class_params[0].mean) - np.asarray(class_params[1].mean)))
     worst = max(spec.std for spec in class_params)
     tail = 0.5 * math.erfc(gap / (2.0 * worst) / math.sqrt(2.0))
@@ -118,6 +119,14 @@ def check_class_separation(class_params: tuple[ClassSpec, ClassSpec]) -> None:
         raise ValueError(
             f"classes overlap: tail mass {tail:.2e} beyond the midpoint exceeds {_MAX_OVERLAP_TAIL}"
         )
+
+
+def _as_point(v, what: str) -> np.ndarray:
+    """``v`` as a float (2,) array; ValueError naming it as ``what`` otherwise."""
+    v = np.asarray(v, dtype=float)
+    if v.shape != (POINT_DIM,):
+        raise ValueError(f"{what} has shape {v.shape}, expected ({POINT_DIM},)")
+    return v
 
 
 def check_dataset_size(n: int) -> None:
@@ -400,8 +409,8 @@ def _check_rows(x: np.ndarray, y, t) -> tuple[LabelPlan, np.ndarray]:
     return y, t
 
 
-def _check_omega(omega: float) -> None:
-    if not math.isfinite(omega):
+def _check_omega(omega) -> None:
+    if not (isinstance(omega, numbers.Real) and math.isfinite(omega)):
         raise ValueError(f"omega must be a finite real, got {omega!r}")
 
 
@@ -424,7 +433,7 @@ def _guided_rows(d: Denoiser, x: np.ndarray, cond, t, omega: float, per_row: boo
 def _guided(d: Denoiser, x: np.ndarray, y, t, omega: float, per_row: bool) -> np.ndarray:
     """:func:`_guided_rows` of n rows, over ``_PART_ROWS`` of them as parts of
     ``_PART_ROWS`` rows (the last one shorter) that depend on n alone, on one
-    thread and scratch slot per CPU at most. ValueError for a non-finite omega."""
+    thread and scratch slot per CPU at most. ValueError as in :func:`eps`."""
     _check_omega(omega)
     plan, t = _check_rows(x, y, t)
     n = x.shape[0]
@@ -447,7 +456,8 @@ def _guided(d: Denoiser, x: np.ndarray, y, t, omega: float, per_row: bool) -> np
             bufs = [buf[: len(rows)] for buf in slots[k]]
             out[part] = _guided_rows(d, rows, cond, t[part] if t.ndim else t, omega, per_row, bufs)
 
-    futures = [_part_pool().submit(run, k) for k in range(1, len(slots))]
+    # each worker runs in a copy of the caller's context, so under its numpy error state
+    futures = [_part_pool().submit(copy_context().run, run, k) for k in range(1, len(slots))]
     try:
         run(0)
     finally:
@@ -493,8 +503,8 @@ def eps(d: Denoiser, x: np.ndarray, y, t, omega: float) -> np.ndarray:
     omega = 0 the unconditional one from one forward, with no arithmetic on
     the endpoints. ValueError for any other shape of ``x``, for labels or
     timesteps of a non-integer dtype or of the wrong length, for labels
-    outside 0 (null) .. NUM_CLASSES or timesteps below 1, and for a
-    non-finite omega.
+    outside 0 (null) .. NUM_CLASSES or timesteps below 1, and for an omega
+    that is not a finite real: nan, inf, a string, None or any numpy array.
     """
     x = np.asarray(x, dtype=float)
     return _guided(d, x[None] if x.shape == (POINT_DIM,) else x, y, t, omega, True)

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .denoiser import NUM_CLASSES, POINT_DIM, Denoiser, LabelPlan, eps
+from .denoiser import NUM_CLASSES, POINT_DIM, Denoiser, LabelPlan, _as_point, _check_omega, eps
 from .denoiser import cfg_predict  # noqa: F401  perfbench/selftest.py reads distill.cfg_predict
 from .errors import DivergenceError
 from .latentops import draw_shared_noise, stochastic_latents
@@ -52,7 +52,8 @@ __all__ = [
 ]
 
 OBJECTIVES = ("sds", "dds", "pds")
-WEIGHT_MODES = ("const", "one_minus_alpha_bar")
+_WEIGHTS = {"const": lambda s, t: 1.0, "one_minus_alpha_bar": lambda s, t: 1.0 - s.alpha_bar[t]}
+WEIGHT_MODES = tuple(_WEIGHTS)
 OPTIMIZERS = ("gd", "adam")
 
 
@@ -77,10 +78,7 @@ class Generator:
 
     def pullback(self, cotangent: np.ndarray) -> np.ndarray:
         """Contract a cotangent in x0-space to a gradient over theta."""
-        v = np.asarray(cotangent, dtype=float)
-        if v.shape != (POINT_DIM,):
-            raise ValueError(f"cotangent has shape {v.shape}, expected ({POINT_DIM},)")
-        return v @ self.matrix
+        return _as_point(cotangent, "cotangent") @ self.matrix
 
 
 def identity_generator(x0: np.ndarray) -> Generator:
@@ -89,9 +87,7 @@ def identity_generator(x0: np.ndarray) -> Generator:
 
 def affine_generator(a: np.ndarray, b: np.ndarray, u: np.ndarray) -> Generator:
     """x0 = A @ u + b for a fixed latent input u, theta = [A.ravel(), b]."""
-    u = np.asarray(u, dtype=float)
-    if u.shape != (POINT_DIM,):
-        raise ValueError(f"affine generator needs a 2-vector latent u, got shape {u.shape}")
+    u = _as_point(u, "latent u")
     theta = np.concatenate([np.asarray(a, dtype=float).ravel(), np.asarray(b, dtype=float)])
     return Generator(theta, np.hstack([np.kron(np.eye(POINT_DIM), u), np.eye(POINT_DIM)]))
 
@@ -111,15 +107,12 @@ class EditProblem:
     sub: TimestepSubsequence
 
     def __post_init__(self):
-        self.x0_src = np.asarray(self.x0_src, dtype=float)
-        if self.x0_src.shape != (POINT_DIM,):
-            raise ValueError(f"x0_src has shape {self.x0_src.shape}, expected ({POINT_DIM},)")
+        self.x0_src = _as_point(self.x0_src, "x0_src")
         for name, y in (("y_src", self.y_src), ("y_tgt", self.y_tgt)):
             if np.asarray(y).dtype.kind not in "iu" or np.ndim(y) or not 0 <= y <= NUM_CLASSES:
                 raise ValueError(f"{name} must be an integer in 0 (null) .. {NUM_CLASSES}, "
                                  f"got {y!r}")
-        if not (isinstance(self.omega, numbers.Real) and math.isfinite(self.omega)):
-            raise ValueError(f"omega must be a finite real, got {self.omega!r}")
+        _check_omega(self.omega)
 
 
 @dataclass
@@ -146,11 +139,9 @@ class TrajectoryRecord:
 def resolve_weight(mode: str, s: NoiseSchedule, t: int | np.ndarray) -> float | np.ndarray:
     """Weight w(t) of the noise-matching and prediction-differencing
     residuals; ``t`` may be an array of timesteps."""
-    if mode == "const":
-        return 1.0
-    if mode == "one_minus_alpha_bar":
-        return 1.0 - s.alpha_bar[t]
-    raise ValueError(f"unknown weight mode {mode!r}; expected one of {WEIGHT_MODES}")
+    if mode not in WEIGHT_MODES:
+        raise ValueError(f"unknown weight mode {mode!r}; expected one of {WEIGHT_MODES}")
+    return _WEIGHTS[mode](s, t)
 
 
 @dataclass

@@ -36,8 +36,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .denoiser import (POINT_DIM, Denoiser, LabelPlan, _check_omega, _one_blas_thread,
-                       cfg_predict_batch, eps)
+from .denoiser import (POINT_DIM, Denoiser, LabelPlan, _as_point, _check_omega,
+                       _one_blas_thread, cfg_predict_batch, eps)
 from .denoiser import cfg_predict  # noqa: F401  perfbench/selftest.py reads latentops.cfg_predict
 from .errors import DegenerateTimestepError, DivergenceError, MismatchError
 from .schedule import NoiseSchedule, TimestepSubsequence, _posterior
@@ -117,15 +117,13 @@ def stochastic_latents(
 ) -> np.ndarray:
     """Latents of x0 at grid indices ``idx`` given each index's two level
     noises (rows of ``eps_prev`` / ``eps_cur``), from one ``eps`` call; a
-    draw ``(i, noise)`` is ``[i], noise[:1], noise[1:]``. Each row is bitwise
-    its batch-1 value. ValueError for an ``x0`` that is not a 2-vector, an
-    ``idx`` that is not a 1-D integer array, noise arrays that are not
-    (len(idx), 2) or an index outside [1, S]; DivergenceError when a latent
-    is non-finite.
+    draw ``(i, noise)`` is ``[i], noise[:1], noise[1:]``; ``y`` may be a
+    :class:`LabelPlan`. Each row is bitwise its batch-1 value. ValueError for
+    an ``x0`` that is not a 2-vector, an ``idx`` that is not a 1-D integer
+    array, noise arrays that are not (len(idx), 2) or an index outside
+    [1, S]; DivergenceError when a latent is non-finite.
     """
-    idx, x0 = np.asarray(idx), np.asarray(x0, dtype=float)
-    if x0.shape != (POINT_DIM,):
-        raise ValueError(f"x0 has shape {x0.shape}, expected ({POINT_DIM},)")
+    idx, x0 = np.asarray(idx), _as_point(x0, "x0")
     if idx.ndim != 1 or not np.issubdtype(idx.dtype, np.integer):
         raise ValueError(f"idx must be a 1-D integer array, got {idx.dtype} of shape {idx.shape}")
     for name, noise in (("eps_prev", eps_prev), ("eps_cur", eps_cur)):
@@ -174,10 +172,12 @@ def invert(
     have in common. That sharing is what makes the recorded trajectory
     replayable: feeding the latents back reconstructs x0 exactly. All S
     latents come from one ``eps`` call; a non-finite latent raises
-    DivergenceError, an ``x0`` that is not a 2-vector ValueError.
+    DivergenceError. An ``x0`` that is not a 2-vector, a bad label or omega
+    raises ValueError before the first draw, as in :func:`sdedit_batch`.
     """
-    x0 = np.asarray(x0, dtype=float)
-    n = sub.S
+    x0, n = _as_point(x0, "x0"), sub.S
+    y = LabelPlan(y, n)
+    _check_omega(omega)
     eps_levels = np.zeros((n + 1, POINT_DIM))
     eps_levels[1:] = rng.standard_normal((n, POINT_DIM))
     idx = np.arange(n, 0, -1)

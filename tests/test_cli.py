@@ -225,6 +225,14 @@ class TestTrainCommand:
             code = main(["train", "--config", str(cfg), "--out", str(tmp_path / "d")])
         assert code == EXIT_DIVERGENCE
 
+    def test_diverging_training_prints_one_line(self, tmp_path):
+        cfg = tmp_path / "diverge.ini"
+        cfg.write_text("[training]\nlearning_rate = 1e308\nsteps = 50\n")
+        proc = run_child("train", "--config", cfg, "--out", tmp_path / "d")
+        assert proc.returncode == EXIT_DIVERGENCE
+        assert proc.stderr.startswith("numerical divergence: ")
+        assert len(proc.stderr.splitlines()) == 1
+
 
 class TestInvertRoundtripCommand:
     def test_passes_on_trained_model(self, fast_config_file, trained_dir, tmp_path):
@@ -393,6 +401,14 @@ class TestFigure2Command:
             ["check_no_divergence", "fail"]
         ]
 
+    def test_diverging_runs_print_no_warnings(self, tmp_path):
+        # every run diverges or overflows at lr = 1e300; each is reported in the outputs
+        config = tmp_path / "huge_lr.ini"
+        config.write_text("[distill]\nlr = 1e300\nsteps = 20\n")
+        proc = run_child("figure2", BENCH_FIXTURES / "model.ckpt", "--config", config,
+                         "--out", tmp_path / "out", "--check")
+        assert (proc.returncode, proc.stderr) == (EXIT_CHECK_FAILED, "")
+
 
 class TestScore:
     def test_figure2_endpoint_columns_are_the_scores(self, default_config, trained_model,
@@ -485,6 +501,19 @@ class TestSdeditDemoCommand:
         err = capsys.readouterr().err
         assert err.startswith("numerical divergence: ")
         assert len(err.strip().splitlines()) == 1
+
+    def test_diverging_sweep_over_parts_prints_one_line(self, fast_config_file, trained_dir,
+                                                        tmp_path):
+        # 2,000 points, so each prediction runs as parts on the part threads
+        d, T = denoiser.load_checkpoint(trained_dir / "model.ckpt")
+        d.layers()[-1][1][:] = 1e308
+        ckpt = tmp_path / "huge.ckpt"
+        denoiser.save_checkpoint(d, ckpt, T)
+        proc = run_child("sdedit-demo", ckpt, "--config", fast_config_file,
+                         "--out", tmp_path / "sd", "--points", "2000")
+        assert proc.returncode == EXIT_DIVERGENCE
+        assert proc.stderr.startswith("numerical divergence: ")
+        assert len(proc.stderr.splitlines()) == 1
 
 
 class TestCheckCommand:
@@ -598,6 +627,12 @@ def child_env():
     root = str(Path(distill_lab.__file__).resolve().parents[1])
     return {**os.environ,
             "PYTHONPATH": os.pathsep.join(filter(None, [root, os.environ.get("PYTHONPATH")]))}
+
+
+def run_child(*argv):
+    """The CLI run in a child process, where numpy's warnings would print, not raise."""
+    return subprocess.run([sys.executable, "-m", "distill_lab.cli", *map(str, argv)],
+                          capture_output=True, text=True, env=child_env(), timeout=120)
 
 
 class TestEntryPoint:

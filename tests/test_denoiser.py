@@ -30,8 +30,11 @@ from distill_lab.denoiser import (
     time_embedding,
     train,
 )
+from distill_lab.distill import EditProblem, identity_generator
 from distill_lab.errors import DivergenceError, MismatchError
-from distill_lab.latentops import ancestral_sample_batch, invert, sdedit_batch
+from distill_lab.latentops import (ancestral_sample_batch, generate_with_latents_batch, invert,
+                                   sdedit_batch, stochastic_latents)
+from distill_lab.schedule import build_subsequence
 
 
 class TestDataset:
@@ -294,6 +297,48 @@ class TestEps:
         want = re.escape(f"x has shape {shape}, expected (n, 2)")
         with pytest.raises(ValueError, match=want):
             eps(random_model, np.zeros(shape), 1, 10, 2.0)
+
+
+class TestOmegaRule:
+    """Every entry point that takes omega checks it by one rule: a finite real."""
+
+    ENTRY_POINTS = {
+        "eps": lambda d, s, sub, omega: eps(d, np.zeros((3, 2)), 1, 5, omega),
+        "cfg_predict_batch": lambda d, s, sub, omega: cfg_predict_batch(
+            d, np.zeros((3, 2)), 1, 5, omega),
+        "ancestral_sample_batch": lambda d, s, sub, omega: ancestral_sample_batch(
+            d, 1, 3, s, omega, np.random.default_rng(0)),
+        "sdedit_batch": lambda d, s, sub, omega: sdedit_batch(
+            np.zeros((3, 2)), 1, 0.5, d, omega, s, np.random.default_rng(0)),
+        "invert": lambda d, s, sub, omega: invert(
+            np.zeros(2), 1, d, omega, s, sub, np.random.default_rng(0)),
+        "stochastic_latents": lambda d, s, sub, omega: stochastic_latents(
+            np.zeros(2), 1, np.array([1]), np.zeros((1, 2)), np.zeros((1, 2)), d, omega, s, sub),
+        "generate_with_latents_batch": lambda d, s, sub, omega: generate_with_latents_batch(
+            [invert(np.zeros(2), 1, d, 1.0, s, sub, np.random.default_rng(0))], 1, d, omega, s,
+            sub),
+        "EditProblem": lambda d, s, sub, omega: EditProblem(
+            np.zeros(2), 1, identity_generator(np.zeros(2)), 2, omega, sub),
+    }
+
+    @pytest.fixture()
+    def call(self, random_model, small_schedule):
+        sub = build_subsequence(small_schedule, 2, 0.02, 0.98)
+        return lambda entry, omega: self.ENTRY_POINTS[entry](random_model, small_schedule, sub,
+                                                             omega)
+
+    @pytest.mark.parametrize("omega", [math.nan, math.inf, "7.5", None, np.array(2.0),
+                                       np.array([2.0])],
+                             ids=["nan", "inf", "str", "None", "0-d array", "1-d array"])
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    def test_rejects_what_is_not_a_finite_real(self, call, entry, omega):
+        with pytest.raises(ValueError, match="omega must be a finite real"):
+            call(entry, omega)
+
+    @pytest.mark.parametrize("omega", [2, 2.0, np.float64(2.0)], ids=["int", "float", "float64"])
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    def test_accepts_real_scalars(self, call, entry, omega):
+        call(entry, omega)
 
 
 def one_hot(y):
@@ -650,6 +695,22 @@ class TestParts:
         monkeypatch.setattr(denoiser, "_guided_rows", guided_rows)
         assert eps(random_model, x, y, t, 7.5).tobytes() == reference_eps(
             random_model, x, y, t, 7.5).tobytes()
+
+    @pytest.mark.parametrize("mode", ["raise", "ignore"])
+    def test_parts_run_under_the_callers_error_state(self, random_model, monkeypatch, mode):
+        # only the middle part, which the second thread mostly takes, turns
+        # invalid: whichever thread runs it, the caller's error state holds
+        # (pyproject turns an escaped RuntimeWarning into an error)
+        monkeypatch.setattr(denoiser, "_cpus", lambda: 2)
+        x, y, t = gemm_rows(self.N, seed=6)
+        x[self.PARTS[1]] = np.inf
+        for _ in range(20):
+            with np.errstate(all=mode):
+                if mode == "ignore":
+                    assert np.isnan(eps(random_model, x, y, t, 7.5)[self.PARTS[1]]).all()
+                    continue
+                with pytest.raises(FloatingPointError, match="invalid value"):
+                    eps(random_model, x, y, t, 7.5)
 
     def test_a_forked_child_builds_its_own_pool(self, monkeypatch):
         parent = denoiser._part_pool()

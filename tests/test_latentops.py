@@ -289,6 +289,20 @@ class TestInvert:
             assert np.array_equal(seq.latents, ref_latents)
             assert np.array_equal(seq.x_top, ref_top)
 
+    @pytest.mark.parametrize("x0, y, omega, message", [
+        (np.zeros(2), 7, 2.0, "labels must lie in 0 (null) .. 2"),
+        (np.zeros(2), 1, math.nan, "omega must be a finite real, got nan"),
+        (np.zeros(3), 1, 2.0, "x0 has shape (3,), expected (2,)"),
+    ], ids=["label", "omega", "point"])
+    def test_rejects_points_labels_and_omega_before_drawing(self, random_model, schedule,
+                                                            subsequence, x0, y, omega, message):
+        # as the samplers do: a rejected call leaves the caller's rng untouched
+        rng = np.random.default_rng(5)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match=re.escape(message)):
+            invert(x0, y, random_model, omega, schedule, subsequence, rng)
+        assert rng.bit_generator.state == state
+
     def test_stride_one_grid_is_degenerate(self, random_model, schedule, rng):
         sub1 = build_subsequence(schedule, 1, 0.02, 0.98)
         with pytest.raises(DegenerateTimestepError):

@@ -24,7 +24,7 @@ import numpy as np
 from .errors import DivergenceError, MismatchError
 from .flatfile import header_field, read_flat_file, write_flat_file
 from .optim import AdamState, adam_step
-from .schedule import NoiseSchedule
+from .schedule import NoiseSchedule, _check_integers
 
 __all__ = [
     "NULL_LABEL",
@@ -361,11 +361,23 @@ class _Fit:
         return self.grad
 
 
-def _one_or_per_row(v, n: int, what: str) -> np.ndarray:
+def _integers(v, what: str) -> np.ndarray:
     v = np.asarray(v)
-    if v.dtype.kind not in "iu":
-        raise ValueError(f"{what} must have an integer dtype, got {v.dtype}")
-    v = v.astype(np.int64, copy=False)
+    _check_integers(v, what)
+    return v.astype(np.int64, copy=False)
+
+
+def _labels(y, what: str) -> np.ndarray:
+    """``y`` as int64; ValueError unless its values are integers in 0 (null) .. NUM_CLASSES."""
+    y = _integers(y, what)
+    lo, hi = y.min(initial=0), y.max(initial=0)
+    if lo < 0 or hi > NUM_CLASSES:
+        raise ValueError(f"{what} must lie in 0 (null) .. {NUM_CLASSES}, "
+                         f"got {lo if lo < 0 else hi}")
+    return y
+
+
+def _one_or_per_row(v: np.ndarray, n: int, what: str) -> np.ndarray:
     if v.ndim != 0 and v.shape != (n,):
         raise ValueError(f"{what} have shape {v.shape}, expected ({n},)")
     return v
@@ -384,9 +396,7 @@ class LabelPlan:
     __slots__ = ("labels", "cond")
 
     def __init__(self, y, n: int):
-        y = _one_or_per_row(y, n, "labels")
-        if y.min(initial=0) < 0 or y.max(initial=0) > NUM_CLASSES:
-            raise ValueError(f"labels must lie in 0 (null) .. {NUM_CLASSES}")
+        y = _one_or_per_row(_labels(y, "labels"), n, "labels")
         self.labels = y.copy()
         self.cond = _ONE_HOT[self.labels]
         self.labels.flags.writeable = self.cond.flags.writeable = False
@@ -399,11 +409,9 @@ def _check_rows(x: np.ndarray, y, t) -> tuple[LabelPlan, np.ndarray]:
     if x.ndim != 2 or x.shape[1] != POINT_DIM:
         raise ValueError(f"x has shape {x.shape}, expected (n, {POINT_DIM})")
     n = x.shape[0]
-    if not isinstance(y, LabelPlan):
-        y = LabelPlan(y, n)
-    elif y.labels.ndim != 0 and y.labels.shape != (n,):
-        raise ValueError(f"labels have shape {y.labels.shape}, expected ({n},)")
-    t = _one_or_per_row(t, n, "timesteps")
+    y = y if isinstance(y, LabelPlan) else LabelPlan(y, n)
+    _one_or_per_row(y.labels, n, "labels")
+    t = _one_or_per_row(_integers(t, "timesteps"), n, "timesteps")
     if t.min(initial=1) < 1:
         raise ValueError(f"timesteps must be >= 1, got {int(t.min())}")
     return y, t

@@ -22,18 +22,17 @@ written by ``experiments.write_trajectory_csv``.
 from __future__ import annotations
 
 import math
-import numbers
 from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
 
-from .denoiser import NUM_CLASSES, POINT_DIM, Denoiser, LabelPlan, _as_point, _check_omega, eps
+from .denoiser import POINT_DIM, Denoiser, LabelPlan, _as_point, _check_omega, _labels, eps
 from .denoiser import cfg_predict  # noqa: F401  perfbench/selftest.py reads distill.cfg_predict
 from .errors import DivergenceError
 from .latentops import draw_shared_noise, stochastic_latents
 from .optim import AdamState, adam_step
-from .schedule import NoiseSchedule, TimestepSubsequence
+from .schedule import NoiseSchedule, TimestepSubsequence, _check_integers
 
 __all__ = [
     "OBJECTIVES",
@@ -95,9 +94,9 @@ def affine_generator(a: np.ndarray, b: np.ndarray, u: np.ndarray) -> Generator:
 @dataclass
 class EditProblem:
     """One editing instance: a source point/condition and a target generator.
-    ``x0_src`` is stored as a float array; ValueError unless it is a 2-vector,
-    both labels are integers in 0 (null) .. NUM_CLASSES and omega is a
-    finite real."""
+    ``x0_src`` is stored as a float array and both labels as ints; ValueError
+    unless it is a 2-vector, each label is one integer in 0 (null) ..
+    NUM_CLASSES and omega is a finite real."""
 
     x0_src: np.ndarray
     y_src: int
@@ -108,10 +107,11 @@ class EditProblem:
 
     def __post_init__(self):
         self.x0_src = _as_point(self.x0_src, "x0_src")
-        for name, y in (("y_src", self.y_src), ("y_tgt", self.y_tgt)):
-            if np.asarray(y).dtype.kind not in "iu" or np.ndim(y) or not 0 <= y <= NUM_CLASSES:
-                raise ValueError(f"{name} must be an integer in 0 (null) .. {NUM_CLASSES}, "
-                                 f"got {y!r}")
+        for name in ("y_src", "y_tgt"):
+            y = _labels(getattr(self, name), name)
+            if y.ndim:
+                raise ValueError(f"{name} must be one label (0-d), got shape {y.shape}")
+            setattr(self, name, int(y))
         _check_omega(self.omega)
 
 
@@ -139,9 +139,13 @@ class TrajectoryRecord:
 def resolve_weight(mode: str, s: NoiseSchedule, t: int | np.ndarray) -> float | np.ndarray:
     """Weight w(t) of the noise-matching and prediction-differencing
     residuals; ``t`` may be an array of timesteps."""
-    if mode not in WEIGHT_MODES:
-        raise ValueError(f"unknown weight mode {mode!r}; expected one of {WEIGHT_MODES}")
+    _known(mode, WEIGHT_MODES, "w_mode")
     return _WEIGHTS[mode](s, t)
+
+
+def _known(name, names: tuple[str, ...], what: str) -> None:
+    if name not in names:
+        raise ValueError(f"unknown {what} {name!r}; expected one of {names}")
 
 
 @dataclass
@@ -252,8 +256,7 @@ def objective_grad(prob: EditProblem, objective: str, draw: tuple[int, np.ndarra
     z_tgt - z_src. ValueError for an unknown objective or weight mode or a
     draw :func:`_check_draw` rejects; DivergenceError for a non-finite residual.
     """
-    if objective not in OBJECTIVES:
-        raise ValueError(f"unknown objective {objective!r}; expected one of {OBJECTIVES}")
+    _known(objective, OBJECTIVES, "objective")
     i, noise = _check_draw(prob.sub, draw)
     plan = _row_plan([(prob, objective, 0)])  # the draw is given: seed 0 is not read
     plan.x0[0] = prob.gen.render()
@@ -281,9 +284,8 @@ def _check_draw(sub: TimestepSubsequence, draw) -> tuple[int, np.ndarray]:
     integer in the sampling range and noise has shape (2, 2)."""
     i, noise = draw
     noise = np.asarray(noise, dtype=float)
-    if not isinstance(i, numbers.Integral):
-        raise ValueError(f"draw index must be an integer, got {i!r}")
-    if not sub.lo_index <= i <= sub.hi_index:
+    _check_integers(i, "draw index")
+    if np.ndim(i) or not sub.lo_index <= i <= sub.hi_index:
         raise ValueError(f"index {i} outside the sampling range [{sub.lo_index}, {sub.hi_index}]")
     if noise.shape != (2, POINT_DIM):
         raise ValueError(f"draw noise has shape {noise.shape}, expected (2, {POINT_DIM})")
@@ -297,13 +299,11 @@ def check_settings(
     are known, ``steps`` is an integer >= 0 and ``lr`` is positive and finite:
     the settings every :func:`optimize_batch` run must have."""
     for objective in objectives:
-        if objective not in OBJECTIVES:
-            raise ValueError(f"unknown objective {objective!r}; expected one of {OBJECTIVES}")
-    if optimizer not in OPTIMIZERS:
-        raise ValueError(f"unknown optimizer {optimizer!r}; expected one of {OPTIMIZERS}")
-    if w_mode not in WEIGHT_MODES:
-        raise ValueError(f"unknown w_mode {w_mode!r}; expected one of {WEIGHT_MODES}")
-    if not isinstance(steps, numbers.Integral) or steps < 0:
+        _known(objective, OBJECTIVES, "objective")
+    _known(optimizer, OPTIMIZERS, "optimizer")
+    _known(w_mode, WEIGHT_MODES, "w_mode")
+    _check_integers(steps, "steps")
+    if np.ndim(steps) or steps < 0:
         raise ValueError(f"steps must be a non-negative integer, got {steps!r}")
     if not (lr > 0 and math.isfinite(lr)):
         raise ValueError(f"lr must be positive and finite, got {lr!r}")

@@ -322,7 +322,7 @@ def run_roundtrip_report(
     s = cfg.build_schedule()
     sub = cfg.build_subsequence(s)
     class_params = cfg.class_params()
-    labels = [1 + idx % 2 for idx in range(int(k))]
+    labels = 1 + np.arange(int(k)) % 2  # an int64 array, so k = 0 gives integer labels too
     points, seqs = [], []
     for label in labels:
         x0 = class_params[label - 1].sample(rng, 1)[0]
@@ -331,5 +331,5 @@ def run_roundtrip_report(
     backs = generate_with_latents_batch(seqs, labels, d, cfg.distill.omega, s, sub)
     return [
         (idx, label, float(np.max(np.abs(back - x0))))
-        for idx, (label, x0, back) in enumerate(zip(labels, points, backs))
+        for idx, (label, x0, back) in enumerate(zip(labels.tolist(), points, backs))
     ]

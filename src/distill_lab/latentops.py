@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .denoiser import (POINT_DIM, Denoiser, LabelPlan, _as_point, _check_omega,
+from .denoiser import (POINT_DIM, Denoiser, LabelPlan, _as_point, _check_omega, _integers,
                        _one_blas_thread, cfg_predict_batch, eps)
 from .denoiser import cfg_predict  # noqa: F401  perfbench/selftest.py reads latentops.cfg_predict
 from .errors import DegenerateTimestepError, DivergenceError, MismatchError
@@ -123,9 +123,9 @@ def stochastic_latents(
     array, noise arrays that are not (len(idx), 2) or an index outside
     [1, S]; DivergenceError when a latent is non-finite.
     """
-    idx, x0 = np.asarray(idx), _as_point(x0, "x0")
-    if idx.ndim != 1 or not np.issubdtype(idx.dtype, np.integer):
-        raise ValueError(f"idx must be a 1-D integer array, got {idx.dtype} of shape {idx.shape}")
+    idx, x0 = _integers(idx, "idx"), _as_point(x0, "x0")
+    if idx.ndim != 1:
+        raise ValueError(f"idx must be 1-D, got shape {idx.shape}")
     for name, noise in (("eps_prev", eps_prev), ("eps_cur", eps_cur)):
         if np.shape(noise) != (len(idx), POINT_DIM):
             raise ValueError(f"{name} must have shape ({len(idx)}, {POINT_DIM}), "
@@ -210,11 +210,14 @@ def generate_with_latents_batch(
 ) -> np.ndarray:
     """Replay k latent sequences together, shape (k, 2).
 
-    ``y_new`` is one condition for all or one per sequence, checked once
-    into a :class:`LabelPlan` that every level reads. The traversal stays
-    sequential over levels; each level is one ``eps`` call over the k
-    points, and every point's result equals its own replay bitwise.
+    ``y_new`` is one condition for all or one per sequence, checked once,
+    with omega and before any sequence, into a :class:`LabelPlan` that every
+    level reads. The traversal stays sequential over levels; each level is
+    one ``eps`` call over the k points, and every point's result equals its
+    own replay bitwise.
     """
+    labels = LabelPlan(y_new, len(seqs))
+    _check_omega(omega)
     for seq in seqs:
         if s.T != seq.T or not np.array_equal(np.asarray(sub.tau), np.asarray(seq.tau)):
             raise MismatchError("latent sequence was computed on a different schedule or grid")
@@ -227,8 +230,8 @@ def generate_with_latents_batch(
     x = np.array([seq.x_top for seq in seqs], dtype=float)
     latents = np.stack([seq.latents for seq in seqs], axis=1)
     ts = sub.tau[sub.S : 0 : -1]
-    return _generate(eps, d, x, LabelPlan(y_new, len(x)), omega, s, ts, s.gamma[ts],
-                     s.delta[ts], s.sigma[ts], lambda k: latents[k])
+    return _generate(eps, d, x, labels, omega, s, ts, s.gamma[ts], s.delta[ts], s.sigma[ts],
+                     lambda k: latents[k])
 
 
 def ancestral_sample_batch(

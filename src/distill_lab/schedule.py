@@ -92,10 +92,7 @@ class NoiseSchedule:
     def _at(self, t) -> tuple:
         """(sqrt_ab[t], sqrt_1m_ab[t]) as scalars, or as columns that scale
         row k by the value at t[k]; ValueError for a non-integer timestep or one outside [0, T]."""
-        dtype = getattr(t, "dtype", None)
-        if type(t) is not int and (dtype is None or dtype.kind not in "iu"):
-            got = type(t).__name__ if dtype is None else dtype
-            raise ValueError(f"timesteps must be integers, got {got}")
+        _check_integers(t, "timesteps")
         per_row = getattr(t, "ndim", 0) > 0
         lo, hi = (t.min(initial=0), t.max(initial=0)) if per_row else (t, t)
         if lo < 0 or hi > self.T:
@@ -142,6 +139,14 @@ class TimestepSubsequence:
     @property
     def S(self) -> int:
         return len(self.tau) - 1
+
+
+def _check_integers(v, what: str) -> None:
+    """ValueError unless ``v`` is an int or has an integer dtype (bool has neither)."""
+    dtype = getattr(v, "dtype", None)
+    if type(v) is not int and (dtype is None or dtype.kind not in "iu"):
+        got = type(v).__name__ if dtype is None else dtype
+        raise ValueError(f"{what} must be an integer or have an integer dtype, got {got}")
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:

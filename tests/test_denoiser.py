@@ -299,6 +299,11 @@ class TestEps:
             eps(random_model, np.zeros(shape), 1, 10, 2.0)
 
 
+def one_seq(d, s, sub):
+    """A latent sequence of the origin under label 1, to replay."""
+    return invert(np.zeros(2), 1, d, 1.0, s, sub, np.random.default_rng(0))
+
+
 class TestOmegaRule:
     """Every entry point that takes omega checks it by one rule: a finite real."""
 
@@ -315,8 +320,9 @@ class TestOmegaRule:
         "stochastic_latents": lambda d, s, sub, omega: stochastic_latents(
             np.zeros(2), 1, np.array([1]), np.zeros((1, 2)), np.zeros((1, 2)), d, omega, s, sub),
         "generate_with_latents_batch": lambda d, s, sub, omega: generate_with_latents_batch(
-            [invert(np.zeros(2), 1, d, 1.0, s, sub, np.random.default_rng(0))], 1, d, omega, s,
-            sub),
+            [one_seq(d, s, sub)], 1, d, omega, s, sub),
+        "no sequences": lambda d, s, sub, omega: generate_with_latents_batch(
+            [], 1, d, omega, s, sub),
         "EditProblem": lambda d, s, sub, omega: EditProblem(
             np.zeros(2), 1, identity_generator(np.zeros(2)), 2, omega, sub),
     }
@@ -339,6 +345,107 @@ class TestOmegaRule:
     @pytest.mark.parametrize("entry", ENTRY_POINTS)
     def test_accepts_real_scalars(self, call, entry, omega):
         call(entry, omega)
+
+
+# Every entry point that takes labels, called on three rows (one point for
+# the point-wise ones) with the labels ``y``.
+LABEL_ENTRY_POINTS = {
+    "eps": lambda d, s, sub, y: eps(d, np.zeros((3, 2)), y, 5, 2.0),
+    "cfg_predict_batch": lambda d, s, sub, y: cfg_predict_batch(d, np.zeros((3, 2)), y, 5, 2.0),
+    "LabelPlan": lambda d, s, sub, y: LabelPlan(y, 3),
+    "EditProblem": lambda d, s, sub, y: EditProblem(
+        np.zeros(2), 1, identity_generator(np.zeros(2)), y, 2.0, sub),
+    "loss_and_grad": lambda d, s, sub, y: loss_and_grad(d, s, np.zeros((3, 2)), y, 5,
+                                                        np.zeros((3, 2))),
+    "invert": lambda d, s, sub, y: invert(np.zeros(2), y, d, 2.0, s, sub,
+                                          np.random.default_rng(0)),
+    "stochastic_latents": lambda d, s, sub, y: stochastic_latents(
+        np.zeros(2), y, np.array([1]), np.zeros((1, 2)), np.zeros((1, 2)), d, 2.0, s, sub),
+    "replay": lambda d, s, sub, y: generate_with_latents_batch([one_seq(d, s, sub)], y, d, 2.0,
+                                                               s, sub),
+    "no sequences": lambda d, s, sub, y: generate_with_latents_batch([], y, d, 2.0, s, sub),
+    "ancestral_sample_batch": lambda d, s, sub, y: ancestral_sample_batch(
+        d, y, 3, s, 2.0, np.random.default_rng(0)),
+    "sdedit_batch": lambda d, s, sub, y: sdedit_batch(
+        np.zeros((3, 2)), y, 0.5, d, 2.0, s, np.random.default_rng(0)),
+}
+
+# Every entry point that takes timesteps, called on three rows at timestep ``t``.
+TIMESTEP_ENTRY_POINTS = {
+    "eps": lambda d, s, t: eps(d, np.zeros((3, 2)), 1, t, 2.0),
+    "cfg_predict_batch": lambda d, s, t: cfg_predict_batch(d, np.zeros((3, 2)), 1, t, 2.0),
+    "loss_and_grad": lambda d, s, t: loss_and_grad(d, s, np.zeros((3, 2)), 1, t,
+                                                   np.zeros((3, 2))),
+    "noised": lambda d, s, t: s.noised(np.zeros((3, 2)), t, np.zeros((3, 2))),
+    "x0_estimate": lambda d, s, t: s.x0_estimate(np.zeros((3, 2)), t, np.zeros((3, 2))),
+}
+
+
+@pytest.fixture()
+def call_with_labels(random_model, small_schedule):
+    sub = build_subsequence(small_schedule, 2, 0.02, 0.98)
+    return lambda entry, y: LABEL_ENTRY_POINTS[entry](random_model, small_schedule, sub, y)
+
+
+@pytest.fixture()
+def call_with_timesteps(random_model, small_schedule):
+    return lambda entry, t: TIMESTEP_ENTRY_POINTS[entry](random_model, small_schedule, t)
+
+
+class TestLabelRule:
+    """Every entry point that takes labels checks their range by one rule:
+    0 (null) .. NUM_CLASSES, one message."""
+
+    @pytest.mark.parametrize("y", [3, -1, np.int64(3), np.uint64(3), np.int8(-1)],
+                             ids=["3", "-1", "int64", "uint64", "int8"])
+    @pytest.mark.parametrize("entry", LABEL_ENTRY_POINTS)
+    def test_rejects_labels_outside_the_range(self, call_with_labels, entry, y):
+        with pytest.raises(ValueError, match=re.escape(f"must lie in 0 (null) .. 2, got {y}")):
+            call_with_labels(entry, y)
+
+    @pytest.mark.parametrize("y", [0, 2, np.int8(1), np.uint64(2)],
+                             ids=["0", "2", "int8", "uint64"])
+    @pytest.mark.parametrize("entry", LABEL_ENTRY_POINTS)
+    def test_accepts_labels_in_the_range(self, call_with_labels, entry, y):
+        call_with_labels(entry, y)
+
+
+NOT_INTEGERS = pytest.mark.parametrize(
+    "v, got",
+    [(True, "bool"), (np.bool_(True), "bool"), (1.0, "float"), (np.float64(1.0), "float64")],
+    ids=["bool", "np.bool_", "float", "float64"])
+
+
+class TestIntegerRule:
+    """Every entry point that takes labels or timesteps checks that they are
+    integers by one rule, one message: an int or an integer dtype, not bool."""
+
+    @NOT_INTEGERS
+    @pytest.mark.parametrize("entry", LABEL_ENTRY_POINTS)
+    def test_rejects_labels_that_are_not_integers(self, call_with_labels, entry, v, got):
+        # a label read as an array reports its dtype: 1.0 is float64 there
+        with pytest.raises(ValueError, match=re.escape(
+                f"must be an integer or have an integer dtype, got {got}")):
+            call_with_labels(entry, v)
+
+    @NOT_INTEGERS
+    @pytest.mark.parametrize("entry", TIMESTEP_ENTRY_POINTS)
+    def test_rejects_timesteps_that_are_not_integers(self, call_with_timesteps, entry, v, got):
+        with pytest.raises(ValueError, match=re.escape(
+                f"timesteps must be an integer or have an integer dtype, got {got}")):
+            call_with_timesteps(entry, v)
+
+    @pytest.mark.parametrize("entry", TIMESTEP_ENTRY_POINTS)
+    @pytest.mark.parametrize("t", [np.int8(5), np.uint64(5), np.array([5, 6, 7], dtype=np.int8),
+                                   np.array([5, 6, 7], dtype=np.uint64)],
+                             ids=["int8", "uint64", "int8_rows", "uint64_rows"])
+    def test_accepts_integer_timesteps_of_any_width(self, call_with_timesteps, entry, t):
+        def bits(result):  # loss_and_grad returns (loss, grad), the others one array
+            return [np.asarray(v).tobytes() for v in
+                    (result if isinstance(result, tuple) else (result,))]
+
+        assert bits(call_with_timesteps(entry, t)) == \
+            bits(call_with_timesteps(entry, np.asarray(t, dtype=np.int64)))
 
 
 def one_hot(y):
@@ -457,7 +564,7 @@ class TestLabelPlan:
         [
             ([1, 3], "labels must lie in 0 (null) .. 2"),
             ([-1, 1], "labels must lie in 0 (null) .. 2"),
-            ([1.0, 2.0], "labels must have an integer dtype, got float64"),
+            ([1.0, 2.0], "labels must be an integer or have an integer dtype, got float64"),
             ([1, 2, 1], "labels have shape (3,), expected (2,)"),
             ([[1], [2]], "labels have shape (2, 1), expected (2,)"),
         ],

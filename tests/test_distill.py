@@ -161,6 +161,18 @@ def test_edit_problem_rejects_a_malformed_field(subsequence, field, value):
         replace(prob, **{field: value})
 
 
+def test_edit_problem_labels_of_any_integer_width(trained_model, schedule, subsequence):
+    # stored as ints, so a uint64 label does not turn the planner's labels into floats
+    prob = make_problem(np.random.default_rng(0), subsequence)
+    wide = replace(prob, y_src=np.uint64(1), y_tgt=np.int8(2))
+    assert (type(wide.y_src), type(wide.y_tgt)) == (int, int)
+    draw = draw_shared_noise(subsequence, np.random.default_rng(1))
+    for objective in OBJECTIVES:
+        want = objective_grad(prob, objective, draw, trained_model, schedule)
+        assert objective_grad(wide, objective, draw, trained_model, schedule).tobytes() == \
+            want.tobytes()
+
+
 class TestSdsGrad:
     def test_oracle_prediction_gives_zero(self, schedule, subsequence, rng):
         eps = rng.standard_normal(2)
@@ -430,7 +442,7 @@ class TestObjectiveGrad:
         with pytest.raises(ValueError, match="objective"):
             objective_grad(prob, "vsd", draw, d, schedule)
         for objective in OBJECTIVES:
-            with pytest.raises(ValueError, match="weight mode"):
+            with pytest.raises(ValueError, match="unknown w_mode"):
                 objective_grad(prob, objective, draw, d, schedule, "quadratic")
 
     def test_non_finite_residual_raises(self, schedule, subsequence, rng):
@@ -897,11 +909,13 @@ class TestOptimizeBatch:
         [
             ("steps", {"steps": -1}),
             ("steps", {"steps": 2.5}),
+            ("steps", {"steps": True}),
             ("lr", {"lr": float("nan")}),
             ("lr", {"lr": -0.01}),
             ("w_mode", {"steps": 0, "w_mode": "quadratic"}),
         ],
-        ids=["negative_steps", "fractional_steps", "nan_lr", "negative_lr", "unknown_w_mode"],
+        ids=["negative_steps", "fractional_steps", "bool_steps", "nan_lr", "negative_lr",
+             "unknown_w_mode"],
     )
     def test_rejects_bad_argument_before_any_work(
         self, trained_model, schedule, subsequence, monkeypatch, arg, kwargs

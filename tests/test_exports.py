@@ -148,3 +148,29 @@ def test_only_the_writers_open_files_for_writing():
         "distill_lab.experiments": {"write_csv"},
         "distill_lab.flatfile": {"write_flat_file"},
     }
+
+
+# The text every input rule raises, each from one function: a second raise
+# of the same text is the rule stated twice, and the two statements drift.
+RULE_MESSAGES = {
+    "integer values": "must be an integer or have an integer dtype",
+    "label range": "must lie in 0 (null) .. ",
+    "known names": "; expected one of ",
+    "omega": "omega must be a finite real",
+}
+
+
+def _raise_texts():
+    """(module, the literal text of the raised expression) per raise."""
+    for name in MODULES:
+        tree = ast.parse(inspect.getsource(importlib.import_module(name)))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                yield name, "".join(c.value for c in ast.walk(node.exc)
+                                    if isinstance(c, ast.Constant) and isinstance(c.value, str))
+
+
+@pytest.mark.parametrize("message", RULE_MESSAGES.values(), ids=RULE_MESSAGES)
+def test_each_input_rule_is_raised_from_one_place(message):
+    sites = [name for name, text in _raise_texts() if message in text]
+    assert len(sites) == 1, sites

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import acceptance, experiments
+from . import acceptance, experiments, schedule
 from .config import ExperimentConfig, load_config
 from .denoiser import Denoiser, load_checkpoint, save_checkpoint, train
 from .errors import (
@@ -53,8 +53,10 @@ def _load_model(cfg: ExperimentConfig, checkpoint: str) -> Denoiser:
 
 
 def _check_count(flag: str, value: int, low: int) -> None:
-    if value < low:
-        raise ConfigError(f"{flag} must be >= {low}, got {value}")
+    try:
+        schedule._check_count(value, flag, low)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def _cell(value: float, width: int, digits: int) -> str:

@@ -26,7 +26,8 @@ from .denoiser import (
 )
 from .distill import OBJECTIVES, check_settings
 from .errors import ConfigError
-from .schedule import NoiseSchedule, TimestepSubsequence, build_linear_schedule, build_subsequence
+from .schedule import (NoiseSchedule, TimestepSubsequence, _check_count, build_linear_schedule,
+                       build_subsequence)
 
 __all__ = ["ExperimentConfig", "load_config", "DEFAULT_MASTER_SEED"]
 
@@ -189,18 +190,17 @@ def load_config(
 
 
 def _validate(cfg: ExperimentConfig) -> None:
+    dist = cfg.distill
     try:
         s = cfg.build_schedule()
         cfg.build_subsequence(s)
         check_dataset_size(cfg.dataset.n)
         check_class_separation(cfg.class_params())
+        for name, key, _ in _SEEDS:
+            _check_count(getattr(getattr(cfg, name), key), f"{name}.{key}", 0)
+        _check_count(dist.n_runs, "distill.n_runs", 1)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    for name, key, _ in _SEEDS:
-        seed = getattr(getattr(cfg, name), key)
-        if seed < 0:
-            raise ConfigError(f"{name}.{key} must be >= 0, got {seed}")
-    dist = cfg.distill
     if not dist.objectives:
         raise ConfigError("distill.objectives must name at least one objective")
     try:
@@ -210,5 +210,3 @@ def _validate(cfg: ExperimentConfig) -> None:
     for k, objective in enumerate(dist.objectives):
         if objective in dist.objectives[:k]:
             raise ConfigError(f"objective '{objective}' repeats in distill.objectives")
-    if dist.n_runs < 1:
-        raise ConfigError(f"distill.n_runs must be >= 1, got {dist.n_runs}")

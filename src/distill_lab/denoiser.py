@@ -24,7 +24,7 @@ import numpy as np
 from .errors import DivergenceError, MismatchError
 from .flatfile import header_field, read_flat_file, write_flat_file
 from .optim import AdamState, adam_step
-from .schedule import NoiseSchedule, _check_integers
+from .schedule import NoiseSchedule, _check_count, _check_integers
 
 __all__ = [
     "NULL_LABEL",
@@ -49,6 +49,7 @@ __all__ = [
 NULL_LABEL = 0
 NUM_CLASSES = 2  # class labels are 1 .. NUM_CLASSES, beside the null label
 POINT_DIM = 2
+_INPUT_EXTRA = POINT_DIM + NUM_CLASSES + 1  # input columns beside the time embedding
 
 # Tail mass of either class beyond the midpoint plane must stay below this
 # for the two marginals to count as separated.
@@ -85,7 +86,10 @@ class ClassSpec:
 @dataclass(frozen=True)
 class TrainConfig:
     """Denoiser training hyperparameters and the model's sizes: the
-    ``[training]`` section of the experiment config."""
+    ``[training]`` section of the experiment config. Every count and size
+    obeys the count rule (``training steps must be >= 1, got 0``; ``steps``
+    and ``batch_size`` are kept as ints), ``learning_rate`` the positive-real
+    rule (``learning_rate must be a positive finite real, got inf``)."""
 
     steps: int = 4000
     batch_size: int = 128
@@ -96,12 +100,9 @@ class TrainConfig:
     t_embed_dim: int = 8
 
     def __post_init__(self):
-        if self.steps < 1:
-            raise ValueError(f"training steps must be >= 1, got {self.steps}")
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.learning_rate <= 0:
-            raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
+        object.__setattr__(self, "steps", _check_count(self.steps, "training steps", 1))
+        object.__setattr__(self, "batch_size", _check_count(self.batch_size, "batch_size", 1))
+        _check_positive(self.learning_rate, "learning_rate")
         if not 0.0 <= self.null_cond_prob < 1.0:
             raise ValueError(f"null_cond_prob must be in [0, 1), got {self.null_cond_prob}")
         denoiser_arch(self.t_embed_dim, self.hidden)
@@ -109,8 +110,7 @@ class TrainConfig:
 
 def check_class_separation(class_params: tuple[ClassSpec, ClassSpec]) -> None:
     for k, spec in enumerate(class_params):
-        if spec.std <= 0.0 or not np.isfinite(spec.std):
-            raise ValueError(f"class {k + 1} has degenerate std {spec.std}")
+        _check_positive(spec.std, f"class {k + 1} std")
         _as_point(spec.mean, f"class {k + 1} mean")
     gap = float(np.linalg.norm(np.asarray(class_params[0].mean) - np.asarray(class_params[1].mean)))
     worst = max(spec.std for spec in class_params)
@@ -129,17 +129,19 @@ def _as_point(v, what: str) -> np.ndarray:
     return v
 
 
-def check_dataset_size(n: int) -> None:
-    if n < 2 or n % 2 != 0:
-        raise ValueError(f"dataset size must be an even n >= 2, got {n}")
+def check_dataset_size(n: int) -> int:
+    """``n`` as an int; ValueError unless it is an even count of at least 2."""
+    n = _check_count(n, "dataset size", 2)
+    if n % 2:
+        raise ValueError(f"dataset size must be even, got {n}")
+    return n
 
 
 def sample_two_marginal_dataset(
     n: int, class_params: tuple[ClassSpec, ClassSpec], seed: int = 0
 ) -> tuple[np.ndarray, np.ndarray]:
     """Points (n, 2) and labels (n,), n/2 of each class in order; seeded."""
-    n = int(n)
-    check_dataset_size(n)
+    n = check_dataset_size(n)
     check_class_separation(class_params)
     rng = np.random.default_rng(seed)
     half = n // 2
@@ -205,7 +207,7 @@ class Denoiser:
         layers = _layer_views(params, arch)
         for w, _ in layers if random_head else layers[:-1]:
             w[:] = rng.standard_normal(w.shape) / math.sqrt(w.shape[0])
-        return cls(params=params, arch=arch, t_embed_dim=t_embed_dim)
+        return cls(params=params, arch=arch, t_embed_dim=arch[0] - _INPUT_EXTRA)
 
     def layers(self) -> list[tuple[np.ndarray, np.ndarray]]:
         """(W, b) views into ``params``, rebuilt only when ``params`` is replaced."""
@@ -252,13 +254,13 @@ def _line_aligned(*shape: int) -> np.ndarray:
 
 
 def denoiser_arch(t_embed_dim: int, hidden: tuple[int, ...]) -> tuple[int, ...]:
-    """Every layer width, input and output included, of a denoiser with
-    these sizes; ValueError for sizes no denoiser can have."""
-    if t_embed_dim % 2 != 0 or t_embed_dim <= 0:
-        raise ValueError(f"t_embed_dim must be a positive even integer, got {t_embed_dim}")
-    if any(w < 1 for w in hidden):
-        raise ValueError(f"hidden widths must be >= 1, got {tuple(hidden)}")
-    return (POINT_DIM + t_embed_dim + NUM_CLASSES + 1, *hidden, POINT_DIM)
+    """Every layer width, input and output included, as ints; ValueError unless
+    ``t_embed_dim`` is an even count >= 2 and each ``hidden`` width a count >= 1."""
+    t_embed_dim = _check_count(t_embed_dim, "t_embed_dim", 2)
+    if t_embed_dim % 2:
+        raise ValueError(f"t_embed_dim must be even, got {t_embed_dim}")
+    hidden = [_check_count(w, "hidden width", 1) for w in hidden]
+    return (_INPUT_EXTRA + t_embed_dim, *hidden, POINT_DIM)
 
 
 def param_count(arch: tuple[int, ...]) -> int:
@@ -412,14 +414,19 @@ def _check_rows(x: np.ndarray, y, t) -> tuple[LabelPlan, np.ndarray]:
     y = y if isinstance(y, LabelPlan) else LabelPlan(y, n)
     _one_or_per_row(y.labels, n, "labels")
     t = _one_or_per_row(_integers(t, "timesteps"), n, "timesteps")
-    if t.min(initial=1) < 1:
-        raise ValueError(f"timesteps must be >= 1, got {int(t.min())}")
+    _check_count(t.min(initial=1), "timesteps", 1)
     return y, t
 
 
 def _check_omega(omega) -> None:
     if not (isinstance(omega, numbers.Real) and math.isfinite(omega)):
         raise ValueError(f"omega must be a finite real, got {omega!r}")
+
+
+def _check_positive(v, what: str) -> None:
+    """ValueError unless ``v`` is a finite ``numbers.Real`` above 0."""
+    if not (isinstance(v, numbers.Real) and math.isfinite(v) and v > 0):
+        raise ValueError(f"{what} must be a positive finite real, got {v!r}")
 
 
 def _guided_rows(d: Denoiser, x: np.ndarray, cond, t, omega: float, per_row: bool, scratch):
@@ -677,12 +684,13 @@ def train(
 def save_checkpoint(d: Denoiser, path, T: int) -> None:
     """Write the model as a flat file: header (arch, num_classes,
     t_embed_dim, T) followed by the parameter vector as little-endian
-    float64. ``T`` records the schedule length the model was trained on."""
+    float64. ``T`` (a count >= 2) records the schedule length trained on."""
+    T = _check_count(T, "T", 2)
     header = {
         "arch": ",".join(str(v) for v in d.arch),
         "num_classes": str(NUM_CLASSES),
         "t_embed_dim": str(d.t_embed_dim),
-        "T": str(int(T)),
+        "T": str(T),
     }
     write_flat_file(path, "checkpoint", header, d.params)
 

@@ -21,18 +21,18 @@ written by ``experiments.write_trajectory_csv``.
 
 from __future__ import annotations
 
-import math
 from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
 
-from .denoiser import POINT_DIM, Denoiser, LabelPlan, _as_point, _check_omega, _labels, eps
+from .denoiser import (POINT_DIM, Denoiser, LabelPlan, _as_point, _check_omega, _check_positive,
+                       _labels, eps)
 from .denoiser import cfg_predict  # noqa: F401  perfbench/selftest.py reads distill.cfg_predict
 from .errors import DivergenceError
 from .latentops import draw_shared_noise, stochastic_latents
 from .optim import AdamState, adam_step
-from .schedule import NoiseSchedule, TimestepSubsequence, _check_integers
+from .schedule import NoiseSchedule, TimestepSubsequence, _check_count, _check_integers
 
 __all__ = [
     "OBJECTIVES",
@@ -179,7 +179,7 @@ def _row_plan(jobs: list[tuple[EditProblem, str, int]]) -> _RowPlan:
     stream; dds and pds jobs that also share the grid, the source point and
     its label read one source row. sds jobs have no source side."""
     n, probs = len(jobs), [prob for prob, _, _ in jobs]
-    keys = [(int(seed), prob.sub.lo_index, prob.sub.hi_index) for prob, _, seed in jobs]
+    keys = [(seed, prob.sub.lo_index, prob.sub.hi_index) for prob, _, seed in jobs]
     streams = {key: prob.sub for key, prob in zip(keys, probs)}  # draws read lo/hi only
     number = {key: g for g, key in enumerate(streams)}
     stream = np.array([number[key] for key in keys])
@@ -294,19 +294,17 @@ def _check_draw(sub: TimestepSubsequence, draw) -> tuple[int, np.ndarray]:
 
 def check_settings(
     objectives: Iterable[str], steps: int, lr: float, w_mode: str, optimizer: str
-) -> None:
-    """ValueError unless every objective, the weight mode and the optimizer
-    are known, ``steps`` is an integer >= 0 and ``lr`` is positive and finite:
-    the settings every :func:`optimize_batch` run must have."""
+) -> int:
+    """``steps`` as an int; ValueError unless every objective, the weight mode
+    and the optimizer are known, ``steps`` is a count (``steps must be >= 0,
+    got -1``) and ``lr`` a positive real (``lr must be a positive finite
+    real, got nan``): the settings every :func:`optimize_batch` run must have."""
     for objective in objectives:
         _known(objective, OBJECTIVES, "objective")
     _known(optimizer, OPTIMIZERS, "optimizer")
     _known(w_mode, WEIGHT_MODES, "w_mode")
-    _check_integers(steps, "steps")
-    if np.ndim(steps) or steps < 0:
-        raise ValueError(f"steps must be a non-negative integer, got {steps!r}")
-    if not (lr > 0 and math.isfinite(lr)):
-        raise ValueError(f"lr must be positive and finite, got {lr!r}")
+    _check_positive(lr, "lr")
+    return _check_count(steps, "steps", 0)
 
 
 def optimize_batch(
@@ -338,8 +336,8 @@ def optimize_batch(
     signal), until every job is flagged or the run ends, and the other
     jobs' bits do not change. The jobs must share one omega.
     """
-    jobs = list(jobs)
-    check_settings([objective for _, objective, _ in jobs], steps, lr, w_mode, optimizer)
+    jobs = [(prob, objective, _check_count(seed, "job seed", 0)) for prob, objective, seed in jobs]
+    steps = check_settings([objective for _, objective, _ in jobs], steps, lr, w_mode, optimizer)
     omegas = {prob.omega for prob, _, _ in jobs}
     if len(omegas) > 1:
         raise ValueError(f"jobs must share one omega, got {sorted(omegas)}")
@@ -347,7 +345,7 @@ def optimize_batch(
         return []
     (omega,) = omegas
 
-    n, n_rows = len(jobs), int(steps) + 1
+    n, n_rows = len(jobs), steps + 1
     width = [prob.gen.theta.size for prob, _, _ in jobs]
     theta, mat = np.zeros((n, max(width))), np.zeros((n, POINT_DIM, max(width)))
     for j, (prob, _, _) in enumerate(jobs):
@@ -385,7 +383,7 @@ def optimize_batch(
         if kept.max() < n_rows:
             break
     return [
-        TrajectoryRecord(objective, int(seed), theta_hist[j, :m, : width[j]],
+        TrajectoryRecord(objective, seed, theta_hist[j, :m, : width[j]],
                          x0_hist[j, :m], norm_hist[j, :m], diverged=bool(m < n_rows))
         for j, ((_, objective, seed), m) in enumerate(zip(jobs, kept.tolist()))
     ]

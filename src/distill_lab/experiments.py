@@ -26,6 +26,7 @@ from .denoiser import POINT_DIM, ClassSpec, Denoiser
 from .distill import EditProblem, TrajectoryRecord, identity_generator, optimize_batch
 from .errors import ConfigError
 from .latentops import check_sdedit_levels, generate_with_latents_batch, invert, sdedit_batch
+from .schedule import _check_count
 
 __all__ = [
     "Figure2Summary",
@@ -295,8 +296,10 @@ def run_sdedit_sweep(
     operator's own identity decay: conditional guidance re-attracts points
     to their class core and flattens the curve. With 10 grid points the
     ratios step by 0.1 from 0, so every ratio lands on a distinct position
-    of the 20-step chain.
+    of the 20-step chain. ``n_points`` >= 1 and ``grid_points`` >= 0 are counts.
     """
+    n_points = _check_count(n_points, "n_points", 1)
+    grid_points = _check_count(grid_points, "grid_points", 0)
     s = cfg.build_schedule()
     grid = np.arange(grid_points) / max(grid_points, 1)
     rng = np.random.default_rng(cfg.dataset.seed + 101)
@@ -317,12 +320,13 @@ def run_roundtrip_report(
     returns (index, label, max abs error) per point.
 
     Each point is drawn and then inverted, one at a time, from ``rng``; the
-    points are then replayed together.
+    points are then replayed together. ``k`` is a count of at least 0.
     """
+    k = _check_count(k, "k", 0)
     s = cfg.build_schedule()
     sub = cfg.build_subsequence(s)
     class_params = cfg.class_params()
-    labels = 1 + np.arange(int(k)) % 2  # an int64 array, so k = 0 gives integer labels too
+    labels = 1 + np.arange(k) % 2  # an int64 array, so k = 0 gives integer labels too
     points, seqs = [], []
     for label in labels:
         x0 = class_params[label - 1].sample(rng, 1)[0]

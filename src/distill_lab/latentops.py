@@ -40,7 +40,7 @@ from .denoiser import (POINT_DIM, Denoiser, LabelPlan, _as_point, _check_omega, 
                        _one_blas_thread, cfg_predict_batch, eps)
 from .denoiser import cfg_predict  # noqa: F401  perfbench/selftest.py reads latentops.cfg_predict
 from .errors import DegenerateTimestepError, DivergenceError, MismatchError
-from .schedule import NoiseSchedule, TimestepSubsequence, _posterior
+from .schedule import NoiseSchedule, TimestepSubsequence, _check_count, _posterior
 
 __all__ = [
     "StochasticLatentSequence",
@@ -245,9 +245,10 @@ def ancestral_sample_batch(
     """n independent ancestral samples conditioned on y, shape (n, 2).
 
     Runs the full fine-grained generative chain from pure noise. The final
-    step has sigma_1 = 0, so the last transition is deterministic. Bad labels
-    or omega raise ValueError before the first draw, as in :func:`sdedit_batch`.
+    step has sigma_1 = 0, so the last transition is deterministic. Bad labels,
+    omega or count ``n`` raise ValueError before the first draw (:func:`sdedit_batch`).
     """
+    n = _check_count(n, "n", 0)
     labels = LabelPlan(y, n)
     _check_omega(omega)
     x = rng.standard_normal((n, POINT_DIM))

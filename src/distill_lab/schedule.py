@@ -149,16 +149,23 @@ def _check_integers(v, what: str) -> None:
         raise ValueError(f"{what} must be an integer or have an integer dtype, got {got}")
 
 
+def _check_count(v, what: str, low: int) -> int:
+    """``v`` as an int; ValueError unless it is one integer (:func:`_check_integers`) >= low."""
+    _check_integers(v, what)
+    if getattr(v, "ndim", 0) or v < low:
+        raise ValueError(f"{what} must be >= {low}, got {v}")
+    return int(v)
+
+
 def _readonly(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
     return a
 
 
 def build_linear_schedule(T: int, beta_start: float, beta_end: float) -> NoiseSchedule:
-    """Build a linear beta schedule from beta_start to beta_end inclusive."""
-    T = int(T)
-    if T < 2:
-        raise ValueError(f"need T >= 2, got {T}")
+    """Build a linear beta schedule from beta_start to beta_end inclusive.
+    ``T`` is a count (``T must be >= 2, got 1``; see :func:`_check_count`)."""
+    T = _check_count(T, "T", 2)
     if not (0.0 < beta_start <= beta_end < 1.0):
         raise ValueError(
             f"betas must satisfy 0 < beta_start <= beta_end < 1, "
@@ -212,11 +219,10 @@ def build_subsequence(
     The common factor f is computed through the consecutive-step identity as
     sqrt(alpha_bar[tau[i-1]]) - sqrt(alpha_bar[t - 1]); this is equal to the
     literal expression but cancellation-free, and makes the stride-1
-    degeneracy (psi = chi = 0) exact.
+    degeneracy (psi = chi = 0) exact. ``stride`` is a count
+    (``stride must be >= 1, got 0``; see :func:`_check_count`).
     """
-    stride = int(stride)
-    if stride < 1:
-        raise ValueError(f"need stride >= 1, got {stride}")
+    stride = _check_count(stride, "stride", 1)
     if not (0.0 <= lo_ratio < hi_ratio <= 1.0):
         raise ValueError(f"need 0 <= lo_ratio < hi_ratio <= 1, got ({lo_ratio}, {hi_ratio})")
     n = s.T // stride

@@ -913,9 +913,12 @@ class TestOptimizeBatch:
             ("lr", {"lr": float("nan")}),
             ("lr", {"lr": -0.01}),
             ("w_mode", {"steps": 0, "w_mode": "quadratic"}),
+            ("seed", {"seed": 2.5}),
+            ("seed", {"seed": True}),
+            ("seed", {"seed": -1}),
         ],
         ids=["negative_steps", "fractional_steps", "bool_steps", "nan_lr", "negative_lr",
-             "unknown_w_mode"],
+             "unknown_w_mode", "fractional_seed", "bool_seed", "negative_seed"],
     )
     def test_rejects_bad_argument_before_any_work(
         self, trained_model, schedule, subsequence, monkeypatch, arg, kwargs
@@ -927,6 +930,8 @@ class TestOptimizeBatch:
         monkeypatch.setattr(distill, "draw_shared_noise", no_work)
         call = {"steps": 3, "lr": 0.01, "w_mode": "const"} | kwargs
         jobs = mixed_jobs(subsequence, np.random.default_rng(17))
+        if "seed" in kwargs:  # the last job's seed
+            jobs[-1] = (*jobs[-1][:2], kwargs["seed"])
         with pytest.raises(ValueError, match=arg):
             optimize_batch(jobs, call["steps"], call["lr"], trained_model, schedule,
                            call["w_mode"])

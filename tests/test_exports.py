@@ -157,6 +157,8 @@ RULE_MESSAGES = {
     "label range": "must lie in 0 (null) .. ",
     "known names": "; expected one of ",
     "omega": "omega must be a finite real",
+    "count": " must be >= ",
+    "positive real": " must be a positive finite real",
 }
 
 
@@ -174,3 +176,26 @@ def _raise_texts():
 def test_each_input_rule_is_raised_from_one_place(message):
     sites = [name for name, text in _raise_texts() if message in text]
     assert len(sites) == 1, sites
+
+
+def _own_parameter_casts(tree):
+    """``function(parameter)`` for each ``int(parameter)`` a function in
+    ``tree`` applies to a parameter of its own."""
+    for fn in ast.walk(tree):
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = fn.args
+            own = {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs}
+            for call in ast.walk(fn):
+                if (isinstance(call, ast.Call) and getattr(call.func, "id", None) == "int"
+                        and call.args and getattr(call.args[0], "id", None) in own):
+                    yield f"{fn.name}({call.args[0].id})"
+
+
+def test_no_function_truncates_its_own_parameter():
+    # int() truncates 2.5 to 2 and reads True as 1; a size or count passes
+    # schedule._check_count instead, whose int() follows its check
+    casts = []
+    for name in MODULES:
+        tree = ast.parse(inspect.getsource(importlib.import_module(name)))
+        casts += [f"{name}.{cast}" for cast in _own_parameter_casts(tree)]
+    assert casts == ["distill_lab.schedule._check_count(v)"]

@@ -129,6 +129,13 @@ def _as_point(v, what: str) -> np.ndarray:
     return v
 
 
+def _as_point_rows(v: np.ndarray, what: str) -> np.ndarray:
+    """``v`` if it is (n, 2); ValueError naming it as ``what`` otherwise."""
+    if v.ndim != 2 or v.shape[1] != POINT_DIM:
+        raise ValueError(f"{what} has shape {v.shape}, expected (n, {POINT_DIM})")
+    return v
+
+
 def check_dataset_size(n: int) -> int:
     """``n`` as an int; ValueError unless it is an even count of at least 2."""
     n = _check_count(n, "dataset size", 2)
@@ -165,9 +172,10 @@ class Denoiser:
     row count n; the scratch and the parameters of ``create`` and
     :func:`load_checkpoint` start on a cache line. Training and inference
     run one forward, ``_forward``, over feature rows that ``_features``
-    lays out. :func:`eps` and the samplers' gemm forward write the feature
-    rows into the scratch once, swap only their label columns between the
-    conditional and the null forward, and return fresh arrays; a
+    lays out. :func:`eps` writes the feature rows into the scratch once and
+    runs one forward over them and their null-label copies below them; the
+    samplers' gemm forward swaps only their label columns between the
+    conditional and the null forward. Both return fresh arrays; a
     :class:`LabelPlan` owns its labels and one-hot columns. Training runs on
     buffers of its own, allocated per :func:`train` or :func:`loss_and_grad`
     call, and :func:`train` mutates ``params``: serialize all calls on one
@@ -388,7 +396,7 @@ def _one_or_per_row(v: np.ndarray, n: int, what: str) -> np.ndarray:
 class LabelPlan:
     """The labels of n rows as int64, length n or 0-d (one for every row),
     checked once, with the one-hot label columns of their conditional
-    forward laid out once (the null forward reads one shared row); ValueError
+    forward laid out once (the null rows read one shared row); ValueError
     unless they are integers in 0 (null) .. NUM_CLASSES. :func:`eps` takes a
     plan as ``y`` and builds a throwaway one from raw labels, so a caller that
     evaluates the same labels at many steps builds it once. The plan holds
@@ -408,9 +416,7 @@ def _check_rows(x: np.ndarray, y, t) -> tuple[LabelPlan, np.ndarray]:
     """The label plan of the n rows of ``x`` (``y`` is one, or raw labels)
     and their timesteps as int64, length n or 0-d; ValueError unless x is
     (n, 2), the plan fits n rows and the timesteps are integers >= 1."""
-    if x.ndim != 2 or x.shape[1] != POINT_DIM:
-        raise ValueError(f"x has shape {x.shape}, expected (n, {POINT_DIM})")
-    n = x.shape[0]
+    n = _as_point_rows(x, "x").shape[0]
     y = y if isinstance(y, LabelPlan) else LabelPlan(y, n)
     _one_or_per_row(y.labels, n, "labels")
     t = _one_or_per_row(_integers(t, "timesteps"), n, "timesteps")
@@ -424,40 +430,47 @@ def _check_omega(omega) -> None:
 
 
 def _check_positive(v, what: str) -> None:
-    """ValueError unless ``v`` is a finite ``numbers.Real`` above 0."""
-    if not (isinstance(v, numbers.Real) and math.isfinite(v) and v > 0):
+    """ValueError unless ``v`` is a finite ``numbers.Real`` above 0 and not a bool."""
+    if isinstance(v, bool) or not (isinstance(v, numbers.Real) and math.isfinite(v) and v > 0):
         raise ValueError(f"{what} must be a positive finite real, got {v!r}")
 
 
 def _guided_rows(d: Denoiser, x: np.ndarray, cond, t, omega: float, per_row: bool, scratch):
-    """e_null + omega * (e_y - e_null) of n rows from a conditional and a null
-    forward on ``scratch``, whose feature rows are written once and
-    only their label columns rewritten for the second; omega = 1 and omega = 0
-    run only the forward they return. ``cond`` holds the label columns."""
-    null = _ONE_HOT[NULL_LABEL]
+    """e_null + omega * (e_y - e_null) of n rows on ``scratch``, whose conditional
+    feature rows (label columns ``cond``) are written once. The per-row kernel runs
+    one forward over them and their null copies in rows n..2n, the gemm kernel two,
+    rewriting the label columns; omega = 1 and omega = 0 run one forward of n rows."""
+    null, n, labels = _ONE_HOT[NULL_LABEL], len(x), POINT_DIM + d.t_embed_dim
     feats, *bufs = scratch
-    _features(d, x, t, cond if omega else null, out=feats)
-    first = _forward(d, feats, bufs, per_row)[0]
+    _features(d, x, t, cond if omega else null, out=feats[:n])
     if omega in (0.0, 1.0):
-        return first
-    feats[:, POINT_DIM + d.t_embed_dim :] = null
-    e_null = _forward(d, feats, bufs, per_row)[0]
-    return e_null + omega * (first - e_null)
+        return _forward(d, feats, bufs, per_row)[0]
+    if per_row:  # a per-row product's bits do not depend on the rows beside it
+        feats[n:, :labels], feats[n:, labels:] = feats[:n, :labels], null
+        both = _forward(d, feats, bufs, per_row)[0]
+        e_cond, e_null = both[:n], both[n:]
+    else:
+        e_cond = _forward(d, feats, bufs, per_row)[0]
+        feats[:, labels:] = null
+        e_null = _forward(d, feats, bufs, per_row)[0]
+    return e_null + omega * (e_cond - e_null)
 
 
 def _guided(d: Denoiser, x: np.ndarray, y, t, omega: float, per_row: bool) -> np.ndarray:
     """:func:`_guided_rows` of n rows, over ``_PART_ROWS`` of them as parts of
     ``_PART_ROWS`` rows (the last one shorter) that depend on n alone, on one
-    thread and scratch slot per CPU at most. ValueError as in :func:`eps`."""
+    thread and scratch slot per CPU at most, with 2 scratch rows per row where
+    the per-row kernel stacks the null copies. ValueError as in :func:`eps`."""
     _check_omega(omega)
     plan, t = _check_rows(x, y, t)
     n = x.shape[0]
+    fwd = 2 if per_row and omega not in (0.0, 1.0) else 1  # forward rows per row
     if n <= _PART_ROWS:
-        return _guided_rows(d, x, plan.cond, t, omega, per_row, d.scratch(n))
+        return _guided_rows(d, x, plan.cond, t, omega, per_row, d.scratch(fwd * n))
     d.layers()  # the threads only read the model: build its views and time table here
     d.time_rows(t)
     parts = [slice(r, r + _PART_ROWS) for r in range(0, n, _PART_ROWS)]
-    slots = [d.scratch(_PART_ROWS, k) for k in range(min(_cpus(), len(parts)))]
+    slots = [d.scratch(fwd * _PART_ROWS, k) for k in range(min(_cpus(), len(parts)))]
     out = np.empty((n, POINT_DIM))
     todo, taking = iter(parts), threading.Lock()
 
@@ -468,7 +481,7 @@ def _guided(d: Denoiser, x: np.ndarray, y, t, omega: float, per_row: bool) -> np
             if part is None:
                 return
             rows, cond = x[part], plan.cond[part] if plan.cond.ndim == 2 else plan.cond
-            bufs = [buf[: len(rows)] for buf in slots[k]]
+            bufs = [buf[: fwd * len(rows)] for buf in slots[k]]
             out[part] = _guided_rows(d, rows, cond, t[part] if t.ndim else t, omega, per_row, bufs)
 
     # each worker runs in a copy of the caller's context, so under its numpy error state
@@ -512,9 +525,9 @@ def eps(d: Denoiser, x: np.ndarray, y, t, omega: float) -> np.ndarray:
     label and timestep arrays (scalars broadcast), and ``y`` may be a
     :class:`LabelPlan` of the labels instead. Every output row is bitwise
     equal to the same row evaluated alone, whatever the batch holds. The
-    conditional and null predictions are two per-row forwards of n rows
-    over feature rows written once, of which only the label columns are
-    swapped between them; omega = 1 returns the conditional prediction and
+    conditional and null predictions come from one per-row forward of 2n
+    rows: the n feature rows, written once, then their copies with the null
+    label columns; omega = 1 returns the conditional prediction and
     omega = 0 the unconditional one from one forward, with no arithmetic on
     the endpoints. ValueError for any other shape of ``x``, for labels or
     timesteps of a non-integer dtype or of the wrong length, for labels

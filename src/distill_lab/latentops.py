@@ -36,8 +36,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .denoiser import (POINT_DIM, Denoiser, LabelPlan, _as_point, _check_omega, _integers,
-                       _one_blas_thread, cfg_predict_batch, eps)
+from .denoiser import (POINT_DIM, Denoiser, LabelPlan, _as_point, _as_point_rows, _check_omega,
+                       _integers, _one_blas_thread, cfg_predict_batch, eps)
 from .denoiser import cfg_predict  # noqa: F401  perfbench/selftest.py reads latentops.cfg_predict
 from .errors import DegenerateTimestepError, DivergenceError, MismatchError
 from .schedule import NoiseSchedule, TimestepSubsequence, _check_count, _posterior
@@ -99,7 +99,7 @@ def _generate(predict, d: Denoiser, x: np.ndarray, labels: LabelPlan, omega: flo
         for k, (t, gamma_t, delta_t, sigma_t) in enumerate(columns):
             eps_hat = predict(d, x, labels, t, omega)
             x = _step_mean(s, x, t, eps_hat, gamma_t, delta_t) + sigma_t * noise(k)
-            if not np.all(np.isfinite(x)):
+            if not np.isfinite(x).all():
                 raise DivergenceError(f"non-finite state in the generative chain at t={t}")
     return x
 
@@ -286,9 +286,7 @@ def sdedit_batch(
     """
     if not 0.0 <= t0_ratio <= 1.0:
         raise ValueError(f"t0_ratio must be in [0, 1], got {t0_ratio}")
-    x0 = np.atleast_2d(np.asarray(x0, dtype=float))
-    if x0.ndim != 2 or x0.shape[1] != POINT_DIM:
-        raise ValueError(f"x0 has shape {x0.shape}, expected (n, {POINT_DIM})")
+    x0 = _as_point_rows(np.atleast_2d(np.asarray(x0, dtype=float)), "x0")
     check_sdedit_levels(s.T)
     labels = LabelPlan(y, len(x0))
     _check_omega(omega)

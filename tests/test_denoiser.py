@@ -513,9 +513,31 @@ class TestPerRowForward:
             d.params = params
             for n in (0, 1, 3, 128, 1000, 2500):
                 x, y, t = gemm_rows(n, seed=n)
-                for omega in (0.0, 1.0, 7.5):
+                for omega in (0.0, 1.0, 7.5, -0.5):
                     want = reference_eps(d, x, y, t, omega)
                     assert np.array_equal(eps(d, x, y, t, omega), want)
+
+    @pytest.mark.parametrize("n", [1, 500, 2500])
+    def test_one_forward_per_part(self, random_model, monkeypatch, n):
+        # eps stacks a part's conditional and null rows into one forward of
+        # twice its rows; the gemm kernel runs two forwards of its rows, and
+        # omega = 0 or 1 one on either kernel
+        rows, forward = [], denoiser._forward
+
+        def counted(d, feats, *args):
+            rows.append(len(feats))
+            return forward(d, feats, *args)
+
+        monkeypatch.setattr(denoiser, "_forward", counted)
+        x, y, t = gemm_rows(n, seed=n)
+        parts = [min(denoiser._PART_ROWS, n - r) for r in range(0, n, denoiser._PART_ROWS)]
+        for omega, evals in ((7.5, 2), (0.0, 1), (1.0, 1)):
+            rows.clear()
+            eps(random_model, x, y, t, omega)
+            assert sorted(rows) == sorted(evals * p for p in parts), omega
+            rows.clear()
+            cfg_predict_batch(random_model, x, 2, 300, omega)
+            assert sorted(rows) == sorted(parts * evals), omega
 
     def test_eps_and_gemm_results_survive_each_other(self, random_model):
         x, y, t = gemm_rows(200, seed=7)

@@ -159,6 +159,7 @@ RULE_MESSAGES = {
     "omega": "omega must be a finite real",
     "count": " must be >= ",
     "positive real": " must be a positive finite real",
+    "point rows": ", expected (n, ",
 }
 
 

@@ -181,8 +181,8 @@ class TestPositiveRule:
     """Every step size and class std is checked by one rule, with one
     message: a finite real above 0."""
 
-    @pytest.mark.parametrize("v", [math.inf, math.nan, 0.0, -1.0, "0.1"],
-                             ids=["inf", "nan", "0.0", "-1.0", "str"])
+    @pytest.mark.parametrize("v", [math.inf, math.nan, 0.0, -1.0, "0.1", True],
+                             ids=["inf", "nan", "0.0", "-1.0", "str", "bool"])
     @pytest.mark.parametrize("entry", POSITIVE_ENTRY_POINTS)
     def test_rejects_what_is_not_a_positive_finite_real(self, lab, entry, v):
         what, call = POSITIVE_ENTRY_POINTS[entry]
